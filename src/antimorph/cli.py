@@ -270,6 +270,9 @@ def cmd_cat(args, config: RunConfig) -> int:
     if op == "products":
         c = reg.category(args.category)
         family = tuple((args.family or "x,y").split(","))
+        for name in family:
+            if name not in c.objects:
+                raise ParseError(f"unknown object {name!r} in category {c.name}")
         fc = caf(c)
         products = find_products(c, family)
         reports = [TheoremReport(

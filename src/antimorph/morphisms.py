@@ -35,10 +35,6 @@ def is_group(s) -> bool:
     return isinstance(s, FiniteGroup)
 
 
-def is_ring(s) -> bool:
-    return isinstance(s, FiniteRing)
-
-
 # -- law checking -------------------------------------------------------------
 
 
@@ -456,13 +452,6 @@ def _table_group(morphisms, op, name: str) -> FiniteGroup:
                 raise LawViolation(f"{name} not closed", witness=(i, j))
             table[i][j] = index[comp.images]
     return validate_group(table, name=name)
-
-
-def group_isomorphic_by_tables(g: FiniteGroup, h: FiniteGroup) -> bool:
-    """Exhaustive isomorphism test used by the algebra checks."""
-    from .groups import find_isomorphism
-
-    return find_isomorphism(g, h) is not None
 
 
 # -- pointwise ring audit ---------------------------------------------------------

@@ -19,13 +19,12 @@ from .errors import (
     NotDistributive,
     NotIdeal,
 )
-from .groups import FiniteGroup, Subgroup, validate_group
+from .groups import FiniteGroup, validate_group
 from .maps import STRAIGHT, Morphism
 
 LEFT = "left"
 RIGHT = "right"
 TWO_SIDED = "two-sided"
-SIDES = (LEFT, RIGHT, TWO_SIDED)
 
 
 @dataclass(frozen=True)
@@ -215,10 +214,6 @@ def quotient_ring(r: FiniteRing, ideal: RingIdeal):
     proj = Morphism(r, q, tuple(idx[coset_of[x]] for x in r.elements()), STRAIGHT,
                     name=f"pi:{r.name or 'R'}")
     return q, proj
-
-
-def additive_subgroup(r: FiniteRing, members) -> Subgroup:
-    return Subgroup(r.additive_group, tuple(sorted(members)))
 
 
 def subring_as_ring(r: FiniteRing, members):

@@ -5,6 +5,7 @@ lines as they complete. Tolerances and time budgets are pinned here and
 nowhere else.
 """
 
+import hashlib
 import time
 
 from antimorph.corpus import group_corpus, ring_corpus
@@ -29,6 +30,9 @@ from antimorph.suite import (
 
 GROUPS = group_corpus()
 RINGS = ring_corpus()
+
+# sha256 of the default `antimorph --format records report` output (2149 records)
+GOLDEN_DIGEST = "30227f4c3ab12dce1094a8f03187ca1d51d784e3219554b0da2569813c13eb1a"
 
 
 def _gate(num, desc, reports, elapsed=None, budget=None):
@@ -146,7 +150,10 @@ def test_criterion_10_full_run_determinism():
     full = RunConfig()
     first = emit_records(run(full))
     second = emit_records(run(full))
-    ok = first == second
+    digest = hashlib.sha256(first.encode("utf-8")).hexdigest()
+    ok = first == second and digest == GOLDEN_DIGEST
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 10 (full suite): "
-          f"byte-identical across reruns ({len(first)} bytes)")
-    assert ok
+          f"byte-identical across reruns and golden digest ({len(first)} bytes, "
+          f"sha256 {digest[:16]})")
+    assert first == second
+    assert digest == GOLDEN_DIGEST

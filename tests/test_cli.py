@@ -113,6 +113,10 @@ def test_unknown_name_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "anti-hom", "--map", "nosuch.map")
     assert code == 2
     assert "error:" in err
+    code, out, err = run_cli(capsys, "cat", "products", "--category", "meet",
+                             "--family", "x,nope")
+    assert code == 2
+    assert "unknown object 'nope'" in err and "[FAIL]" not in out
 
 
 def test_malformed_file_does_not_crash(tmp_path, capsys):

@@ -1,34 +1,21 @@
-import random
-
-import pytest
-
-from antimorph import _pyops, kernels
-from antimorph.corpus import cyclic, group_corpus, symmetric3
-
-try:
-    from antimorph import _fastops
-except ImportError:
-    _fastops = None
-
-BACKENDS = [_pyops] + ([_fastops] if _fastops is not None else [])
+from antimorph import kernels
+from antimorph.corpus import cyclic, symmetric3
 
 
 def flat(g):
     return kernels.flatten(g.cayley)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_scan_finds_exactly_the_morphisms(impl):
+def test_scan_finds_exactly_the_morphisms():
     z2 = cyclic(2)
-    homs, antis = impl.scan_morphism_space(2, 2, flat(z2), flat(z2))
+    homs, antis = kernels.scan_morphism_space(2, 2, flat(z2), flat(z2))
     assert homs == [(0, 0), (0, 1)]
     assert antis == [(0, 0), (0, 1)]
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_scan_on_s3(impl):
+def test_scan_on_s3():
     s3 = symmetric3()
-    homs, antis = impl.scan_morphism_space(6, 6, flat(s3), flat(s3))
+    homs, antis = kernels.scan_morphism_space(6, 6, flat(s3), flat(s3))
     assert len(homs) == 10 and len(antis) == 10
     # maps with commuting image satisfy both laws: the trivial map and the
     # three maps onto order-2 subgroups
@@ -39,47 +26,33 @@ def test_scan_on_s3(impl):
         assert all(s3.mul(x, y) == s3.mul(y, x) for x in image for y in image)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_associativity_witness(impl):
+def test_associativity_witness():
     s3 = symmetric3()
-    assert impl.associativity_witness(6, flat(s3)) is None
-    table = [0, 1, 2, 1, 2, 0, 2, 0, 1]
-    broken = list(table)
-    broken[4] = 0  # 1*1 = 0 breaks (1*1)*1 = 1*(1*1)? make sure some triple fails
-    w = impl.associativity_witness(3, broken)
-    assert w is None or len(w) == 3
+    assert kernels.associativity_witness(6, flat(s3)) is None
+    broken = [0, 1, 2, 1, 0, 0, 2, 0, 1]  # Z3 with 1*1 changed to 0
+    w = kernels.associativity_witness(3, broken)
+    assert w is not None
+    x, y, z = w
+
+    def mul(a, b):
+        return broken[a * 3 + b]
+
+    assert mul(mul(x, y), z) != mul(x, mul(y, z))
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_classify_table_codes(impl):
+def test_classify_table_codes():
     s3 = symmetric3()
-    assert impl.classify_table(list(range(6)), 6, 6, flat(s3), flat(s3)) == \
-        _pyops.HOM_BIT
-    assert impl.classify_table(list(s3.inverses), 6, 6, flat(s3), flat(s3)) == \
-        _pyops.ANTI_BIT
+    assert kernels._classify(list(range(6)), 6, 6, flat(s3), flat(s3)) == \
+        kernels.HOM_BIT
+    assert kernels._classify(list(s3.inverses), 6, 6, flat(s3), flat(s3)) == \
+        kernels.ANTI_BIT
     z4 = cyclic(4)
-    assert impl.classify_table([0, 1, 2, 3], 4, 4, flat(z4), flat(z4)) == \
-        _pyops.HOM_BIT | _pyops.ANTI_BIT
-
-
-@pytest.mark.skipif(_fastops is None, reason="compiled backend unavailable")
-def test_backend_parity_on_random_tables():
-    rng = random.Random(42)
-    for g in group_corpus().values():
-        if g.order > 6:
-            continue
-        ca = flat(g)
-        assert _pyops.scan_morphism_space(g.order, g.order, ca, ca) == \
-            _fastops.scan_morphism_space(g.order, g.order, ca, ca)
-    s3 = symmetric3()
-    ca = flat(s3)
-    tables = [tuple(rng.randrange(6) for _ in range(6)) for _ in range(50)]
-    assert _pyops.compose_classify_pairs(6, 6, ca, ca, tables, tables) == \
-        _fastops.compose_classify_pairs(6, 6, ca, ca, tables, tables)
+    assert kernels._classify([0, 1, 2, 3], 4, 4, flat(z4), flat(z4)) == \
+        kernels.HOM_BIT | kernels.ANTI_BIT
 
 
 def test_selected_backend_exports():
-    assert kernels.BACKEND in ("pure", "compiled")
+    assert kernels.BACKEND == "pure"
     z2 = cyclic(2)
     homs, antis = kernels.scan_morphism_space(2, 2, flat(z2), flat(z2))
     assert len(homs) == 2

@@ -31,7 +31,7 @@ from antimorph.morphisms import (
     reverse_morphism,
     star_compose,
 )
-from antimorph.groups import subgroup_closure
+from antimorph.groups import subgroup_closure, validate_group
 from antimorph.rings import opposite, quotient_ring
 from antimorph.theorems import sign_morphism
 
@@ -287,3 +287,26 @@ def test_hom_and_anti_sets_equinumerous(a_name, b_name):
     a, b = groups[a_name], groups[b_name]
     assert len(enumerate_morphisms(a, b, STRAIGHT)) == \
         len(enumerate_morphisms(a, b, ANTI))
+
+
+SMALL = sorted(name for name, g in group_corpus().items() if g.order <= 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.data())
+def test_enumeration_matches_brute_force_on_relabeled_groups(a_name, b_name, data):
+    groups = group_corpus()
+    a, b = groups[a_name], groups[b_name]
+    p = data.draw(st.permutations(range(a.order)))
+    table = [[0] * a.order for _ in range(a.order)]
+    for x in a.elements():
+        for y in a.elements():
+            table[p[x]][p[y]] = p[a.mul(x, y)]
+    relabeled = validate_group(table)
+    bh, ba = brute_force_tables(relabeled, b)
+    homs = enumerate_morphisms(relabeled, b, STRAIGHT)
+    antis = enumerate_morphisms(relabeled, b, ANTI)
+    assert [m.images for m in homs] == sorted(bh)
+    assert [m.images for m in antis] == sorted(ba)
+    assert len(homs) == len(enumerate_morphisms(a, b, STRAIGHT))
+    assert len(antis) == len(enumerate_morphisms(a, b, ANTI))
