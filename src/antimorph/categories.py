@@ -20,7 +20,6 @@ from .errors import (
     NotAssociative,
     NotComposable,
 )
-from .maps import ANTI, STRAIGHT
 from .verdict import TheoremReport, check
 
 FUNCTOR_OBJECT_LIMIT = 3
@@ -59,9 +58,6 @@ class FiniteCategory:
     def hom(self, a: str, b: str) -> tuple:
         return tuple(m.mid for m in self.morphisms if m.src == a and m.dst == b)
 
-    def id_of(self, obj: str) -> str:
-        return self.identities[obj]
-
     def composable(self, gid: str, fid: str) -> bool:
         return self.mor(fid).dst == self.mor(gid).src
 
@@ -87,7 +83,6 @@ def build_category(name, objects, morphisms, identities, compose,
     """Assemble and validate; identity compositions are filled in automatically."""
     mors = tuple(Mor(*m) if not isinstance(m, Mor) else m for m in morphisms)
     table = dict(compose)
-    by_id = {m.mid: m for m in mors}
     for m in mors:
         table.setdefault((identities[m.dst], m.mid), m.mid)
         table.setdefault((m.mid, identities[m.src]), m.mid)
@@ -234,9 +229,6 @@ class FactorizationCategory:
                 raise NotComposable(f"{gid} after {fid}")
             return self.mixed[key]
         return self.base.compose_ids(gid, fid)
-
-    def variance_of(self, mid: str) -> str:
-        return ANTI if self.is_anti(mid) else STRAIGHT
 
     def star(self, gid: str, fid: str) -> str:
         """Star composition of two anti ids: (g∘f)∘reverse."""

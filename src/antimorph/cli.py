@@ -1,58 +1,40 @@
 """Command-line front end for the verification workbench.
 
 Exit codes: 0 when every emitted check passed, 1 when any check failed,
-2 for unusable input (parse errors, unknown names, broken structures).
+2 for unusable input (parse errors, unknown names, missing options, broken
+structures), 3 for an internal error, whose traceback goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
+import traceback
 from pathlib import Path
 
-from .corpus import (
-    SUBGROUP_GENS,
-    IDEAL_MEMBERS,
-    category_corpus,
-    group_corpus,
-    named_ideal,
-    named_subgroup,
-    ring_corpus,
-)
 from .categories import (
-    adjunction_report,
     anti_category,
-    anti_functor,
     anti_product_uniqueness,
     associated_category,
     caf,
     check_anti_universal,
-    check_equivalence,
     fca,
     find_products,
-    preadditive_one_object,
-    preadditive_two_object,
 )
 from .errors import AlgebraError, ParseError
-from .formats import (
-    MapFile,
-    emit_category_text,
-    emit_factorization_text,
-    emit_map,
-    load_path,
-    resolve_map,
+from .formats import emit_category_text, emit_factorization_text, emit_map, load_path
+from .maps import ANTI, STRAIGHT
+from .morphisms import enumerate_morphisms, pointwise_ring_audit
+from .reports import CheckRecord, ReportBundle, emit_records, render_text
+from .suite import (
+    Registry,
+    RunConfig,
+    adjunction_reports,
+    bundle,
+    equivalence_report,
+    natural_map_report,
+    run,
 )
-from .groups import FiniteGroup, Subgroup, is_subgroup
-from .maps import ANTI, STRAIGHT, Morphism
-from .morphisms import (
-    enumerate_morphisms,
-    natural_an_map,
-    pointwise_ring_audit,
-)
-from .reports import CheckRecord, ReportBundle, emit_records, records_from_report, render_text
-from .rings import FiniteRing, RingIdeal, TWO_SIDED, ideal_witness
-from .suite import RunConfig, run
 from .theorems import (
     verify_abelian_collapse,
     verify_anti_factorization,
@@ -65,129 +47,25 @@ from .theorems import (
 from .verdict import TheoremReport, check
 
 
-class Registry:
-    """Bundled corpus plus any structures loaded from --corpus directories."""
-
-    def __init__(self, corpus_dirs=()):
-        self.groups = dict(group_corpus())
-        self.rings = dict(ring_corpus())
-        self.categories = dict(category_corpus())
-        self.factorizations = {}
-        self.maps = {}
-        self.semilinear = {}
-        for d in corpus_dirs:
-            self.load_dir(Path(d))
-
-    def load_dir(self, directory: Path):
-        from .categories import FactorizationCategory, FiniteCategory
-        from .semilinear import SemilinearMap
-
-        for path in sorted(p for p in directory.iterdir() if p.is_file()):
-            value = load_path(path)
-            if isinstance(value, FiniteGroup):
-                self.groups[value.name] = value
-            elif isinstance(value, FiniteRing):
-                self.rings[value.name] = value
-            elif isinstance(value, FiniteCategory):
-                self.categories[value.name] = value
-            elif isinstance(value, FactorizationCategory):
-                self.factorizations[value.name] = value
-            elif isinstance(value, MapFile):
-                self.maps[value.name] = value
-            elif isinstance(value, SemilinearMap):
-                self.semilinear[value.name] = value
-
-    def structure(self, name: str):
-        if name.startswith("group:"):
-            return self.groups[name[6:]]
-        if name.startswith("ring:"):
-            return self.rings[name[5:]]
-        for pool in (self.groups, self.rings, self.categories):
-            if name in pool:
-                return pool[name]
-        raise ParseError(f"unknown structure {name!r}")
-
-    def group(self, name: str) -> FiniteGroup:
-        if name not in self.groups:
-            raise ParseError(f"unknown group {name!r}")
-        return self.groups[name]
-
-    def ring(self, name: str) -> FiniteRing:
-        if name not in self.rings:
-            raise ParseError(f"unknown ring {name!r}")
-        return self.rings[name]
-
-    def category(self, name: str):
-        if name not in self.categories:
-            raise ParseError(f"unknown category {name!r}")
-        return self.categories[name]
-
-    def subgroup(self, g: FiniteGroup, spec: str) -> Subgroup:
-        if (g.name, spec) in SUBGROUP_GENS:
-            return named_subgroup(g.name, spec)
-        members = _index_list(spec)
-        if not is_subgroup(g, members):
-            raise ParseError(f"{spec!r} is not a subgroup of {g.name}")
-        return Subgroup(g, tuple(sorted(members)))
-
-    def ideal(self, r: FiniteRing, spec: str) -> RingIdeal:
-        if (r.name, spec) in IDEAL_MEMBERS:
-            return named_ideal(r.name, spec)
-        members = _index_list(spec)
-        w = ideal_witness(r, members, TWO_SIDED)
-        if w is not None:
-            raise ParseError(f"{spec!r} is not a two-sided ideal of {r.name}: {w}")
-        return RingIdeal(r, tuple(sorted(members)), TWO_SIDED)
-
-    def morphism(self, spec: str) -> Morphism:
-        path = Path(spec)
-        if path.exists():
-            value = load_path(path)
-        elif spec in self.maps:
-            value = self.maps[spec]
-        else:
-            data = resources.files("antimorph").joinpath("data", spec)
-            if data.is_file():
-                from .formats import parse_text
-
-                value = parse_text(data.read_text())
-            else:
-                raise ParseError(f"map {spec!r} not found")
-        if not isinstance(value, MapFile):
-            raise ParseError(f"{spec!r} is not a map file")
-        pools = dict(self.groups)
-        pools.update({f"ring:{k}": v for k, v in self.rings.items()})
-        pools.update({k: v for k, v in self.rings.items() if k not in pools})
-        return resolve_map(value, pools)
+def _required(args, option: str):
+    value = getattr(args, option)
+    if value is None:
+        raise ParseError(f"missing option --{option.replace('_', '-')}")
+    return value
 
 
-def _index_list(spec: str):
-    try:
-        return tuple(int(p) for p in spec.replace(",", " ").split())
-    except ValueError:
-        raise ParseError(f"expected element indices, got {spec!r}")
-
-
-def _emit(bundle: ReportBundle, fmt: str) -> int:
-    sys.stdout.write(emit_records(bundle) if fmt == "records"
-                     else render_text(bundle))
-    return 0 if bundle.all_passed else 1
-
-
-def _bundle(config: RunConfig, reports) -> ReportBundle:
-    records = []
-    for rep in reports:
-        records.extend(records_from_report(rep))
-    return ReportBundle(config.as_fields(), tuple(records))
+def _emit(result: ReportBundle, fmt: str) -> int:
+    sys.stdout.write(emit_records(result) if fmt == "records"
+                     else render_text(result))
+    return 0 if result.all_passed else 1
 
 
 def cmd_validate(args, config: RunConfig) -> int:
     records = []
     for spec in args.paths:
         try:
-            value = load_path(Path(spec))
+            load_path(Path(spec))
             records.append(CheckRecord(f"validate/{spec}", (), "PASS"))
-            _ = value
         except (AlgebraError, OSError) as exc:
             records.append(CheckRecord(f"validate/{spec}", (), "FAIL",
                                        witness=str(exc)))
@@ -209,36 +87,39 @@ def cmd_verify(args, config: RunConfig) -> int:
     reg = Registry(config.corpus_paths)
     tid = args.theorem
     if tid == "anti-factorization":
-        phi = reg.morphism(args.map)
+        phi = reg.morphism(_required(args, "map"))
         if args.group:
             g = reg.group(args.group)
-            rep = verify_anti_factorization(g, reg.subgroup(g, args.normal),
-                                            phi, config.bound)
+            rep = verify_anti_factorization(
+                g, reg.subgroup(g, _required(args, "normal")), phi, config.bound)
         else:
-            r = reg.ring(args.ring)
-            rep = verify_anti_factorization(r, reg.ideal(r, args.ideal),
-                                            phi, config.bound)
+            r = reg.ring(_required(args, "ring"))
+            rep = verify_anti_factorization(
+                r, reg.ideal(r, _required(args, "ideal")), phi, config.bound)
     elif tid == "anti-hom":
-        rep = verify_anti_hom_theorem(reg.morphism(args.map), config.bound)
+        rep = verify_anti_hom_theorem(reg.morphism(_required(args, "map")),
+                                      config.bound)
     elif tid == "second-anti-iso":
-        g = reg.group(args.group)
-        rep = verify_second_anti_iso(g, reg.subgroup(g, args.sub_b),
-                                     reg.subgroup(g, args.sub_c), config.bound)
+        g = reg.group(_required(args, "group"))
+        rep = verify_second_anti_iso(
+            g, reg.subgroup(g, _required(args, "sub_b")),
+            reg.subgroup(g, _required(args, "sub_c")), config.bound)
     elif tid == "third-anti-iso":
-        g = reg.group(args.group)
-        rep = verify_third_anti_iso(g, reg.subgroup(g, args.subgroup),
-                                    reg.subgroup(g, args.normal), config.bound)
+        g = reg.group(_required(args, "group"))
+        rep = verify_third_anti_iso(
+            g, reg.subgroup(g, _required(args, "subgroup")),
+            reg.subgroup(g, _required(args, "normal")), config.bound)
     elif tid == "abelian-collapse":
-        rep = verify_abelian_collapse(reg.morphism(args.map))
+        rep = verify_abelian_collapse(reg.morphism(_required(args, "map")))
     elif tid == "subring-transport":
-        rep = verify_subring_and_transport(reg.morphism(args.map))
+        rep = verify_subring_and_transport(reg.morphism(_required(args, "map")))
     elif tid == "groups-vs-star":
         names = (args.objects or "z2,z3,s3").split(",")
         rep = verify_groups_vs_star_category(
             {n: reg.group(n) for n in names}, config.bound)
     else:
         raise ParseError(f"unknown theorem {tid!r}")
-    return _emit(_bundle(config, [rep]), args.format)
+    return _emit(bundle(config, [rep]), args.format)
 
 
 def cmd_cat(args, config: RunConfig) -> int:
@@ -263,10 +144,8 @@ def cmd_cat(args, config: RunConfig) -> int:
             associated_category(caf(reg.category(args.category)))))
         return 0
     if op == "equiv":
-        c = reg.category(args.category)
-        fc = caf(c)
-        rep = check_equivalence(anti_functor(fc), c, anti_category(fc))
-        return _emit(_bundle(config, [rep]), args.format)
+        rep = equivalence_report(args.category, reg.category(args.category))
+        return _emit(bundle(config, [rep]), args.format)
     if op == "products":
         c = reg.category(args.category)
         family = tuple((args.family or "x,y").split(","))
@@ -285,13 +164,10 @@ def cmd_cat(args, config: RunConfig) -> int:
             reports.append(check_anti_universal(fc, apex, proj, family))
         if products:
             reports.append(anti_product_uniqueness(fc, family))
-        return _emit(_bundle(config, reports), args.format)
+        return _emit(bundle(config, reports), args.format)
     if op == "adjunction":
-        reports = [adjunction_report(dict(category_corpus())),
-                   adjunction_report({"pad1": preadditive_one_object(),
-                                      "pad2": preadditive_two_object()},
-                                     additive=True)]
-        return _emit(_bundle(config, reports), args.format)
+        return _emit(bundle(config, adjunction_reports(reg.categories)),
+                     args.format)
     raise ParseError(f"unknown category operation {op!r}")
 
 
@@ -319,23 +195,12 @@ def cmd_audit(args, config: RunConfig) -> int:
             notes=("FAIL lines report that the pointwise ring claim does not "
                    "hold for this instance; the witnesses reproduce it",),
         )
-        return _emit(_bundle(config, [rep]), args.format)
+        return _emit(bundle(config, [rep]), args.format)
     if args.which == "natural-an-map":
         r = reg.ring(args.ring)
-        ideal = reg.ideal(r, args.ideal)
-        nat = natural_an_map(r, ideal, config.bound)
-        rep = TheoremReport(
-            theorem=f"natural-map/{r.name}",
-            inputs=(("ring", r.name), ("ideal", ",".join(map(str, ideal.members)))),
-            checks=(
-                check("defined-on-whole-domain", nat.well_defined),
-                check("lands-in-anti-set", nat.lands_in_anti_set,
-                      witness=nat.witness),
-                check("respects-pointwise-sum", nat.additive),
-                check("respects-pointwise-product", nat.multiplicative),
-            ),
-        )
-        return _emit(_bundle(config, [rep]), args.format)
+        spec = _required(args, "ideal")
+        rep = natural_map_report(r, spec, reg.ideal(r, spec), config.bound)
+        return _emit(bundle(config, [rep]), args.format)
     raise ParseError(f"unknown audit {args.which!r}")
 
 
@@ -418,7 +283,7 @@ def main(argv=None) -> int:
     args.seed = getattr(args, "seed", 2024)
     args.format = getattr(args, "format", "text")
     config = RunConfig(corpus_paths=tuple(args.corpus), bound=args.bound,
-                       seed=args.seed, output_format=args.format)
+                       seed=args.seed)
     try:
         if args.command == "validate":
             return cmd_validate(args, config)
@@ -435,9 +300,12 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args, config)
         parser.error(f"unknown command {args.command!r}")
-    except (AlgebraError, OSError, KeyError) as exc:
+    except (AlgebraError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     return 2
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .categories import AdditiveHom, FactorizationCategory, FiniteCategory, Mor, build_category, validate_factorization
 from .errors import ParseError
 from .groups import FiniteGroup, validate_group
-from .maps import ANTI, STRAIGHT, VARIANCES, Morphism
+from .maps import VARIANCES, Morphism
 from .rings import FiniteRing, validate_ring
 from .semilinear import FieldFq2, SemilinearMap, matrix
 

@@ -46,13 +46,12 @@ class ReportBundle:
         return self.failed_count == 0
 
 
-def records_from_report(report: TheoremReport, prefix: str = "") -> list:
+def records_from_report(report: TheoremReport) -> list:
     """Flatten a verifier report into one record per check."""
-    base = f"{prefix}{report.theorem}"
     out = []
     for c in report.checks:
         out.append(CheckRecord(
-            check_id=f"{base}/{c.name}",
+            check_id=f"{report.theorem}/{c.name}",
             inputs=tuple(report.inputs),
             status="PASS" if c.passed else "FAIL",
             witness=None if c.passed else repr(c.witness),

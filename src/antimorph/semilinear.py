@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .errors import AlgebraError, BoundExceeded, NotComposable, PreconditionFailed
 from .maps import ANTI, STRAIGHT, variance_xor
-from .verdict import Check, TheoremReport, check
+from .verdict import TheoremReport, check
 
 _IRREDUCIBLE = {2: (1, 1), 3: (0, 1)}  # t^2 + a*t + b over F_p
 
@@ -100,11 +100,6 @@ class FieldFq2:
 
     def sub(self, a, b):
         return self.add[a][self.neg[b]]
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by the zero field element")
-        return self.mul[a][self.inv[b]]
 
     def conj(self, a):
         return self.frob[a]

@@ -1,17 +1,22 @@
-"""The standard verification run over the bundled corpus.
+"""The standard verification run over the bundled and --corpus structures.
 
-Every subcommand of the CLI that produces PASS/FAIL records goes through the
-builders here, and the acceptance tests drive the same functions, so the
-command line and the test suite cannot drift apart.
+Each result of the report is built by exactly one function here: `run` reaches
+the sections through the `SECTIONS` table, the CLI calls the same builders, and
+`bundle` turns reports into records for both, so a CLI query prints exactly the
+report's records for its instance.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 from . import kernels
 from .corpus import (
+    IDEAL_MEMBERS,
+    SUBGROUP_GENS,
     group_corpus,
     named_ideal,
     named_subgroup,
@@ -19,6 +24,7 @@ from .corpus import (
     category_corpus,
 )
 from .categories import (
+    FiniteCategory,
     _is_anti_iso,
     _is_iso,
     adjunction_report,
@@ -39,8 +45,10 @@ from .categories import (
     make_factorable,
     preadditive_one_object,
     preadditive_two_object,
-    validate_category,
 )
+from .errors import ParseError
+from .formats import MapFile, load_path, parse_text, resolve_map
+from .groups import FiniteGroup, Subgroup, find_isomorphism, is_subgroup
 from .maps import ANTI, STRAIGHT, Morphism
 from .morphisms import (
     DEFAULT_BOUND,
@@ -57,13 +65,12 @@ from .morphisms import (
     reverse_morphism,
     star_compose,
 )
-from .reports import CheckRecord, ReportBundle, records_from_report
-from .rings import quotient_ring
+from .reports import ReportBundle, records_from_report
+from .rings import TWO_SIDED, FiniteRing, RingIdeal, ideal_witness, quotient_ring
 from .semilinear import (
     FieldFq2,
     bifunctor_grid_report,
     generalized_suite,
-    maps_equal,
     random_map,
     verify_mono_epi,
 )
@@ -87,7 +94,6 @@ class RunConfig:
     corpus_paths: tuple = ()
     bound: int = DEFAULT_BOUND
     seed: int = 2024
-    output_format: str = "text"
     selection: tuple = ()      # check-id prefixes; empty selects everything
 
     def as_fields(self) -> tuple:
@@ -95,6 +101,98 @@ class RunConfig:
                 ("bound", self.bound),
                 ("seed", self.seed),
                 ("selection", ",".join(self.selection) or "all"))
+
+
+class Registry:
+    """Bundled corpus plus any structures loaded from --corpus directories."""
+
+    def __init__(self, corpus_dirs=()):
+        self.groups = dict(group_corpus())
+        self.rings = dict(ring_corpus())
+        self.categories = dict(category_corpus())
+        self.maps = {}
+        for d in corpus_dirs:
+            self.load_dir(Path(d))
+
+    def load_dir(self, directory: Path):
+        for path in sorted(p for p in directory.iterdir() if p.is_file()):
+            value = load_path(path)
+            if isinstance(value, FiniteGroup):
+                self.groups[value.name] = value
+            elif isinstance(value, FiniteRing):
+                self.rings[value.name] = value
+            elif isinstance(value, FiniteCategory):
+                self.categories[value.name] = value
+            elif isinstance(value, MapFile):
+                self.maps[value.name] = value
+
+    def structure(self, name: str):
+        if name.startswith("group:"):
+            return self.group(name[6:])
+        if name.startswith("ring:"):
+            return self.ring(name[5:])
+        for pool in (self.groups, self.rings, self.categories):
+            if name in pool:
+                return pool[name]
+        raise ParseError(f"unknown structure {name!r}")
+
+    def group(self, name: str) -> FiniteGroup:
+        if name not in self.groups:
+            raise ParseError(f"unknown group {name!r}")
+        return self.groups[name]
+
+    def ring(self, name: str) -> FiniteRing:
+        if name not in self.rings:
+            raise ParseError(f"unknown ring {name!r}")
+        return self.rings[name]
+
+    def category(self, name: str):
+        if name not in self.categories:
+            raise ParseError(f"unknown category {name!r}")
+        return self.categories[name]
+
+    def subgroup(self, g: FiniteGroup, spec: str) -> Subgroup:
+        if (g.name, spec) in SUBGROUP_GENS:
+            return named_subgroup(g.name, spec)
+        members = _index_list(spec)
+        if not is_subgroup(g, members):
+            raise ParseError(f"{spec!r} is not a subgroup of {g.name}")
+        return Subgroup(g, tuple(sorted(members)))
+
+    def ideal(self, r: FiniteRing, spec: str) -> RingIdeal:
+        if (r.name, spec) in IDEAL_MEMBERS:
+            return named_ideal(r.name, spec)
+        members = _index_list(spec)
+        w = ideal_witness(r, members, TWO_SIDED)
+        if w is not None:
+            raise ParseError(f"{spec!r} is not a two-sided ideal of {r.name}: {w}")
+        return RingIdeal(r, tuple(sorted(members)), TWO_SIDED)
+
+    def morphism(self, spec: str) -> Morphism:
+        path = Path(spec)
+        if path.exists():
+            value = load_path(path)
+        elif spec in self.maps:
+            value = self.maps[spec]
+        else:
+            data = resources.files("antimorph").joinpath("data", spec)
+            if data.is_file():
+                value = parse_text(data.read_text())
+            else:
+                raise ParseError(f"map {spec!r} not found")
+        if not isinstance(value, MapFile):
+            raise ParseError(f"{spec!r} is not a map file")
+        pools = dict(self.groups)
+        pools.update({f"ring:{k}": v for k, v in self.rings.items()})
+        pools.update({k: v for k, v in self.rings.items() if k not in pools})
+        return resolve_map(value, pools)
+
+
+def _index_list(spec: str):
+    try:
+        return tuple(int(p) for p in spec.replace(",", " ").split())
+    except ValueError:
+        raise ParseError(f"expected element indices, got {spec!r}")
 
 
 # -- morphism-level reports -----------------------------------------------------
@@ -323,8 +421,6 @@ def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
 
 
 def automorphism_algebra_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
-    from .groups import find_isomorphism
-
     alg = automorphism_algebra(g, bound)
     n = alg.straight_group.order
     iso_hom = all(
@@ -394,18 +490,23 @@ def audit_reports(bound: int = DEFAULT_BOUND) -> list:
         notes=("the pointwise closure claim fails here; the audit records "
                "witnesses instead of asserting it",),
     ))
-    nat = natural_an_map(z4, named_ideal("z4", "even"), bound)
-    out.append(TheoremReport(
-        theorem="natural-map/z4-even",
-        inputs=(("ring", "z4"), ("ideal", "0,2")),
+    out.append(natural_map_report(z4, "even", named_ideal("z4", "even"), bound))
+    return out
+
+
+def natural_map_report(r, name: str, ideal, bound=DEFAULT_BOUND) -> TheoremReport:
+    """The natural map into An(R, R/I) for the ideal I of R named `name`."""
+    nat = natural_an_map(r, ideal, bound)
+    return TheoremReport(
+        theorem=f"natural-map/{r.name}-{name}",
+        inputs=(("ring", r.name), ("ideal", ",".join(map(str, ideal.members)))),
         checks=(
             check("defined-on-whole-domain", nat.well_defined),
             check("lands-in-anti-set", nat.lands_in_anti_set, witness=nat.witness),
             check("respects-pointwise-sum", nat.additive),
             check("respects-pointwise-product", nat.multiplicative),
         ),
-    ))
-    return out
+    )
 
 
 # -- semilinear reports -------------------------------------------------------------
@@ -452,15 +553,12 @@ def semilinear_reports(seed: int = 2024, count: int = 50) -> list:
 # -- category reports ----------------------------------------------------------------
 
 
-def category_reports() -> list:
-    cats = category_corpus()
+def category_reports(cats: dict) -> list:
     out = []
     for name, c in sorted(cats.items()):
         fc = caf(c)
         ac = anti_category(fc)
         assoc = associated_category(fc)
-        functor = anti_functor(fc)
-        equiv = check_equivalence(functor, c, ac)
         law_ok = all(
             fc.compose_ids(fc.compose_ids(m.mid, fc.reverse[m.src]),
                            fc.reverse[m.src]) == m.mid
@@ -484,12 +582,9 @@ def category_reports() -> list:
                 check("iso-iff-anti-iso", iso_match),
             ),
         ))
-        out.append(TheoremReport(
-            theorem=f"anti-category-equivalence/{name}",
-            inputs=(("category", name),),
-            checks=equiv.checks,
-        ))
-    meet = cats["meet"]
+        out.append(equivalence_report(name, c))
+    bundled = category_corpus()
+    meet = bundled["meet"]
     fc_meet = caf(meet)
     products = find_products(meet, ("x", "y"))
     out.append(TheoremReport(
@@ -507,18 +602,34 @@ def category_reports() -> list:
     out.append(check_factorable(lifted_id, fc_meet, fc_meet))
     out.append(check_antiproduct_preservation(lifted_id, fc_meet, fc_meet,
                                               ("x", "y")))
-    arrow_endos = enumerate_functors(cats["arrow"], cats["arrow"])
+    arrow_endos = enumerate_functors(bundled["arrow"], bundled["arrow"])
     out.append(TheoremReport(
         theorem="functor-count/arrow",
         inputs=(("category", "arrow"),),
         checks=(check("exactly-three-endofunctors", len(arrow_endos) == 3,
                       witness=len(arrow_endos)),),
     ))
-    out.append(adjunction_report(cats))
-    out.append(adjunction_report({"pad1": preadditive_one_object(),
-                                  "pad2": preadditive_two_object()},
-                                 additive=True))
+    out.extend(adjunction_reports(cats))
     return out
+
+
+def equivalence_report(name: str, c) -> TheoremReport:
+    """The anti functor of C is an equivalence from C to its anti-category."""
+    fc = caf(c)
+    equiv = check_equivalence(anti_functor(fc), c, anti_category(fc))
+    return TheoremReport(
+        theorem=f"anti-category-equivalence/{name}",
+        inputs=(("category", name),),
+        checks=equiv.checks,
+    )
+
+
+def adjunction_reports(cats: dict) -> list:
+    """The equip/forget adjunctions over `cats` and over two preadditive toys."""
+    return [adjunction_report(cats),
+            adjunction_report({"pad1": preadditive_one_object(),
+                               "pad2": preadditive_two_object()},
+                              additive=True)]
 
 
 # -- theorem instance reports -----------------------------------------------------------
@@ -570,26 +681,61 @@ def theorem_instance_reports(bound: int = DEFAULT_BOUND) -> list:
 
 # -- the full run -------------------------------------------------------------------------
 
+# (check-id heads, section) in report order. A section runs when a selection
+# prefix and one of its heads are prefixes of one another. Each lambda looks
+# its section function up in the module globals when it runs, so a wrapper
+# installed on the module attribute sees the call.
+SECTIONS = (
+    (("variance-xor/",),
+     lambda reg, config: variance_table_reports(reg.groups, config.bound)),
+    (("correspondence/",),
+     lambda reg, config: correspondence_reports(reg.groups, config.bound)),
+    (("endomorphism-monoid/",),
+     lambda reg, config: [endomorphism_monoid_report(group_corpus()["s3"],
+                                                     config.bound)]),
+    (("star-monoid/",),
+     lambda reg, config: star_monoid_reports(reg.groups, config.bound)),
+    (("reconstruction/",),
+     lambda reg, config: reconstruction_reports(reg.groups, config.bound)),
+    (("anti-map-properties/",),
+     lambda reg, config: morphism_property_reports(reg.groups, config.bound)),
+    (("anti-factorization/", "anti-homomorphism/", "second-anti-isomorphism/",
+      "third-anti-isomorphism/", "subring-transport/", "abelian-collapse/",
+      "no-bijective-both-on-nonabelian/", "automorphism-algebra/",
+      "groups-equivalent-to-star-groups/"),
+     lambda reg, config: theorem_instance_reports(config.bound)),
+    (("pointwise-audit/", "natural-map/"),
+     lambda reg, config: audit_reports(config.bound)),
+    (("quotient-image-twisted-iso/", "nested-quotient-twisted-iso/",
+      "twisted-factorization/", "twisted-hom-grid/", "twist-xor-matrix-law/",
+      "twisted-mono-epi/"),
+     lambda reg, config: semilinear_reports(config.seed)),
+    (("category-roundtrip/", "anti-category-equivalence/", "products/",
+      "anti-universal-properties/", "anti-product-uniqueness/",
+      "factorable-functor/", "anti-product-preservation/", "functor-count/",
+      "equip-forget-adjunctions/", "equip-forget-adjunctions-additive/"),
+     lambda reg, config: category_reports(reg.categories)),
+)
 
-def run(config: RunConfig) -> ReportBundle:
-    groups = dict(group_corpus())
-    records: list[CheckRecord] = []
 
-    def add(reports, prefix=""):
-        for rep in reports:
-            records.extend(records_from_report(rep, prefix))
+def _selected(heads: tuple, selection: tuple) -> bool:
+    return not selection or any(h.startswith(p) or p.startswith(h)
+                                for p in selection for h in heads)
 
-    add(variance_table_reports(groups, config.bound))
-    add(correspondence_reports(groups, config.bound))
-    add([endomorphism_monoid_report(groups["s3"], config.bound)])
-    add(star_monoid_reports(groups, config.bound))
-    add(reconstruction_reports(groups, config.bound))
-    add(morphism_property_reports(groups, config.bound))
-    add(theorem_instance_reports(config.bound))
-    add(audit_reports(config.bound))
-    add(semilinear_reports(config.seed))
-    add(category_reports())
+
+def bundle(config: RunConfig, reports) -> ReportBundle:
+    """One record per check of `reports`, keeping those the selection names."""
+    records = []
+    for rep in reports:
+        records.extend(records_from_report(rep))
     if config.selection:
         records = [r for r in records
                    if any(r.check_id.startswith(p) for p in config.selection)]
     return ReportBundle(config.as_fields(), tuple(records))
+
+
+def run(config: RunConfig) -> ReportBundle:
+    reg = Registry(config.corpus_paths)
+    return bundle(config, (rep for heads, section in SECTIONS
+                           if _selected(heads, config.selection)
+                           for rep in section(reg, config)))

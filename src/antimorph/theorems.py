@@ -38,7 +38,6 @@ from .morphisms import (
 )
 from .rings import (
     FiniteRing,
-    RingIdeal,
     all_ideals,
     all_subrings,
     ideal_witness,

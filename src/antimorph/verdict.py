@@ -7,7 +7,7 @@ than pass/fail (for example, instance-specific law defects).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ nowhere else.
 import hashlib
 import time
 
-from antimorph.corpus import group_corpus, ring_corpus
+from antimorph.corpus import category_corpus, group_corpus, ring_corpus
 from antimorph.kernels import BACKEND
 from antimorph.maps import ANTI, STRAIGHT
 from antimorph.morphisms import brute_force_tables, enumerate_morphisms
-from antimorph.reports import emit_records
+from antimorph.reports import ReportBundle, emit_records
 from antimorph.suite import (
+    SECTIONS,
     RunConfig,
     audit_reports,
     automorphism_algebra_report,
@@ -123,7 +124,7 @@ def test_criterion_8_semilinear_instance():
 
 def test_criterion_9_category_engine():
     t0 = time.time()
-    reports = category_reports()
+    reports = category_reports(category_corpus())
     elapsed = time.time() - t0
     names = [r.theorem for r in reports]
     assert "functor-count/arrow" in names
@@ -156,4 +157,18 @@ def test_criterion_10_full_run_determinism():
           f"byte-identical across reruns and golden digest ({len(first)} bytes, "
           f"sha256 {digest[:16]})")
     assert first == second
+    assert digest == GOLDEN_DIGEST
+
+
+def test_section_table_is_complete_and_disjoint():
+    # Each table entry, selected by its own heads, runs its section alone and
+    # keeps all of its records; in table order they rebuild the golden stream.
+    # A head the table misses loses records; a head two sections share
+    # duplicates them.
+    records = []
+    for heads, _ in SECTIONS:
+        records.extend(run(RunConfig(selection=heads)).records)
+    stream = emit_records(ReportBundle(RunConfig().as_fields(), tuple(records)))
+    digest = hashlib.sha256(stream.encode("utf-8")).hexdigest()
+    assert len(records) == 2149
     assert digest == GOLDEN_DIGEST

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from antimorph import cli
 from antimorph.cli import main
 from antimorph.reports import parse_records
+from antimorph.suite import RunConfig, run
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +79,29 @@ def test_corpus_directory_loading(tmp_path, capsys):
     assert "# total 3" in out
 
 
+def test_corpus_directory_reaches_the_report(tmp_path):
+    (tmp_path / "k9.grp").write_text(
+        "group k9 order 3\n0 1 2\n1 2 0\n2 0 1\n")
+    bundle = run(RunConfig(corpus_paths=(str(tmp_path),),
+                           selection=("correspondence/",)))
+    assert ("corpus", str(tmp_path)) in bundle.config
+    k9 = [r for r in bundle.records
+          if r.check_id.startswith("correspondence/k9-k9/")]
+    assert k9 and all(r.passed for r in k9)
+
+
+@pytest.mark.parametrize("argv, selection", [
+    (("audit", "natural-an-map", "--ring", "z4", "--ideal", "even"),
+     "natural-map/z4-even/"),
+    (("cat", "equiv", "--category", "meet"), "anti-category-equivalence/meet/"),
+])
+def test_cli_query_is_a_slice_of_the_report(capsys, argv, selection):
+    code, out, _ = run_cli(capsys, "--format", "records", *argv)
+    assert code == 0
+    want = run(RunConfig(selection=(selection,))).records
+    assert want and parse_records(out).records == want
+
+
 def test_cat_subcommands(capsys):
     code, out, _ = run_cli(capsys, "cat", "caf", "--category", "arrow")
     assert code == 0 and out.startswith("factorization arrow")
@@ -117,6 +142,30 @@ def test_unknown_name_is_a_usage_error(capsys):
                              "--family", "x,nope")
     assert code == 2
     assert "unknown object 'nope'" in err and "[FAIL]" not in out
+    code, _, err = run_cli(capsys, "enum-homs", "--source", "group:nosuch",
+                           "--target", "s3")
+    assert code == 2
+    assert "unknown group 'nosuch'" in err
+    for argv, option in (
+            (("verify", "third-anti-iso", "--group", "s3", "--subgroup", "s12"),
+             "--normal"),
+            (("verify", "anti-factorization", "--group", "s3",
+              "--map", "signstar.map"), "--normal"),
+            (("audit", "natural-an-map", "--ring", "z4"), "--ideal")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"missing option {option}" in err
+
+
+def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):
+    def broken(args, config, variance):
+        raise KeyError("engine bug")
+
+    monkeypatch.setattr(cli, "cmd_enum", broken)
+    code, _, err = run_cli(capsys, "enum-homs", "--source", "s3",
+                           "--target", "s3")
+    assert code == 3
+    assert "Traceback" in err and "engine bug" in err
 
 
 def test_malformed_file_does_not_crash(tmp_path, capsys):
