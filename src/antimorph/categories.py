@@ -444,11 +444,6 @@ class FactorableFunctorData:
     def underlying(self) -> FunctorData:
         return FunctorData(self.obj_map, self.mor_map)
 
-    def key(self):
-        return (tuple(sorted(self.obj_map.items())),
-                tuple(sorted(self.mor_map.items())),
-                tuple(sorted(self.an_map.items())))
-
 
 def functor_witness(f: FunctorData, c: FiniteCategory, d: FiniteCategory):
     """None when f is a functor; otherwise the first broken condition."""
@@ -808,15 +803,31 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
     equip(g∘f∘forget(h)) = equip(g)∘equip(f)∘h is checked for every
     composable triple drawn from the corpus functor sets (and its mirror for
     the forgetful direction).
+
+    Within the call each category's objects, morphisms and anti morphisms
+    are numbered in that order, so a functor is the tuple of the indices its
+    objects and morphisms go to, a factorable functor is that tuple followed
+    by the images of the anti morphisms, and g∘f is `tuple(g[i] for i in f)`.
+    Each lift is computed once, by `enumerate_factorable_functors`, and looked
+    up by its underlying tuple afterwards.
     """
     equipped = {name: caf(c) for name, c in cats.items()}
+    index = {name: _cell_index(fc) for name, fc in equipped.items()}
+    # length of a plain functor's tuple, by source category
+    width = {name: len(c.objects) + len(c.morphisms) for name, c in cats.items()}
     checks = []
     functor_sets = {}
     factorable_sets = {}
+    lifts = {}
     for (n1, c1), (n2, c2) in itertools.product(cats.items(), repeat=2):
-        functor_sets[(n1, n2)] = enumerate_functors(c1, c2, additive=additive)
-        factorable_sets[(n1, n2)] = enumerate_factorable_functors(
-            equipped[n1], equipped[n2], additive=additive)
+        src, dst = equipped[n1], equipped[n2]
+        functor_sets[(n1, n2)] = [
+            _functor_cells(f, src, index[n2])
+            for f in enumerate_functors(c1, c2, additive=additive)]
+        factorable_sets[(n1, n2)] = [
+            _functor_cells(ff, src, index[n2])
+            for ff in enumerate_factorable_functors(src, dst, additive=additive)]
+        lifts[(n1, n2)] = {ff[:width[n1]]: ff for ff in factorable_sets[(n1, n2)]}
     # round trips are table-identities
     for name, c in cats.items():
         checks.append(check(f"forget-equip-identity-{name}",
@@ -825,45 +836,58 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
                             caf(fca(equipped[name])).same_tables(equipped[name])))
     # bijections: every functor lifts to exactly one factorable functor
     for key in sorted(functor_sets):
-        plain = {f.key() for f in functor_sets[key]}
-        lifted = {ff.underlying().key() for ff in factorable_sets[key]}
+        plain = set(functor_sets[key])
+        lifted = {ff[:width[key[0]]] for ff in factorable_sets[key]}
         checks.append(check(f"bijection-{key[0]}-to-{key[1]}",
                             plain == lifted
                             and len(factorable_sets[key]) == len(functor_sets[key]),
                             witness=(len(functor_sets[key]),
                                      len(factorable_sets[key]))))
-    # naturality: equipping commutes with composition against corpus triples
+    # naturality: equipping commutes with composition against corpus triples;
+    # g∘f and its lift depend on (nb, na, na2) only, so they are built once
+    names = sorted(cats)
+    composites = {}
+    for nb, na, na2 in itertools.product(names, repeat=3):
+        pairs, missing = [], None
+        f_lifts, g_lifts = lifts[(nb, na)], lifts[(na, na2)]
+        for f in functor_sets[(nb, na)]:
+            f_lift = f_lifts.get(f)
+            if f_lift is None:
+                missing = ("unliftable", nb, na)
+                continue
+            for g in functor_sets[(na, na2)]:
+                g_lift = g_lifts.get(g)
+                if g_lift is None:
+                    missing = ("unliftable", na, na2)
+                    continue
+                pairs.append((tuple(g[i] for i in f),
+                              tuple(g_lift[i] for i in f_lift)))
+        composites[(nb, na, na2)] = pairs, missing
     equip_ok, equip_w = True, None
     forget_ok, forget_w = True, None
-    names = sorted(cats)
     for nb2, nb, na, na2 in itertools.product(names, repeat=4):
+        outer_lifts = lifts[(nb2, na2)]
+        pairs, missing = composites[(nb, na, na2)]
         for h in factorable_sets[(nb2, nb)]:
-            for f in functor_sets[(nb, na)]:
-                f_lift = make_factorable(f, equipped[nb], equipped[na])
-                if f_lift is None:
-                    equip_ok, equip_w = False, ("unliftable", nb, na)
-                    continue
-                for g in functor_sets[(na, na2)]:
-                    g_lift = make_factorable(g, equipped[na], equipped[na2])
-                    composite = compose_functors(
-                        compose_functors(g, f), h.underlying())
-                    lhs = make_factorable(composite, equipped[nb2],
-                                          equipped[na2])
-                    rhs = compose_factorable(
-                        compose_factorable(g_lift, f_lift), h)
-                    if lhs is None or lhs.key() != rhs.key():
-                        equip_ok, equip_w = False, (nb2, nb, na, na2)
+            if missing is not None:
+                equip_ok, equip_w = False, missing
+            h_plain = h[:width[nb2]]
+            for gf, gf_lift in pairs:
+                lhs = outer_lifts.get(tuple(gf[i] for i in h_plain))
+                if lhs != tuple(gf_lift[i] for i in h):
+                    equip_ok, equip_w = False, (nb2, nb, na, na2)
+        h_lifts = lifts[(nb2, nb)]
         for f in factorable_sets[(nb, na)]:
             for g in factorable_sets[(na, na2)]:
+                gf = tuple(g[i] for i in f)
                 for h in functor_sets[(nb2, nb)]:
-                    h_lift = make_factorable(h, equipped[nb2], equipped[nb])
+                    h_lift = h_lifts.get(h)
                     if h_lift is None:
                         forget_ok, forget_w = False, ("unliftable", nb2, nb)
                         continue
-                    lhs = compose_factorable(compose_factorable(g, f), h_lift)
-                    rhs = compose_functors(
-                        compose_functors(g.underlying(), f.underlying()), h)
-                    if lhs.underlying().key() != rhs.key():
+                    lhs = tuple(gf[i] for i in h_lift)[:width[nb2]]
+                    rhs = tuple(g[i] for i in tuple(f[i] for i in h))
+                    if lhs != rhs:
                         forget_ok, forget_w = False, (nb2, nb, na, na2)
     checks.append(check("naturality-equip-direction", equip_ok, witness=equip_w))
     checks.append(check("naturality-forget-direction", forget_ok, witness=forget_w))
@@ -872,6 +896,25 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
         inputs=(("corpus", "+".join(sorted(cats))),),
         checks=tuple(checks),
     )
+
+
+def _cell_index(fc: FactorizationCategory) -> tuple:
+    """Dense indices of objects, then morphisms, then anti morphisms."""
+    objects = {o: i for i, o in enumerate(fc.objects)}
+    mors = fc.base.morphisms + fc.an_morphisms
+    arrows = {m.mid: len(objects) + i for i, m in enumerate(mors)}
+    return objects, arrows
+
+
+def _functor_cells(f, fc_src: FactorizationCategory, target: tuple) -> tuple:
+    """A functor, or with its anti map a factorable functor, as the tuple of
+    target indices of the source's objects, morphisms and anti morphisms."""
+    objects, arrows = target
+    cells = [objects[f.obj_map[o]] for o in fc_src.objects]
+    cells += [arrows[f.mor_map[m.mid]] for m in fc_src.base.morphisms]
+    if isinstance(f, FactorableFunctorData):
+        cells += [arrows[f.an_map[m.mid]] for m in fc_src.an_morphisms]
+    return tuple(cells)
 
 
 # -- bundled categories ----------------------------------------------------------------

@@ -154,7 +154,7 @@ class Registry:
     def subgroup(self, g: FiniteGroup, spec: str) -> Subgroup:
         if (g.name, spec) in SUBGROUP_GENS:
             return named_subgroup(g.name, spec)
-        members = _index_list(spec)
+        members = _index_list(spec, g.order)
         if not is_subgroup(g, members):
             raise ParseError(f"{spec!r} is not a subgroup of {g.name}")
         return Subgroup(g, tuple(sorted(members)))
@@ -162,7 +162,7 @@ class Registry:
     def ideal(self, r: FiniteRing, spec: str) -> RingIdeal:
         if (r.name, spec) in IDEAL_MEMBERS:
             return named_ideal(r.name, spec)
-        members = _index_list(spec)
+        members = _index_list(spec, r.order)
         w = ideal_witness(r, members, TWO_SIDED)
         if w is not None:
             raise ParseError(f"{spec!r} is not a two-sided ideal of {r.name}: {w}")
@@ -188,11 +188,19 @@ class Registry:
         return resolve_map(value, pools)
 
 
-def _index_list(spec: str):
+def _index_list(spec: str, order: int):
     try:
-        return tuple(int(p) for p in spec.replace(",", " ").split())
+        members = tuple(int(p) for p in spec.replace(",", " ").split())
     except ValueError:
         raise ParseError(f"expected element indices, got {spec!r}")
+    seen = set()
+    for m in members:
+        if not 0 <= m < order:
+            raise ParseError(f"element index {m} outside 0..{order - 1}")
+        if m in seen:
+            raise ParseError(f"element index {m} repeated")
+        seen.add(m)
+    return members
 
 
 # -- morphism-level reports -----------------------------------------------------

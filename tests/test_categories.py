@@ -1,5 +1,6 @@
 import pytest
 
+import antimorph.categories as categories_module
 from antimorph.categories import (
     AdditiveHom,
     FactorizationCategory,
@@ -273,3 +274,62 @@ def test_factorable_composition_associates_with_underlying():
             assert functor_witness(plain, arrow, arrow) is None
             assert plain.key() == compose_functors(g.underlying(),
                                                    f.underlying()).key()
+
+
+# -- negative controls: each adjunction check can fail, with a witness --------
+
+MONOID_ONLY = {"monoid": CATS["monoid"]}
+
+
+def _check(rep, name):
+    return rep.check_map()[name]
+
+
+def test_bijection_fails_when_a_lift_is_lost(monkeypatch):
+    real = categories_module.enumerate_factorable_functors
+
+    def drop_one(fc_src, fc_dst, additive=False):
+        return real(fc_src, fc_dst, additive=additive)[:-1]
+
+    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
+                        drop_one)
+    found = _check(adjunction_report(MONOID_ONLY), "bijection-monoid-to-monoid")
+    assert not found.passed
+    assert found.witness == (2, 1)
+
+
+def test_equip_naturality_fails_for_a_lawful_but_wrong_lift(monkeypatch):
+    # On the Z2 monoid, swapping e* and s* under the identity functor is still
+    # a factorable functor, but not the induced one: the lifts stop composing
+    # like their underlying functors.
+    real = categories_module.induced_an_map
+
+    def swapped(f, fc_src, fc_dst):
+        out = real(f, fc_src, fc_dst)
+        if fc_src.name == "monoid" and f.mor_map == {"e": "e", "s": "s"}:
+            out = {"e*": out["s*"], "s*": out["e*"]}
+        return out
+
+    monkeypatch.setattr(categories_module, "induced_an_map", swapped)
+    rep = adjunction_report(MONOID_ONLY)
+    found = _check(rep, "naturality-equip-direction")
+    assert not found.passed
+    assert found.witness is not None
+    assert _check(rep, "naturality-forget-direction").passed
+
+
+def test_forget_naturality_fails_when_a_lift_changes_the_functor(monkeypatch):
+    # Lifting the trivial endofunctor (s -> e) of the Z2 monoid to the lift of
+    # the identity: forgetting no longer undoes equipping.
+    real = categories_module.make_factorable
+    monoid = CATS["monoid"]
+
+    def wrong_lift(f, fc_src, fc_dst):
+        if fc_src.name == "monoid" and f.mor_map == {"e": "e", "s": "e"}:
+            f = identity_functor(monoid)
+        return real(f, fc_src, fc_dst)
+
+    monkeypatch.setattr(categories_module, "make_factorable", wrong_lift)
+    found = _check(adjunction_report(MONOID_ONLY), "naturality-forget-direction")
+    assert not found.passed
+    assert found.witness is not None

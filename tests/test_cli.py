@@ -155,6 +155,21 @@ def test_unknown_name_is_a_usage_error(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert f"missing option {option}" in err
+    for argv, index in (
+            (("verify", "third-anti-iso", "--group", "s3",
+              "--subgroup", "0,99", "--normal", "a3"), 99),
+            (("audit", "natural-an-map", "--ring", "z4", "--ideal", "0,9"), 9),
+            (("audit", "natural-an-map", "--ring", "z4", "--ideal=0,-2"), -2)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"element index {index} outside" in err
+    for argv, index in (
+            (("verify", "third-anti-iso", "--group", "s3",
+              "--subgroup", "0,1,1", "--normal", "a3"), 1),
+            (("audit", "natural-an-map", "--ring", "z4", "--ideal", "0,2,2"), 2)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"element index {index} repeated" in err
 
 
 def test_internal_error_exits_3_with_traceback(capsys, monkeypatch):

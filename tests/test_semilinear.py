@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimorph.semilinear as semilinear_module
 from antimorph.errors import AlgebraError, BoundExceeded, PreconditionFailed
 from antimorph.maps import ANTI, STRAIGHT
 from antimorph.semilinear import (
@@ -263,6 +264,9 @@ def test_twist_xor_matrix_rule_property(a, b, c, pyrandom):
 
     expected = mat_mul(F4, g.entries, f.conj_entries()) if b else comp.entries
     assert comp.entries == expected
+    # `apply` never calls mat_mul, so this holds mat_mul to an outside oracle
+    for v in itertools.product(range(F4.order), repeat=c):
+        assert comp.apply(v) == g.apply(f.apply(v))
 
 
 @settings(max_examples=50, deadline=None)
@@ -275,3 +279,60 @@ def test_kernel_of_twisted_map_is_a_subspace(pyrandom):
         for lam in range(4):
             scaled = tuple(F4.mul_(lam, x) for x in v)
             assert in_span(F4, basis, scaled)
+
+
+# -- negative controls: the grid's checks can fail ---------------------------
+
+
+def _grid_checks(dims=(1, 2)):
+    return bifunctor_grid_report(F4, dims=dims).check_map()
+
+
+def test_postcompose_naturality_fails_on_a_flipped_twist(monkeypatch):
+    real = semilinear_module.compose_semilinear
+
+    def flipped(g, f):
+        out = real(g, f)
+        if not g.is_anti and f.is_anti and (g.rows, g.cols, f.cols) == (1, 1, 1):
+            return SemilinearMap(out.field, out.rows, out.cols, out.entries,
+                                 STRAIGHT)
+        return out
+
+    monkeypatch.setattr(semilinear_module, "compose_semilinear", flipped)
+    checks = _grid_checks(dims=(1,))
+    assert not checks["naturality-postcompose"].passed
+    assert checks["naturality-postcompose"].witness is not None
+    assert checks["naturality-precompose"].passed
+
+
+def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
+    real = semilinear_module.compose_semilinear
+
+    def unconjugated(g, f):
+        if g.is_anti and (g.rows, g.cols, f.cols) == (1, 1, 1):
+            return SemilinearMap(g.field, g.rows, f.cols,
+                                 semilinear_module.mat_mul(F4, g.entries, f.entries),
+                                 STRAIGHT if f.is_anti else ANTI)
+        return real(g, f)
+
+    monkeypatch.setattr(semilinear_module, "compose_semilinear", unconjugated)
+    checks = _grid_checks(dims=(1,))
+    assert not checks["naturality-precompose"].passed
+    assert checks["naturality-precompose"].witness is not None
+    assert checks["naturality-postcompose"].passed
+
+
+def test_correspondence_additivity_is_checked_on_every_pair(monkeypatch):
+    # Broken only for twisted sums whose left summand starts with w2, so a
+    # check restricted to the 64 matrices that start with 0 would miss it.
+    real = semilinear_module.add_semilinear
+
+    def broken(f, g):
+        out = real(f, g)
+        if f.is_anti and f.entries[0][0] == 3:
+            return SemilinearMap(out.field, out.rows, out.cols,
+                                 f.entries, out.twist)
+        return out
+
+    monkeypatch.setattr(semilinear_module, "add_semilinear", broken)
+    assert not _grid_checks()["correspondence-additive"].passed
