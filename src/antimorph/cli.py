@@ -54,9 +54,28 @@ def _required(args, option: str):
     return value
 
 
+def _write(text: str) -> None:
+    """Write all of `text` to standard output.
+
+    Under `PYTHONUNBUFFERED` the binary layer of `sys.stdout` is a raw file,
+    and a text-level write keeps only what one write(2) took: a signal
+    arriving while the pipe is full cuts the stream short with no error. So
+    the encoded bytes go to the binary layer until every one is taken.
+    Streams without a binary layer (`io.StringIO`) take the text as is.
+    """
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[binary.write(data) or 0:]
+
+
 def _emit(result: ReportBundle, fmt: str) -> int:
-    sys.stdout.write(emit_records(result) if fmt == "records"
-                     else render_text(result))
+    _write(emit_records(result) if fmt == "records" else render_text(result))
     return 0 if result.all_passed else 1
 
 
@@ -77,9 +96,8 @@ def cmd_enum(args, config: RunConfig, variance: str) -> int:
     src = reg.structure(args.source)
     dst = reg.structure(args.target)
     morphisms = enumerate_morphisms(src, dst, variance, config.bound)
-    for i, m in enumerate(morphisms):
-        sys.stdout.write(emit_map(m.renamed(f"m{i}")))
-    sys.stdout.write(f"# total {len(morphisms)}\n")
+    _write("".join(emit_map(m.renamed(f"m{i}")) for i, m in enumerate(morphisms))
+           + f"# total {len(morphisms)}\n")
     return 0
 
 
@@ -126,21 +144,21 @@ def cmd_cat(args, config: RunConfig) -> int:
     reg = Registry(config.corpus_paths)
     op = args.operation
     if op == "caf":
-        sys.stdout.write(emit_factorization_text(caf(reg.category(args.category))))
+        _write(emit_factorization_text(caf(reg.category(args.category))))
         return 0
     if op == "fca":
         if args.input:
             fcat = load_path(Path(args.input))
         else:
             fcat = caf(reg.category(args.category))
-        sys.stdout.write(emit_category_text(fca(fcat)))
+        _write(emit_category_text(fca(fcat)))
         return 0
     if op == "anti":
-        sys.stdout.write(emit_category_text(
+        _write(emit_category_text(
             anti_category(caf(reg.category(args.category)))))
         return 0
     if op == "assoc":
-        sys.stdout.write(emit_category_text(
+        _write(emit_category_text(
             associated_category(caf(reg.category(args.category)))))
         return 0
     if op == "equiv":

@@ -83,10 +83,16 @@ def compose_classify_pairs(n_a, n_c, cay_a, cay_c, left_tables, right_tables):
     """Classify g∘f for every f in left_tables (A->B) and g in right_tables (B->C).
 
     Returns a flat list of law bitmasks indexed by i * len(right_tables) + j.
+    Every pair's composite is built; each distinct composite is classified
+    once, and the memo lives only for this call.
     """
     out = []
+    codes = {}
     for f in left_tables:
         for g in right_tables:
-            comp = [g[fx] for fx in f]
-            out.append(_classify(comp, n_a, n_c, cay_a, cay_c))
+            comp = tuple([g[fx] for fx in f])
+            code = codes.get(comp)
+            if code is None:
+                code = codes[comp] = _classify(comp, n_a, n_c, cay_a, cay_c)
+            out.append(code)
     return out

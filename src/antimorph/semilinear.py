@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AlgebraError, BoundExceeded, NotComposable, PreconditionFailed
@@ -125,14 +125,39 @@ def _linear_name(x: int, p: int) -> str:
 # -- maps ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SemilinearMap:
-    field: FieldFq2
-    rows: int
-    cols: int
-    entries: tuple        # rows x cols, tuple of row tuples
-    twist: str = STRAIGHT
-    name: str = field(default="", compare=False)
+    """A rows x cols matrix over `field` with a twist tag; a value object.
+
+    Treated as immutable: no code assigns to a map after construction. The
+    class is slotted rather than a frozen dataclass because the twisted hom
+    grid builds hundreds of thousands of maps and frozen construction costs
+    several times more. The one slot filled later is the cache of
+    `conj_entries`, a pure function of the entries. Equality and hashing
+    ignore `name`.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "twist", "name", "_conj")
+
+    def __init__(self, field: FieldFq2, rows: int, cols: int, entries: tuple,
+                 twist: str = STRAIGHT, name: str = ""):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries    # rows x cols, tuple of row tuples
+        self.twist = twist
+        self.name = name
+        self._conj = None
+
+    def _key(self) -> tuple:
+        return (self.field, self.rows, self.cols, self.entries, self.twist)
+
+    def __eq__(self, other):
+        if other.__class__ is not SemilinearMap:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def is_anti(self) -> bool:
@@ -152,8 +177,13 @@ class SemilinearMap:
         return tuple(out)
 
     def conj_entries(self) -> tuple:
-        frob = self.field.frob
-        return tuple([tuple([frob[v] for v in row]) for row in self.entries])
+        """The entrywise Frobenius of the matrix, computed once per map."""
+        conj = self._conj
+        if conj is None:
+            frob = self.field.frob
+            conj = self._conj = tuple([tuple([frob[v] for v in row])
+                                       for row in self.entries])
+        return conj
 
     def __repr__(self) -> str:
         label = self.name or "map"
@@ -194,6 +224,22 @@ def mat_mul(field, a, b):
     if a and len(a[0]) != inner:
         raise NotComposable("inner dimensions differ")
     add, mul = field.add, field.mul
+    # straight-line products for the inner dimensions the hom grid uses;
+    # index 0 is the additive identity, so the sums need no zero start
+    if inner == 1:
+        (b0,) = b
+        out = []
+        for (x0,) in a:
+            m0 = mul[x0]
+            out.append(tuple([m0[y0] for y0 in b0]))
+        return tuple(out)
+    if inner == 2:
+        b0, b1 = b
+        out = []
+        for x0, x1 in a:
+            m0, m1 = mul[x0], mul[x1]
+            out.append(tuple([add[m0[y0]][m1[y1]] for y0, y1 in zip(b0, b1)]))
+        return tuple(out)
     b_cols = tuple(zip(*b))
     out = []
     for a_row in a:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,3 +201,35 @@ def test_report_records_are_deterministic(capsys):
     assert out1 == out2
     for line in out1.strip().splitlines():
         json.loads(line)
+
+
+class _ShortWriter(io.RawIOBase):
+    """A raw stream that takes at most 1,000 bytes per write, as a pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        taken = bytes(b[:1000])
+        self.data += taken
+        return len(taken)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "records", "cat", "adjunction"),
+    ("enum-antihoms", "--source", "d4", "--target", "d4"),
+])
+def test_partial_writes_deliver_the_whole_stream(monkeypatch, argv):
+    plain = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", plain)
+    assert main(list(argv)) == 0
+    expected = plain.getvalue()
+    raw = _ShortWriter()
+    monkeypatch.setattr(sys, "stdout",
+                        io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    assert main(list(argv)) == 0
+    assert len(expected.encode("utf-8")) > 1000
+    assert raw.data.decode("utf-8") == expected

@@ -1,5 +1,7 @@
 from antimorph import kernels
-from antimorph.corpus import cyclic, symmetric3
+from antimorph.corpus import cyclic, group_corpus, symmetric3
+from antimorph.morphisms import enumerate_morphisms
+from antimorph.suite import variance_table_reports
 
 
 def flat(g):
@@ -56,3 +58,75 @@ def test_selected_backend_exports():
     z2 = cyclic(2)
     homs, antis = kernels.scan_morphism_space(2, 2, flat(z2), flat(z2))
     assert len(homs) == 2
+
+
+def _pair_tables():
+    # maps z4 -> z2 and z2 -> z4, with repeats, so that many of the 20 pairs
+    # share a composite z4 -> z4
+    left = [(0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 0, 1), (0, 0, 0, 0)]
+    right = [(0, 0), (0, 2), (0, 2), (0, 1), (1, 0)]
+    return flat(cyclic(4)), left, right
+
+
+def test_compose_classify_pairs_matches_per_pair_oracle():
+    cay, left, right = _pair_tables()
+    codes = kernels.compose_classify_pairs(4, 4, cay, cay, left, right)
+    oracle = [kernels._classify([g[x] for x in f], 4, 4, cay, cay)
+              for f in left for g in right]
+    assert codes == oracle
+    assert len(set(codes)) > 1
+    s3 = symmetric3()
+    homs, antis = kernels.scan_morphism_space(6, 6, flat(s3), flat(s3))
+    tables = homs + antis
+    codes = kernels.compose_classify_pairs(6, 6, flat(s3), flat(s3), tables, tables)
+    assert codes == [kernels._classify([g[x] for x in f], 6, 6, flat(s3), flat(s3))
+                     for f in tables for g in tables]
+
+
+def test_compose_classify_pairs_classifies_each_distinct_composite_once(monkeypatch):
+    cay, left, right = _pair_tables()
+    seen = []
+    real = kernels._classify
+
+    def counting(images, *rest):
+        seen.append(tuple(images))
+        return real(images, *rest)
+
+    monkeypatch.setattr(kernels, "_classify", counting)
+    codes = kernels.compose_classify_pairs(4, 4, cay, cay, left, right)
+    composites = {tuple(g[x] for x in f) for f in left for g in right}
+    assert len(codes) == len(left) * len(right) == 20
+    assert sorted(seen) == sorted(composites)
+    assert len(seen) == len(composites) < len(codes)
+    # the memo lives inside one call: a second call classifies again
+    kernels.compose_classify_pairs(4, 4, cay, cay, left, right)
+    assert len(seen) == 2 * len(composites)
+
+
+def test_variance_xor_fails_when_one_composite_loses_its_anti_bit(monkeypatch):
+    # Mutant: the identity table of z3 is classified as not anti. Every
+    # mixed-variance pair composing to it must FAIL, memo or not.
+    target = (0, 1, 2)
+    real = kernels._classify
+
+    def mutant(images, *rest):
+        code = real(images, *rest)
+        return code & ~kernels.ANTI_BIT if tuple(images) == target else code
+
+    monkeypatch.setattr(kernels, "_classify", mutant)
+    groups = group_corpus()
+    reports = variance_table_reports(groups)
+    failed = [r for r in reports if not r.passed]
+    assert "variance-xor/z3-z3-z3" in {r.theorem for r in failed}
+    assert len(failed) < len(reports)
+    for rep in failed:
+        law = rep.check_map()["composites-obey-xor-law"]
+        assert law.witness is not None
+        vf, vg, idx, code = law.witness
+        a, b, c = dict(rep.inputs)["triple"].split(",")
+        left = [m.images for m in enumerate_morphisms(groups[a], groups[b], vf)]
+        right = [m.images for m in enumerate_morphisms(groups[b], groups[c], vg)]
+        f, g = left[idx // len(right)], right[idx % len(right)]
+        assert vf != vg
+        assert tuple(g[x] for x in f) == target
+        assert not code & kernels.ANTI_BIT

@@ -26,6 +26,7 @@ from antimorph.semilinear import (
     invert_matrix,
     kernel_basis,
     maps_equal,
+    mat_mul,
     matrix,
     quotient_space,
     random_map,
@@ -260,13 +261,77 @@ def test_twist_xor_matrix_rule_property(a, b, c, pyrandom):
     g = random_map(F4, a, b, ANTI, rng)
     comp = compose_semilinear(g, f)
     assert comp.twist == STRAIGHT
-    from antimorph.semilinear import mat_mul
-
     expected = mat_mul(F4, g.entries, f.conj_entries()) if b else comp.entries
     assert comp.entries == expected
     # `apply` never calls mat_mul, so this holds mat_mul to an outside oracle
     for v in itertools.product(range(F4.order), repeat=c):
         assert comp.apply(v) == g.apply(f.apply(v))
+
+
+def _triple_sum(field, a, b, rows, inner, cols):
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = 0
+            for k in range(inner):
+                acc = field.add_(acc, field.mul_(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _entry_pairs(field, rows, inner, cols, rng):
+    """Every pair of entry tables when there are at most 256, else 25 seeded."""
+    def table(flat, r, c):
+        return tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r))
+
+    cells = rows * inner + inner * cols
+    if field.order ** cells <= 256:
+        flats = itertools.product(range(field.order), repeat=cells)
+    else:
+        flats = ([rng.randrange(field.order) for _ in range(cells)]
+                 for _ in range(25))
+    for flat in flats:
+        yield table(flat[:rows * inner], rows, inner), \
+            table(flat[rows * inner:], inner, cols)
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_mat_mul_matches_a_plain_triple_sum(order):
+    field = FieldFq2.of_order(order)
+    rng = random.Random(order)
+    for rows, inner, cols in itertools.product((1, 2, 3), (0, 1, 2, 3), (1, 2, 3)):
+        for a, b in _entry_pairs(field, rows, inner, cols, rng):
+            expected = _triple_sum(field, a, b, rows, inner, cols)
+            # an empty right factor has no rows to carry its column count,
+            # so inner dimension 0 is checked through compose_semilinear only
+            if inner:
+                assert mat_mul(field, a, b) == expected
+            f = SemilinearMap(field, inner, cols, b, rng.choice((STRAIGHT, ANTI)))
+            g = SemilinearMap(field, rows, inner, a, STRAIGHT)
+            assert compose_semilinear(g, f).entries == expected
+            conj_b = tuple(tuple(field.conj(v) for v in row) for row in b)
+            twisted = compose_semilinear(
+                SemilinearMap(field, rows, inner, a, ANTI), f)
+            assert twisted.entries == \
+                _triple_sum(field, a, conj_b, rows, inner, cols)
+
+
+def test_semilinear_map_value_contract():
+    a = SemilinearMap(F4, 2, 1, ((2,), (3,)), ANTI, name="a")
+    b = SemilinearMap(F4, 2, 1, ((2,), (3,)), ANTI, name="b")
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != SemilinearMap(F4, 2, 1, ((2,), (3,)), STRAIGHT)
+    assert a != SemilinearMap(F4, 2, 1, ((2,), (1,)), ANTI)
+    assert a != SemilinearMap(FieldFq2.of_order(9), 2, 1, ((2,), (3,)), ANTI)
+    assert a != (F4, 2, 1, ((2,), (3,)), ANTI)
+    assert repr(a) == "a[anti]2x1"
+    assert repr(SemilinearMap(F4, 1, 3, ((0, 1, 2),))) == "map[straight]1x3"
+    assert a.conj_entries() == ((3,), (2,))
+    assert a.conj_entries() is a.conj_entries()
+    assert a.entries == ((2,), (3,))
 
 
 @settings(max_examples=50, deadline=None)
