@@ -122,7 +122,7 @@ def validate_group(table, name: str = "") -> FiniteGroup:
     if identity is None:
         raise NoIdentity("no two-sided identity element")
 
-    witness = kernels.associativity_witness(n, kernels.flatten(cayley))
+    witness = kernels.associativity_witness(cayley)
     if witness is not None:
         x, y, z = witness
         raise NotAssociative(f"(x*y)*z != x*(y*z) at ({x},{y},{z})", witness=witness)

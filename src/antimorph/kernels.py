@@ -1,12 +1,16 @@
 """The hot table loops: map-space scan, batch classification, associativity.
 
-Tables are flat row-major lists of element indices.
+Tables are flat row-major lists of element indices, except for
+`associativity_witness`, which reads a table as its rows.
 
 Classification codes: bit 1 set when the map satisfies the product-preserving
 law, bit 2 set when it satisfies the product-reversing law.
 """
 
 from __future__ import annotations
+
+import itertools
+from operator import itemgetter
 
 BACKEND = "pure"
 
@@ -45,37 +49,44 @@ def scan_morphism_space(n, m, cay_a, cay_b):
     """
     homs = []
     antis = []
-    f = [0] * n
-    if n == 0:
-        return [()], [()]
-    while True:
+    for f in itertools.product(range(m), repeat=n):
         code = _classify(f, n, m, cay_a, cay_b)
         if code & HOM_BIT:
-            homs.append(tuple(f))
+            homs.append(f)
         if code & ANTI_BIT:
-            antis.append(tuple(f))
-        i = n - 1
-        while i >= 0:
-            f[i] += 1
-            if f[i] < m:
-                break
-            f[i] = 0
-            i -= 1
-        if i < 0:
-            return homs, antis
+            antis.append(f)
+    return homs, antis
 
 
-def associativity_witness(n, table):
-    """First (x, y, z) with (x*y)*z != x*(y*z), or None."""
-    for x in range(n):
-        row_x = x * n
-        for y in range(n):
-            xy = table[row_x + y]
-            row_xy = xy * n
-            row_y = y * n
-            for z in range(n):
-                if table[row_xy + z] != table[row_x + table[row_y + z]]:
-                    return (x, y, z)
+def reader(indices):
+    """The function t ↦ tuple(t[i] for i in indices), run in C.
+
+    `operator.itemgetter` returns a bare value for a single index, so one
+    index gets a plain function that keeps the tuple.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda t: (t[i],)
+    return itemgetter(*indices)
+
+
+def associativity_witness(rows):
+    """First (x, y, z) in lexicographic order with (x*y)*z != x*(y*z), or None.
+
+    `rows[x][y]` is x*y, every entry in range(len(rows)). The check goes row
+    by row: for each (x, y), the row of x*y must equal the row of y read
+    through the row of x, since (x*y)*z is rows[x*y][z] and x*(y*z) is
+    rows[x][rows[y][z]]. Every triple is still compared.
+    """
+    rows = [tuple(row) for row in rows]
+    through = [reader(row) for row in rows]
+    for x, row_x in enumerate(rows):
+        for y, xy in enumerate(row_x):
+            if rows[xy] != through[y](row_x):
+                row_y = rows[y]
+                for z, v in enumerate(rows[xy]):
+                    if v != row_x[row_y[z]]:
+                        return (x, y, z)
     return None
 
 
@@ -84,15 +95,15 @@ def compose_classify_pairs(n_a, n_c, cay_a, cay_c, left_tables, right_tables):
 
     Returns a flat list of law bitmasks indexed by i * len(right_tables) + j.
     Every pair's composite is built; each distinct composite is classified
-    once, and the memo lives only for this call.
+    once, in order of first appearance, and the memo lives only for this
+    call.
     """
     out = []
     codes = {}
     for f in left_tables:
-        for g in right_tables:
-            comp = tuple([g[fx] for fx in f])
-            code = codes.get(comp)
-            if code is None:
-                code = codes[comp] = _classify(comp, n_a, n_c, cay_a, cay_c)
-            out.append(code)
+        composites = list(map(reader(f), right_tables))  # g∘f for every g
+        for comp in dict.fromkeys(composites):
+            if comp not in codes:
+                codes[comp] = _classify(comp, n_a, n_c, cay_a, cay_c)
+        out.extend(map(codes.__getitem__, composites))
     return out

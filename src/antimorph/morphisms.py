@@ -45,15 +45,16 @@ def law_witness(images, a, b, variance: str):
     (straight or reversed) multiplicative rule.
     """
     if is_group(a):
-        for x in a.elements():
-            for y in a.elements():
-                z = images[a.mul(x, y)]
-                if variance == STRAIGHT:
-                    if b.mul(images[x], images[y]) != z:
-                        return (x, y)
-                else:
-                    if b.mul(images[y], images[x]) != z:
-                        return (x, y)
+        # Row by row on the Cayley tables: row x of the law compares
+        # f(x*y) with f(x)*f(y) (or f(y)*f(x)) for every y at once.
+        rows_b = b.cayley if variance == STRAIGHT else tuple(zip(*b.cayley))
+        via_f = kernels.reader(images)
+        for x, row_x in enumerate(a.cayley):
+            got = via_f(rows_b[images[x]])
+            want = kernels.reader(row_x)(images)
+            if got != want:
+                return (x, next(y for y, (fxy, fx_fy) in enumerate(zip(want, got))
+                                if fxy != fx_fy))
         return None
     if images[a.one] != b.one:
         return ("one", a.one)
@@ -234,30 +235,28 @@ def _group_hom_tables(a: FiniteGroup, b: FiniteGroup, bound: int):
     if b.order ** len(gens) > bound:
         raise BoundExceeded(
             f"{b.order}**{len(gens)} candidate extensions exceed bound {bound}")
-    words = _word_parents(a, gens)
+    plan = _word_plan(a, gens)
+    rows_b = b.cayley
+    # f(x*y) for every y is row x of A read through f
+    products_of = [kernels.reader(row_x) for row_x in a.cayley]
     out = []
     for assignment in itertools.product(b.elements(), repeat=len(gens)):
         f = [None] * a.order
         f[a.identity] = b.identity
-        ok = True
-        for z in words["order"]:
-            parent, gi = words["expr"][z]
-            f[z] = b.mul(f[parent], assignment[gi])
-        for x in a.elements():
-            if not ok:
-                break
-            for y in a.elements():
-                if b.mul(f[x], f[y]) != f[a.mul(x, y)]:
-                    ok = False
-                    break
-        if ok:
+        for z, parent, gi in plan:
+            f[z] = rows_b[f[parent]][assignment[gi]]
+        # the full law, row by row: f(x)*f(y) == f(x*y) for every y
+        via_f = kernels.reader(f)
+        if all(via_f(rows_b[fx]) == products(f)
+               for fx, products in zip(f, products_of)):
             out.append(tuple(f))
     return out
 
 
-def _word_parents(a: FiniteGroup, gens):
-    expr = {}
-    order = []
+def _word_plan(a: FiniteGroup, gens):
+    """(z, parent, gi) with z = parent * gens[gi], breadth first from the
+    identity, so every parent comes before its children."""
+    plan = []
     frontier = [a.identity]
     seen = {a.identity}
     while frontier:
@@ -267,11 +266,10 @@ def _word_parents(a: FiniteGroup, gens):
                 z = a.mul(x, y)
                 if z not in seen:
                     seen.add(z)
-                    expr[z] = (x, gi)
-                    order.append(z)
+                    plan.append((z, x, gi))
                     nxt.append(z)
         frontier = nxt
-    return {"expr": expr, "order": order}
+    return plan
 
 
 def _ring_hom_tables(a: FiniteRing, b: FiniteRing, bound: int,
@@ -361,19 +359,32 @@ class FactorClass:
 
 def factorization_classes(a, b, c, bound: int = DEFAULT_BOUND):
     """Partition all composable anti-pairs through b by their straight composite."""
-    an_ab = enumerate_morphisms(a, b, ANTI, bound)
-    an_bc = enumerate_morphisms(b, c, ANTI, bound)
+    return factor_pairs(a, b, c, enumerate_morphisms(a, b, ANTI, bound),
+                        enumerate_morphisms(b, c, ANTI, bound))
+
+
+def factor_pairs(a, b, c, an_ab, an_bc):
+    """The factorization classes of the pairs (f, g) in an_ab x an_bc.
+
+    Every pair's composite g∘f is built and bucketed; each distinct composite
+    is validated once, in order of first appearance, so a composite that
+    breaks the straight law raises the LawViolation that `compose` would
+    raise at its first pair. Both sets come sorted from `enumerate_morphisms`,
+    so each class lists its pairs in (f, g) order.
+    """
     buckets: dict[tuple, list] = {}
+    g_tables = [g.images for g in an_bc]
     for f in an_ab:
-        for g in an_bc:
-            comp = compose(g, f)
-            buckets.setdefault(comp.images, []).append((f, g))
-    out = []
-    for images in sorted(buckets):
-        pairs = tuple(sorted(buckets[images], key=lambda p: (p[0].images, p[1].images)))
-        comp = Morphism(a, c, images, STRAIGHT)
-        out.append(FactorClass(comp, b, pairs))
-    return tuple(out)
+        for g, comp in zip(an_bc, map(kernels.reader(f.images), g_tables)):
+            buckets.setdefault(comp, []).append((f, g))
+    for images in buckets:
+        w = law_witness(images, a, c, STRAIGHT)
+        if w is not None:
+            raise LawViolation(
+                f"composite broke its {STRAIGHT} law at {w}; this is an engine bug",
+                witness=w)
+    return tuple(FactorClass(Morphism(a, c, images, STRAIGHT), b, tuple(buckets[images]))
+                 for images in sorted(buckets))
 
 
 def law_of_factorization(f: Morphism, b, bound: int = DEFAULT_BOUND) -> FactorClass:

@@ -103,7 +103,7 @@ def validate_ring(add, mul, involution=None, name: str = "") -> FiniteRing:
     for i, row in enumerate(mul):
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise MulNotMonoid(f"mul row {i} malformed", witness=i)
-    w = kernels.associativity_witness(n, kernels.flatten(mul))
+    w = kernels.associativity_witness(mul)
     if w is not None:
         raise MulNotMonoid(f"multiplication not associative at {w}", witness=w)
     one = None

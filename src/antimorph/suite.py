@@ -49,7 +49,7 @@ from .categories import (
 from .errors import ParseError
 from .formats import MapFile, load_path, parse_text, resolve_map
 from .groups import FiniteGroup, Subgroup, find_isomorphism, is_subgroup
-from .maps import ANTI, STRAIGHT, Morphism
+from .maps import ANTI, STRAIGHT, VARIANCES, Morphism
 from .morphisms import (
     DEFAULT_BOUND,
     automorphism_algebra,
@@ -59,7 +59,7 @@ from .morphisms import (
     corresponding_anti,
     corresponding_hom,
     enumerate_morphisms,
-    factorization_classes,
+    factor_pairs,
     natural_an_map,
     pointwise_ring_audit,
     reverse_morphism,
@@ -207,37 +207,54 @@ def _index_list(spec: str, order: int):
 
 
 def variance_table_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
-    """XOR law for every composable pair from the enumerated sets, per triple."""
+    """XOR law for every composable pair from the enumerated sets, per triple.
+
+    One `compose_classify_pairs` call per triple takes the straight and the
+    anti tables together, so one memo serves all four variance pairs; the
+    four blocks are then read out of its codes.
+    """
     names = sorted(groups)
-    tables = {}
-    for a in names:
-        for b in names:
-            tables[(a, b, STRAIGHT)] = [m.images for m in enumerate_morphisms(
-                groups[a], groups[b], STRAIGHT, bound)]
-            tables[(a, b, ANTI)] = [m.images for m in enumerate_morphisms(
-                groups[a], groups[b], ANTI, bound)]
+    flat = {a: kernels.flatten(groups[a].cayley) for a in names}
+    sets = {(a, b): tuple([m.images for m in enumerate_morphisms(
+                groups[a], groups[b], variance, bound)] for variance in VARIANCES)
+            for a in names for b in names}
     out = []
     for a, b, c in itertools.product(names, repeat=3):
-        ga, gc = groups[a], groups[c]
-        cay_a = kernels.flatten(ga.cayley)
-        cay_c = kernels.flatten(gc.cayley)
-        ok, witness = True, None
-        for vf, vg in itertools.product((STRAIGHT, ANTI), repeat=2):
-            want_anti = (vf == ANTI) != (vg == ANTI)
-            need = kernels.ANTI_BIT if want_anti else kernels.HOM_BIT
-            codes = kernels.compose_classify_pairs(
-                ga.order, gc.order, cay_a, cay_c,
-                tables[(a, b, vf)], tables[(b, c, vg)])
-            for idx, code in enumerate(codes):
-                if not code & need:
-                    ok = False
-                    witness = (vf, vg, idx, code)
+        left, right = sets[(a, b)], sets[(b, c)]
+        codes = kernels.compose_classify_pairs(
+            groups[a].order, groups[c].order, flat[a], flat[c],
+            left[0] + left[1], right[0] + right[1])
+        witness = _first_xor_failure(left, right, codes)
         out.append(TheoremReport(
             theorem=f"variance-xor/{a}-{b}-{c}",
             inputs=(("triple", f"{a},{b},{c}"),),
-            checks=(check("composites-obey-xor-law", ok, witness=witness),),
+            checks=(check("composites-obey-xor-law", witness is None,
+                          witness=witness),),
         ))
     return out
+
+
+def _first_xor_failure(left, right, codes):
+    """(vf, vg, f, g, code) for the first pair, in (vf, vg, f, g) order, whose
+    law code lacks the bit the XOR of its variances asks for; else None.
+
+    `left` and `right` are (straight, anti) table lists and `codes` is
+    row-major over their concatenations.
+    """
+    width = len(right[0]) + len(right[1])
+    for (kf, vf), (kg, vg) in itertools.product(enumerate(VARIANCES), repeat=2):
+        need = kernels.ANTI_BIT if vf != vg else kernels.HOM_BIT
+        lacking = {code for code in range(kernels.HOM_BIT + kernels.ANTI_BIT + 1)
+                   if not code & need}
+        first_col = kg * len(right[0])
+        g_tables = right[kg]
+        for i, f in enumerate(left[kf], kf * len(left[0])):
+            start = i * width + first_col
+            block_row = codes[start:start + len(g_tables)]
+            if not lacking.isdisjoint(block_row):
+                j = next(j for j, code in enumerate(block_row) if code in lacking)
+                return (vf, vg, f, g_tables[j], block_row[j])
+    return None
 
 
 def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
@@ -278,20 +295,19 @@ def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     bh, ba = brute_force_tables(g, g)
     rev = reverse_morphism(g)
     anti_set = {m.images for m in antis}
-    closure_ok = all(star_compose(x, y).images in anti_set
-                     for x in antis for y in antis)
-    assoc_ok, assoc_w = True, None
-    for f1 in antis:
-        for f2 in antis:
-            left = star_compose(f1, f2)
-            for f3 in antis:
-                if star_compose(left, f3).images != \
-                        star_compose(f1, star_compose(f2, f3)).images:
-                    assoc_ok, assoc_w = False, (f1.images, f2.images, f3.images)
-    identity_ok = all(
-        star_compose(f, rev).images == f.images
-        and star_compose(rev, f).images == f.images
-        for f in antis)
+    # each pair's star once, through the validating star_compose
+    stars = {(f1.images, f2.images): star_compose(f1, f2)
+             for f1 in antis for f2 in antis}
+    closure_w = next((pair for pair, h in stars.items()
+                      if h.images not in anti_set), None)
+    assoc_w = next(((f1.images, f2.images, f3.images)
+                    for f1, f2, f3 in itertools.product(antis, repeat=3)
+                    if star_compose(stars[(f1.images, f2.images)], f3).images
+                    != star_compose(f1, stars[(f2.images, f3.images)]).images),
+                   None)
+    identity_w = next((f.images for f in antis
+                       if star_compose(f, rev).images != f.images
+                       or star_compose(rev, f).images != f.images), None)
     checks = (
         check("straight-count-matches-scan",
               sorted(m.images for m in homs) == sorted(bh),
@@ -299,10 +315,12 @@ def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
         check("anti-count-matches-scan",
               sorted(m.images for m in antis) == sorted(ba),
               witness=(len(antis), len(ba))),
-        check("counts-equal", len(homs) == len(antis)),
-        check("star-closed", closure_ok),
-        check("star-associative", assoc_ok, witness=assoc_w),
-        check("reverse-is-two-sided-identity", identity_ok),
+        check("counts-equal", len(homs) == len(antis),
+              witness=(len(homs), len(antis))),
+        check("star-closed", closure_w is None, witness=closure_w),
+        check("star-associative", assoc_w is None, witness=assoc_w),
+        check("reverse-is-two-sided-identity", identity_w is None,
+              witness=identity_w),
     )
     return TheoremReport(
         theorem=f"endomorphism-monoid/{g.name}",
@@ -314,39 +332,70 @@ def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
 def star_monoid_reports(groups: dict, bound: int = DEFAULT_BOUND,
                         order_limit: int = 8) -> list:
     """Star composition is an associative monoid on An(G,G), exhaustively,
-    for every group up to the order limit (raw tables, no revalidation)."""
+    for every group up to the order limit (raw tables, no revalidation).
+
+    Closure is checked on the raw tables while the star table is built; a
+    closed set then has its associativity checked row by row on that index
+    table by `kernels.associativity_witness`. Each witness is the first
+    counterexample in enumeration order.
+    """
     out = []
     for name in sorted(groups):
         g = groups[name]
         if g.order > order_limit:
             continue
-        inv = g.inverses
+        rev = g.inverses
         tables = [m.images for m in enumerate_morphisms(g, g, ANTI, bound)]
-        table_set = set(tables)
-        rev = inv
 
         def star(p, q):
-            return tuple(p[q[inv[x]]] for x in g.elements())
+            return tuple([p[q[v]] for v in rev])
 
-        closed = all(star(p, q) in table_set for p in tables for q in tables)
-        ident = all(star(p, rev) == p and star(rev, p) == p for p in tables)
-        assoc_ok, assoc_w = True, None
-        for p in tables:
-            for q in tables:
-                pq = star(p, q)
-                for r in tables:
-                    if star(pq, r) != star(p, star(q, r)):
-                        assoc_ok, assoc_w = False, (p, q, r)
+        star_rows, closed_w = _star_index_table(tables, rev)
+        ident_w = next((p for p in tables
+                        if star(p, rev) != p or star(rev, p) != p), None)
+        if closed_w is None:
+            assoc_w = kernels.associativity_witness(star_rows)
+            if assoc_w is not None:
+                assoc_w = tuple(tables[i] for i in assoc_w)
+        else:
+            assoc_w = _first_unassociative_triple(tables, star)
         out.append(TheoremReport(
             theorem=f"star-monoid/{name}",
             inputs=(("group", name), ("size", str(len(tables)))),
             checks=(
-                check("closed", closed),
-                check("reverse-is-identity", ident),
-                check("associative", assoc_ok, witness=assoc_w),
+                check("closed", closed_w is None, witness=closed_w),
+                check("reverse-is-identity", ident_w is None, witness=ident_w),
+                check("associative", assoc_w is None, witness=assoc_w),
             ),
         ))
     return out
+
+
+def _first_unassociative_triple(tables, star):
+    """The triple loop on raw tables, for a star that is not closed."""
+    for p in tables:
+        for q in tables:
+            pq = star(p, q)
+            for r in tables:
+                if star(pq, r) != star(p, star(q, r)):
+                    return (p, q, r)
+    return None
+
+
+def _star_index_table(tables, rev):
+    """(rows, None) with rows[i][j] the index of tables[i] ★ tables[j], or
+    (None, (p, q)) for the first pair whose star is not among the tables."""
+    index = {t: i for i, t in enumerate(tables)}
+    # p ★ q is x ↦ p[q[rev[x]]]: p read through q∘rev
+    q_after_rev = kernels.reader(rev)
+    through = [kernels.reader(q_after_rev(q)) for q in tables]
+    rows = []
+    for p in tables:
+        row = [index.get(q_rev(p)) for q_rev in through]
+        if None in row:
+            return None, (p, tables[row.index(None)])
+        rows.append(row)
+    return rows, None
 
 
 def reconstruction_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
@@ -355,25 +404,21 @@ def reconstruction_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     names = sorted(groups)
     out = []
     for a in names:
+        ga = groups[a]
+        an_aa = enumerate_morphisms(ga, ga, ANTI, bound)
+        rev = reverse_morphism(ga)
         for c in names:
-            ga, gc = groups[a], groups[c]
+            gc = groups[c]
             homs = enumerate_morphisms(ga, gc, STRAIGHT, bound)
-            rev = reverse_morphism(ga)
             rebuilt = all(
                 compose(corresponding_anti(f), rev).images == f.images
                 for f in homs)
-            classes = factorization_classes(ga, ga, gc, bound)
-            n_anti_aa = len(enumerate_morphisms(ga, ga, ANTI, bound))
-            n_anti_ac = len(enumerate_morphisms(ga, gc, ANTI, bound))
-            total_pairs = sum(len(cl.pairs) for cl in classes)
-            seen = set()
-            disjoint = True
-            for cl in classes:
-                for pair in cl.pairs:
-                    key = (pair[0].images, pair[1].images)
-                    if key in seen:
-                        disjoint = False
-                    seen.add(key)
+            an_ac = enumerate_morphisms(ga, gc, ANTI, bound)
+            classes = factor_pairs(ga, ga, gc, an_aa, an_ac)
+            n_anti_aa, n_anti_ac = len(an_aa), len(an_ac)
+            keys = [(f.images, g.images) for cl in classes for f, g in cl.pairs]
+            total_pairs = len(keys)
+            disjoint = len(set(keys)) == total_pairs
             composites = {cl.composite.images for cl in classes}
             hom_tables = {f.images for f in homs}
             out.append(TheoremReport(

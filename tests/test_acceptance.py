@@ -6,15 +6,20 @@ nowhere else.
 """
 
 import hashlib
+import itertools
 import time
+from collections import Counter
 
-from antimorph.corpus import category_corpus, group_corpus, ring_corpus
+from antimorph.corpus import category_corpus, cyclic, group_corpus, ring_corpus
+from antimorph.formats import emit_group
+from antimorph.groups import direct_product, find_isomorphism
 from antimorph.kernels import BACKEND
 from antimorph.maps import ANTI, STRAIGHT
 from antimorph.morphisms import brute_force_tables, enumerate_morphisms
 from antimorph.reports import ReportBundle, emit_records
 from antimorph.suite import (
     SECTIONS,
+    Registry,
     RunConfig,
     audit_reports,
     automorphism_algebra_report,
@@ -66,21 +71,25 @@ def test_criterion_2_correspondence_counts():
 
 
 def test_criterion_3_s3_endomorphism_monoid():
+    t0 = time.time()
     rep = endomorphism_monoid_report(GROUPS["s3"])
+    monoids = star_monoid_reports(GROUPS)
+    elapsed = time.time() - t0
     n_hom = len(enumerate_morphisms(GROUPS["s3"], GROUPS["s3"], STRAIGHT))
     n_anti = len(enumerate_morphisms(GROUPS["s3"], GROUPS["s3"], ANTI))
     bh, ba = brute_force_tables(GROUPS["s3"], GROUPS["s3"])
     assert n_hom == n_anti == len(bh) == len(ba) == 10
-    monoids = star_monoid_reports(GROUPS)
     assert len(monoids) == len(GROUPS)  # every corpus group has order <= 8
     _gate(3, "ten endomorphisms either way and a genuine star monoid "
-             "(all corpus groups exhaustively)", [rep] + monoids)
+             "(all corpus groups exhaustively)", [rep] + monoids, elapsed, 0.4)
 
 
 def test_criterion_4_reconstruction_and_factorization_classes():
+    t0 = time.time()
     reports = reconstruction_reports(GROUPS)
+    elapsed = time.time() - t0
     _gate(4, "every straight map is its twin after the reverse map; "
-             "classes partition all anti pairs", reports)
+             "classes partition all anti pairs", reports, elapsed, 0.2)
 
 
 def test_criterion_5_named_theorem_instances():
@@ -172,3 +181,40 @@ def test_section_table_is_complete_and_disjoint():
     digest = hashlib.sha256(stream.encode("utf-8")).hexdigest()
     assert len(records) == 2149
     assert digest == GOLDEN_DIGEST
+
+
+# records of the five group sweeps over the 14 groups of order <= 8: one
+# variance check per triple; three star-monoid checks, four map-property
+# checks per group; five reconstruction checks per pair; two correspondence
+# checks per pair plus the map-space scan on the 64 pairs of order <= 6
+GROUP_SWEEP_RECORDS = {"variance-xor/": 14 ** 3, "correspondence/": 2 * 14 ** 2 + 64,
+                       "star-monoid/": 3 * 14, "reconstruction/": 5 * 14 ** 2,
+                       "anti-map-properties/": 4 * 14}
+
+
+def test_group_sweeps_over_every_group_of_order_at_most_8(tmp_path):
+    # The six groups of order <= 8 the bundled corpus lacks, loaded as a
+    # --corpus directory: then all 14 of them (OEIS A000001) run through the
+    # report's five group sweeps, and every record must PASS.
+    z2 = cyclic(2)
+    klein = direct_product(z2, z2)[0]
+    extra = [cyclic(1), cyclic(5), cyclic(7), cyclic(8),
+             direct_product(z2, cyclic(4))[0], direct_product(klein, z2)[0]]
+    for g in extra:
+        (tmp_path / f"{g.name}.grp").write_text(emit_group(g))
+    groups = Registry((str(tmp_path),)).groups
+    assert Counter(g.order for g in groups.values()) == \
+        {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5}
+    for g, h in itertools.combinations(groups.values(), 2):
+        if g.order == h.order:
+            assert find_isomorphism(g, h) is None, (g, h)
+    t0 = time.time()
+    bundle = run(RunConfig(corpus_paths=(str(tmp_path),),
+                           selection=tuple(GROUP_SWEEP_RECORDS)))
+    elapsed = time.time() - t0
+    failed = [r.check_id for r in bundle.records if r.status != "PASS"]
+    print(f"[{'PASS' if not failed else 'FAIL'}] five group sweeps over the 14 "
+          f"groups of order <= 8: {len(bundle.records)} records ({elapsed:.1f}s)")
+    assert not failed, failed[:5]
+    counts = Counter(r.check_id.split("/", 1)[0] + "/" for r in bundle.records)
+    assert counts == GROUP_SWEEP_RECORDS

@@ -1,7 +1,11 @@
-from antimorph import kernels
+import itertools
+import random
+
+from antimorph import kernels, suite
 from antimorph.corpus import cyclic, group_corpus, symmetric3
+from antimorph.maps import ANTI, VARIANCES, Morphism
 from antimorph.morphisms import enumerate_morphisms
-from antimorph.suite import variance_table_reports
+from antimorph.suite import star_monoid_reports, variance_table_reports
 
 
 def flat(g):
@@ -30,16 +34,45 @@ def test_scan_on_s3():
 
 def test_associativity_witness():
     s3 = symmetric3()
-    assert kernels.associativity_witness(6, flat(s3)) is None
-    broken = [0, 1, 2, 1, 0, 0, 2, 0, 1]  # Z3 with 1*1 changed to 0
-    w = kernels.associativity_witness(3, broken)
+    assert kernels.associativity_witness(s3.cayley) is None
+    broken = [[0, 1, 2], [1, 0, 0], [2, 0, 1]]  # Z3 with 1*1 changed to 0
+    w = kernels.associativity_witness(broken)
     assert w is not None
     x, y, z = w
 
     def mul(a, b):
-        return broken[a * 3 + b]
+        return broken[a][b]
 
     assert mul(mul(x, y), z) != mul(x, mul(y, z))
+
+
+def _first_unassociative_triple(rows):
+    n = len(rows)
+    for x, y, z in itertools.product(range(n), repeat=3):
+        if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+            return (x, y, z)
+    return None
+
+
+def test_row_form_associativity_matches_the_triple_loop():
+    rng = random.Random(5)
+    groups = list(group_corpus().values())
+    witnesses = []
+    for _ in range(300):
+        if rng.random() < 0.5:
+            n = rng.randint(1, 6)
+            rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        else:  # a group table with one entry changed: later, rarer failures
+            g = rng.choice(groups)
+            n = g.order
+            rows = [list(row) for row in g.cayley]
+            x, y = rng.randrange(n), rng.randrange(n)
+            rows[x][y] = rng.randrange(n)
+        w = kernels.associativity_witness(rows)
+        assert w == _first_unassociative_triple(rows), rows
+        witnesses.append(w)
+    assert None in witnesses
+    assert any(w is not None and w[0] > 0 for w in witnesses)
 
 
 def test_classify_table_codes():
@@ -122,11 +155,69 @@ def test_variance_xor_fails_when_one_composite_loses_its_anti_bit(monkeypatch):
     for rep in failed:
         law = rep.check_map()["composites-obey-xor-law"]
         assert law.witness is not None
-        vf, vg, idx, code = law.witness
-        a, b, c = dict(rep.inputs)["triple"].split(",")
-        left = [m.images for m in enumerate_morphisms(groups[a], groups[b], vf)]
-        right = [m.images for m in enumerate_morphisms(groups[b], groups[c], vg)]
-        f, g = left[idx // len(right)], right[idx % len(right)]
+        vf, vg, f, g, code = law.witness
         assert vf != vg
         assert tuple(g[x] for x in f) == target
         assert not code & kernels.ANTI_BIT
+        # the witness is the first failing pair in (vf, vg, f, g) order
+        a, b, c = dict(rep.inputs)["triple"].split(",")
+        first = next(
+            (wf, wg, p.images, q.images)
+            for wf, wg in itertools.product(VARIANCES, repeat=2) if wf != wg
+            for p in enumerate_morphisms(groups[a], groups[b], wf)
+            for q in enumerate_morphisms(groups[b], groups[c], wg)
+            if tuple(q.images[x] for x in p.images) == target)
+        assert (vf, vg, f, g) == first
+
+
+def _raw_star(g):
+    return lambda p, q: tuple(p[q[g.inv(x)]] for x in g.elements())
+
+
+def test_star_monoid_names_the_first_pair_that_leaves_the_set(monkeypatch):
+    # Mutant enumerator: An(S3, S3) loses its last map, so stars that land
+    # on it leave the set. The witness is the first such (p, q).
+    s3 = group_corpus()["s3"]
+    real = suite.enumerate_morphisms
+
+    def dropping(a, b, variance, bound=suite.DEFAULT_BOUND):
+        out = real(a, b, variance, bound)
+        return out[:-1] if variance == ANTI else out
+
+    monkeypatch.setattr(suite, "enumerate_morphisms", dropping)
+    (rep,) = star_monoid_reports({"s3": s3})
+    tables = [m.images for m in dropping(s3, s3, ANTI)]
+    star = _raw_star(s3)
+    first = next((p, q) for p in tables for q in tables
+                 if star(p, q) not in set(tables))
+    checks = rep.check_map()
+    assert checks["closed"].witness == first
+    assert checks["reverse-is-identity"].passed
+    assert checks["associative"].passed  # the raw triple loop still runs
+
+
+def test_star_monoid_names_the_first_map_the_reverse_map_moves(monkeypatch):
+    # Mutant enumerator: An(S3, S3) also lists two maps that rev ★ - moves,
+    # as they send the 3-cycle 4 = 3^-1 to 3: the identity map with 4 sent
+    # to 3, and the constant map onto 3. The witness is the first of them.
+    s3 = group_corpus()["s3"]
+    assert s3.inv(3) == 4
+    bad = [Morphism(s3, s3, (0, 1, 2, 3, 3, 5), ANTI),
+           Morphism(s3, s3, (3,) * s3.order, ANTI)]
+    real = suite.enumerate_morphisms
+
+    def adding(a, b, variance, bound=suite.DEFAULT_BOUND):
+        out = real(a, b, variance, bound)
+        if variance == ANTI:
+            out = tuple(sorted(out + tuple(bad), key=lambda m: m.images))
+        return out
+
+    monkeypatch.setattr(suite, "enumerate_morphisms", adding)
+    (rep,) = star_monoid_reports({"s3": s3})
+    tables = [m.images for m in adding(s3, s3, ANTI)]
+    star, rev = _raw_star(s3), s3.inverses
+    moved = [p for p in tables if star(p, rev) != p or star(rev, p) != p]
+    checks = rep.check_map()
+    assert moved == [m.images for m in bad]
+    assert checks["reverse-is-identity"].witness == moved[0]
+    assert not checks["closed"].passed

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from antimorph.corpus import cyclic, group_corpus, named_ideal, ring_corpus, symmetric3, zmod
 from antimorph.errors import BoundExceeded, LawViolation, NoInvolution, NotComposable
-from antimorph.maps import ANTI, STRAIGHT, Morphism
+from antimorph import morphisms
+from antimorph.maps import ANTI, STRAIGHT, VARIANCES, Morphism
 from antimorph.morphisms import (
     ANTI_ONLY,
     BOTH,
@@ -24,6 +26,7 @@ from antimorph.morphisms import (
     image,
     kernel,
     law_of_factorization,
+    law_witness,
     make_morphism,
     natural_an_map,
     nonunital_morphism_tables,
@@ -245,6 +248,115 @@ def test_natural_map_on_z4():
     nat = natural_an_map(z4, named_ideal("z4", "even"))
     assert nat.well_defined and nat.lands_in_anti_set
     assert nat.additive and nat.multiplicative
+
+
+def _naive_law_witness(images, a, b, variance):
+    """The law checked one product at a time with `groups.mul`."""
+    for x in a.elements():
+        for y in a.elements():
+            fx, fy = images[x], images[y]
+            got = b.mul(fx, fy) if variance == STRAIGHT else b.mul(fy, fx)
+            if got != images[a.mul(x, y)]:
+                return (x, y)
+    return None
+
+
+def _relabeled(g, rng):
+    p = list(g.elements())
+    rng.shuffle(p)
+    table = [[0] * g.order for _ in g.elements()]
+    for x in g.elements():
+        for y in g.elements():
+            table[p[x]][p[y]] = p[g.mul(x, y)]
+    return validate_group(table, name=g.name)
+
+
+def test_law_witness_matches_a_naive_oracle_on_every_z3_to_s3_map():
+    z3, s3 = cyclic(3), symmetric3()
+    witnesses = set()
+    for images in itertools.product(s3.elements(), repeat=3):
+        for variance in VARIANCES:
+            w = law_witness(images, z3, s3, variance)
+            assert w == _naive_law_witness(images, z3, s3, variance)
+            witnesses.add(w)
+    assert None in witnesses and len(witnesses) > 3
+
+
+def test_law_witness_matches_a_naive_oracle_on_relabeled_groups():
+    rng = random.Random(11)
+    groups = group_corpus()
+    names = sorted(groups)
+    outcomes = []
+    for _ in range(300):
+        a = _relabeled(groups[rng.choice(names)], rng)
+        b = _relabeled(groups[rng.choice(names)], rng)
+        variance = rng.choice(VARIANCES)
+        kind = rng.choice(("lawful", "one-entry-off", "random"))
+        if kind == "random":
+            images = [rng.randrange(b.order) for _ in a.elements()]
+        else:
+            images = list(rng.choice(enumerate_morphisms(a, b, variance)).images)
+            if kind == "one-entry-off" and b.order > 1:
+                x = rng.randrange(a.order)
+                images[x] = (images[x] + rng.randrange(1, b.order)) % b.order
+        images = tuple(images)
+        w = law_witness(images, a, b, variance)
+        assert w == _naive_law_witness(images, a, b, variance), (a, b, variance, images)
+        outcomes.append(w)
+    # the maps reach lawful ones and failures past the first row
+    assert None in outcomes
+    assert any(w is not None and w[0] > 0 for w in outcomes)
+
+
+def test_factorization_classes_validates_each_distinct_composite_once(monkeypatch):
+    seen = []
+    real = morphisms.law_witness
+
+    def counting(images, *rest):
+        seen.append(tuple(images))
+        return real(images, *rest)
+
+    monkeypatch.setattr(morphisms, "law_witness", counting)
+    s3, d4 = symmetric3(), group_corpus()["d4"]
+    an_ss = enumerate_morphisms(s3, s3, ANTI)
+    an_sd = enumerate_morphisms(s3, d4, ANTI)
+    composites = [tuple(g.images[v] for v in f.images) for f in an_ss for g in an_sd]
+    classes = factorization_classes(s3, s3, d4)
+    assert sum(len(cl.pairs) for cl in classes) == len(composites)
+    # once each, in order of first appearance
+    assert seen == list(dict.fromkeys(composites))
+    assert len(seen) == len(classes) < len(composites)
+    # a second call validates again: nothing is kept between calls
+    factorization_classes(s3, s3, d4)
+    assert len(seen) == 2 * len(classes)
+
+
+def test_factorization_classes_raises_on_a_non_anti_map_in_an_anti_set(monkeypatch):
+    # Mutant enumerator: An(S3, S3) also lists the identity map, which is
+    # straight only, so some composites break the straight law.
+    s3 = symmetric3()
+    identity = Morphism(s3, s3, tuple(s3.elements()), ANTI)
+    real = morphisms.enumerate_morphisms
+
+    def mutant(a, b, variance, bound=morphisms.DEFAULT_BOUND):
+        out = real(a, b, variance, bound)
+        if variance == ANTI and a is s3 and b is s3:
+            out = tuple(sorted(out + (identity,), key=lambda m: m.images))
+        return out
+
+    monkeypatch.setattr(morphisms, "enumerate_morphisms", mutant)
+    expected = None
+    for f, g in itertools.product(mutant(s3, s3, ANTI), repeat=2):
+        try:
+            compose(g, f)
+        except LawViolation as exc:
+            expected = exc
+            break
+    assert expected is not None
+    with pytest.raises(LawViolation) as raised:
+        factorization_classes(s3, s3, s3)
+    assert str(raised.value) == str(expected)
+    assert raised.value.witness == expected.witness
 
 
 # -- property tests ------------------------------------------------------------
