@@ -6,12 +6,19 @@ Anti-morphisms of an abstract finite category are formal tagged copies: there
 is no set-map law for them to violate, which is exactly what makes the
 canonical factorial structure unique by construction. Concreteness lives in
 the group, ring, and semilinear modules.
+
+Every category numbers its cells once, when it is built: its objects, then its
+morphisms, and for a factorization category then its anti morphisms. A functor
+is the tuple of the target cells its source's objects and morphisms go to; a
+factorable functor appends the images of the anti morphisms, so its first
+cells are its underlying functor. Composition g∘f is `tuple(g[i] for i in f)`.
+Ids name cells in files, witnesses and report inputs only.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     AxiomViolation,
@@ -20,6 +27,7 @@ from .errors import (
     NotAssociative,
     NotComposable,
 )
+from .kernels import reader
 from .verdict import TheoremReport, check
 
 FUNCTOR_OBJECT_LIMIT = 3
@@ -50,10 +58,18 @@ class FiniteCategory:
     additive: dict | None = None   # (src, dst) -> AdditiveHom
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {m.mid: m for m in self.morphisms})
+        # cached derived tables; the dataclass fields stay as given
+        vars(self).update(_number(self.objects, self.morphisms, self.compose,
+                                  self.identities))
 
     def mor(self, mid: str) -> Mor:
-        return self._by_id[mid]
+        return self.morphisms[self._arrow_cell[mid] - len(self.objects)]
+
+    def cell(self, mid: str) -> int:
+        return self._arrow_cell[mid]
+
+    def obj_cell(self, obj: str) -> int:
+        return self._object_cell[obj]
 
     def hom(self, a: str, b: str) -> tuple:
         return tuple(m.mid for m in self.morphisms if m.src == a and m.dst == b)
@@ -76,6 +92,40 @@ class FiniteCategory:
     def __repr__(self) -> str:
         return f"FiniteCategory({self.name}, {len(self.objects)} objects, " \
                f"{len(self.morphisms)} morphisms)"
+
+
+def _number(objects, morphisms, compose, identities) -> dict:
+    """The cell attributes of a category: its objects, then `morphisms`,
+    numbered densely, with `compose` and the typing tabulated over the cells.
+    Runs before validation, so ids that do not resolve become -1 and missing
+    composites stay -1 in the table."""
+    n = len(objects)
+    object_cell = {o: i for i, o in enumerate(objects)}
+    arrow_cell = {m.mid: n + j for j, m in enumerate(morphisms)}
+    size = n + len(morphisms)
+    src = tuple(range(n)) + tuple(object_cell.get(m.src, -1) for m in morphisms)
+    dst = tuple(range(n)) + tuple(object_cell.get(m.dst, -1) for m in morphisms)
+    table = [-1] * (size * size)
+    for (g, f), h in compose.items():
+        if g in arrow_cell and f in arrow_cell:
+            table[arrow_cell[g] * size + arrow_cell[f]] = arrow_cell.get(h, -1)
+    homs = {}
+    for k in range(n, size):
+        homs.setdefault((src[k], dst[k]), []).append(k)
+    return {
+        "cells": tuple(objects) + tuple(m.mid for m in morphisms),
+        "_object_cell": object_cell,
+        "_arrow_cell": arrow_cell,
+        "_src": src,
+        "_dst": dst,
+        "_table": table,
+        "_homs": {key: tuple(ks) for key, ks in homs.items()},
+        "_ident": tuple(arrow_cell.get(identities.get(o), -1) for o in objects),
+        # composable (g, f, g∘f) cells, g outer, both in morphism order
+        "_triples": tuple((g, f, table[g * size + f])
+                          for g in range(n, size) for f in range(n, size)
+                          if dst[f] == src[g]),
+    }
 
 
 def build_category(name, objects, morphisms, identities, compose,
@@ -195,7 +245,21 @@ class FactorizationCategory:
     an_additive: dict | None = None   # (src, dst) -> AdditiveHom on anti sets
 
     def __post_init__(self):
-        object.__setattr__(self, "_an_by_id", {m.mid: m for m in self.an_morphisms})
+        # the cells of the associated category: the base's cells come first
+        cells = _number(self.objects, self.base.morphisms + self.an_morphisms,
+                        {**self.base.compose, **self.mixed}, self.base.identities)
+        start, size = len(self.base.cells), len(cells["cells"])
+        table, src = cells["_table"], cells["_src"]
+        rev = tuple(cells["_arrow_cell"].get(self.reverse.get(o), -1)
+                    for o in self.objects)
+        # each anti morphism's straight twin m∘rev, with its source object
+        twins = tuple((table[k * size + rev[src[k]]]
+                       if src[k] >= 0 and rev[src[k]] >= 0 else -1, src[k])
+                      for k in range(start, size))
+        vars(self).update(
+            cells, _rev=rev, _an_straight=twins,
+            _mixed_triples=tuple(t for t in cells["_triples"]
+                                 if t[0] >= start or t[1] >= start))
 
     @property
     def name(self) -> str:
@@ -206,12 +270,17 @@ class FactorizationCategory:
         return self.base.objects
 
     def is_anti(self, mid: str) -> bool:
-        return mid in self._an_by_id
+        return self._arrow_cell.get(mid, -1) >= len(self.base.cells)
+
+    def cell(self, mid: str) -> int:
+        return self._arrow_cell[mid]
+
+    def obj_cell(self, obj: str) -> int:
+        return self._object_cell[obj]
 
     def mor(self, mid: str) -> Mor:
-        if mid in self._an_by_id:
-            return self._an_by_id[mid]
-        return self.base.mor(mid)
+        k = self._arrow_cell[mid] - len(self.base.cells)
+        return self.an_morphisms[k] if k >= 0 else self.base.mor(mid)
 
     def an(self, a: str, b: str) -> tuple:
         return tuple(m.mid for m in self.an_morphisms if m.src == a and m.dst == b)
@@ -359,42 +428,6 @@ def fca(fc: FactorizationCategory) -> FiniteCategory:
     return fc.base
 
 
-def merge_generator(cat: FiniteCategory, twin: FiniteCategory,
-                    dictionary: dict) -> FactorizationCategory:
-    """Equip `cat` using an equivalent same-object category as the anti part.
-
-    `dictionary` maps each twin morphism id to the base morphism id it
-    corresponds to under the equivalence; mixed compositions are transported
-    through it. The canonical construction is the special case where the twin
-    is the starred copy.
-    """
-    if set(twin.objects) != set(cat.objects):
-        raise AxiomViolation("generator categories must share objects", 1)
-    inverse = {v: k for k, v in dictionary.items()}
-    if len(inverse) != len(dictionary):
-        raise AxiomViolation("generator dictionary must be a bijection", 1)
-    an_mors = tuple(Mor(m.mid, m.src, m.dst) for m in twin.morphisms)
-    reverse = {obj: twin.identities[obj] for obj in twin.objects}
-    mixed = {}
-    for g in twin.morphisms:
-        for f in twin.morphisms:
-            if f.dst == g.src:
-                mixed[(g.mid, f.mid)] = cat.compose[(dictionary[g.mid],
-                                                     dictionary[f.mid])]
-    for g in twin.morphisms:
-        for f in cat.morphisms:
-            if f.dst == g.src:
-                mixed[(g.mid, f.mid)] = inverse[cat.compose[(dictionary[g.mid],
-                                                             f.mid)]]
-    for g in cat.morphisms:
-        for f in twin.morphisms:
-            if f.dst == g.src:
-                mixed[(g.mid, f.mid)] = inverse[cat.compose[(g.mid,
-                                                             dictionary[f.mid])]]
-    fc = FactorizationCategory(cat, an_mors, reverse, mixed)
-    return validate_factorization(fc)
-
-
 # -- derived categories ---------------------------------------------------------------
 
 
@@ -423,189 +456,175 @@ def associated_category(fc: FactorizationCategory) -> FiniteCategory:
 # -- functors --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctorData:
-    obj_map: dict
-    mor_map: dict
-    name: str = field(default="", compare=False)
-
-    def key(self):
-        return (tuple(sorted(self.obj_map.items())),
-                tuple(sorted(self.mor_map.items())))
-
-
-@dataclass(frozen=True)
-class FactorableFunctorData:
-    obj_map: dict
-    mor_map: dict
-    an_map: dict
-    name: str = field(default="", compare=False)
-
-    def underlying(self) -> FunctorData:
-        return FunctorData(self.obj_map, self.mor_map)
-
-
-def functor_witness(f: FunctorData, c: FiniteCategory, d: FiniteCategory):
-    """None when f is a functor; otherwise the first broken condition."""
-    for obj in c.objects:
-        if f.obj_map.get(obj) not in d.objects:
-            return ("object", obj)
-    for m in c.morphisms:
-        img = f.mor_map.get(m.mid)
-        if img is None:
-            return ("missing", m.mid)
-        im = d.mor(img)
-        if (im.src, im.dst) != (f.obj_map[m.src], f.obj_map[m.dst]):
-            return ("typing", m.mid)
-    for obj in c.objects:
-        if f.mor_map[c.identities[obj]] != d.identities[f.obj_map[obj]]:
-            return ("identity", obj)
-    for g in c.morphisms:
-        for m in c.morphisms:
-            if m.dst != g.src:
-                continue
-            lhs = f.mor_map[c.compose[(g.mid, m.mid)]]
-            rhs = d.compose[(f.mor_map[g.mid], f.mor_map[m.mid])]
-            if lhs != rhs:
-                return ("composition", (g.mid, m.mid))
+def functor_witness(f: tuple, c: FiniteCategory, d: FiniteCategory):
+    """None when the index tuple f is a functor c -> d; otherwise the first
+    broken condition, named by c's ids."""
+    n, size = len(c.objects), len(c.cells)
+    if len(f) != size:
+        return ("arity", len(f))
+    dn, dsize = len(d.objects), len(d.cells)
+    for i in range(n):
+        if not 0 <= f[i] < dn:
+            return ("object", c.cells[i])
+    c_src, c_dst, d_src, d_dst = c._src, c._dst, d._src, d._dst
+    for k in range(n, size):
+        img = f[k]
+        if not dn <= img < dsize:
+            return ("morphism", c.cells[k])
+        if d_src[img] != f[c_src[k]] or d_dst[img] != f[c_dst[k]]:
+            return ("typing", c.cells[k])
+    for i in range(n):
+        if f[c._ident[i]] != d._ident[f[i]]:
+            return ("identity", c.cells[i])
+    table = d._table
+    for g, m, h in c._triples:
+        if f[h] != table[f[g] * dsize + f[m]]:
+            return ("composition", (c.cells[g], c.cells[m]))
     return None
 
 
-def functor_is_additive(f: FunctorData, c: FiniteCategory, d: FiniteCategory) -> bool:
+def functor_is_additive(f: tuple, c: FiniteCategory, d: FiniteCategory) -> bool:
     if c.additive is None or d.additive is None:
         return False
+
+    def image(mid):
+        return d.cells[f[c.cell(mid)]]
+
     for (a, b), data in c.additive.items():
-        target = d.additive.get((f.obj_map[a], f.obj_map[b]))
+        target = d.additive.get((d.cells[f[c.obj_cell(a)]],
+                                 d.cells[f[c.obj_cell(b)]]))
         if target is None:
             return False
         for (m1, m2), s in data.table.items():
-            if f.mor_map[s] != target.table[(f.mor_map[m1], f.mor_map[m2])]:
+            if image(s) != target.table[(image(m1), image(m2))]:
                 return False
     return True
 
 
-def identity_functor(c: FiniteCategory) -> FunctorData:
-    return FunctorData({o: o for o in c.objects},
-                       {m.mid: m.mid for m in c.morphisms}, name="id")
-
-
-def compose_functors(g: FunctorData, f: FunctorData) -> FunctorData:
-    return FunctorData({o: g.obj_map[v] for o, v in f.obj_map.items()},
-                       {m: g.mor_map[v] for m, v in f.mor_map.items()})
+def identity_functor(c: FiniteCategory) -> tuple:
+    return tuple(range(len(c.cells)))
 
 
 def enumerate_functors(c: FiniteCategory, d: FiniteCategory,
-                       additive: bool = False):
-    """All functors c -> d (additive ones only, when asked), canonically sorted."""
+                       additive: bool = False) -> list:
+    """All functors c -> d (additive ones only, when asked), in lexicographic
+    order of their index tuples."""
     if len(c.objects) > FUNCTOR_OBJECT_LIMIT or len(c.morphisms) > FUNCTOR_MORPHISM_LIMIT:
         raise BoundExceeded("functor enumeration refuses categories this large")
     if len(d.objects) > FUNCTOR_OBJECT_LIMIT or len(d.morphisms) > FUNCTOR_MORPHISM_LIMIT:
         raise BoundExceeded("functor enumeration refuses categories this large")
-    non_identity = [m for m in c.morphisms
-                    if m.mid not in set(c.identities.values())]
+    n, size = len(c.objects), len(c.cells)
+    # the identities follow from the object images; every other morphism
+    # ranges over the hom set its typing allows
+    identities = set(c._ident)
+    free = [k for k in range(n, size) if k not in identities]
     out = []
-    for obj_images in itertools.product(d.objects, repeat=len(c.objects)):
-        obj_map = dict(zip(c.objects, obj_images))
-        slots = []
-        feasible = True
-        for m in non_identity:
-            options = d.hom(obj_map[m.src], obj_map[m.dst])
-            if not options:
-                feasible = False
-                break
-            slots.append(options)
-        if not feasible:
+    for obj_images in itertools.product(range(len(d.objects)), repeat=n):
+        slots = [d._homs.get((obj_images[c._src[k]], obj_images[c._dst[k]]), ())
+                 for k in free]
+        if not all(slots):
             continue
         total = 1
-        for s in slots:
-            total *= len(s)
+        for options in slots:
+            total *= len(options)
         if total > FUNCTOR_CANDIDATE_LIMIT:
             raise BoundExceeded("functor candidate space too large")
+        cand = list(obj_images) + [0] * (size - n)
+        for i, o in enumerate(obj_images):
+            cand[c._ident[i]] = d._ident[o]
         for images in itertools.product(*slots):
-            mor_map = {c.identities[o]: d.identities[obj_map[o]]
-                       for o in c.objects}
-            mor_map.update({m.mid: img for m, img in zip(non_identity, images)})
-            cand = FunctorData(obj_map, mor_map)
-            if functor_witness(cand, c, d) is not None:
+            for k, img in zip(free, images):
+                cand[k] = img
+            f = tuple(cand)
+            if functor_witness(f, c, d) is not None:
                 continue
-            if additive and not functor_is_additive(cand, c, d):
+            if additive and not functor_is_additive(f, c, d):
                 continue
-            out.append(cand)
-    return sorted(out, key=lambda f: f.key())
-
-
-def induced_an_map(f: FunctorData, fc_src: FactorizationCategory,
-                   fc_dst: FactorizationCategory) -> dict:
-    """The anti-morphism maps induced through the straight correspondence."""
-    out = {}
-    for m in fc_src.an_morphisms:
-        straight = fc_src.compose_ids(m.mid, fc_src.reverse[m.src])
-        image = f.mor_map[straight]
-        out[m.mid] = fc_dst.compose_ids(image, fc_dst.reverse[f.obj_map[m.src]])
+            out.append(f)
     return out
 
 
-def factorable_witness(ff: FactorableFunctorData, fc_src: FactorizationCategory,
+def induced_an_map(f: tuple, fc_src: FactorizationCategory,
+                   fc_dst: FactorizationCategory) -> tuple:
+    """The images of fc_src's anti morphisms induced through the straight
+    correspondence: m goes to f(m∘rev)∘rev."""
+    table, size, rev = fc_dst._table, len(fc_dst.cells), fc_dst._rev
+    return tuple(table[f[twin] * size + rev[f[obj]]]
+                 for twin, obj in fc_src._an_straight)
+
+
+def factorable_witness(ff: tuple, fc_src: FactorizationCategory,
                        fc_dst: FactorizationCategory):
-    """None when ff preserves every mixed composition; a witness pair otherwise."""
-    base_w = functor_witness(ff.underlying(), fc_src.base, fc_dst.base)
+    """None when ff is a factorable functor: a functor on the underlying
+    categories whose anti images are typed anti morphisms, which sends each
+    reverse morphism to the reverse morphism of the image object, and which
+    preserves every mixed composition. Otherwise the first broken condition.
+
+    Without the reverse condition lifts would not be unique: arrow -> monoid
+    has factorable maps that send rev_a to s* and still preserve every mixed
+    composite.
+    """
+    width, size = len(fc_src.base.cells), len(fc_src.cells)
+    if len(ff) != size:
+        return ("arity", len(ff))
+    base_w = functor_witness(ff[:width], fc_src.base, fc_dst.base)
     if base_w is not None:
         return ("underlying", base_w)
-    total_map = dict(ff.mor_map)
-    total_map.update(ff.an_map)
-    for m in fc_src.an_morphisms:
-        img = ff.an_map.get(m.mid)
-        if img is None or not fc_dst.is_anti(img):
-            return ("an-typing", m.mid)
-        im = fc_dst.mor(img)
-        if (im.src, im.dst) != (ff.obj_map[m.src], ff.obj_map[m.dst]):
-            return ("an-typing", m.mid)
-    for g in fc_src.all_morphisms():
-        for f in fc_src.all_morphisms():
-            if f.dst != g.src:
-                continue
-            if not (fc_src.is_anti(g.mid) or fc_src.is_anti(f.mid)):
-                continue
-            lhs = total_map[fc_src.compose_ids(g.mid, f.mid)]
-            rhs = fc_dst.compose_ids(total_map[g.mid], total_map[f.mid])
-            if lhs != rhs:
-                return ("mixed-composition", (g.mid, f.mid))
+    start, dsize = len(fc_dst.base.cells), len(fc_dst.cells)
+    src, dst, d_src, d_dst = fc_src._src, fc_src._dst, fc_dst._src, fc_dst._dst
+    for k in range(width, size):
+        img = ff[k]
+        if not start <= img < dsize or d_src[img] != ff[src[k]] \
+                or d_dst[img] != ff[dst[k]]:
+            return ("an-typing", fc_src.cells[k])
+    src_rev, dst_rev = fc_src._rev, fc_dst._rev
+    for i in range(len(fc_src.objects)):
+        if ff[src_rev[i]] != dst_rev[ff[i]]:
+            return ("reverse", fc_src.cells[i])
+    table = fc_dst._table
+    for g, m, h in fc_src._mixed_triples:
+        if ff[h] != table[ff[g] * dsize + ff[m]]:
+            return ("mixed-composition", (fc_src.cells[g], fc_src.cells[m]))
     return None
 
 
-def make_factorable(f: FunctorData, fc_src: FactorizationCategory,
-                    fc_dst: FactorizationCategory) -> FactorableFunctorData | None:
-    """Lift a functor of the underlying categories, when the lift is lawful."""
-    ff = FactorableFunctorData(f.obj_map, f.mor_map,
-                               induced_an_map(f, fc_src, fc_dst), name=f.name)
+def lift_functor(f: tuple, fc_src: FactorizationCategory,
+                 fc_dst: FactorizationCategory):
+    """f followed by its induced anti images, when that is a factorable
+    functor; None otherwise."""
+    ff = f + induced_an_map(f, fc_src, fc_dst)
     return ff if factorable_witness(ff, fc_src, fc_dst) is None else None
 
 
 def enumerate_factorable_functors(fc_src: FactorizationCategory,
                                   fc_dst: FactorizationCategory,
-                                  additive: bool = False):
+                                  additive: bool = False) -> list:
+    """The lifts of the functors between the underlying categories, in their
+    order; a functor without a lawful lift contributes nothing."""
     out = []
     for f in enumerate_functors(fc_src.base, fc_dst.base, additive=additive):
-        ff = make_factorable(f, fc_src, fc_dst)
+        ff = lift_functor(f, fc_src, fc_dst)
         if ff is not None:
             out.append(ff)
     return out
 
 
-def check_factorable(ff: FactorableFunctorData, fc_src, fc_dst) -> TheoremReport:
-    """Verify the declared anti-maps are the induced ones and preserve all
+def check_factorable(ff: tuple, fc_src: FactorizationCategory,
+                     fc_dst: FactorizationCategory, name: str) -> TheoremReport:
+    """Verify the declared anti images are the induced ones and preserve all
     mixed compositions."""
-    induced = induced_an_map(ff.underlying(), fc_src, fc_dst)
+    width = len(fc_src.base.cells)
+    induced = induced_an_map(ff, fc_src, fc_dst)
+    wrong = {fc_src.cells[width + i]: (fc_dst.cells[v], fc_dst.cells[u])
+             for i, (v, u) in enumerate(zip(ff[width:], induced)) if v != u}
     w = factorable_witness(ff, fc_src, fc_dst)
     checks = (
-        check("an-maps-are-induced", ff.an_map == induced,
-              witness={k: (v, induced.get(k)) for k, v in ff.an_map.items()
-                       if induced.get(k) != v}),
+        check("an-maps-are-induced", not wrong, witness=wrong),
         check("mixed-compositions-preserved", w is None, witness=w),
     )
     return TheoremReport(
         theorem="factorable-functor",
-        inputs=(("functor", ff.name or "anon"), ("source", fc_src.name),
+        inputs=(("functor", name), ("source", fc_src.name),
                 ("target", fc_dst.name)),
         checks=checks,
     )
@@ -614,49 +633,42 @@ def check_factorable(ff: FactorableFunctorData, fc_src, fc_dst) -> TheoremReport
 # -- equivalences ------------------------------------------------------------------------
 
 
-def check_equivalence(f: FunctorData, c: FiniteCategory,
+def check_equivalence(f: tuple, c: FiniteCategory,
                       d: FiniteCategory) -> TheoremReport:
-    """Fully faithful and essentially surjective, exhaustively."""
+    """Fully faithful and essentially surjective, exhaustively; each failing
+    check names its first counterexample."""
+    n = len(c.objects)
     w = functor_witness(f, c, d)
-    checks = [check("is-functor", w is None, witness=w)]
-    ff_ok, ff_w = True, None
-    for a in c.objects:
-        for b in c.objects:
-            src_homs = c.hom(a, b)
-            images = [f.mor_map[m] for m in src_homs]
-            target = d.hom(f.obj_map[a], f.obj_map[b])
-            if len(set(images)) != len(src_homs) or set(images) != set(target):
-                ff_ok, ff_w = False, (a, b)
-    checks.append(check("fully-faithful", ff_ok, witness=ff_w))
-    es_ok, es_w = True, None
-    image_objects = set(f.obj_map.values())
-    for obj in d.objects:
-        if not any(_isomorphic_objects(d, obj, t) for t in image_objects):
-            es_ok, es_w = False, obj
-    checks.append(check("essentially-surjective", es_ok, witness=es_w))
+
+    def unfaithful_pairs():
+        for a in range(n):
+            for b in range(n):
+                images = [f[m] for m in c._homs.get((a, b), ())]
+                target = d._homs.get((f[a], f[b]), ())
+                if len(set(images)) != len(images) or set(images) != set(target):
+                    yield (c.cells[a], c.cells[b])
+
+    ff_w = next(unfaithful_pairs(), None)
+    image_objects = {d.cells[o] for o in f[:n] if 0 <= o < len(d.objects)}
+    es_w = next((t for t in d.objects
+                 if not any(_is_iso(d, m) for s in image_objects
+                            for m in d.hom(t, s))), None)
     return TheoremReport(
         theorem="equivalence",
-        inputs=(("functor", f.name or "anon"), ("source", c.name),
-                ("target", d.name)),
-        checks=tuple(checks),
+        inputs=(("source", c.name), ("target", d.name)),
+        checks=(check("is-functor", w is None, witness=w),
+                check("fully-faithful", ff_w is None, witness=ff_w),
+                check("essentially-surjective", es_w is None, witness=es_w)),
     )
 
 
-def _isomorphic_objects(cat: FiniteCategory, a: str, b: str) -> bool:
-    for fid in cat.hom(a, b):
-        for gid in cat.hom(b, a):
-            if cat.compose[(gid, fid)] == cat.identities[a] and \
-                    cat.compose[(fid, gid)] == cat.identities[b]:
-                return True
-    return False
-
-
-def anti_functor(fc: FactorizationCategory) -> FunctorData:
-    """base -> anti-category; objects fixed, f goes to its starred twin."""
-    return FunctorData({o: o for o in fc.objects},
-                       {m.mid: fc.compose_ids(m.mid, fc.reverse[m.src])
-                        for m in fc.base.morphisms},
-                       name="to-anti")
+def anti_functor(fc: FactorizationCategory) -> tuple:
+    """base -> anti-category; objects fixed, f goes to its starred twin f∘rev.
+    The anti category numbers the anti morphisms right after the objects."""
+    n, nb = len(fc.objects), len(fc.base.morphisms)
+    table, size, rev = fc._table, len(fc.cells), fc._rev
+    return tuple(range(n)) + tuple(table[k * size + rev[fc._src[k]]] - nb
+                                   for k in range(n, n + nb))
 
 
 # -- products and anti-products ------------------------------------------------------------
@@ -685,25 +697,24 @@ def _is_product(cat, apex, proj, family) -> bool:
 
 def check_anti_universal(fc: FactorizationCategory, apex, proj,
                          family) -> TheoremReport:
-    """Both one-sided universal properties of a product against anti-cones."""
-    prop1_ok, w1 = True, None
-    prop2_ok, w2 = True, None
+    """Both one-sided universal properties of a product against anti-cones;
+    a failing property names its first anti-cone without a unique mediator."""
     anti_proj = tuple(fc.compose_ids(p, fc.reverse[apex]) for p in proj)
-    for y in fc.objects:
-        for cone in itertools.product(*(fc.an(y, x) for x in family)):
-            mediators = [f for f in fc.an(y, apex)
-                         if all(fc.compose_ids(p, f) == c
-                                for p, c in zip(proj, cone))]
-            if len(mediators) != 1:
-                prop1_ok, w1 = False, (y, cone, tuple(mediators))
-            straight_mediators = [f for f in fc.hom(y, apex)
+
+    def cones_without_unique_mediator(mediators_from, projections):
+        for y in fc.objects:
+            for cone in itertools.product(*(fc.an(y, x) for x in family)):
+                mediators = tuple(f for f in mediators_from(y, apex)
                                   if all(fc.compose_ids(p, f) == c
-                                         for p, c in zip(anti_proj, cone))]
-            if len(straight_mediators) != 1:
-                prop2_ok, w2 = False, (y, cone, tuple(straight_mediators))
+                                         for p, c in zip(projections, cone)))
+                if len(mediators) != 1:
+                    yield (y, cone, mediators)
+
+    w1 = next(cones_without_unique_mediator(fc.an, proj), None)
+    w2 = next(cones_without_unique_mediator(fc.hom, anti_proj), None)
     checks = (
-        check("unique-anti-mediator-through-projections", prop1_ok, witness=w1),
-        check("unique-straight-mediator-through-anti-projections", prop2_ok,
+        check("unique-anti-mediator-through-projections", w1 is None, witness=w1),
+        check("unique-straight-mediator-through-anti-projections", w2 is None,
               witness=w2),
     )
     return TheoremReport(
@@ -756,42 +767,44 @@ def _is_anti_iso(fc: FactorizationCategory, fid: str) -> bool:
                for gid in fc.an(m.dst, m.src))
 
 
-def check_antiproduct_preservation(ff: FactorableFunctorData,
-                                   fc_src: FactorizationCategory,
-                                   fc_dst: FactorizationCategory,
-                                   family) -> TheoremReport:
-    """Images of anti-product presentations satisfy the anti-universal property."""
+def check_antiproduct_preservation(ff: tuple, fc_src: FactorizationCategory,
+                                   fc_dst: FactorizationCategory, family,
+                                   name: str) -> TheoremReport:
+    """Images of anti-product presentations satisfy the anti-universal
+    property; a failing presentation names its first anti-cone without a
+    unique mediator."""
+    def image(cell):
+        return fc_dst.cells[ff[cell]]
+
     checks = []
     for apex, proj in find_products(fc_src.base, family):
-        image_family = tuple(ff.obj_map[x] for x in family)
-        image_apex = ff.obj_map[apex]
-        anti_proj = tuple(fc_src.compose_ids(p, fc_src.reverse[apex]) for p in proj)
-        image_anti_proj = tuple(ff.an_map[p] for p in anti_proj)
-        ok, w = True, None
-        for y in fc_dst.objects:
-            for cone in itertools.product(*(fc_dst.an(y, x) for x in image_family)):
-                mediators = [f for f in fc_dst.hom(y, image_apex)
-                             if all(fc_dst.compose_ids(image_anti_proj[i], f) == cone[i]
-                                    for i in range(len(image_family)))]
-                if len(mediators) != 1:
-                    ok, w = False, (apex, y, cone)
-        checks.append(check(f"image-anti-product-{apex}", ok, witness=w))
+        image_family = tuple(image(fc_src.obj_cell(x)) for x in family)
+        image_apex = image(fc_src.obj_cell(apex))
+        image_anti_proj = tuple(
+            image(fc_src.cell(fc_src.compose_ids(p, fc_src.reverse[apex])))
+            for p in proj)
+
+        def counterexamples():
+            for y in fc_dst.objects:
+                for cone in itertools.product(*(fc_dst.an(y, x)
+                                                for x in image_family)):
+                    mediators = tuple(
+                        f for f in fc_dst.hom(y, image_apex)
+                        if all(fc_dst.compose_ids(p, f) == c
+                               for p, c in zip(image_anti_proj, cone)))
+                    if len(mediators) != 1:
+                        yield (apex, y, cone, mediators)
+
+        w = next(counterexamples(), None)
+        checks.append(check(f"image-anti-product-{apex}", w is None, witness=w))
     return TheoremReport(
         theorem="anti-product-preservation",
-        inputs=(("functor", ff.name or "anon"), ("family", ",".join(family))),
+        inputs=(("functor", name), ("family", ",".join(family))),
         checks=tuple(checks),
     )
 
 
 # -- the equip/forget adjunctions --------------------------------------------------------
-
-
-def compose_factorable(g: FactorableFunctorData,
-                       f: FactorableFunctorData) -> FactorableFunctorData:
-    return FactorableFunctorData(
-        {o: g.obj_map[v] for o, v in f.obj_map.items()},
-        {m: g.mor_map[v] for m, v in f.mor_map.items()},
-        {m: g.an_map[v] for m, v in f.an_map.items()})
 
 
 def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
@@ -804,30 +817,25 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
     composable triple drawn from the corpus functor sets (and its mirror for
     the forgetful direction).
 
-    Within the call each category's objects, morphisms and anti morphisms
-    are numbered in that order, so a functor is the tuple of the indices its
-    objects and morphisms go to, a factorable functor is that tuple followed
-    by the images of the anti morphisms, and g∘f is `tuple(g[i] for i in f)`.
-    Each lift is computed once, by `enumerate_factorable_functors`, and looked
-    up by its underlying tuple afterwards.
+    Each functor's lift comes from `lift_functor` once and is kept under the
+    functor it was made from (None when it has none), so a lift whose plain
+    cells are not its functor breaks the forget square; the other side of
+    each bijection is `enumerate_factorable_functors`. A failing naturality
+    check names its first counterexample: the categories, then each functor
+    as (id, image id) pairs.
     """
     equipped = {name: caf(c) for name, c in cats.items()}
-    index = {name: _cell_index(fc) for name, fc in equipped.items()}
-    # length of a plain functor's tuple, by source category
-    width = {name: len(c.objects) + len(c.morphisms) for name, c in cats.items()}
+    width = {name: len(c.cells) for name, c in cats.items()}
     checks = []
     functor_sets = {}
     factorable_sets = {}
     lifts = {}
     for (n1, c1), (n2, c2) in itertools.product(cats.items(), repeat=2):
-        src, dst = equipped[n1], equipped[n2]
-        functor_sets[(n1, n2)] = [
-            _functor_cells(f, src, index[n2])
-            for f in enumerate_functors(c1, c2, additive=additive)]
-        factorable_sets[(n1, n2)] = [
-            _functor_cells(ff, src, index[n2])
-            for ff in enumerate_factorable_functors(src, dst, additive=additive)]
-        lifts[(n1, n2)] = {ff[:width[n1]]: ff for ff in factorable_sets[(n1, n2)]}
+        functor_sets[(n1, n2)] = enumerate_functors(c1, c2, additive=additive)
+        factorable_sets[(n1, n2)] = enumerate_factorable_functors(
+            equipped[n1], equipped[n2], additive=additive)
+        lifts[(n1, n2)] = {f: lift_functor(f, equipped[n1], equipped[n2])
+                           for f in functor_sets[(n1, n2)]}
     # round trips are table-identities
     for name, c in cats.items():
         checks.append(check(f"forget-equip-identity-{name}",
@@ -836,85 +844,83 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
                             caf(fca(equipped[name])).same_tables(equipped[name])))
     # bijections: every functor lifts to exactly one factorable functor
     for key in sorted(functor_sets):
-        plain = set(functor_sets[key])
-        lifted = {ff[:width[key[0]]] for ff in factorable_sets[key]}
+        underlying = {ff[:width[key[0]]] for ff in factorable_sets[key]}
         checks.append(check(f"bijection-{key[0]}-to-{key[1]}",
-                            plain == lifted
+                            underlying == set(functor_sets[key])
                             and len(factorable_sets[key]) == len(functor_sets[key]),
                             witness=(len(functor_sets[key]),
                                      len(factorable_sets[key]))))
-    # naturality: equipping commutes with composition against corpus triples;
-    # g∘f and its lift depend on (nb, na, na2) only, so they are built once
+
+    # witnesses write a functor, or a lift, as its (id, image id) pairs
+    def plain(f, n1, n2):
+        return tuple(zip(cats[n1].cells, (cats[n2].cells[v] for v in f)))
+
+    def lifted(ff, n1, n2):
+        return tuple(zip(equipped[n1].cells, (equipped[n2].cells[v] for v in ff)))
+
+    def unliftable(f, n1, n2):
+        return ("unliftable", n1, n2, plain(f, n1, n2))
+
+    # g∘f and its lift depend on (nb, na, na2) only, so they are built once;
+    # the lift is None when f or g has none
     names = sorted(cats)
     composites = {}
     for nb, na, na2 in itertools.product(names, repeat=3):
-        pairs, missing = [], None
         f_lifts, g_lifts = lifts[(nb, na)], lifts[(na, na2)]
+        pairs = []
         for f in functor_sets[(nb, na)]:
-            f_lift = f_lifts.get(f)
-            if f_lift is None:
-                missing = ("unliftable", nb, na)
-                continue
+            f_lift, through_f = f_lifts[f], reader(f)
             for g in functor_sets[(na, na2)]:
-                g_lift = g_lifts.get(g)
-                if g_lift is None:
-                    missing = ("unliftable", na, na2)
-                    continue
-                pairs.append((tuple(g[i] for i in f),
-                              tuple(g_lift[i] for i in f_lift)))
-        composites[(nb, na, na2)] = pairs, missing
-    equip_ok, equip_w = True, None
-    forget_ok, forget_w = True, None
-    for nb2, nb, na, na2 in itertools.product(names, repeat=4):
-        outer_lifts = lifts[(nb2, na2)]
-        pairs, missing = composites[(nb, na, na2)]
-        for h in factorable_sets[(nb2, nb)]:
-            if missing is not None:
-                equip_ok, equip_w = False, missing
-            h_plain = h[:width[nb2]]
-            for gf, gf_lift in pairs:
-                lhs = outer_lifts.get(tuple(gf[i] for i in h_plain))
-                if lhs != tuple(gf_lift[i] for i in h):
-                    equip_ok, equip_w = False, (nb2, nb, na, na2)
-        h_lifts = lifts[(nb2, nb)]
-        for f in factorable_sets[(nb, na)]:
-            for g in factorable_sets[(na, na2)]:
-                gf = tuple(g[i] for i in f)
-                for h in functor_sets[(nb2, nb)]:
-                    h_lift = h_lifts.get(h)
-                    if h_lift is None:
-                        forget_ok, forget_w = False, ("unliftable", nb2, nb)
-                        continue
-                    lhs = tuple(gf[i] for i in h_lift)[:width[nb2]]
-                    rhs = tuple(g[i] for i in tuple(f[i] for i in h))
-                    if lhs != rhs:
-                        forget_ok, forget_w = False, (nb2, nb, na, na2)
-    checks.append(check("naturality-equip-direction", equip_ok, witness=equip_w))
-    checks.append(check("naturality-forget-direction", forget_ok, witness=forget_w))
+                g_lift = g_lifts[g]
+                pairs.append((f, g, through_f(g),
+                              None if f_lift is None or g_lift is None
+                              else reader(f_lift)(g_lift)))
+        composites[(nb, na, na2)] = pairs
+
+    def equip_counterexamples():
+        for nb2, nb, na, na2 in itertools.product(names, repeat=4):
+            outer_lifts = lifts[(nb2, na2)]
+            pairs = composites[(nb, na, na2)]
+            for h in factorable_sets[(nb2, nb)]:
+                through_h, through_h_plain = reader(h), reader(h[:width[nb2]])
+                for f, g, gf, gf_lift in pairs:
+                    if gf_lift is None:
+                        yield unliftable(f, nb, na) if lifts[(nb, na)][f] is None \
+                            else unliftable(g, na, na2)
+                    elif outer_lifts.get(through_h_plain(gf)) != through_h(gf_lift):
+                        yield (nb2, nb, na, na2, lifted(h, nb2, nb),
+                               plain(f, nb, na), plain(g, na, na2))
+
+    def forget_counterexamples():
+        for nb2, nb, na, na2 in itertools.product(names, repeat=4):
+            # forget(g∘f∘equip(h)) against forget(g∘f)∘h, read off the
+            # plain cells of equip(h)
+            hs = []
+            for h in functor_sets[(nb2, nb)]:
+                h_lift = lifts[(nb2, nb)][h]
+                hs.append((h, reader(h), None if h_lift is None
+                           else reader(h_lift[:width[nb2]])))
+            for f in factorable_sets[(nb, na)]:
+                for g in factorable_sets[(na, na2)]:
+                    gf = reader(f)(g)
+                    for h, through_h, through_h_lift in hs:
+                        if through_h_lift is None:
+                            yield unliftable(h, nb2, nb)
+                        elif through_h_lift(gf) != through_h(gf):
+                            yield (nb2, nb, na, na2, plain(h, nb2, nb),
+                                   lifted(f, nb, na), lifted(g, na, na2))
+
+    equip_w = next(equip_counterexamples(), None)
+    forget_w = next(forget_counterexamples(), None)
+    checks.append(check("naturality-equip-direction", equip_w is None,
+                        witness=equip_w))
+    checks.append(check("naturality-forget-direction", forget_w is None,
+                        witness=forget_w))
     return TheoremReport(
         theorem="equip-forget-adjunctions" + ("-additive" if additive else ""),
         inputs=(("corpus", "+".join(sorted(cats))),),
         checks=tuple(checks),
     )
-
-
-def _cell_index(fc: FactorizationCategory) -> tuple:
-    """Dense indices of objects, then morphisms, then anti morphisms."""
-    objects = {o: i for i, o in enumerate(fc.objects)}
-    mors = fc.base.morphisms + fc.an_morphisms
-    arrows = {m.mid: len(objects) + i for i, m in enumerate(mors)}
-    return objects, arrows
-
-
-def _functor_cells(f, fc_src: FactorizationCategory, target: tuple) -> tuple:
-    """A functor, or with its anti map a factorable functor, as the tuple of
-    target indices of the source's objects, morphisms and anti morphisms."""
-    objects, arrows = target
-    cells = [objects[f.obj_map[o]] for o in fc_src.objects]
-    cells += [arrows[f.mor_map[m.mid]] for m in fc_src.base.morphisms]
-    if isinstance(f, FactorableFunctorData):
-        cells += [arrows[f.an_map[m.mid]] for m in fc_src.an_morphisms]
-    return tuple(cells)
 
 
 # -- bundled categories ----------------------------------------------------------------

@@ -140,17 +140,6 @@ def parse_ring(text: str) -> FiniteRing:
     return validate_ring(sections["add"], sections["mul"], involution, name)
 
 
-def emit_ring(r: FiniteRing) -> str:
-    out = [f"ring {r.name or 'anon'} order {r.order}", "add:"]
-    out.extend(" ".join(str(v) for v in row) for row in r.add)
-    out.append("mul:")
-    out.extend(" ".join(str(v) for v in row) for row in r.mul)
-    if r.involution is not None:
-        out.append("involution:")
-        out.append(" ".join(str(v) for v in r.involution))
-    return "\n".join(out) + "\n"
-
-
 # -- maps --------------------------------------------------------------------
 
 
@@ -361,10 +350,3 @@ def parse_semilinear(text: str) -> SemilinearMap:
     if len(entries) != rows:
         raise ParseError(f"expected {rows} rows, found {len(entries)}")
     return matrix(field, entries, parts[9], parts[1])
-
-
-def emit_semilinear(m: SemilinearMap) -> str:
-    head = (f"semilinear {m.name or 'anon'} over F4 rows {m.rows} "
-            f"cols {m.cols} twist {m.twist}")
-    body = [" ".join(m.field.name_of(v) for v in row) for row in m.entries]
-    return "\n".join([head] + body) + "\n"

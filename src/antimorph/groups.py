@@ -141,19 +141,6 @@ def validate_group(table, name: str = "") -> FiniteGroup:
     return FiniteGroup(n, cayley, identity, tuple(inverses), name)
 
 
-def is_abelian(g: FiniteGroup) -> bool:
-    return g.abelian
-
-
-def commuting_witness(g: FiniteGroup):
-    """A pair (a, b) with a*b != b*a, or None when abelian."""
-    for a in g.elements():
-        for b in g.elements():
-            if g.mul(a, b) != g.mul(b, a):
-                return (a, b)
-    return None
-
-
 def subgroup_closure(g: FiniteGroup, gens) -> Subgroup:
     """Smallest subgroup containing gens (identity always included)."""
     members = {g.identity}

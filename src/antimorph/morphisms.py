@@ -17,7 +17,6 @@ from .groups import (
     Subgroup,
     generating_set,
     normality_witness,
-    quotient,
     validate_group,
 )
 from .maps import ANTI, STRAIGHT, Morphism, variance_xor
@@ -149,7 +148,7 @@ def corresponding_hom(fstar: Morphism) -> Morphism:
     return compose(fstar, reverse_morphism(fstar.source))
 
 
-# -- kernels, images, cokernels ------------------------------------------------
+# -- kernels and images ------------------------------------------------------
 
 
 def kernel(m: Morphism):
@@ -169,33 +168,6 @@ def image(m: Morphism):
     if is_group(m.target):
         return Subgroup(m.target, members)
     return members
-
-
-@dataclass(frozen=True)
-class CokernelResult:
-    defined: bool
-    quotient: object = None
-    projection: Morphism | None = None
-    witness: object = None
-
-
-def cokernel(m: Morphism) -> CokernelResult:
-    """target/image when that quotient exists; otherwise undefined with a witness."""
-    if is_group(m.target):
-        im = image(m)
-        w = normality_witness(m.target, im)
-        if w is not None:
-            return CokernelResult(False, witness=w)
-        q, proj = quotient(m.target, im)
-        return CokernelResult(True, q, proj)
-    from .rings import ideal_witness, quotient_ring
-
-    members = image(m)
-    w = ideal_witness(m.target, members, TWO_SIDED)
-    if w is not None:
-        return CokernelResult(False, witness=w)
-    q, proj = quotient_ring(m.target, RingIdeal(m.target, members, TWO_SIDED))
-    return CokernelResult(True, q, proj)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -357,12 +329,6 @@ class FactorClass:
     pairs: tuple = field(default_factory=tuple)  # ((f: A->B, g: B->C), ...)
 
 
-def factorization_classes(a, b, c, bound: int = DEFAULT_BOUND):
-    """Partition all composable anti-pairs through b by their straight composite."""
-    return factor_pairs(a, b, c, enumerate_morphisms(a, b, ANTI, bound),
-                        enumerate_morphisms(b, c, ANTI, bound))
-
-
 def factor_pairs(a, b, c, an_ab, an_bc):
     """The factorization classes of the pairs (f, g) in an_ab x an_bc.
 
@@ -385,14 +351,6 @@ def factor_pairs(a, b, c, an_ab, an_bc):
                 witness=w)
     return tuple(FactorClass(Morphism(a, c, images, STRAIGHT), b, tuple(buckets[images]))
                  for images in sorted(buckets))
-
-
-def law_of_factorization(f: Morphism, b, bound: int = DEFAULT_BOUND) -> FactorClass:
-    """The class [f] of anti-pairs through b whose composite is f."""
-    for cls in factorization_classes(f.source, b, f.target, bound):
-        if cls.composite.images == f.images:
-            return cls
-    return FactorClass(f, b, ())
 
 
 # -- automorphism algebra --------------------------------------------------------

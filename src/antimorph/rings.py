@@ -159,10 +159,6 @@ def opposite(r: FiniteRing, name: str = "") -> FiniteRing:
                       name or (f"{r.name}^op" if r.name else ""))
 
 
-def is_ideal(r: FiniteRing, members, side: str = TWO_SIDED) -> bool:
-    return ideal_witness(r, members, side) is None
-
-
 def ideal_witness(r: FiniteRing, members, side: str = TWO_SIDED):
     """None when members is an ideal of the declared side; otherwise a witness."""
     s = set(members)

@@ -218,8 +218,9 @@ def reverse_map(field, n) -> SemilinearMap:
     return identity_map(field, n, ANTI)
 
 
-def mat_mul(field, a, b):
-    """Plain matrix product of entry tables (no twist bookkeeping)."""
+def mat_mul(field, a, b, cols):
+    """Plain matrix product of entry tables (no twist bookkeeping); `b` has
+    `cols` columns, which it cannot say itself when it has no rows."""
     inner = len(b)
     if a and len(a[0]) != inner:
         raise NotComposable("inner dimensions differ")
@@ -240,7 +241,7 @@ def mat_mul(field, a, b):
             m0, m1 = mul[x0], mul[x1]
             out.append(tuple([add[m0[y0]][m1[y1]] for y0, y1 in zip(b0, b1)]))
         return tuple(out)
-    b_cols = tuple(zip(*b))
+    b_cols = tuple(zip(*b)) if inner else ((),) * cols
     out = []
     for a_row in a:
         row = []
@@ -258,9 +259,8 @@ def compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
     if f.field is not g.field or f.rows != g.cols:
         raise NotComposable(f"cannot compose {g!r} after {f!r}")
     right = f.conj_entries() if g.is_anti else f.entries
-    ent = mat_mul(g.field, g.entries, right) if g.cols else \
-        tuple(tuple(0 for _ in range(f.cols)) for _ in range(g.rows))
-    return SemilinearMap(g.field, g.rows, f.cols, ent,
+    return SemilinearMap(g.field, g.rows, f.cols,
+                         mat_mul(g.field, g.entries, right, f.cols),
                          variance_xor(g.twist, f.twist))
 
 
@@ -285,11 +285,6 @@ def corresponding_twisted(f: SemilinearMap) -> SemilinearMap:
     return SemilinearMap(f.field, f.rows, f.cols, f.entries, ANTI)
 
 
-def corresponding_straight(f: SemilinearMap) -> SemilinearMap:
-    """f* ↦ f*∘conj: same matrix, twist flipped to straight."""
-    return SemilinearMap(f.field, f.rows, f.cols, f.entries, STRAIGHT)
-
-
 def maps_equal(f: SemilinearMap, g: SemilinearMap) -> bool:
     return (f.rows, f.cols, f.twist, f.entries) == (g.rows, g.cols, g.twist, g.entries)
 
@@ -299,8 +294,7 @@ def random_map(field, rows, cols, twist, rng: random.Random) -> SemilinearMap:
         r = rng.randrange(0, min(rows, cols) + 1)  # planted rank
         a = [[rng.randrange(field.order) for _ in range(r)] for _ in range(rows)]
         b = [[rng.randrange(field.order) for _ in range(cols)] for _ in range(r)]
-        ent = mat_mul(field, tuple(map(tuple, a)), tuple(map(tuple, b))) if r else \
-            tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
+        ent = mat_mul(field, tuple(map(tuple, a)), tuple(map(tuple, b)), cols)
     else:
         ent = tuple(tuple(rng.randrange(field.order) for _ in range(cols))
                     for _ in range(rows))
@@ -437,16 +431,6 @@ def quotient_space(field, n, subspace_basis) -> QuotientSpace:
 
 
 # -- canonical factorization -------------------------------------------------------
-
-
-def coimage(f: SemilinearMap) -> QuotientSpace:
-    """source / kernel with an explicit coordinate map."""
-    return quotient_space(f.field, f.cols, kernel_basis(f))
-
-
-def cokernel(f: SemilinearMap) -> QuotientSpace:
-    """target / image with an explicit coordinate map."""
-    return quotient_space(f.field, f.rows, image_basis(f))
 
 
 def factor_sequence(f: SemilinearMap):

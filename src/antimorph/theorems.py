@@ -15,6 +15,7 @@ from .groups import (
     Subgroup,
     find_isomorphism,
     is_normal,
+    is_subgroup,
     normality_witness,
     quotient,
     subgroup_as_group,
@@ -260,6 +261,8 @@ def verify_third_anti_iso(g: FiniteGroup, a: Subgroup, n: Subgroup,
     if not is_normal(g, n):
         raise PreconditionFailed("N is not normal", witness=normality_witness(g, n))
     an = subgroup_product(g, a, n)
+    an_is_subgroup = is_subgroup(g, an.members) and an.members == tuple(
+        sorted({g.mul(x, y) for x in a.members for y in n.members}))
     an_grp, _ = subgroup_as_group(g, an)
     pos_an = {x: i for i, x in enumerate(an.members)}
     n_in_an = Subgroup(an_grp, tuple(sorted(pos_an[x] for x in n.members)))
@@ -298,7 +301,7 @@ def verify_third_anti_iso(g: FiniteGroup, a: Subgroup, n: Subgroup,
         if tuple(ell.images[v] for v in rho.images) == phi.images:
             solutions.append(ell)
     checks = (
-        check("an-is-subgroup", True),  # construction verifies closure
+        check("an-is-subgroup", an_is_subgroup, witness=an.members),
         check("n-normal-in-an", is_normal(an_grp, n_in_an)),
         check("meet-normal-in-a", is_normal(a_grp, meet_in_a)),
         check("phi-is-anti", _is_anti_table(phi.images, a_grp, q_an)),
@@ -402,7 +405,6 @@ def verify_groups_vs_star_category(groups: dict,
     f to f∘rev is an equivalence between them."""
     from .categories import (
         FiniteCategory,
-        FunctorData,
         Mor,
         check_equivalence,
         validate_category,
@@ -450,14 +452,14 @@ def verify_groups_vs_star_category(groups: dict,
                              identities, compose_table)
         return validate_category(cat), mids
 
-    straight_cat, smids = build(straight_sets, star=False, tag="grp")
+    straight_cat, _ = build(straight_sets, star=False, tag="grp")
     star_cat, amids = build(anti_sets, star=True, tag="grpan")
-    mor_map = {}
-    for (a, b), ms in straight_sets.items():
-        for m in ms:
-            twin = corresponding_anti(m)
-            mor_map[smids[(a, b, m.images)]] = amids[(a, b, twin.images)]
-    functor = FunctorData({n: n for n in names}, mor_map, name="to-star")
+    # both categories number the objects `names` alike and `build` numbers
+    # the morphisms in this order, so the functor fixes the objects and sends
+    # each straight map to the cell of its anti twin
+    functor = tuple(range(len(names))) + tuple(
+        star_cat.cell(amids[(a, b, corresponding_anti(m).images)])
+        for (a, b), ms in sorted(straight_sets.items()) for m in ms)
     rep = check_equivalence(functor, straight_cat, star_cat)
     return TheoremReport(
         theorem="groups-equivalent-to-star-groups",

@@ -1,12 +1,11 @@
+import itertools
+
 import pytest
 
 import antimorph.categories as categories_module
+import antimorph.suite as suite_module
 from antimorph.categories import (
-    AdditiveHom,
     FactorizationCategory,
-    FiniteCategory,
-    FunctorData,
-    Mor,
     adjunction_report,
     anti_category,
     anti_functor,
@@ -19,24 +18,31 @@ from antimorph.categories import (
     check_antiproduct_preservation,
     check_equivalence,
     check_factorable,
-    compose_factorable,
     enumerate_factorable_functors,
     enumerate_functors,
+    factorable_witness,
     fca,
     find_products,
+    functor_is_additive,
+    functor_witness,
     identity_functor,
-    make_factorable,
-    merge_generator,
+    lift_functor,
     poset_category,
     preadditive_one_object,
     preadditive_two_object,
-    validate_category,
     validate_factorization,
 )
 from antimorph.corpus import category_corpus
 from antimorph.errors import AxiomViolation, BadIdentity, BoundExceeded, NotComposable
 
 CATS = category_corpus()
+
+
+def _functor(c, d, images: dict) -> tuple:
+    """The index tuple of the functor sending each object and morphism id of c
+    to the id `images` gives it in d."""
+    return tuple(d.obj_cell(images[o]) for o in c.objects) + \
+        tuple(d.cell(images[m.mid]) for m in c.morphisms)
 
 
 def test_arrow_category_is_valid():
@@ -118,8 +124,8 @@ def test_anti_functor_is_equivalence():
 
 def test_constant_functor_is_not_essentially_surjective():
     arrow = CATS["arrow"]
-    const = FunctorData({"a": "a", "b": "a"},
-                        {"a_a": "a_a", "b_b": "a_a", "a_b": "a_a"})
+    const = _functor(arrow, arrow, {"a": "a", "b": "a", "a_a": "a_a",
+                                    "b_b": "a_a", "a_b": "a_a"})
     rep = check_equivalence(const, arrow, arrow)
     found = rep.check_map()["essentially-surjective"]
     assert not found.passed
@@ -150,23 +156,23 @@ def test_factorable_lift_counts_match_plain_functors():
     lifted = enumerate_factorable_functors(fc, fc)
     assert len(plain) == len(lifted)
     for ff in lifted:
-        rep = check_factorable(ff, fc, fc)
+        rep = check_factorable(ff, fc, fc, "lift")
         assert rep.passed
 
 
 def test_factorable_violation_detected():
     arrow = CATS["arrow"]
     fc = caf(arrow)
-    good = make_factorable(identity_functor(arrow), fc, fc)
-    bad_an = dict(good.an_map)
-    bad_an[anti_id("a_b")] = anti_id("a_a")  # wrongly typed image
-    from antimorph.categories import FactorableFunctorData, factorable_witness
-
-    bad = FactorableFunctorData(good.obj_map, good.mor_map, bad_an)
-    w = factorable_witness(bad, fc, fc)
-    assert w is not None
-    rep = check_factorable(bad, fc, fc)
+    good = lift_functor(identity_functor(arrow), fc, fc)
+    bad = list(good)
+    bad[fc.cell(anti_id("a_b"))] = fc.cell(anti_id("a_a"))  # wrongly typed image
+    bad = tuple(bad)
+    assert factorable_witness(bad, fc, fc) == ("an-typing", "a_b*")
+    rep = check_factorable(bad, fc, fc, "bad")
     assert not rep.passed
+    assert rep.check_map()["an-maps-are-induced"].witness == {"a_b*": ("a_a*", "a_b*")}
+    assert rep.check_map()["mixed-compositions-preserved"].witness == \
+        ("an-typing", "a_b*")
 
 
 def test_meet_products_and_anti_universal():
@@ -209,8 +215,9 @@ def test_duplicated_meet_comparison_isos():
 def test_antiproduct_preservation_by_identity():
     meet = CATS["meet"]
     fc = caf(meet)
-    ff = make_factorable(identity_functor(meet), fc, fc)
-    rep = check_antiproduct_preservation(ff, fc, fc, ("x", "y"))
+    ff = lift_functor(identity_functor(meet), fc, fc)
+    rep = check_antiproduct_preservation(ff, fc, fc, ("x", "y"), "id")
+    assert rep.inputs == (("functor", "id"), ("family", "x,y"))
     assert rep.passed
 
 
@@ -242,38 +249,18 @@ def test_preadditive_anti_category_keeps_group_law():
             assert lhs == rhs
 
 
-def test_merge_generator_matches_canonical_structure():
-    chain = CATS["chain3"]
-    twin = FiniteCategory(
-        "twin", chain.objects,
-        tuple(Mor(m.mid + "!", m.src, m.dst) for m in chain.morphisms),
-        {o: mid + "!" for o, mid in chain.identities.items()},
-        {(g + "!", f + "!"): h + "!" for (g, f), h in chain.compose.items()})
-    validate_category(twin)
-    dictionary = {m.mid + "!": m.mid for m in chain.morphisms}
-    merged = merge_generator(chain, twin, dictionary)
-    canonical = caf(chain)
-    rename = {m.mid + "!": anti_id(m.mid) for m in chain.morphisms}
-    assert all(rename[merged.an_morphisms[i].mid] == canonical.an_morphisms[i].mid
-               for i in range(len(chain.morphisms)))
-    for (g, f), h in merged.mixed.items():
-        key = (rename.get(g, g), rename.get(f, f))
-        assert canonical.mixed[key] == rename.get(h, h)
-
-
 def test_factorable_composition_associates_with_underlying():
     arrow = CATS["arrow"]
     fc = caf(arrow)
+    width = len(arrow.cells)
     lifted = enumerate_factorable_functors(fc, fc)
     for f in lifted:
         for g in lifted:
-            comp = compose_factorable(g, f)
-            plain = FunctorData(comp.obj_map, comp.mor_map)
-            from antimorph.categories import compose_functors, functor_witness
-
+            comp = tuple(g[i] for i in f)
+            assert factorable_witness(comp, fc, fc) is None
+            plain = comp[:width]
             assert functor_witness(plain, arrow, arrow) is None
-            assert plain.key() == compose_functors(g.underlying(),
-                                                   f.underlying()).key()
+            assert plain == tuple(g[:width][i] for i in f[:width])
 
 
 # -- negative controls: each adjunction check can fail, with a witness --------
@@ -299,37 +286,191 @@ def test_bijection_fails_when_a_lift_is_lost(monkeypatch):
 
 
 def test_equip_naturality_fails_for_a_lawful_but_wrong_lift(monkeypatch):
-    # On the Z2 monoid, swapping e* and s* under the identity functor is still
-    # a factorable functor, but not the induced one: the lifts stop composing
-    # like their underlying functors.
-    real = categories_module.induced_an_map
+    # On the Z2 monoid, swapping e* and s* under the identity functor still
+    # preserves every mixed composition, but it moves the reverse morphism
+    # e*, so it is not a factorable functor and lift_functor refuses it. The
+    # mutant hands it out anyway: the lifts stop composing like their
+    # underlying functors.
+    real = categories_module.lift_functor
+    identity = identity_functor(CATS["monoid"])
 
     def swapped(f, fc_src, fc_dst):
-        out = real(f, fc_src, fc_dst)
-        if fc_src.name == "monoid" and f.mor_map == {"e": "e", "s": "s"}:
-            out = {"e*": out["s*"], "s*": out["e*"]}
-        return out
+        ff = real(f, fc_src, fc_dst)
+        if fc_src.name == "monoid" and f == identity:
+            ff = f + (ff[-1], ff[-2])
+            assert factorable_witness(ff, fc_src, fc_dst) == ("reverse", "o")
+        return ff
 
-    monkeypatch.setattr(categories_module, "induced_an_map", swapped)
+    monkeypatch.setattr(categories_module, "lift_functor", swapped)
     rep = adjunction_report(MONOID_ONLY)
+    assert _check(rep, "bijection-monoid-to-monoid").passed
     found = _check(rep, "naturality-equip-direction")
     assert not found.passed
-    assert found.witness is not None
+    # the first square: h the lift of the trivial functor, f trivial, g the
+    # identity, whose lift is the swapped one
+    trivial = (("o", "o"), ("e", "e"), ("s", "e"))
+    assert found.witness == (
+        "monoid", "monoid", "monoid", "monoid",
+        trivial + (("e*", "e*"), ("s*", "e*")),
+        trivial,
+        (("o", "o"), ("e", "e"), ("s", "s")))
     assert _check(rep, "naturality-forget-direction").passed
 
 
 def test_forget_naturality_fails_when_a_lift_changes_the_functor(monkeypatch):
     # Lifting the trivial endofunctor (s -> e) of the Z2 monoid to the lift of
     # the identity: forgetting no longer undoes equipping.
-    real = categories_module.make_factorable
+    real = categories_module.lift_functor
     monoid = CATS["monoid"]
+    trivial = _functor(monoid, monoid, {"o": "o", "e": "e", "s": "e"})
 
     def wrong_lift(f, fc_src, fc_dst):
-        if fc_src.name == "monoid" and f.mor_map == {"e": "e", "s": "e"}:
+        if fc_src.name == "monoid" and f == trivial:
             f = identity_functor(monoid)
         return real(f, fc_src, fc_dst)
 
-    monkeypatch.setattr(categories_module, "make_factorable", wrong_lift)
+    monkeypatch.setattr(categories_module, "lift_functor", wrong_lift)
     found = _check(adjunction_report(MONOID_ONLY), "naturality-forget-direction")
     assert not found.passed
-    assert found.witness is not None
+    # the first square: h trivial, whose lift forgets to the identity, and f,
+    # g the lift of the identity
+    identity_lift = (("o", "o"), ("e", "e"), ("s", "s"), ("e*", "e*"), ("s*", "s*"))
+    assert found.witness == ("monoid", "monoid", "monoid", "monoid",
+                             (("o", "o"), ("e", "e"), ("s", "e")),
+                             identity_lift, identity_lift)
+
+
+
+# -- each rewritten check names its first counterexample --------------------
+
+
+def _constant(c, d, obj: str) -> tuple:
+    return tuple(d.obj_cell(obj) for _ in c.objects) + \
+        tuple(d.cell(d.identities[obj]) for _ in c.morphisms)
+
+
+def test_equivalence_checks_name_their_first_counterexample():
+    # The constant functor at a on chain3 a <= b <= c misses every pair into
+    # a lower object, (b, a), (c, a) and (c, b), and reaches neither b nor c.
+    chain = CATS["chain3"]
+    checks = check_equivalence(_constant(chain, chain, "a"), chain, chain).check_map()
+    assert checks["is-functor"].passed
+    assert checks["fully-faithful"].witness == ("b", "a")
+    assert checks["essentially-surjective"].witness == "b"
+
+
+def test_anti_universal_properties_name_their_first_cone():
+    # a is not a product of (c, c) in chain3: the anti-cones from b and from c
+    # have no mediator into a; the first is the one from b.
+    fc = caf(CATS["chain3"])
+    checks = check_anti_universal(fc, "a", ("a_c", "a_c"), ("c", "c")).check_map()
+    assert checks["unique-anti-mediator-through-projections"].witness == \
+        ("b", ("b_c*", "b_c*"), ())
+    assert checks["unique-straight-mediator-through-anti-projections"].witness == \
+        ("b", ("b_c*", "b_c*"), ())
+
+
+def test_antiproduct_preservation_names_its_first_cone():
+    # Squashing meet onto a <= c of chain3 (m to a, x and y to c) sends the
+    # product m of x, y to a, which is no product of c with c.
+    meet, chain = CATS["meet"], CATS["chain3"]
+    squash = _functor(meet, chain, {"m": "a", "x": "c", "y": "c",
+                                    "m_m": "a_a", "m_x": "a_c", "m_y": "a_c",
+                                    "x_x": "c_c", "y_y": "c_c"})
+    fc_meet, fc_chain = caf(meet), caf(chain)
+    ff = lift_functor(squash, fc_meet, fc_chain)
+    rep = check_antiproduct_preservation(ff, fc_meet, fc_chain, ("x", "y"),
+                                         "squash")
+    found = rep.check_map()["image-anti-product-m"]
+    assert not found.passed
+    assert found.witness == ("m", "b", ("b_c*", "b_c*"), ())
+
+
+def _roundtrip(cat):
+    reps = suite_module.category_reports({cat.name: cat})
+    return next(r for r in reps if r.theorem == f"category-roundtrip/{cat.name}")
+
+
+def test_iso_iff_anti_iso_names_its_first_morphism(monkeypatch):
+    real = suite_module._is_anti_iso
+
+    def flipped(fc, mid):
+        return real(fc, mid) != (mid in ("a_c*", "b_b*"))
+
+    monkeypatch.setattr(suite_module, "_is_anti_iso", flipped)
+    found = _roundtrip(CATS["chain3"]).check_map()["iso-iff-anti-iso"]
+    assert not found.passed
+    assert found.witness == ("a_c", False, True)
+
+
+def test_straight_factors_through_reverse_names_its_first_morphism(monkeypatch):
+    # a_b* and a_c* are read as a_a*, so a_a*∘rev gives back a_a, not them
+    real = suite_module.anti_id
+    monkeypatch.setattr(suite_module, "anti_id",
+                        lambda mid: real("a_a") if mid in ("a_b", "a_c") else real(mid))
+    found = _roundtrip(CATS["chain3"]).check_map()["straight-factors-through-reverse"]
+    assert not found.passed
+    assert found.witness == ("a_b", "a_b", "a_a")
+
+
+# -- brute-force oracles for both enumerators ----------------------------------
+
+RAW_SPACE_LIMIT = 10 ** 4
+
+
+def _raw_space(c, d) -> int:
+    return len(d.objects) ** len(c.objects) * len(d.morphisms) ** len(c.morphisms)
+
+
+def _every_untyped_functor(c, d, additive=False) -> set:
+    """Every assignment of objects to objects and morphisms to morphisms,
+    typed or not, that functor_witness accepts."""
+    objects = range(len(d.objects))
+    arrows = range(len(d.objects), len(d.cells))
+    out = set()
+    for f in itertools.product(*([objects] * len(c.objects)
+                                 + [arrows] * len(c.morphisms))):
+        if functor_witness(f, c, d) is None and \
+                (not additive or functor_is_additive(f, c, d)):
+            out.add(f)
+    return out
+
+
+def test_enumerate_functors_matches_every_untyped_assignment():
+    pads = {"pad1": preadditive_one_object(), "pad2": preadditive_two_object()}
+    cases = [(c, d, False) for c, d in itertools.product(CATS.values(), repeat=2)]
+    cases += [(c, d, True) for c, d in itertools.product(pads.values(), repeat=2)]
+    cases = [case for case in cases if _raw_space(case[0], case[1]) <= RAW_SPACE_LIMIT]
+    assert sum(1 for _, _, additive in cases if not additive) == 12
+    assert sum(_raw_space(c, d) for c, d, additive in cases if not additive) == 11262
+    for c, d, additive in cases:
+        found = enumerate_functors(c, d, additive=additive)
+        assert found == sorted(set(found)), (c.name, d.name)
+        assert set(found) == _every_untyped_functor(c, d, additive), (c.name, d.name)
+
+
+def _every_lift(fc_src, fc_dst) -> set:
+    """Each functor with every choice of anti images in An(F a, F b), kept
+    when factorable_witness accepts it."""
+    width = len(fc_src.base.cells)
+    out = set()
+    for f in enumerate_functors(fc_src.base, fc_dst.base):
+        slots = []
+        for k in range(width, len(fc_src.cells)):
+            m = fc_src.mor(fc_src.cells[k])
+            slots.append([fc_dst.cell(a) for a in fc_dst.an(
+                fc_dst.cells[f[fc_src.obj_cell(m.src)]],
+                fc_dst.cells[f[fc_src.obj_cell(m.dst)]])])
+        for images in itertools.product(*slots):
+            ff = f + images
+            if factorable_witness(ff, fc_src, fc_dst) is None:
+                out.add(ff)
+    return out
+
+
+def test_enumerate_factorable_functors_matches_a_direct_search():
+    equipped = [caf(c) for c in CATS.values()]
+    for fc_src, fc_dst in itertools.product(equipped, repeat=2):
+        found = enumerate_factorable_functors(fc_src, fc_dst)
+        assert len(set(found)) == len(found)
+        assert set(found) == _every_lift(fc_src, fc_dst), (fc_src.name, fc_dst.name)

@@ -13,10 +13,7 @@ from antimorph.semilinear import (
     SemilinearMap,
     add_semilinear,
     bifunctor_grid_report,
-    cokernel,
-    coimage,
     compose_semilinear,
-    corresponding_straight,
     corresponding_twisted,
     factor_sequence,
     generalized_suite,
@@ -158,8 +155,10 @@ def test_quotient_space_projection_and_section():
 def test_coimage_cokernel_dims():
     rng = random.Random(9)
     f = random_map(F4, 3, 4, ANTI, rng)
-    assert coimage(f).dim == rank_of(f)
-    assert cokernel(f).dim == 3 - rank_of(f)
+    coimage = quotient_space(F4, f.cols, kernel_basis(f))
+    cokernel = quotient_space(F4, f.rows, image_basis(f))
+    assert coimage.dim == rank_of(f)
+    assert cokernel.dim == 3 - rank_of(f)
 
 
 def test_quotient_image_iso_verifier():
@@ -242,7 +241,8 @@ def test_addition_respects_the_correspondence():
         lhs = corresponding_twisted(add_semilinear(a, b))
         rhs = add_semilinear(corresponding_twisted(a), corresponding_twisted(b))
         assert maps_equal(lhs, rhs)
-        assert maps_equal(corresponding_straight(corresponding_twisted(a)), a)
+        twin = corresponding_twisted(a)
+        assert maps_equal(SemilinearMap(F4, 2, 2, twin.entries, STRAIGHT), a)
 
 
 def test_generalized_suite_is_green():
@@ -261,8 +261,7 @@ def test_twist_xor_matrix_rule_property(a, b, c, pyrandom):
     g = random_map(F4, a, b, ANTI, rng)
     comp = compose_semilinear(g, f)
     assert comp.twist == STRAIGHT
-    expected = mat_mul(F4, g.entries, f.conj_entries()) if b else comp.entries
-    assert comp.entries == expected
+    assert comp.entries == mat_mul(F4, g.entries, f.conj_entries(), c)
     # `apply` never calls mat_mul, so this holds mat_mul to an outside oracle
     for v in itertools.product(range(F4.order), repeat=c):
         assert comp.apply(v) == g.apply(f.apply(v))
@@ -304,10 +303,7 @@ def test_mat_mul_matches_a_plain_triple_sum(order):
     for rows, inner, cols in itertools.product((1, 2, 3), (0, 1, 2, 3), (1, 2, 3)):
         for a, b in _entry_pairs(field, rows, inner, cols, rng):
             expected = _triple_sum(field, a, b, rows, inner, cols)
-            # an empty right factor has no rows to carry its column count,
-            # so inner dimension 0 is checked through compose_semilinear only
-            if inner:
-                assert mat_mul(field, a, b) == expected
+            assert mat_mul(field, a, b, cols) == expected
             f = SemilinearMap(field, inner, cols, b, rng.choice((STRAIGHT, ANTI)))
             g = SemilinearMap(field, rows, inner, a, STRAIGHT)
             assert compose_semilinear(g, f).entries == expected
@@ -376,7 +372,8 @@ def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
     def unconjugated(g, f):
         if g.is_anti and (g.rows, g.cols, f.cols) == (1, 1, 1):
             return SemilinearMap(g.field, g.rows, f.cols,
-                                 semilinear_module.mat_mul(F4, g.entries, f.entries),
+                                 semilinear_module.mat_mul(F4, g.entries, f.entries,
+                                                          f.cols),
                                  STRAIGHT if f.is_anti else ANTI)
         return real(g, f)
 

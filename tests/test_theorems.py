@@ -1,5 +1,7 @@
 import pytest
 
+import antimorph.theorems as theorems_module
+
 from antimorph.corpus import group_corpus, named_ideal, named_subgroup, ring_corpus
 from antimorph.errors import PreconditionFailed
 from antimorph.groups import Subgroup, subgroup_closure
@@ -147,3 +149,16 @@ def test_groups_vs_star_category_equivalence():
     rep = verify_groups_vs_star_category(
         {k: GROUPS[k] for k in ("z2", "z3", "s3")})
     assert rep.passed
+
+
+def test_an_is_subgroup_fails_when_the_product_set_is_wrong(monkeypatch):
+    # With A = <(1 2)> and N trivial, AN is A itself; a subgroup_product that
+    # answers the whole group gives a subgroup, but not the set {a*n}.
+    s3 = GROUPS["s3"]
+    monkeypatch.setattr(theorems_module, "subgroup_product",
+                        lambda g, a, n: Subgroup(g, tuple(g.elements())))
+    rep = verify_third_anti_iso(s3, named_subgroup("s3", "s12"),
+                                Subgroup(s3, (s3.identity,)))
+    found = rep.check_map()["an-is-subgroup"]
+    assert not found.passed
+    assert found.witness == tuple(s3.elements())
