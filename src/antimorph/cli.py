@@ -14,17 +14,14 @@ from pathlib import Path
 
 from .categories import (
     anti_category,
-    anti_product_uniqueness,
     associated_category,
     caf,
-    check_anti_universal,
     fca,
-    find_products,
 )
 from .errors import AlgebraError, ParseError
 from .formats import emit_category_text, emit_factorization_text, emit_map, load_path
 from .maps import ANTI, STRAIGHT
-from .morphisms import enumerate_morphisms, pointwise_ring_audit
+from .morphisms import enumerate_morphisms
 from .reports import CheckRecord, ReportBundle, emit_records, render_text
 from .suite import (
     Registry,
@@ -33,6 +30,8 @@ from .suite import (
     bundle,
     equivalence_report,
     natural_map_report,
+    pointwise_audit_report,
+    products_report,
     run,
 )
 from .theorems import (
@@ -44,7 +43,6 @@ from .theorems import (
     verify_subring_and_transport,
     verify_third_anti_iso,
 )
-from .verdict import TheoremReport, check
 
 
 def _required(args, option: str):
@@ -165,24 +163,9 @@ def cmd_cat(args, config: RunConfig) -> int:
         rep = equivalence_report(args.category, reg.category(args.category))
         return _emit(bundle(config, [rep]), args.format)
     if op == "products":
-        c = reg.category(args.category)
         family = tuple((args.family or "x,y").split(","))
-        for name in family:
-            if name not in c.objects:
-                raise ParseError(f"unknown object {name!r} in category {c.name}")
-        fc = caf(c)
-        products = find_products(c, family)
-        reports = [TheoremReport(
-            theorem=f"products/{c.name}",
-            inputs=(("family", ",".join(family)),),
-            checks=(check("product-found", bool(products),
-                          witness="no product presentation"),),
-        )]
-        for apex, proj in products:
-            reports.append(check_anti_universal(fc, apex, proj, family))
-        if products:
-            reports.append(anti_product_uniqueness(fc, family))
-        return _emit(bundle(config, reports), args.format)
+        return _emit(bundle(config, products_report(reg.category(args.category),
+                                                    family)), args.format)
     if op == "adjunction":
         return _emit(bundle(config, adjunction_reports(reg.categories)),
                      args.format)
@@ -194,25 +177,7 @@ def cmd_audit(args, config: RunConfig) -> int:
     if args.which == "pointwise-ring":
         a = reg.ring(args.ring)
         b = reg.ring(args.target) if args.target else a
-        audit = pointwise_ring_audit(a, b, config.bound)
-        checks = []
-        for side in (audit.straight, audit.anti):
-            tag = side.variance
-            checks.append(check(f"{tag}-zero-map-present", side.has_zero_map))
-            checks.append(check(f"{tag}-sum-closed", side.add_closed,
-                                witness=side.add_witness))
-            checks.append(check(f"{tag}-product-closed", side.mul_closed,
-                                witness=side.mul_witness))
-            checks.append(check(f"{tag}-has-unit", side.has_mul_identity))
-        rep = TheoremReport(
-            theorem=f"pointwise-audit/{a.name}-{b.name}",
-            inputs=(("source", a.name), ("target", b.name),
-                    ("straight-size", str(audit.straight.size)),
-                    ("anti-size", str(audit.anti.size))),
-            checks=tuple(checks),
-            notes=("FAIL lines report that the pointwise ring claim does not "
-                   "hold for this instance; the witnesses reproduce it",),
-        )
+        rep = pointwise_audit_report(a, b, config.bound)
         return _emit(bundle(config, [rep]), args.format)
     if args.which == "natural-an-map":
         r = reg.ring(args.ring)
@@ -296,12 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.corpus = getattr(args, "corpus", None) or []
-    args.bound = getattr(args, "bound", 10 ** 6)
-    args.seed = getattr(args, "seed", 2024)
     args.format = getattr(args, "format", "text")
-    config = RunConfig(corpus_paths=tuple(args.corpus), bound=args.bound,
-                       seed=args.seed)
+    # options left out are absent from `args`, so RunConfig's defaults apply
+    config = RunConfig(corpus_paths=tuple(getattr(args, "corpus", ())),
+                       **{key: getattr(args, key) for key in ("bound", "seed")
+                          if hasattr(args, key)})
     try:
         if args.command == "validate":
             return cmd_validate(args, config)

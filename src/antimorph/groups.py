@@ -13,7 +13,6 @@ from functools import cached_property
 
 from . import kernels
 from .errors import (
-    BoundExceeded,
     ClosureViolation,
     MissingInverse,
     NoIdentity,
@@ -22,8 +21,6 @@ from .errors import (
     NotNormal,
 )
 from .maps import STRAIGHT, Morphism
-
-ISO_SEARCH_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -261,66 +258,3 @@ def generating_set(g: FiniteGroup) -> tuple[int, ...]:
                 break
         covered = subgroup_closure(g, gens)
     return tuple(gens)
-
-
-def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
-    """Exhaustive isomorphism search over generator images; None if not isomorphic.
-
-    Refuses above order 12 rather than guessing heuristically.
-    """
-    if g.order != h.order:
-        return None
-    if g.order > ISO_SEARCH_LIMIT:
-        raise BoundExceeded(
-            f"isomorphism search limited to order {ISO_SEARCH_LIMIT}, got {g.order}")
-    gens = generating_set(g)
-    words = _word_table(g, gens)
-    for images in itertools.product(h.elements(), repeat=len(gens)):
-        f = _extend_by_words(g, h, gens, images, words)
-        if f is None or len(set(f)) != g.order:
-            continue
-        if _is_hom_table(f, g, h):
-            return Morphism(g, h, tuple(f), STRAIGHT)
-    return None
-
-
-def _word_table(g: FiniteGroup, gens):
-    """For each element, a product expression over gens: (parent, gen_index)."""
-    words = {g.identity: None}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, y in enumerate(gens):
-                z = g.mul(x, y)
-                if z not in words:
-                    words[z] = (x, gi)
-                    nxt.append(z)
-        frontier = nxt
-    return words
-
-
-def _extend_by_words(g, h, gens, images, words):
-    f = [None] * g.order
-    f[g.identity] = h.identity
-    # walk in closure order: parents appear before children
-    pending = [z for z in words if words[z] is not None]
-    while pending:
-        progressed = False
-        rest = []
-        for z in pending:
-            parent, gi = words[z]
-            if f[parent] is not None:
-                f[z] = h.mul(f[parent], images[gi])
-                progressed = True
-            else:
-                rest.append(z)
-        pending = rest
-        if not progressed:
-            return None
-    return f
-
-
-def _is_hom_table(f, g, h) -> bool:
-    return all(h.mul(f[x], f[y]) == f[g.mul(x, y)]
-               for x in g.elements() for y in g.elements())

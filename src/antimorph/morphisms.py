@@ -1,8 +1,9 @@
 """The anti-morphism calculus shared by groups and rings.
 
 Classification, variance-tracked composition, *-composition, reverse
-morphisms, kernels and images, enumeration, factorization classes, the
-straight/anti correspondences, and the automorphism-group algebra.
+morphisms, kernels and images, enumeration, isomorphism search,
+factorization classes, the straight/anti correspondences, and the
+automorphism-group algebra.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ BOTH = "Both"
 NEITHER = "Neither"
 
 DEFAULT_BOUND = 10 ** 6
+ISO_SEARCH_LIMIT = 12
 
 
 def is_group(s) -> bool:
@@ -57,6 +59,12 @@ def law_witness(images, a, b, variance: str):
         return None
     if images[a.one] != b.one:
         return ("one", a.one)
+    return _ring_pair_witness(images, a, b, variance)
+
+
+def _ring_pair_witness(images, a, b, variance: str):
+    """First ("add", x, y) or ("mul", x, y) where a ring map breaks additivity
+    or the (straight or reversed) product rule; the unit is not checked."""
     for x in a.elements():
         for y in a.elements():
             if images[a.add_(x, y)] != b.add_(images[x], images[y]):
@@ -202,7 +210,25 @@ def brute_force_tables(a: FiniteGroup, b: FiniteGroup):
     return homs, antis
 
 
+def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
+    """Exhaustive isomorphism search over generator images; None if not isomorphic.
+
+    Returns the first bijective homomorphism in generator-assignment order.
+    Refuses above order 12 rather than guessing heuristically.
+    """
+    if g.order != h.order:
+        return None
+    if g.order > ISO_SEARCH_LIMIT:
+        raise BoundExceeded(
+            f"isomorphism search limited to order {ISO_SEARCH_LIMIT}, got {g.order}")
+    table = next((t for t in _group_hom_tables(g, h, DEFAULT_BOUND)
+                  if len(set(t)) == g.order), None)
+    return None if table is None else Morphism(g, h, table, STRAIGHT)
+
+
 def _group_hom_tables(a: FiniteGroup, b: FiniteGroup, bound: int):
+    """Yield the homomorphism tables A -> B in generator-assignment order;
+    the bound is checked when iteration starts."""
     gens = generating_set(a)
     if b.order ** len(gens) > bound:
         raise BoundExceeded(
@@ -211,7 +237,6 @@ def _group_hom_tables(a: FiniteGroup, b: FiniteGroup, bound: int):
     rows_b = b.cayley
     # f(x*y) for every y is row x of A read through f
     products_of = [kernels.reader(row_x) for row_x in a.cayley]
-    out = []
     for assignment in itertools.product(b.elements(), repeat=len(gens)):
         f = [None] * a.order
         f[a.identity] = b.identity
@@ -221,8 +246,7 @@ def _group_hom_tables(a: FiniteGroup, b: FiniteGroup, bound: int):
         via_f = kernels.reader(f)
         if all(via_f(rows_b[fx]) == products(f)
                for fx, products in zip(f, products_of)):
-            out.append(tuple(f))
-    return out
+            yield tuple(f)
 
 
 def _word_plan(a: FiniteGroup, gens):
@@ -262,7 +286,8 @@ def _ring_hom_tables(a: FiniteRing, b: FiniteRing, bound: int,
             f[g] = assignment[gi]
         for z, (op, i, j) in plan:
             f[z] = b.add_(f[i], f[j]) if op == "+" else b.mul_(f[i], f[j])
-        if _ring_law_ok(f, a, b, unital):
+        # the plan never reassigns the unit, so only the pairs need checking
+        if _ring_pair_witness(f, a, b, STRAIGHT) is None:
             out.append(tuple(f))
     return out
 
@@ -293,18 +318,6 @@ def _ring_generating_plan(a: FiniteRing, base):
         known.add(nxt)
         known = close(known)
     return gens, plan
-
-
-def _ring_law_ok(f, a, b, unital) -> bool:
-    if unital and f[a.one] != b.one:
-        return False
-    for x in a.elements():
-        for y in a.elements():
-            if f[a.add_(x, y)] != b.add_(f[x], f[y]):
-                return False
-            if f[a.mul_(x, y)] != b.mul_(f[x], f[y]):
-                return False
-    return True
 
 
 def nonunital_morphism_tables(a: FiniteRing, b: FiniteRing, variance: str,
@@ -364,7 +377,6 @@ class AutomorphismAlgebra:
     star_group: FiniteGroup          # (anti-isomorphisms, star composition)
     iso_images: tuple                # straight_group -> star_group index map
     union_group: FiniteGroup | None  # both families under usual composition
-    union_tables: tuple
     straight_normal_in_union: bool
     families_disjoint: bool
 
@@ -383,19 +395,10 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
 
     auto_tables = {m.images for m in autos}
     anti_tables = {m.images for m in antis}
-    union_tables = tuple(sorted(auto_tables | anti_tables))
-    pos = {t: i for i, t in enumerate(union_tables)}
-    n = len(union_tables)
-    table = [[0] * n for _ in range(n)]
-    for i, t1 in enumerate(union_tables):
-        for j, t2 in enumerate(union_tables):
-            comp = tuple(t1[v] for v in t2)
-            if comp not in pos:
-                raise LawViolation("union of families not closed under composition",
-                                   witness=(t1, t2))
-            table[i][j] = pos[comp]
-    union_group = validate_group(table, name="unionis")
-    straight_members = tuple(sorted(pos[t] for t in auto_tables))
+    by_table = {m.images: m for m in antis + autos}
+    union = [by_table[t] for t in sorted(by_table)]
+    union_group = _table_group(union, compose, name="unionis")
+    straight_members = tuple(i for i, m in enumerate(union) if m.images in auto_tables)
     w = normality_witness(union_group, Subgroup(union_group, straight_members))
     return AutomorphismAlgebra(
         autos=autos,
@@ -404,7 +407,6 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
         star_group=star_group,
         iso_images=iso_images,
         union_group=union_group,
-        union_tables=union_tables,
         straight_normal_in_union=w is None,
         families_disjoint=not (auto_tables & anti_tables),
     )

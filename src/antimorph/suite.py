@@ -48,7 +48,7 @@ from .categories import (
 )
 from .errors import ParseError
 from .formats import MapFile, load_path, parse_text, resolve_map
-from .groups import FiniteGroup, Subgroup, find_isomorphism, is_subgroup
+from .groups import FiniteGroup, Subgroup, is_subgroup
 from .maps import ANTI, STRAIGHT, VARIANCES, Morphism
 from .morphisms import (
     DEFAULT_BOUND,
@@ -60,6 +60,8 @@ from .morphisms import (
     corresponding_hom,
     enumerate_morphisms,
     factor_pairs,
+    find_isomorphism,
+    law_witness,
     natural_an_map,
     pointwise_ring_audit,
     reverse_morphism,
@@ -87,6 +89,7 @@ from .theorems import (
 from .verdict import TheoremReport, check
 
 BRUTE_FORCE_ORDER_LIMIT = 6
+STAR_MONOID_ORDER_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -329,8 +332,7 @@ def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     )
 
 
-def star_monoid_reports(groups: dict, bound: int = DEFAULT_BOUND,
-                        order_limit: int = 8) -> list:
+def star_monoid_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     """Star composition is an associative monoid on An(G,G), exhaustively,
     for every group up to the order limit (raw tables, no revalidation).
 
@@ -342,7 +344,7 @@ def star_monoid_reports(groups: dict, bound: int = DEFAULT_BOUND,
     out = []
     for name in sorted(groups):
         g = groups[name]
-        if g.order > order_limit:
+        if g.order > STAR_MONOID_ORDER_LIMIT:
             continue
         rev = g.inverses
         tables = [m.images for m in enumerate_morphisms(g, g, ANTI, bound)]
@@ -458,7 +460,7 @@ def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
             inverse = [0] * g.order
             for x in g.elements():
                 inverse[m.images[x]] = x
-            if classify(tuple(inverse), g, g) not in ("AntiOnly", "Both"):
+            if law_witness(tuple(inverse), g, g, ANTI) is not None:
                 anti_inverse_ok = False
         out.append(TheoremReport(
             theorem=f"anti-map-properties/{name}",
@@ -545,6 +547,29 @@ def audit_reports(bound: int = DEFAULT_BOUND) -> list:
     ))
     out.append(natural_map_report(z4, "even", named_ideal("z4", "even"), bound))
     return out
+
+
+def pointwise_audit_report(a, b, bound: int = DEFAULT_BOUND) -> TheoremReport:
+    """Whether pointwise + and * close on the morphism sets A -> B, per variance."""
+    audit = pointwise_ring_audit(a, b, bound)
+    checks = []
+    for side in (audit.straight, audit.anti):
+        tag = side.variance
+        checks.append(check(f"{tag}-zero-map-present", side.has_zero_map))
+        checks.append(check(f"{tag}-sum-closed", side.add_closed,
+                            witness=side.add_witness))
+        checks.append(check(f"{tag}-product-closed", side.mul_closed,
+                            witness=side.mul_witness))
+        checks.append(check(f"{tag}-has-unit", side.has_mul_identity))
+    return TheoremReport(
+        theorem=f"pointwise-audit/{a.name}-{b.name}",
+        inputs=(("source", a.name), ("target", b.name),
+                ("straight-size", str(audit.straight.size)),
+                ("anti-size", str(audit.anti.size))),
+        checks=tuple(checks),
+        notes=("FAIL lines report that the pointwise ring claim does not "
+               "hold for this instance; the witnesses reproduce it",),
+    )
 
 
 def natural_map_report(r, name: str, ideal, bound=DEFAULT_BOUND) -> TheoremReport:
@@ -678,6 +703,27 @@ def equivalence_report(name: str, c) -> TheoremReport:
         inputs=(("category", name),),
         checks=equiv.checks,
     )
+
+
+def products_report(c, family: tuple) -> list:
+    """The product presentations of `family` in C, the anti-universal property
+    of each, and anti-product uniqueness when there is one."""
+    for name in family:
+        if name not in c.objects:
+            raise ParseError(f"unknown object {name!r} in category {c.name}")
+    fc = caf(c)
+    products = find_products(c, family)
+    reports = [TheoremReport(
+        theorem=f"products/{c.name}",
+        inputs=(("family", ",".join(family)),),
+        checks=(check("product-found", bool(products),
+                      witness="no product presentation"),),
+    )]
+    for apex, proj in products:
+        reports.append(check_anti_universal(fc, apex, proj, family))
+    if products:
+        reports.append(anti_product_uniqueness(fc, family))
+    return reports
 
 
 def adjunction_reports(cats: dict) -> list:

@@ -9,11 +9,11 @@ morphism of the same signature.
 
 from __future__ import annotations
 
+from . import kernels
 from .errors import PreconditionFailed
 from .groups import (
     FiniteGroup,
     Subgroup,
-    find_isomorphism,
     is_normal,
     is_subgroup,
     normality_witness,
@@ -25,15 +25,16 @@ from .groups import (
 )
 from .maps import ANTI, STRAIGHT, Morphism
 from .morphisms import (
-    ANTI_ONLY,
     BOTH,
     DEFAULT_BOUND,
     classify,
     compose,
     corresponding_anti,
     enumerate_morphisms,
+    find_isomorphism,
     image,
     kernel,
+    law_witness,
     reverse_morphism,
     star_compose,
 )
@@ -48,29 +49,33 @@ from .rings import (
 )
 from .verdict import TheoremReport, check
 
-_ANTI_OK = (ANTI_ONLY, BOTH)
+
+def _through(surjection, values, size: int):
+    """The map induced on the `size` slots of a surjection (an image tuple)
+    by the per-element `values`: each slot takes the value of its least
+    preimage. Returns the images and the first (x, slot), in element order,
+    whose value differs from its slot's, or None when the map is well defined."""
+    images = [None] * size
+    conflict = None
+    for x, (slot, v) in enumerate(zip(surjection, values)):
+        if images[slot] is None:
+            images[slot] = v
+        elif conflict is None and images[slot] != v:
+            conflict = (x, slot)
+    return tuple(images), conflict
 
 
-def _is_anti_table(images, a, b) -> bool:
-    return classify(images, a, b) in _ANTI_OK
+def _anti_solutions(src, dst, pre, rhs, bound: int) -> list:
+    """The tables of all anti-morphisms ell: src -> dst with ell ∘ pre = rhs,
+    where `pre` and `rhs` are image tuples."""
+    through_pre = kernels.reader(pre)
+    return [ell.images for ell in enumerate_morphisms(src, dst, ANTI, bound)
+            if through_pre(ell.images) == rhs]
 
 
-def _section_reps(proj: Morphism):
-    """Least preimage for every element of the projection's target."""
-    reps = {}
-    for x in range(proj.source.order):
-        reps.setdefault(proj.images[x], x)
-    return [reps[i] for i in range(proj.target.order)]
-
-
-def _unique_anti_solutions(src, dst, pre: Morphism, rhs: Morphism,
-                           bound: int) -> list:
-    """All anti-morphisms ell: src -> dst with ell ∘ pre = rhs."""
-    out = []
-    for ell in enumerate_morphisms(src, dst, ANTI, bound):
-        if tuple(ell.images[v] for v in pre.images) == rhs.images:
-            out.append(ell)
-    return out
+def _anti_check(name: str, images, a, b):
+    w = law_witness(images, a, b, ANTI)
+    return check(name, w is None, witness=w)
 
 
 # -- factorization through a quotient -----------------------------------------
@@ -92,19 +97,15 @@ def verify_anti_factorization(structure, sub, phi: Morphism,
         q, proj = quotient(structure, sub)
     else:
         q, proj = quotient_ring(structure, sub)
-    reps = _section_reps(proj)
-    psi_images = tuple(phi.images[r] for r in reps)
-    well_defined = all(psi_images[proj.images[x]] == phi.images[x]
-                       for x in range(structure.order))
+    psi_images, conflict = _through(proj.images, phi.images, q.order)
     psi = Morphism(q, phi.target, psi_images, ANTI, name="through")
-    solutions = _unique_anti_solutions(q, phi.target, proj, phi, bound)
+    solutions = _anti_solutions(q, phi.target, proj.images, phi.images, bound)
     checks = (
-        check("well-defined", well_defined),
-        check("through-map-is-anti", _is_anti_table(psi_images, q, phi.target)),
+        check("well-defined", conflict is None, witness=conflict),
+        _anti_check("through-map-is-anti", psi_images, q, phi.target),
         check("diagram-commutes",
               tuple(psi_images[v] for v in proj.images) == phi.images),
-        check("unique", len(solutions) == 1 and solutions[0].images == psi_images,
-              witness=[s.images for s in solutions]),
+        check("unique", solutions == [psi_images], witness=solutions),
     )
     return TheoremReport(
         theorem="anti-factorization",
@@ -134,26 +135,21 @@ def verify_anti_hom_theorem(phi: Morphism, bound: int = DEFAULT_BOUND) -> Theore
         q, proj = quotient_ring(src, ker)
         im_members = image(phi)
         im_struct, incl = subring_as_ring(dst, im_members)
+    # phi with its values renumbered as elements of the image; the
+    # inclusion is injective, so ell∘proj = these iff incl∘ell∘proj = phi
     pos = {x: i for i, x in enumerate(im_members)}
-    reps = _section_reps(proj)
-    xi_images = tuple(pos[phi.images[r]] for r in reps)
+    values = tuple(pos[v] for v in phi.images)
+    xi_images, conflict = _through(proj.images, values, q.order)
     xi = Morphism(q, im_struct, xi_images, ANTI, name="canonical")
-    well_defined = all(xi_images[proj.images[x]] == pos[phi.images[x]]
-                       for x in range(src.order))
     recomposed = tuple(incl.images[xi_images[proj.images[x]]]
                        for x in range(src.order))
-    solutions = []
-    for ell in enumerate_morphisms(q, im_struct, ANTI, bound):
-        if tuple(incl.images[ell.images[proj.images[x]]]
-                 for x in range(src.order)) == phi.images:
-            solutions.append(ell)
+    solutions = _anti_solutions(q, im_struct, proj.images, values, bound)
     checks = [
-        check("well-defined", well_defined),
-        check("canonical-map-is-anti", _is_anti_table(xi_images, q, im_struct)),
+        check("well-defined", conflict is None, witness=conflict),
+        _anti_check("canonical-map-is-anti", xi_images, q, im_struct),
         check("bijective", xi.is_bijective()),
         check("diagram-commutes", recomposed == phi.images),
-        check("unique", len(solutions) == 1 and solutions[0].images == xi_images,
-              witness=[s.images for s in solutions]),
+        check("unique", solutions == [xi_images], witness=solutions),
     ]
     if group_world and phi.is_injective():
         checks.append(check("injective-source-iso-image",
@@ -195,48 +191,28 @@ def verify_second_anti_iso(a: FiniteGroup, b: Subgroup, c: Subgroup,
     q3, tau = quotient(q1, bc)                    # (A/C)/(B/C)
 
     # sigma: A/C -> A/B through the anti projection
-    sigma_images = [None] * q1.order
-    sigma_ok = True
-    for x in a.elements():
-        v = rho_star.images[x]
-        slot = pi.images[x]
-        if sigma_images[slot] is None:
-            sigma_images[slot] = v
-        elif sigma_images[slot] != v:
-            sigma_ok = False
-    sigma = Morphism(q1, q2, tuple(sigma_images), ANTI, name="sigma")
+    sigma_images, sigma_conflict = _through(pi.images, rho_star.images, q1.order)
+    sigma = Morphism(q1, q2, sigma_images, ANTI, name="sigma")
     ker_sigma = kernel(sigma)
 
     # xi: A/B -> (A/C)/(B/C), defined through the surjection rho_star
-    xi_images = [None] * q2.order
-    xi_ok = True
-    for x in a.elements():
-        slot = rho_star.images[x]
-        v = tau.images[pi.images[x]]
-        if xi_images[slot] is None:
-            xi_images[slot] = v
-        elif xi_images[slot] != v:
-            xi_ok = False
-    xi = Morphism(q2, q3, tuple(xi_images), ANTI, name="xi")
-    solutions = []
     rhs = compose(tau, pi)
-    for ell in enumerate_morphisms(q2, q3, ANTI, bound):
-        if tuple(ell.images[v] for v in rho_star.images) == rhs.images:
-            solutions.append(ell)
+    xi_images, xi_conflict = _through(rho_star.images, rhs.images, q2.order)
+    xi = Morphism(q2, q3, xi_images, ANTI, name="xi")
+    solutions = _anti_solutions(q2, q3, rho_star.images, rhs.images, bound)
     checks = (
         check("c-normal-in-b", is_normal(b_grp, c_in_b)),
         check("bc-normal-in-quotient", is_normal(q1, bc)),
-        check("sigma-well-defined", sigma_ok),
-        check("sigma-is-anti", _is_anti_table(sigma.images, q1, q2)),
+        check("sigma-well-defined", sigma_conflict is None, witness=sigma_conflict),
+        _anti_check("sigma-is-anti", sigma_images, q1, q2),
         check("sigma-kernel-is-bc", ker_sigma.members == bc_members,
               witness=(ker_sigma.members, bc_members)),
-        check("xi-well-defined", xi_ok),
-        check("xi-is-anti", _is_anti_table(xi.images, q2, q3)),
+        check("xi-well-defined", xi_conflict is None, witness=xi_conflict),
+        _anti_check("xi-is-anti", xi_images, q2, q3),
         check("xi-bijective", xi.is_bijective()),
         check("diagram-commutes",
               tuple(xi.images[v] for v in rho_star.images) == rhs.images),
-        check("unique", len(solutions) == 1 and solutions[0].images == xi.images,
-              witness=[s.images for s in solutions]),
+        check("unique", solutions == [xi_images], witness=solutions),
     )
     return TheoremReport(
         theorem="second-anti-isomorphism",
@@ -280,43 +256,33 @@ def verify_third_anti_iso(g: FiniteGroup, a: Subgroup, n: Subgroup,
     q_a, rho = quotient(a_grp, meet_in_a)             # A/(A∩N)
 
     ker_phi = kernel(phi)
-    xi_images = [None] * q_a.order
-    xi_ok = True
-    for x in a_grp.elements():
-        slot = rho.images[x]
-        v = phi.images[x]
-        if xi_images[slot] is None:
-            xi_images[slot] = v
-        elif xi_images[slot] != v:
-            xi_ok = False
-    xi_proof = Morphism(q_a, q_an, tuple(xi_images), ANTI, name="xi-proof")
-    inverse_images = [None] * q_an.order
+    xi_images, xi_conflict = _through(rho.images, phi.images, q_a.order)
+    xi_proof = Morphism(q_a, q_an, xi_images, ANTI, name="xi-proof")
+    xi_stmt = None
     if xi_proof.is_bijective():
-        for i, v in enumerate(xi_proof.images):
+        inverse_images = [None] * q_an.order
+        for i, v in enumerate(xi_images):
             inverse_images[v] = i
-    xi_stmt = Morphism(q_an, q_a, tuple(inverse_images), ANTI, name="xi-statement") \
-        if all(v is not None for v in inverse_images) else None
-    solutions = []
-    for ell in enumerate_morphisms(q_a, q_an, ANTI, bound):
-        if tuple(ell.images[v] for v in rho.images) == phi.images:
-            solutions.append(ell)
+        xi_stmt = Morphism(q_an, q_a, tuple(inverse_images), ANTI, name="xi-statement")
+    solutions = _anti_solutions(q_a, q_an, rho.images, phi.images, bound)
     checks = (
         check("an-is-subgroup", an_is_subgroup, witness=an.members),
         check("n-normal-in-an", is_normal(an_grp, n_in_an)),
         check("meet-normal-in-a", is_normal(a_grp, meet_in_a)),
-        check("phi-is-anti", _is_anti_table(phi.images, a_grp, q_an)),
+        _anti_check("phi-is-anti", phi.images, a_grp, q_an),
         check("phi-surjective", phi.is_surjective()),
         check("kernel-is-meet", ker_phi.members == meet_in_a.members,
               witness=(ker_phi.members, meet_in_a.members)),
-        check("xi-well-defined", xi_ok),
-        check("xi-is-anti", _is_anti_table(xi_proof.images, q_a, q_an)),
+        check("xi-well-defined", xi_conflict is None, witness=xi_conflict),
+        _anti_check("xi-is-anti", xi_images, q_a, q_an),
         check("xi-bijective", xi_proof.is_bijective()),
         check("diagram-commutes",
               tuple(xi_proof.images[v] for v in rho.images) == phi.images),
-        check("statement-direction-is-anti",
-              xi_stmt is not None and _is_anti_table(xi_stmt.images, q_an, q_a)),
-        check("unique", len(solutions) == 1 and solutions[0].images == xi_proof.images,
-              witness=[s.images for s in solutions]),
+        (check("statement-direction-is-anti", False,
+               witness="xi-proof is not bijective: no xi-statement")
+         if xi_stmt is None else
+         _anti_check("statement-direction-is-anti", xi_stmt.images, q_an, q_a)),
+        check("unique", solutions == [xi_images], witness=solutions),
     )
     return TheoremReport(
         theorem="third-anti-isomorphism",

@@ -12,10 +12,10 @@ from collections import Counter
 
 from antimorph.corpus import category_corpus, cyclic, group_corpus, ring_corpus
 from antimorph.formats import emit_group
-from antimorph.groups import direct_product, find_isomorphism
+from antimorph.groups import direct_product
 from antimorph.kernels import BACKEND
 from antimorph.maps import ANTI, STRAIGHT
-from antimorph.morphisms import brute_force_tables, enumerate_morphisms
+from antimorph.morphisms import brute_force_tables, enumerate_morphisms, find_isomorphism
 from antimorph.reports import ReportBundle, emit_records
 from antimorph.suite import (
     SECTIONS,

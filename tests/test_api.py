@@ -44,3 +44,9 @@ def test_every_public_name_has_a_caller():
             if node.name not in own and not any(node.name in n for n in others):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert uncalled == [], f"public names no package or benchmark code uses: {uncalled}"
+
+
+def test_cli_builds_no_report():
+    # every report the CLI prints comes from a builder in `suite`
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert {"TheoremReport", "check"} & _referenced_names(tree) == set()

@@ -92,12 +92,32 @@ def test_corpus_directory_reaches_the_report(tmp_path):
     assert k9 and all(r.passed for r in k9)
 
 
+def test_config_line_takes_the_options_given_and_defaults_for_the_rest(capsys):
+    argv = ("verify", "anti-hom", "--map", "signstar.map")
+    code, out, _ = run_cli(capsys, "--format", "records", *argv)
+    assert code == 0
+    assert parse_records(out).config == RunConfig().as_fields()
+    code, out, _ = run_cli(capsys, "--format", "records", "--seed", "7", *argv)
+    assert code == 0
+    assert parse_records(out).config == RunConfig(seed=7).as_fields()
+    code, out, _ = run_cli(capsys, "--format", "records", *argv, "--bound", "5000")
+    assert code == 0
+    assert parse_records(out).config == RunConfig(bound=5000).as_fields()
+
+
 @pytest.mark.parametrize("argv, selection", [
     (("audit", "natural-an-map", "--ring", "z4", "--ideal", "even"),
      "natural-map/z4-even/"),
     (("cat", "equiv", "--category", "meet"), "anti-category-equivalence/meet/"),
 ])
 def test_cli_query_is_a_slice_of_the_report(capsys, argv, selection):
+    """A CLI query prints exactly the report's records for its instance.
+
+    `cat products` and `audit pointwise-ring` are not report slices, though
+    `suite` builds them too: the report pins meet's product apex and audits
+    two fixed rings with claims about the whole instance, while the CLI
+    reports whatever family or ring pair it is given, check by check.
+    """
     code, out, _ = run_cli(capsys, "--format", "records", *argv)
     assert code == 0
     want = run(RunConfig(selection=(selection,))).records

@@ -5,7 +5,6 @@ from antimorph.errors import BoundExceeded, MissingInverse, NoIdentity, NotAssoc
 from antimorph.groups import (
     Subgroup,
     direct_product,
-    find_isomorphism,
     generating_set,
     is_normal,
     normality_witness,
@@ -15,6 +14,7 @@ from antimorph.groups import (
     subgroup_product,
     validate_group,
 )
+from antimorph.morphisms import find_isomorphism
 
 
 def test_order_two_table_is_the_cyclic_group():

@@ -21,6 +21,7 @@ from antimorph.morphisms import (
     corresponding_anti,
     corresponding_hom,
     enumerate_morphisms,
+    find_isomorphism,
     image,
     kernel,
     law_witness,
@@ -274,6 +275,59 @@ def _relabeled(g, rng):
         for y in g.elements():
             table[p[x]][p[y]] = p[g.mul(x, y)]
     return validate_group(table, name=g.name)
+
+
+def test_find_isomorphism_matches_a_brute_force_scan():
+    # Every bundled group of order <= 6 and a seeded relabeling of each, in
+    # every ordered pair of equal order: the search finds an isomorphism
+    # exactly when the full map scan holds a bijective homomorphism, and
+    # what it finds is one of them.
+    rng = random.Random(5)
+    small = [g for _, g in sorted(group_corpus().items()) if g.order <= 6]
+    groups = small + [_relabeled(g, rng) for g in small]
+    outcomes = set()
+    for g, h in itertools.product(groups, repeat=2):
+        if g.order != h.order:
+            continue
+        bijective = {t for t in brute_force_tables(g, h)[0] if len(set(t)) == g.order}
+        iso = find_isomorphism(g, h)
+        outcomes.add(iso is None)
+        if iso is None:
+            assert not bijective, (g, h)
+        else:
+            assert iso.images in bijective, (g, h)
+            assert (iso.source, iso.target, iso.variance) == (g, h, STRAIGHT)
+    assert outcomes == {True, False}
+
+
+def _naive_ring_maps(a, b):
+    """(straight, anti): every map A -> B that is additive and keeps, or
+    reverses, the product, with no unit constraint, found by trying them all."""
+    pairs = [(x, y) for x in a.elements() for y in a.elements()]
+    straight, anti = set(), set()
+    for f in itertools.product(b.elements(), repeat=a.order):
+        if any(f[a.add_(x, y)] != b.add_(f[x], f[y]) for x, y in pairs):
+            continue
+        if all(f[a.mul_(x, y)] == b.mul_(f[x], f[y]) for x, y in pairs):
+            straight.add(f)
+        if all(f[a.mul_(x, y)] == b.mul_(f[y], f[x]) for x, y in pairs):
+            anti.add(f)
+    return straight, anti
+
+
+def test_ring_enumeration_matches_a_brute_force_scan():
+    # Every ordered pair of bundled rings with at most 65,536 maps.
+    rings = ring_corpus()
+    pairs = [(a, b) for _, a in sorted(rings.items()) for _, b in sorted(rings.items())
+             if b.order ** a.order <= 65536]
+    assert len(pairs) == 18
+    for a, b in pairs:
+        for variance, tables in zip(VARIANCES, _naive_ring_maps(a, b)):
+            assert nonunital_morphism_tables(a, b, variance) == sorted(tables), \
+                (a, b, variance)
+            unital = sorted(t for t in tables if t[a.one] == b.one)
+            assert [m.images for m in enumerate_morphisms(a, b, variance)] == unital, \
+                (a, b, variance)
 
 
 def test_law_witness_matches_a_naive_oracle_on_every_z3_to_s3_map():
