@@ -13,6 +13,11 @@ is the tuple of the target cells its source's objects and morphisms go to; a
 factorable functor appends the images of the anti morphisms, so its first
 cells are its underlying functor. Composition g∘f is `tuple(g[i] for i in f)`.
 Ids name cells in files, witnesses and report inputs only.
+
+Once built, a category is read through its cells alone: validation, the iso
+and mediator searches, and the derived categories all use the composition
+table. The `compose`, `identities`, `mixed` and `reverse` dicts are the
+constructor input, the form `formats` writes, and what `same_tables` compares.
 """
 
 from __future__ import annotations
@@ -48,8 +53,22 @@ class AdditiveHom:
     table: dict  # (mid, mid) -> mid
 
 
+class _Cells:
+    """Lookups on the numbered cells that `_number` attaches to a category."""
+
+    def cell(self, mid: str) -> int:
+        return self._arrow_cell[mid]
+
+    def obj_cell(self, obj: str) -> int:
+        return self._object_cell[obj]
+
+    def composite(self, g: int, f: int) -> int:
+        """The cell of g∘f; -1 when the table has none."""
+        return self._table[g * len(self.cells) + f]
+
+
 @dataclass(frozen=True, eq=True)
-class FiniteCategory:
+class FiniteCategory(_Cells):
     name: str
     objects: tuple
     morphisms: tuple          # Mor records
@@ -62,25 +81,8 @@ class FiniteCategory:
         vars(self).update(_number(self.objects, self.morphisms, self.compose,
                                   self.identities))
 
-    def mor(self, mid: str) -> Mor:
-        return self.morphisms[self._arrow_cell[mid] - len(self.objects)]
-
-    def cell(self, mid: str) -> int:
-        return self._arrow_cell[mid]
-
-    def obj_cell(self, obj: str) -> int:
-        return self._object_cell[obj]
-
     def hom(self, a: str, b: str) -> tuple:
         return tuple(m.mid for m in self.morphisms if m.src == a and m.dst == b)
-
-    def composable(self, gid: str, fid: str) -> bool:
-        return self.mor(fid).dst == self.mor(gid).src
-
-    def compose_ids(self, gid: str, fid: str) -> str:
-        if not self.composable(gid, fid):
-            raise NotComposable(f"{gid} after {fid}")
-        return self.compose[(gid, fid)]
 
     def same_tables(self, other: "FiniteCategory") -> bool:
         return (self.objects == other.objects
@@ -134,110 +136,119 @@ def build_category(name, objects, morphisms, identities, compose,
     mors = tuple(Mor(*m) if not isinstance(m, Mor) else m for m in morphisms)
     table = dict(compose)
     for m in mors:
-        table.setdefault((identities[m.dst], m.mid), m.mid)
-        table.setdefault((m.mid, identities[m.src]), m.mid)
+        table.setdefault((identities.get(m.dst), m.mid), m.mid)
+        table.setdefault((m.mid, identities.get(m.src)), m.mid)
     cat = FiniteCategory(name, tuple(objects), mors, dict(identities), table,
                          additive)
     validate_category(cat)
     return cat
 
 
-def validate_category(cat: FiniteCategory) -> FiniteCategory:
-    """Exhaustive identity, totality, typing, associativity, and additivity checks."""
-    for obj in cat.objects:
-        if obj not in cat.identities:
-            raise BadIdentity(f"object {obj} has no identity")
-        mid = cat.identities[obj]
-        m = cat.mor(mid)
-        if (m.src, m.dst) != (obj, obj):
-            raise BadIdentity(f"identity {mid} of {obj} is not an endomorphism")
-    for m in cat.morphisms:
-        if m.src not in cat.objects or m.dst not in cat.objects:
-            raise BadIdentity(f"morphism {m.mid} references unknown objects")
-    for g in cat.morphisms:
-        for f in cat.morphisms:
-            if f.dst != g.src:
-                continue
-            key = (g.mid, f.mid)
-            if key not in cat.compose:
-                raise NotComposable(f"composite {g.mid}∘{f.mid} missing")
-            h = cat.mor(cat.compose[key])
-            if (h.src, h.dst) != (f.src, g.dst):
-                raise NotComposable(f"composite {g.mid}∘{f.mid} badly typed")
-    for obj in cat.objects:
-        e = cat.identities[obj]
-        for m in cat.morphisms:
-            if m.src == obj and cat.compose[(m.mid, e)] != m.mid:
-                raise BadIdentity(f"{m.mid}∘{e} != {m.mid}", witness=(m.mid, e))
-            if m.dst == obj and cat.compose[(e, m.mid)] != m.mid:
-                raise BadIdentity(f"{e}∘{m.mid} != {m.mid}", witness=(e, m.mid))
-    w = _associativity_witness(cat.morphisms, cat.compose)
-    if w is not None:
-        raise NotAssociative(f"composition not associative at {w}", witness=w)
-    if cat.additive is not None:
-        _validate_additive(cat)
-    return cat
-
-
-def _associativity_witness(morphisms, table):
-    for h in morphisms:
-        for g in morphisms:
-            if g.src != h.dst:
-                continue
-            gh = table[(g.mid, h.mid)]
-            for f in morphisms:
-                if f.src != g.dst:
-                    continue
-                if table[(table[(f.mid, g.mid)], h.mid)] != table[(f.mid, gh)]:
-                    return (f.mid, g.mid, h.mid)
+def category_violation(cat):
+    """The first category law the cell table of `cat` breaks, as an error
+    naming ids; None when it is a category. Checked in order: ids unique,
+    typing resolved, identities present and typed, a correctly typed
+    composite for every composable pair, the identity laws, associativity.
+    A factorization category is checked on its associated cells."""
+    n, size, names = len(cat.objects), len(cat.cells), cat.cells
+    src, dst, table = cat._src, cat._dst, cat._table
+    for k, mid in enumerate(names):
+        if (cat._object_cell if k < n else cat._arrow_cell)[mid] != k:
+            return BadIdentity(f"id {mid} is used twice", witness=mid)
+    for k in range(n, size):
+        if src[k] < 0 or dst[k] < 0:
+            return BadIdentity(f"morphism {names[k]} references unknown objects",
+                               witness=names[k])
+    for i, e in enumerate(cat._ident):
+        if e < 0:
+            return BadIdentity(f"object {names[i]} has no identity",
+                               witness=names[i])
+        if (src[e], dst[e]) != (i, i):
+            return BadIdentity(f"identity {names[e]} of {names[i]} is not an "
+                               f"endomorphism", witness=names[e])
+    for g, f, h in cat._triples:
+        if h < 0 or (src[h], dst[h]) != (src[f], dst[g]):
+            problem = "missing or unknown" if h < 0 else "badly typed"
+            return NotComposable(f"composite {names[g]}∘{names[f]} {problem}",
+                                 witness=(names[g], names[f]))
+    identities = set(cat._ident)
+    for g, f, h in cat._triples:
+        if (f in identities and h != g) or (g in identities and h != f):
+            return BadIdentity(f"{names[g]}∘{names[f]} is {names[h]}",
+                               witness=(names[g], names[f]))
+    after = {}
+    for e, g, eg in cat._triples:
+        after.setdefault(g, []).append((e, eg))
+    for g, f, gf in cat._triples:
+        for e, eg in after.get(g, ()):
+            if table[e * size + gf] != table[eg * size + f]:
+                w = (names[e], names[g], names[f])
+                return NotAssociative(f"composition not associative at {w}",
+                                      witness=w)
     return None
 
 
-def _validate_additive(cat: FiniteCategory):
+def validate_category(cat: FiniteCategory) -> FiniteCategory:
+    """Raise the first violation of the category laws, then of additivity."""
+    w = category_violation(cat)
+    if w is not None:
+        raise w
+    if cat.additive is not None:
+        _validate_additive(cat, cat.additive, cat._homs, "hom")
+    return cat
+
+
+def _validate_additive(cat, additive: dict, sets: dict, kind: str):
+    """Each (a, b) -> AdditiveHom of `additive` must make the cells
+    `sets[(a, b)]` an abelian group whose identity is the declared zero, and
+    composition in `cat` must be bilinear wherever these sets are closed
+    under it: for the hom sets of a category that is everywhere, for the
+    anti sets of a factorization category nowhere, as two anti morphisms
+    compose to a straight one."""
     from .groups import validate_group
 
-    for (a, b), data in cat.additive.items():
-        mids = cat.hom(a, b)
-        pos = {m: i for i, m in enumerate(mids)}
-        table = [[pos[data.table[(m1, m2)]] for m2 in mids] for m1 in mids]
-        g = validate_group(table, name=f"hom({a},{b})")
+    names, size, table = cat.cells, len(cat.cells), cat._table
+    plus = {}
+    family = {}
+    for (a, b), data in additive.items():
+        label = f"{kind}({a},{b})"
+        members = sets.get((cat._object_cell.get(a, -1),
+                            cat._object_cell.get(b, -1)), ())
+        pos = {k: i for i, k in enumerate(members)}
+        for m1 in members:
+            for m2 in members:
+                s = cat._arrow_cell.get(data.table.get((names[m1], names[m2])), -1)
+                if s not in pos:
+                    raise BadIdentity(f"{label} has no sum {names[m1]}+{names[m2]}",
+                                      witness=(names[m1], names[m2]))
+                plus[m1, m2] = s
+            family[m1] = members
+        g = validate_group([[pos[plus[m1, m2]] for m2 in members]
+                            for m1 in members], name=label)
         if not g.abelian:
-            raise BadIdentity(f"hom({a},{b}) addition is not commutative")
-        if g.identity != pos[data.zero]:
-            raise BadIdentity(f"declared zero of hom({a},{b}) is not the identity")
-    for (a, b), data in cat.additive.items():
-        for (b2, c), data2 in cat.additive.items():
-            if b2 != b:
-                continue
-            for f1 in cat.hom(a, b):
-                for f2 in cat.hom(a, b):
-                    s = data.table[(f1, f2)]
-                    for g in cat.hom(b, c):
-                        lhs = cat.compose[(g, s)]
-                        rhs = cat.additive[(a, c)].table[
-                            (cat.compose[(g, f1)], cat.compose[(g, f2)])]
-                        if lhs != rhs:
-                            raise BadIdentity(
-                                f"composition not linear at {g}∘({f1}+{f2})",
-                                witness=(g, f1, f2))
-            for g1 in cat.hom(b, c):
-                for g2 in cat.hom(b, c):
-                    s = data2.table[(g1, g2)]
-                    for f in cat.hom(a, b):
-                        lhs = cat.compose[(s, f)]
-                        rhs = cat.additive[(a, c)].table[
-                            (cat.compose[(g1, f)], cat.compose[(g2, f)])]
-                        if lhs != rhs:
-                            raise BadIdentity(
-                                f"composition not linear at ({g1}+{g2})∘{f}",
-                                witness=(g1, g2, f))
+            raise BadIdentity(f"{label} addition is not commutative")
+        if members[g.identity] != cat._arrow_cell.get(data.zero):
+            raise BadIdentity(f"declared zero of {label} is not the identity")
+    for g, f, gf in cat._triples:
+        if g not in family or f not in family or gf not in family:
+            continue
+        for f2 in family[f]:
+            if table[g * size + plus[f, f2]] != plus[gf, table[g * size + f2]]:
+                w = (names[g], names[f], names[f2])
+                raise BadIdentity(f"composition not linear at {w[0]}∘({w[1]}+{w[2]})",
+                                  witness=w)
+        for g2 in family[g]:
+            if table[plus[g, g2] * size + f] != plus[gf, table[g2 * size + f]]:
+                w = (names[g], names[g2], names[f])
+                raise BadIdentity(f"composition not linear at ({w[0]}+{w[1]})∘{w[2]}",
+                                  witness=w)
 
 
 # -- factorization structure ------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FactorizationCategory:
+class FactorizationCategory(_Cells):
     base: FiniteCategory
     an_morphisms: tuple       # Mor records, ids disjoint from the base
     reverse: dict             # object -> anti mid
@@ -258,6 +269,8 @@ class FactorizationCategory:
                       for k in range(start, size))
         vars(self).update(
             cells, _rev=rev, _an_straight=twins,
+            _an_homs={key: tuple(k for k in ks if k >= start)
+                      for key, ks in cells["_homs"].items()},
             _mixed_triples=tuple(t for t in cells["_triples"]
                                  if t[0] >= start or t[1] >= start))
 
@@ -272,39 +285,12 @@ class FactorizationCategory:
     def is_anti(self, mid: str) -> bool:
         return self._arrow_cell.get(mid, -1) >= len(self.base.cells)
 
-    def cell(self, mid: str) -> int:
-        return self._arrow_cell[mid]
-
-    def obj_cell(self, obj: str) -> int:
-        return self._object_cell[obj]
-
-    def mor(self, mid: str) -> Mor:
-        k = self._arrow_cell[mid] - len(self.base.cells)
-        return self.an_morphisms[k] if k >= 0 else self.base.mor(mid)
-
     def an(self, a: str, b: str) -> tuple:
         return tuple(m.mid for m in self.an_morphisms if m.src == a and m.dst == b)
 
-    def hom(self, a: str, b: str) -> tuple:
-        return self.base.hom(a, b)
-
-    def all_morphisms(self) -> tuple:
-        return self.base.morphisms + self.an_morphisms
-
-    def compose_ids(self, gid: str, fid: str) -> str:
-        if self.is_anti(gid) or self.is_anti(fid):
-            key = (gid, fid)
-            if key not in self.mixed:
-                raise NotComposable(f"{gid} after {fid}")
-            return self.mixed[key]
-        return self.base.compose_ids(gid, fid)
-
-    def star(self, gid: str, fid: str) -> str:
-        """Star composition of two anti ids: (g∘f)∘reverse."""
-        if not (self.is_anti(gid) and self.is_anti(fid)):
-            raise NotComposable("star composition takes two anti ids")
-        src = self.mor(fid).src
-        return self.compose_ids(self.compose_ids(gid, fid), self.reverse[src])
+    def through_reverse(self, k: int) -> int:
+        """The cell of k∘rev, rev the reverse morphism at the source of k."""
+        return self.composite(k, self._rev[self._src[k]])
 
     def same_tables(self, other: "FactorizationCategory") -> bool:
         return (self.base.same_tables(other.base)
@@ -319,73 +305,48 @@ def validate_factorization(fc: FactorizationCategory) -> FactorizationCategory:
 
     Axiom numbering in violations: 1 anti-sets well formed, 2 mixed laws total
     with the XOR variance, 3 reverse morphisms present and compatible,
-    4 associativity of all compositions; the reverse-commutation identity
-    f∘rev_A = rev_B∘f is checked as part of axiom 3.
+    4 the associated cells form a category (associativity of all
+    compositions); the reverse-commutation identity f∘rev_A = rev_B∘f is
+    checked as part of axiom 3.
     """
     validate_category(fc.base)
-    base_ids = {m.mid for m in fc.base.morphisms}
-    for m in fc.an_morphisms:
-        if m.mid in base_ids:
-            raise AxiomViolation(f"anti id {m.mid} collides with the base", 1,
-                                 witness=m.mid)
-        if m.src not in fc.objects or m.dst not in fc.objects:
-            raise AxiomViolation(f"anti morphism {m.mid} badly typed", 1,
-                                 witness=m.mid)
-    everything = fc.all_morphisms()
-    for g in everything:
-        for f in everything:
-            if f.dst != g.src:
-                continue
-            if not (fc.is_anti(g.mid) or fc.is_anti(f.mid)):
-                continue
-            key = (g.mid, f.mid)
-            if key not in fc.mixed:
-                raise AxiomViolation(f"mixed composite {g.mid}∘{f.mid} missing", 2,
-                                     witness=key)
-            h = fc.mor(fc.mixed[key])
-            if (h.src, h.dst) != (f.src, g.dst):
-                raise AxiomViolation(f"mixed composite {g.mid}∘{f.mid} badly typed",
-                                     2, witness=key)
-            want_anti = fc.is_anti(g.mid) != fc.is_anti(f.mid)
-            if fc.is_anti(h.mid) != want_anti:
-                raise AxiomViolation(
-                    f"composite {g.mid}∘{f.mid} has the wrong variance", 2,
-                    witness=key)
-    for obj in fc.objects:
-        if obj not in fc.reverse:
-            raise AxiomViolation(f"object {obj} has no reverse morphism", 3,
-                                 witness=obj)
-        rid = fc.reverse[obj]
-        m = fc.mor(rid)
-        if not fc.is_anti(rid) or (m.src, m.dst) != (obj, obj):
-            raise AxiomViolation(f"reverse morphism of {obj} malformed", 3,
-                                 witness=rid)
-    for f in fc.base.morphisms:
-        lhs = fc.compose_ids(f.mid, fc.reverse[f.src])
-        rhs = fc.compose_ids(fc.reverse[f.dst], f.mid)
-        if lhs != rhs:
+    n, start, names = len(fc.objects), len(fc.base.cells), fc.cells
+    src, dst, rev = fc._src, fc._dst, fc._rev
+    for k in range(start, len(names)):
+        if names[k] in fc.base._arrow_cell or fc._arrow_cell[names[k]] != k:
+            raise AxiomViolation(f"anti id {names[k]} collides with another id",
+                                 1, witness=names[k])
+        if src[k] < 0 or dst[k] < 0:
+            raise AxiomViolation(f"anti morphism {names[k]} badly typed", 1,
+                                 witness=names[k])
+    for g, f, h in fc._mixed_triples:
+        key = (names[g], names[f])
+        if h < 0 or (src[h], dst[h]) != (src[f], dst[g]):
+            problem = "missing or unknown" if h < 0 else "badly typed"
+            raise AxiomViolation(f"mixed composite {key[0]}∘{key[1]} {problem}",
+                                 2, witness=key)
+        if (h >= start) != ((g >= start) != (f >= start)):
             raise AxiomViolation(
-                f"{f.mid}∘rev != rev∘{f.mid}", 3, witness=(f.mid, lhs, rhs))
-    compose_all = dict(fc.base.compose)
-    compose_all.update(fc.mixed)
-    w = _associativity_witness(everything, compose_all)
+                f"composite {key[0]}∘{key[1]} has the wrong variance", 2,
+                witness=key)
+    for i, r in enumerate(rev):
+        if r < 0:
+            raise AxiomViolation(f"object {names[i]} has no reverse morphism", 3,
+                                 witness=names[i])
+        if r < start or (src[r], dst[r]) != (i, i):
+            raise AxiomViolation(f"reverse morphism of {names[i]} malformed", 3,
+                                 witness=names[r])
+    for k in range(n, start):
+        lhs, rhs = fc.through_reverse(k), fc.composite(rev[dst[k]], k)
+        if lhs != rhs:
+            raise AxiomViolation(f"{names[k]}∘rev != rev∘{names[k]}", 3,
+                                 witness=(names[k], names[lhs], names[rhs]))
+    w = category_violation(fc)
     if w is not None:
-        raise AxiomViolation(f"composition not associative at {w}", 4, witness=w)
+        raise AxiomViolation(str(w), 4, witness=w.witness)
     if fc.an_additive is not None:
-        _validate_an_additive(fc)
+        _validate_additive(fc, fc.an_additive, fc._an_homs, "an")
     return fc
-
-
-def _validate_an_additive(fc: FactorizationCategory):
-    from .groups import validate_group
-
-    for (a, b), data in fc.an_additive.items():
-        mids = fc.an(a, b)
-        pos = {m: i for i, m in enumerate(mids)}
-        table = [[pos[data.table[(m1, m2)]] for m2 in mids] for m1 in mids]
-        g = validate_group(table, name=f"an({a},{b})")
-        if not g.abelian:
-            raise BadIdentity(f"an({a},{b}) addition is not commutative")
 
 
 # -- the canonical structure: equip and forget ---------------------------------------
@@ -401,17 +362,15 @@ def caf(cat: FiniteCategory) -> FactorizationCategory:
     Anti-morphisms are formal starred copies of the straight ones and mixed
     composition works by variance XOR over the underlying composition.
     """
+    names = cat.cells
     an_mors = tuple(Mor(anti_id(m.mid), m.src, m.dst) for m in cat.morphisms)
-    reverse = {obj: anti_id(cat.identities[obj]) for obj in cat.objects}
+    reverse = {obj: anti_id(names[e]) for obj, e in zip(cat.objects, cat._ident)}
     mixed = {}
-    for g in cat.morphisms:
-        for f in cat.morphisms:
-            if f.dst != g.src:
-                continue
-            h = cat.compose[(g.mid, f.mid)]
-            mixed[(anti_id(g.mid), anti_id(f.mid))] = h
-            mixed[(anti_id(g.mid), f.mid)] = anti_id(h)
-            mixed[(g.mid, anti_id(f.mid))] = anti_id(h)
+    for g, f, h in cat._triples:
+        g_id, f_id, h_id = names[g], names[f], names[h]
+        mixed[(anti_id(g_id), anti_id(f_id))] = h_id
+        mixed[(anti_id(g_id), f_id)] = anti_id(h_id)
+        mixed[(g_id, anti_id(f_id))] = anti_id(h_id)
     an_additive = None
     if cat.additive is not None:
         an_additive = {}
@@ -429,28 +388,29 @@ def fca(fc: FactorizationCategory) -> FiniteCategory:
 
 
 # -- derived categories ---------------------------------------------------------------
+# Both are read off the cells of a factorization category and left
+# unvalidated, so a caller can report the first law they break.
 
 
 def anti_category(fc: FactorizationCategory) -> FiniteCategory:
-    """Same objects, anti-morphisms as morphisms, star composition, reverse
-    morphisms as identities."""
-    compose = {}
-    for g in fc.an_morphisms:
-        for f in fc.an_morphisms:
-            if f.dst == g.src:
-                compose[(g.mid, f.mid)] = fc.star(g.mid, f.mid)
-    cat = FiniteCategory(fc.name + "^an", fc.objects, fc.an_morphisms,
-                         dict(fc.reverse), compose)
-    return validate_category(cat)
+    """Same objects, anti-morphisms as morphisms, star composition
+    (g∘f)∘rev, reverse morphisms as identities."""
+    names, start = fc.cells, len(fc.base.cells)
+    compose = {(names[g], names[f]): names[fc.through_reverse(gf)]
+               for g, f, gf in fc._mixed_triples if g >= start and f >= start}
+    return FiniteCategory(fc.name + "^an", fc.objects, fc.an_morphisms,
+                          dict(zip(fc.objects, (names[r] for r in fc._rev))),
+                          compose)
 
 
 def associated_category(fc: FactorizationCategory) -> FiniteCategory:
     """Straight and anti arrows together under the mixed composition."""
-    compose = dict(fc.base.compose)
-    compose.update(fc.mixed)
-    cat = FiniteCategory(fc.name + "~", fc.objects, fc.all_morphisms(),
-                         dict(fc.base.identities), compose)
-    return validate_category(cat)
+    names = fc.cells
+    return FiniteCategory(fc.name + "~", fc.objects,
+                          fc.base.morphisms + fc.an_morphisms,
+                          dict(zip(fc.objects, (names[e] for e in fc._ident))),
+                          {(names[g], names[f]): names[h]
+                           for g, f, h in fc._triples})
 
 
 # -- functors --------------------------------------------------------------------------
@@ -633,6 +593,16 @@ def check_factorable(ff: tuple, fc_src: FactorizationCategory,
 # -- equivalences ------------------------------------------------------------------------
 
 
+def is_iso(cat, k: int) -> bool:
+    """Whether cell k has a two-sided inverse. On a factorization category's
+    associated cells this is the anti-isomorphism test for an anti k, since
+    a straight arrow composed with an anti one is anti, never an identity."""
+    table, size, ident = cat._table, len(cat.cells), cat._ident
+    a, b = cat._src[k], cat._dst[k]
+    return any(table[j * size + k] == ident[a] and table[k * size + j] == ident[b]
+               for j in cat._homs.get((b, a), ()))
+
+
 def check_equivalence(f: tuple, c: FiniteCategory,
                       d: FiniteCategory) -> TheoremReport:
     """Fully faithful and essentially surjective, exhaustively; each failing
@@ -649,10 +619,10 @@ def check_equivalence(f: tuple, c: FiniteCategory,
                     yield (c.cells[a], c.cells[b])
 
     ff_w = next(unfaithful_pairs(), None)
-    image_objects = {d.cells[o] for o in f[:n] if 0 <= o < len(d.objects)}
-    es_w = next((t for t in d.objects
-                 if not any(_is_iso(d, m) for s in image_objects
-                            for m in d.hom(t, s))), None)
+    image_objects = {o for o in f[:n] if 0 <= o < len(d.objects)}
+    es_w = next((d.cells[t] for t in range(len(d.objects))
+                 if not any(is_iso(d, m) for s in image_objects
+                            for m in d._homs.get((t, s), ()))), None)
     return TheoremReport(
         theorem="equivalence",
         inputs=(("source", c.name), ("target", d.name)),
@@ -666,52 +636,56 @@ def anti_functor(fc: FactorizationCategory) -> tuple:
     """base -> anti-category; objects fixed, f goes to its starred twin f∘rev.
     The anti category numbers the anti morphisms right after the objects."""
     n, nb = len(fc.objects), len(fc.base.morphisms)
-    table, size, rev = fc._table, len(fc.cells), fc._rev
-    return tuple(range(n)) + tuple(table[k * size + rev[fc._src[k]]] - nb
+    return tuple(range(n)) + tuple(fc.through_reverse(k) - nb
                                    for k in range(n, n + nb))
 
 
 # -- products and anti-products ------------------------------------------------------------
 
 
+def _mediators(cat, candidates, proj, cone) -> tuple:
+    """The cells f among `candidates` with p∘f = c for each projection p and
+    cone leg c."""
+    table, size = cat._table, len(cat.cells)
+    return tuple(f for f in candidates
+                 if all(table[p * size + f] == c for p, c in zip(proj, cone)))
+
+
+def _unmediated_cones(cat, apex, proj, family, cones, mediators):
+    """Each (y, cone, mediators), named by ids, for a cone from y drawn from
+    the `cones` sets into `family` that has not exactly one mediator from
+    the `mediators` set (y, apex) through `proj`. Objects and arrows are
+    cells; both sets map (a, b) to cells."""
+    names = cat.cells
+    for y in range(len(cat.objects)):
+        for cone in itertools.product(*(cones.get((y, x), ()) for x in family)):
+            found = _mediators(cat, mediators.get((y, apex), ()), proj, cone)
+            if len(found) != 1:
+                yield (names[y], tuple(names[c] for c in cone),
+                       tuple(names[f] for f in found))
+
+
 def find_products(cat: FiniteCategory, family) -> list:
     """All product presentations (apex, projection tuple) of a family of objects."""
-    out = []
-    for apex in cat.objects:
-        for proj in itertools.product(*(cat.hom(apex, x) for x in family)):
-            if _is_product(cat, apex, proj, family):
-                out.append((apex, proj))
-    return out
-
-
-def _is_product(cat, apex, proj, family) -> bool:
-    for y in cat.objects:
-        for cone in itertools.product(*(cat.hom(y, x) for x in family)):
-            mediators = [f for f in cat.hom(y, apex)
-                         if all(cat.compose[(p, f)] == c
-                                for p, c in zip(proj, cone))]
-            if len(mediators) != 1:
-                return False
-    return True
+    fam = [cat.obj_cell(x) for x in family]
+    homs, names = cat._homs, cat.cells
+    return [(names[apex], tuple(names[p] for p in proj))
+            for apex in range(len(cat.objects))
+            for proj in itertools.product(*(homs.get((apex, x), ()) for x in fam))
+            if next(_unmediated_cones(cat, apex, proj, fam, homs, homs), None)
+            is None]
 
 
 def check_anti_universal(fc: FactorizationCategory, apex, proj,
                          family) -> TheoremReport:
     """Both one-sided universal properties of a product against anti-cones;
     a failing property names its first anti-cone without a unique mediator."""
-    anti_proj = tuple(fc.compose_ids(p, fc.reverse[apex]) for p in proj)
-
-    def cones_without_unique_mediator(mediators_from, projections):
-        for y in fc.objects:
-            for cone in itertools.product(*(fc.an(y, x) for x in family)):
-                mediators = tuple(f for f in mediators_from(y, apex)
-                                  if all(fc.compose_ids(p, f) == c
-                                         for p, c in zip(projections, cone)))
-                if len(mediators) != 1:
-                    yield (y, cone, mediators)
-
-    w1 = next(cones_without_unique_mediator(fc.an, proj), None)
-    w2 = next(cones_without_unique_mediator(fc.hom, anti_proj), None)
+    a, fam = fc.obj_cell(apex), [fc.obj_cell(x) for x in family]
+    proj_cells = [fc.cell(p) for p in proj]
+    anti_proj = [fc.through_reverse(p) for p in proj_cells]
+    straight, an = fc.base._homs, fc._an_homs
+    w1 = next(_unmediated_cones(fc, a, proj_cells, fam, an, an), None)
+    w2 = next(_unmediated_cones(fc, a, anti_proj, fam, an, straight), None)
     checks = (
         check("unique-anti-mediator-through-projections", w1 is None, witness=w1),
         check("unique-straight-mediator-through-anti-projections", w2 is None,
@@ -728,23 +702,21 @@ def anti_product_uniqueness(fc: FactorizationCategory, family) -> TheoremReport:
     """Comparison maps between presentations: a unique anti-isomorphism links
     two products; a unique straight isomorphism links two anti-products."""
     presentations = find_products(fc.base, family)
+    names = fc.cells
     checks = []
     for (x, p), (x2, p2) in itertools.product(presentations, repeat=2):
-        p_star = tuple(fc.compose_ids(pi, fc.reverse[x]) for pi in p)
-        candidates = [g for g in fc.an(x, x2)
-                      if all(fc.compose_ids(p2[i], g) == p_star[i]
-                             for i in range(len(family)))
-                      and _is_anti_iso(fc, g)]
-        checks.append(check(f"products-{x}-{x2}-unique-anti-iso",
-                            len(candidates) == 1, witness=tuple(candidates)))
-        p2_star = tuple(fc.compose_ids(pi, fc.reverse[x2]) for pi in p2)
-        straight_candidates = [g for g in fc.hom(x, x2)
-                               if all(fc.compose_ids(p2_star[i], g) == p_star[i]
-                                      for i in range(len(family)))
-                               and _is_iso(fc.base, g)]
-        checks.append(check(f"anti-products-{x}-{x2}-unique-iso",
-                            len(straight_candidates) == 1,
-                            witness=tuple(straight_candidates)))
+        key = (fc.obj_cell(x), fc.obj_cell(x2))
+        p_star = [fc.through_reverse(fc.cell(pi)) for pi in p]
+        p2_cells = [fc.cell(pi) for pi in p2]
+        # anti comparisons through the projections, straight ones through
+        # the anti projections, each an isomorphism onto p_star
+        for label, sets, through in (
+                (f"products-{x}-{x2}-unique-anti-iso", fc._an_homs, p2_cells),
+                (f"anti-products-{x}-{x2}-unique-iso", fc.base._homs,
+                 [fc.through_reverse(k) for k in p2_cells])):
+            candidates = tuple(names[g] for g in _mediators(
+                fc, sets.get(key, ()), through, p_star) if is_iso(fc, g))
+            checks.append(check(label, len(candidates) == 1, witness=candidates))
     return TheoremReport(
         theorem="anti-product-uniqueness",
         inputs=(("category", fc.name), ("family", ",".join(family)),
@@ -753,50 +725,21 @@ def anti_product_uniqueness(fc: FactorizationCategory, family) -> TheoremReport:
     )
 
 
-def _is_iso(cat: FiniteCategory, fid: str) -> bool:
-    m = cat.mor(fid)
-    return any(cat.compose[(gid, fid)] == cat.identities[m.src]
-               and cat.compose[(fid, gid)] == cat.identities[m.dst]
-               for gid in cat.hom(m.dst, m.src))
-
-
-def _is_anti_iso(fc: FactorizationCategory, fid: str) -> bool:
-    m = fc.mor(fid)
-    return any(fc.compose_ids(gid, fid) == fc.base.identities[m.src]
-               and fc.compose_ids(fid, gid) == fc.base.identities[m.dst]
-               for gid in fc.an(m.dst, m.src))
-
-
 def check_antiproduct_preservation(ff: tuple, fc_src: FactorizationCategory,
                                    fc_dst: FactorizationCategory, family,
                                    name: str) -> TheoremReport:
     """Images of anti-product presentations satisfy the anti-universal
     property; a failing presentation names its first anti-cone without a
     unique mediator."""
-    def image(cell):
-        return fc_dst.cells[ff[cell]]
-
     checks = []
     for apex, proj in find_products(fc_src.base, family):
-        image_family = tuple(image(fc_src.obj_cell(x)) for x in family)
-        image_apex = image(fc_src.obj_cell(apex))
-        image_anti_proj = tuple(
-            image(fc_src.cell(fc_src.compose_ids(p, fc_src.reverse[apex])))
-            for p in proj)
-
-        def counterexamples():
-            for y in fc_dst.objects:
-                for cone in itertools.product(*(fc_dst.an(y, x)
-                                                for x in image_family)):
-                    mediators = tuple(
-                        f for f in fc_dst.hom(y, image_apex)
-                        if all(fc_dst.compose_ids(p, f) == c
-                               for p, c in zip(image_anti_proj, cone)))
-                    if len(mediators) != 1:
-                        yield (apex, y, cone, mediators)
-
-        w = next(counterexamples(), None)
-        checks.append(check(f"image-anti-product-{apex}", w is None, witness=w))
+        w = next(_unmediated_cones(
+            fc_dst, ff[fc_src.obj_cell(apex)],
+            [ff[fc_src.through_reverse(fc_src.cell(p))] for p in proj],
+            [ff[fc_src.obj_cell(x)] for x in family],
+            fc_dst._an_homs, fc_dst.base._homs), None)
+        checks.append(check(f"image-anti-product-{apex}", w is None,
+                            witness=w and (apex,) + w))
     return TheoremReport(
         theorem="anti-product-preservation",
         inputs=(("functor", name), ("family", ",".join(family))),

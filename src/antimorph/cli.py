@@ -17,6 +17,7 @@ from .categories import (
     associated_category,
     caf,
     fca,
+    validate_category,
 )
 from .errors import AlgebraError, ParseError
 from .formats import emit_category_text, emit_factorization_text, emit_map, load_path
@@ -151,13 +152,10 @@ def cmd_cat(args, config: RunConfig) -> int:
             fcat = caf(reg.category(args.category))
         _write(emit_category_text(fca(fcat)))
         return 0
-    if op == "anti":
-        _write(emit_category_text(
-            anti_category(caf(reg.category(args.category)))))
-        return 0
-    if op == "assoc":
-        _write(emit_category_text(
-            associated_category(caf(reg.category(args.category)))))
+    if op in ("anti", "assoc"):
+        derive = anti_category if op == "anti" else associated_category
+        _write(emit_category_text(validate_category(
+            derive(caf(reg.category(args.category))))))
         return 0
     if op == "equiv":
         rep = equivalence_report(args.category, reg.category(args.category))

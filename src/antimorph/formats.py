@@ -262,8 +262,8 @@ def parse_factorization(text: str) -> FactorizationCategory:
                           additive=add)
     an_records = tuple(Mor(*m) for m in an_mors)
     for m in an_records:
-        mixed.setdefault((identities[m.dst], m.mid), m.mid)
-        mixed.setdefault((m.mid, identities[m.src]), m.mid)
+        mixed.setdefault((identities.get(m.dst), m.mid), m.mid)
+        mixed.setdefault((m.mid, identities.get(m.src)), m.mid)
     an_add = {k: AdditiveHom(v["zero"], v["table"])
               for k, v in an_additive.items()} or None
     fc = FactorizationCategory(base, an_records, reverse, mixed, an_add)

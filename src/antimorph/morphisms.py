@@ -377,6 +377,7 @@ class AutomorphismAlgebra:
     star_group: FiniteGroup          # (anti-isomorphisms, star composition)
     iso_images: tuple                # straight_group -> star_group index map
     union_group: FiniteGroup | None  # both families under usual composition
+    union_witness: tuple | None      # first pair (images) leaving the union
     straight_normal_in_union: bool
     families_disjoint: bool
 
@@ -397,9 +398,14 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
     anti_tables = {m.images for m in antis}
     by_table = {m.images: m for m in antis + autos}
     union = [by_table[t] for t in sorted(by_table)]
-    union_group = _table_group(union, compose, name="unionis")
-    straight_members = tuple(i for i, m in enumerate(union) if m.images in auto_tables)
-    w = normality_witness(union_group, Subgroup(union_group, straight_members))
+    table, union_w = _closure_table(union, compose)
+    union_group, straight_normal = None, False
+    if table is not None:
+        union_group = validate_group(table, name="unionis")
+        straight_members = tuple(i for i, m in enumerate(union)
+                                 if m.images in auto_tables)
+        straight_normal = normality_witness(
+            union_group, Subgroup(union_group, straight_members)) is None
     return AutomorphismAlgebra(
         autos=autos,
         anti_autos=antis,
@@ -407,21 +413,32 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
         star_group=star_group,
         iso_images=iso_images,
         union_group=union_group,
-        straight_normal_in_union=w is None,
+        union_witness=union_w,
+        straight_normal_in_union=straight_normal,
         families_disjoint=not (auto_tables & anti_tables),
     )
 
 
-def _table_group(morphisms, op, name: str) -> FiniteGroup:
+def _closure_table(morphisms, op):
+    """The table of `op` on `morphisms` by position, and None; or None and
+    the first pair (as images) whose composite is not among them."""
     index = {m.images: i for i, m in enumerate(morphisms)}
-    n = len(morphisms)
-    table = [[0] * n for _ in range(n)]
-    for i, m1 in enumerate(morphisms):
-        for j, m2 in enumerate(morphisms):
-            comp = op(m1, m2)
-            if comp.images not in index:
-                raise LawViolation(f"{name} not closed", witness=(i, j))
-            table[i][j] = index[comp.images]
+    table = []
+    for m1 in morphisms:
+        row = []
+        for m2 in morphisms:
+            k = index.get(op(m1, m2).images)
+            if k is None:
+                return None, (m1.images, m2.images)
+            row.append(k)
+        table.append(row)
+    return table, None
+
+
+def _table_group(morphisms, op, name: str) -> FiniteGroup:
+    table, w = _closure_table(morphisms, op)
+    if table is None:
+        raise LawViolation(f"{name} not closed", witness=w)
     return validate_group(table, name=name)
 
 

@@ -25,8 +25,6 @@ from .corpus import (
 )
 from .categories import (
     FiniteCategory,
-    _is_anti_iso,
-    _is_iso,
     adjunction_report,
     anti_category,
     anti_functor,
@@ -34,6 +32,7 @@ from .categories import (
     anti_product_uniqueness,
     associated_category,
     caf,
+    category_violation,
     check_anti_universal,
     check_antiproduct_preservation,
     check_equivalence,
@@ -42,6 +41,7 @@ from .categories import (
     fca,
     find_products,
     identity_functor,
+    is_iso,
     lift_functor,
     preadditive_one_object,
     preadditive_two_object,
@@ -478,6 +478,7 @@ def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
 def automorphism_algebra_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     alg = automorphism_algebra(g, bound)
     n = alg.straight_group.order
+    union_order = alg.union_group.order if alg.union_group else None
     iso_hom = all(
         alg.iso_images[alg.straight_group.mul(i, j)] ==
         alg.star_group.mul(alg.iso_images[i], alg.iso_images[j])
@@ -489,18 +490,19 @@ def automorphism_algebra_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
               iso_hom and len(set(alg.iso_images)) == n),
         check("groups-abstractly-isomorphic",
               find_isomorphism(alg.straight_group, alg.star_group) is not None),
-        check("union-is-group", alg.union_group is not None),
+        check("union-is-group", alg.union_group is not None,
+              witness=alg.union_witness),
         check("straight-family-normal-in-union", alg.straight_normal_in_union),
     ]
     if g.abelian:
         checks.append(check("abelian-families-coincide",
                             not alg.families_disjoint
-                            and alg.union_group.order == len(alg.autos)))
+                            and union_order == len(alg.autos)))
     else:
         checks.append(check("nonabelian-families-disjoint", alg.families_disjoint))
         checks.append(check("union-has-index-two",
-                            alg.union_group.order == 2 * len(alg.autos),
-                            witness=alg.union_group.order))
+                            union_order == 2 * len(alg.autos),
+                            witness=(union_order, 2 * len(alg.autos))))
     return TheoremReport(
         theorem=f"automorphism-algebra/{g.name}",
         inputs=(("group", g.name),),
@@ -638,15 +640,18 @@ def category_reports(cats: dict) -> list:
         assoc = associated_category(fc)
         # the first morphism breaking each law, with what it gave
         law_w = iso_w = None
-        for m in c.morphisms:
-            rev = fc.reverse[m.src]
-            twice = fc.compose_ids(fc.compose_ids(m.mid, rev), rev)
-            back = fc.mixed[(anti_id(m.mid), rev)]
-            if law_w is None and (twice != m.mid or back != m.mid):
-                law_w = (m.mid, twice, back)
-            iso, anti_iso = _is_iso(c, m.mid), _is_anti_iso(fc, anti_id(m.mid))
+        for k in range(len(c.objects), len(c.cells)):
+            mid = c.cells[k]
+            twin = fc.cell(anti_id(mid))
+            twice = fc.through_reverse(fc.through_reverse(k))
+            back = fc.through_reverse(twin)
+            if law_w is None and (twice != k or back != k):
+                law_w = (mid, fc.cells[twice], fc.cells[back])
+            iso, anti_iso = is_iso(c, k), is_iso(fc, twin)
             if iso_w is None and iso != anti_iso:
-                iso_w = (m.mid, iso, anti_iso)
+                iso_w = (mid, iso, anti_iso)
+        ac_w, assoc_w = category_violation(ac), category_violation(assoc)
+        sizes = (len(assoc.morphisms), 2 * len(c.morphisms))
         out.append(TheoremReport(
             theorem=f"category-roundtrip/{name}",
             inputs=(("category", name),),
@@ -654,10 +659,10 @@ def category_reports(cats: dict) -> list:
                 check("forget-equip-identity", fca(caf(c)).same_tables(c)),
                 check("equip-forget-identity",
                       caf(fca(fc)).same_tables(fc)),
-                check("anti-category-is-category", ac is not None),
-                check("associated-category-is-category", assoc is not None),
-                check("hom-union-size",
-                      len(assoc.morphisms) == 2 * len(c.morphisms)),
+                check("anti-category-is-category", ac_w is None, witness=ac_w),
+                check("associated-category-is-category", assoc_w is None,
+                      witness=assoc_w),
+                check("hom-union-size", sizes[0] == sizes[1], witness=sizes),
                 check("straight-factors-through-reverse", law_w is None,
                       witness=law_w),
                 check("iso-iff-anti-iso", iso_w is None, witness=iso_w),

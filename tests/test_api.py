@@ -50,3 +50,15 @@ def test_cli_builds_no_report():
     # every report the CLI prints comes from a builder in `suite`
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     assert {"TheoremReport", "check"} & _referenced_names(tree) == set()
+
+
+def test_no_module_imports_another_modules_private_name():
+    # tests may still reach private names, by monkeypatching
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and \
+                    (node.level or (node.module or "").startswith("antimorph")):
+                private += [f"{path.stem}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

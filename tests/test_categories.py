@@ -6,6 +6,7 @@ import antimorph.categories as categories_module
 import antimorph.suite as suite_module
 from antimorph.categories import (
     FactorizationCategory,
+    FiniteCategory,
     adjunction_report,
     anti_category,
     anti_functor,
@@ -33,7 +34,13 @@ from antimorph.categories import (
     validate_factorization,
 )
 from antimorph.corpus import category_corpus
-from antimorph.errors import AxiomViolation, BadIdentity, BoundExceeded, NotComposable
+from antimorph.errors import (
+    AxiomViolation,
+    BadIdentity,
+    BoundExceeded,
+    NotAssociative,
+    NotComposable,
+)
 
 CATS = category_corpus()
 
@@ -65,6 +72,28 @@ def test_bad_identity_rejected():
                        {"a": "f"},
                        {("f", "f"): "ia", ("f", "ia"): "f", ("ia", "f"): "f",
                         ("ia", "ia"): "ia"})
+
+
+def test_validation_accepts_exactly_the_associative_three_element_monoids():
+    # Every table on {e, a, b} with e the identity, as a one-object
+    # category: validation must accept exactly the associative ones, which
+    # a triple loop over the full table finds; there are 11.
+    pairs = [(x, y) for x in "ab" for y in "ab"]
+    accepted = 0
+    for values in itertools.product("eab", repeat=len(pairs)):
+        full = {**dict(zip(pairs, values)), **{(x, "e"): x for x in "eab"},
+                **{("e", x): x for x in "eab"}}
+        associative = all(full[(full[(x, y)], z)] == full[(x, full[(y, z)])]
+                          for x, y, z in itertools.product("eab", repeat=3))
+        try:
+            build_category("m3", ("o",), [(x, "o", "o") for x in "eab"],
+                           {"o": "e"}, dict(zip(pairs, values)))
+        except NotAssociative:
+            assert not associative, values
+        else:
+            assert associative, values
+            accepted += 1
+    assert accepted == 11
 
 
 def test_caf_builds_a_valid_factorization_category():
@@ -240,13 +269,16 @@ def test_preadditive_anti_category_keeps_group_law():
     fc = caf(p2)
     assert fc.an_additive is not None
     ac = anti_category(fc)
-    # star composition distributes over the inherited addition
+    # the anti category's composition, star composition, distributes over
+    # the inherited addition
     data = fc.an_additive[("u", "v")]
+
+    def star(g, f):
+        return ac.cells[ac.composite(ac.cell(g), ac.cell(f))]
+
     for (m1, m2), s in data.table.items():
         for g in fc.an("v", "v"):
-            lhs = fc.star(g, s)
-            rhs = data.table[(fc.star(g, m1), fc.star(g, m2))]
-            assert lhs == rhs
+            assert star(g, s) == data.table[(star(g, m1), star(g, m2))]
 
 
 def test_factorable_composition_associates_with_underlying():
@@ -392,15 +424,45 @@ def _roundtrip(cat):
 
 
 def test_iso_iff_anti_iso_names_its_first_morphism(monkeypatch):
-    real = suite_module._is_anti_iso
+    real = suite_module.is_iso
 
-    def flipped(fc, mid):
-        return real(fc, mid) != (mid in ("a_c*", "b_b*"))
+    def flipped(cat, k):
+        return real(cat, k) != (cat.cells[k] in ("a_c*", "b_b*"))
 
-    monkeypatch.setattr(suite_module, "_is_anti_iso", flipped)
+    monkeypatch.setattr(suite_module, "is_iso", flipped)
     found = _roundtrip(CATS["chain3"]).check_map()["iso-iff-anti-iso"]
     assert not found.passed
     assert found.witness == ("a_c", False, True)
+
+
+@pytest.mark.parametrize("builder, name", [
+    ("anti_category", "anti-category-is-category"),
+    ("associated_category", "associated-category-is-category"),
+])
+def test_derived_category_check_names_its_first_violation(monkeypatch, builder,
+                                                          name):
+    # The derived category of the Z2 monoid sends identity∘(first other
+    # morphism) to the identity: the check FAILs with that violation and the
+    # run goes on.
+    real = getattr(suite_module, builder)
+
+    def broken(fc):
+        cat = real(fc)
+        if fc.name != "monoid":
+            return cat
+        e = cat.identities["o"]
+        m = next(m.mid for m in cat.morphisms if m.mid != e)
+        return FiniteCategory(cat.name, cat.objects, cat.morphisms,
+                              cat.identities, {**cat.compose, (e, m): e})
+
+    monkeypatch.setattr(suite_module, builder, broken)
+    records = suite_module.run(
+        suite_module.RunConfig(selection=("category-roundtrip/monoid/",))).records
+    found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
+    e, m = ("e*", "s*") if builder == "anti_category" else ("e", "s")
+    assert not found[name].passed
+    assert found[name].witness == repr(BadIdentity(f"{e}∘{m} is {e}"))
+    assert all(r.passed for k, r in found.items() if k != name)
 
 
 def test_straight_factors_through_reverse_names_its_first_morphism(monkeypatch):
@@ -452,12 +514,10 @@ def test_enumerate_functors_matches_every_untyped_assignment():
 def _every_lift(fc_src, fc_dst) -> set:
     """Each functor with every choice of anti images in An(F a, F b), kept
     when factorable_witness accepts it."""
-    width = len(fc_src.base.cells)
     out = set()
     for f in enumerate_functors(fc_src.base, fc_dst.base):
         slots = []
-        for k in range(width, len(fc_src.cells)):
-            m = fc_src.mor(fc_src.cells[k])
+        for m in fc_src.an_morphisms:
             slots.append([fc_dst.cell(a) for a in fc_dst.an(
                 fc_dst.cells[f[fc_src.obj_cell(m.src)]],
                 fc_dst.cells[f[fc_src.obj_cell(m.dst)]])])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -210,6 +211,70 @@ def test_malformed_file_does_not_crash(tmp_path, capsys):
     bad.write_text("group bad order 2\n0 1\n")
     code, out, _ = run_cli(capsys, "validate", str(bad))
     assert code == 1
+
+
+MALFORMED = {
+    "unknown-composite.cat": "category bad\nobjects: o\nid o = e\n"
+                             "hom o o: e s\ncompose s s = zzz\n",
+    "unknown-identity.cat": "category bad\nobjects: a\nid a = q\nhom a a: e\n",
+    "unknown-mixed-composite.fct": "factorization bad\nobjects: o\nid o = e\n"
+                                   "hom o o: e\nan o o: r\nreverse o = r\n"
+                                   "compose r r = nope\n",
+    "missing-sum.cat": "category bad\nobjects: o\nid o = u\nhom o o: z u\n"
+                       "compose z z = z\nzero o o z\nsum o o z z = z\n"
+                       "sum o o z u = u\nsum o o u z = u\n",
+    "duplicate-morphism.cat": "category bad\nobjects: a\nid a = e\nhom a a: e e\n",
+    "duplicate-object.cat": "category bad\nobjects: a a\nid a = e\nhom a a: e\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_category_is_bad_input(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED[name])
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 1 and "[FAIL]" in out
+    code, out, err = run_cli(capsys, "--corpus", str(tmp_path), "report")
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+
+
+# sha256 of `cat caf|anti|assoc --category NAME`, fixed when these texts were
+# still built from the dicts, so deriving them from cells cannot change them
+CATEGORY_TEXT_SHA256 = {
+    ("arrow", "caf"): "66f684b2ef53622d1907def707a417bf79862fd08f05a4839416aeca5eed6f84",
+    ("arrow", "anti"): "586dae6cef2609934983644202715116cfde1aded2d60e1eac4437cd94c57c0d",
+    ("arrow", "assoc"): "fc81db291cc56c1aaca903ea5c907751a483325d25753db28ac99410b543d960",
+    ("chain3", "caf"): "a720d59835fb044a38c297cf73a7bf3b6eb19d766458536816eff1d761930a46",
+    ("chain3", "anti"): "d7fb02c14521566fabc6321e6118050e7e7ba7b7ffd5eab5de32c749132a0a04",
+    ("chain3", "assoc"): "6cd9e07b92c113377af1fbf38dd5ec44b8d70a3be158951acd50829f34a55efd",
+    ("meet", "caf"): "6f00ea7e083c32b8883a314d298c4f03b5c738bee291c3277ca4b5ad99d4b68b",
+    ("meet", "anti"): "a7aaf85ad6d1fb4c95dfa43dd56667918c9825ee06215919e14f2b4465fd9377",
+    ("meet", "assoc"): "90872e422a28a68807d0a2ae51100039d47f9ef01371973673e8f380744aa6b8",
+    ("monoid", "caf"): "2cf284b144ca70e95ff643db20efede0f0a30cd182042ee7d60ece86ad1f5967",
+    ("monoid", "anti"): "c3adf0abe5a36940ad90c1ae7b9893d8def9f7315b44fc73440123fa2d355be3",
+    ("monoid", "assoc"): "972c28cda9b1cf7c4e509bd0cec161fac215a7875a8ffa07b59301d7320cc7a9",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("category, op", sorted(CATEGORY_TEXT_SHA256))
+def test_category_text_is_pinned(capsys, category, op):
+    code, out, _ = run_cli(capsys, "cat", op, "--category", category)
+    assert code == 0
+    assert _sha256(out) == CATEGORY_TEXT_SHA256[(category, op)]
+
+
+def test_category_text_round_trip_is_pinned(tmp_path, capsys):
+    path = tmp_path / "chain3.fct"
+    path.write_text(run_cli(capsys, "cat", "caf", "--category", "chain3")[1])
+    code, out, _ = run_cli(capsys, "cat", "fca", "--input", str(path))
+    assert code == 0
+    assert _sha256(out) == \
+        "c8be838497133c39d0b7803843df4e29176e51520c26426912f7b67bfced8c2a"
 
 
 def test_report_records_are_deterministic(capsys):

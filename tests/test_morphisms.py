@@ -231,6 +231,32 @@ def test_automorphism_algebra_s3():
     assert alg.straight_normal_in_union
 
 
+def test_union_is_group_fails_when_the_union_loses_a_member(monkeypatch):
+    # Drop the last map of the union of both families, so composing does not
+    # stay inside it: the report names the first pair that leaves the union,
+    # the checks that need the union group FAIL too, and the run completes.
+    from antimorph.suite import RunConfig, run
+
+    real = morphisms._closure_table
+
+    def drop_last(ms, op):
+        if len({m.variance for m in ms}) == 2:
+            ms = ms[:-1]
+        return real(ms, op)
+
+    monkeypatch.setattr(morphisms, "_closure_table", drop_last)
+    records = run(RunConfig(selection=("automorphism-algebra/s3/",))).records
+    found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
+    assert not found["union-is-group"].passed
+    # the dropped map (0, 5, 2, 4, 3, 1) is the composite of this pair
+    assert found["union-is-group"].witness == \
+        "((0, 1, 2, 4, 3, 5), (0, 5, 2, 3, 4, 1))"
+    assert not found["straight-family-normal-in-union"].passed
+    assert not found["union-has-index-two"].passed
+    assert found["union-has-index-two"].witness == "(None, 12)"
+    assert found["families-equinumerous"].passed
+
+
 def test_pointwise_audit_contract():
     z4 = zmod(4)
     z2, _ = quotient_ring(z4, named_ideal("z4", "even"))
