@@ -99,8 +99,9 @@ class FiniteCategory(_Cells):
 def _number(objects, morphisms, compose, identities) -> dict:
     """The cell attributes of a category: its objects, then `morphisms`,
     numbered densely, with `compose` and the typing tabulated over the cells.
-    Runs before validation, so ids that do not resolve become -1 and missing
-    composites stay -1 in the table."""
+    Runs before validation, so ids that do not resolve become -1, missing
+    composites stay -1 in the table, and `compose` entries whose pair names
+    an unknown morphism are listed in `_stray`."""
     n = len(objects)
     object_cell = {o: i for i, o in enumerate(objects)}
     arrow_cell = {m.mid: n + j for j, m in enumerate(morphisms)}
@@ -108,6 +109,7 @@ def _number(objects, morphisms, compose, identities) -> dict:
     src = tuple(range(n)) + tuple(object_cell.get(m.src, -1) for m in morphisms)
     dst = tuple(range(n)) + tuple(object_cell.get(m.dst, -1) for m in morphisms)
     table = [-1] * (size * size)
+    stray = [(g, f) for g, f in compose if g not in arrow_cell or f not in arrow_cell]
     for (g, f), h in compose.items():
         if g in arrow_cell and f in arrow_cell:
             table[arrow_cell[g] * size + arrow_cell[f]] = arrow_cell.get(h, -1)
@@ -121,6 +123,7 @@ def _number(objects, morphisms, compose, identities) -> dict:
         "_src": src,
         "_dst": dst,
         "_table": table,
+        "_stray": tuple(stray),
         "_homs": {key: tuple(ks) for key, ks in homs.items()},
         "_ident": tuple(arrow_cell.get(identities.get(o), -1) for o in objects),
         # composable (g, f, g∘f) cells, g outer, both in morphism order
@@ -147,8 +150,9 @@ def build_category(name, objects, morphisms, identities, compose,
 def category_violation(cat):
     """The first category law the cell table of `cat` breaks, as an error
     naming ids; None when it is a category. Checked in order: ids unique,
-    typing resolved, identities present and typed, a correctly typed
-    composite for every composable pair, the identity laws, associativity.
+    typing resolved, identities present and typed, no composite of a pair
+    naming an unknown morphism, a correctly typed composite for every
+    composable pair, the identity laws, associativity.
     A factorization category is checked on its associated cells."""
     n, size, names = len(cat.objects), len(cat.cells), cat.cells
     src, dst, table = cat._src, cat._dst, cat._table
@@ -166,6 +170,10 @@ def category_violation(cat):
         if (src[e], dst[e]) != (i, i):
             return BadIdentity(f"identity {names[e]} of {names[i]} is not an "
                                f"endomorphism", witness=names[e])
+    if cat._stray:
+        g, f = cat._stray[0]
+        return NotComposable(f"composite {g}∘{f} names an unknown morphism",
+                             witness=(g, f))
     for g, f, h in cat._triples:
         if h < 0 or (src[h], dst[h]) != (src[f], dst[g]):
             problem = "missing or unknown" if h < 0 else "badly typed"

@@ -194,16 +194,14 @@ def _parse_category_body(it, kind: str):
             objects = tuple(parts[1:])
         elif parts[0] == "id" and len(parts) == 4 and parts[2] == "=":
             identities[parts[1]] = parts[3]
-        elif parts[0] == "hom" and ":" in line:
+        elif parts[0] in ("hom", "an") and ":" in line:
             head, _, tail = line.partition(":")
+            if len(head.split()) != 3:
+                raise ParseError(f"expected '{parts[0]} SRC DST:' on line "
+                                 f"{lineno}: {line!r}", lineno)
             _, a, b = head.split()
-            for mid in tail.split():
-                morphisms.append((mid, a, b))
-        elif parts[0] == "an" and ":" in line:
-            head, _, tail = line.partition(":")
-            _, a, b = head.split()
-            for mid in tail.split():
-                an_morphisms.append((mid, a, b))
+            (morphisms if parts[0] == "hom" else an_morphisms).extend(
+                (mid, a, b) for mid in tail.split())
         elif parts[0] == "reverse" and len(parts) == 4 and parts[2] == "=":
             reverse[parts[1]] = parts[3]
         elif parts[0] == "compose" and len(parts) == 5 and parts[3] == "=":

@@ -1,7 +1,9 @@
-"""The hot table loops: map-space scan, batch classification, associativity.
+"""The hot table loops: map-space scan, batch classification, product
+tables of maps, associativity.
 
-Tables are flat row-major lists of element indices, except for
-`associativity_witness`, which reads a table as its rows.
+Cayley tables are flat row-major lists of element indices, except for
+`associativity_witness`, which reads a table as its rows. A map is the tuple
+of its images.
 
 Classification codes: bit 1 set when the map satisfies the product-preserving
 law, bit 2 set when it satisfies the product-reversing law.
@@ -68,6 +70,25 @@ def reader(indices):
         (i,) = indices
         return lambda t: (t[i],)
     return itemgetter(*indices)
+
+
+def product_table(tables, through):
+    """The closure-checked operation table of a set of maps given as tables.
+
+    Returns (rows, None) with rows[i][j] the index of tables[i] read through
+    through[j]; or (None, (i, j)) for the first pair in row-major order whose
+    product is not among the tables. With `through` the tables themselves
+    the operation is composition, tables[i]∘tables[j].
+    """
+    index = {t: k for k, t in enumerate(tables)}
+    readers = [reader(t) for t in through]
+    rows = []
+    for i, p in enumerate(tables):
+        row = [index.get(via(p)) for via in readers]
+        if None in row:
+            return None, (i, row.index(None))
+        rows.append(row)
+    return rows, None
 
 
 def associativity_witness(rows):

@@ -21,7 +21,7 @@ from .groups import (
     validate_group,
 )
 from .maps import ANTI, STRAIGHT, Morphism, variance_xor
-from .rings import TWO_SIDED, FiniteRing, RingIdeal, opposite
+from .rings import TWO_SIDED, FiniteRing, RingIdeal, opposite, quotient_ring
 
 HOM_ONLY = "HomOnly"
 ANTI_ONLY = "AntiOnly"
@@ -373,10 +373,12 @@ def factor_pairs(a, b, c, an_ab, an_bc):
 class AutomorphismAlgebra:
     autos: tuple
     anti_autos: tuple
-    straight_group: FiniteGroup      # (isomorphisms, usual composition)
-    star_group: FiniteGroup          # (anti-isomorphisms, star composition)
+    straight_group: FiniteGroup | None  # (isomorphisms, usual composition)
+    star_group: FiniteGroup | None      # (anti-isomorphisms, star composition)
     iso_images: tuple                # straight_group -> star_group index map
     union_group: FiniteGroup | None  # both families under usual composition
+    straight_witness: tuple | None   # first pair (images) leaving Hom.Is
+    star_witness: tuple | None       # first pair (images) leaving An.Is under *
     union_witness: tuple | None      # first pair (images) leaving the union
     straight_normal_in_union: bool
     families_disjoint: bool
@@ -384,28 +386,31 @@ class AutomorphismAlgebra:
 
 def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> AutomorphismAlgebra:
     """Build (Hom.Is, ∘) and (An.Is, *) with the connecting isomorphism,
-    plus the union group under usual composition."""
+    plus the union group under usual composition.
+
+    Each group is the closure-checked product table of its family, so a
+    composite is checked by membership in the enumerated set, which holds
+    exactly the lawful maps. A family that is not closed gets no group and
+    names the first pair whose product leaves it.
+    """
     autos = tuple(m for m in enumerate_morphisms(g, g, STRAIGHT, bound) if m.is_bijective())
     antis = tuple(m for m in enumerate_morphisms(g, g, ANTI, bound) if m.is_bijective())
+    auto_tables = [m.images for m in autos]
+    anti_tables = [m.images for m in antis]
+    auto_set = set(auto_tables)
+    union = sorted(auto_set.union(anti_tables))
+    # f ★ h is f read through h∘rev, and f ↦ f∘rev is the twin map
+    after_rev = kernels.reader(g.inverses)
+    straight_group, straight_w = _closed_group(auto_tables, auto_tables, "homis")
+    star_group, star_w = _closed_group(
+        anti_tables, [after_rev(t) for t in anti_tables], "anis")
+    union_group, union_w = _closed_group(union, union, "unionis")
 
-    straight_group = _table_group(autos, compose, name="homis")
-    star_group = _table_group(antis, star_compose, name="anis")
-
-    anti_index = {m.images: i for i, m in enumerate(antis)}
-    iso_images = tuple(anti_index[corresponding_anti(m).images] for m in autos)
-
-    auto_tables = {m.images for m in autos}
-    anti_tables = {m.images for m in antis}
-    by_table = {m.images: m for m in antis + autos}
-    union = [by_table[t] for t in sorted(by_table)]
-    table, union_w = _closure_table(union, compose)
-    union_group, straight_normal = None, False
-    if table is not None:
-        union_group = validate_group(table, name="unionis")
-        straight_members = tuple(i for i, m in enumerate(union)
-                                 if m.images in auto_tables)
-        straight_normal = normality_witness(
-            union_group, Subgroup(union_group, straight_members)) is None
+    anti_index = {t: i for i, t in enumerate(anti_tables)}
+    iso_images = tuple(anti_index.get(after_rev(t)) for t in auto_tables)
+    straight_normal = union_group is not None and normality_witness(
+        union_group, Subgroup(union_group, tuple(
+            i for i, t in enumerate(union) if t in auto_set))) is None
     return AutomorphismAlgebra(
         autos=autos,
         anti_autos=antis,
@@ -413,33 +418,22 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
         star_group=star_group,
         iso_images=iso_images,
         union_group=union_group,
+        straight_witness=straight_w,
+        star_witness=star_w,
         union_witness=union_w,
         straight_normal_in_union=straight_normal,
-        families_disjoint=not (auto_tables & anti_tables),
+        families_disjoint=auto_set.isdisjoint(anti_tables),
     )
 
 
-def _closure_table(morphisms, op):
-    """The table of `op` on `morphisms` by position, and None; or None and
-    the first pair (as images) whose composite is not among them."""
-    index = {m.images: i for i, m in enumerate(morphisms)}
-    table = []
-    for m1 in morphisms:
-        row = []
-        for m2 in morphisms:
-            k = index.get(op(m1, m2).images)
-            if k is None:
-                return None, (m1.images, m2.images)
-            row.append(k)
-        table.append(row)
-    return table, None
-
-
-def _table_group(morphisms, op, name: str) -> FiniteGroup:
-    table, w = _closure_table(morphisms, op)
-    if table is None:
-        raise LawViolation(f"{name} not closed", witness=w)
-    return validate_group(table, name=name)
+def _closed_group(tables, through, name: str):
+    """The group whose product is tables[i] read through through[j], and
+    None; or None and the first pair (images) whose product is not among
+    the tables."""
+    rows, leaving = kernels.product_table(tables, through)
+    if rows is None:
+        return None, tuple(tables[k] for k in leaving)
+    return validate_group(rows, name=name), None
 
 
 # -- pointwise ring audit ---------------------------------------------------------
@@ -523,46 +517,39 @@ def _closure_audit(a, b, variance, bound) -> ClosureAudit:
 
 @dataclass(frozen=True)
 class NaturalMapReport:
+    """The audit of f ↦ π∘f; each law field is its first counterexample,
+    named by images, or None when the law holds."""
     ring: str
     ideal: tuple
     domain_size: int
-    well_defined: bool
-    lands_in_anti_set: bool
-    additive: bool
-    multiplicative: bool
-    witness: object = None
+    undefined: object       # f whose π∘f is not a total map R -> R/I
+    outside: object         # (f, π∘f) with π∘f not in An(R, R/I)
+    sum_breaks: object      # (f1, f2) with π∘(f1+f2) != π∘f1 + π∘f2
+    product_breaks: object  # (f1, f2) with π∘(f1·f2) != π∘f1 · π∘f2
 
 
 def natural_an_map(r: FiniteRing, ideal: RingIdeal,
                    bound: int = DEFAULT_BOUND) -> NaturalMapReport:
-    """Audit f ↦ (x ↦ f(x)+I) from An(R,R) to An(R,R/I)."""
-    from .rings import quotient_ring
-
+    """Audit f ↦ π∘f from An(R,R) to An(R,R/I), π the projection onto R/I;
+    the pointwise sum and product are checked on the maps it is defined on."""
     q, proj = quotient_ring(r, ideal)
-    domain = enumerate_morphisms(r, r, ANTI, bound)
+    pi = proj.images
+    domain = [f.images for f in enumerate_morphisms(r, r, ANTI, bound)]
     target_tables = {m.images for m in enumerate_morphisms(r, q, ANTI, bound)}
-    lands = True
-    witness = None
-    images = []
-    for f in domain:
-        phi = tuple(proj.images[f.images[x]] for x in r.elements())
-        images.append(phi)
-        if phi not in target_tables:
-            lands = False
-            witness = (f.images, phi)
-    additive = True
-    multiplicative = True
-    for f1 in domain:
-        for f2 in domain:
-            s = tuple(r.add_(f1.images[x], f2.images[x]) for x in r.elements())
-            p = tuple(r.mul_(f1.images[x], f2.images[x]) for x in r.elements())
-            phi1 = tuple(proj.images[v] for v in f1.images)
-            phi2 = tuple(proj.images[v] for v in f2.images)
-            if tuple(proj.images[v] for v in s) != \
-                    tuple(q.add_(phi1[x], phi2[x]) for x in r.elements()):
-                additive = False
-            if tuple(proj.images[v] for v in p) != \
-                    tuple(q.mul_(phi1[x], phi2[x]) for x in r.elements()):
-                multiplicative = False
-    return NaturalMapReport(r.name, ideal.members, len(domain),
-                            True, lands, additive, multiplicative, witness)
+    pairs = [(f, tuple(pi[v] for v in f)) for f in domain]  # (f, π∘f)
+    defined = [(f, phi) for f, phi in pairs
+               if len(phi) == r.order and set(phi) <= set(q.elements())]
+
+    def first_break(op_r, op_q):
+        return next(((f1, f2) for (f1, phi1), (f2, phi2)
+                     in itertools.product(defined, repeat=2)
+                     if tuple(pi[op_r(u, v)] for u, v in zip(f1, f2))
+                     != tuple(map(op_q, phi1, phi2))), None)
+
+    return NaturalMapReport(
+        r.name, ideal.members, len(domain),
+        undefined=next((f for f, phi in pairs if (f, phi) not in defined), None),
+        outside=next((pair for pair in pairs if pair[1] not in target_tables),
+                     None),
+        sum_breaks=first_break(r.add_, q.add_),
+        product_breaks=first_break(r.mul_, q.mul_))

@@ -65,7 +65,6 @@ from .morphisms import (
     natural_an_map,
     pointwise_ring_audit,
     reverse_morphism,
-    star_compose,
 )
 from .reports import ReportBundle, records_from_report
 from .rings import TWO_SIDED, FiniteRing, RingIdeal, ideal_witness, quotient_ring
@@ -296,21 +295,8 @@ def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     homs = enumerate_morphisms(g, g, STRAIGHT, bound)
     antis = enumerate_morphisms(g, g, ANTI, bound)
     bh, ba = brute_force_tables(g, g)
-    rev = reverse_morphism(g)
-    anti_set = {m.images for m in antis}
-    # each pair's star once, through the validating star_compose
-    stars = {(f1.images, f2.images): star_compose(f1, f2)
-             for f1 in antis for f2 in antis}
-    closure_w = next((pair for pair, h in stars.items()
-                      if h.images not in anti_set), None)
-    assoc_w = next(((f1.images, f2.images, f3.images)
-                    for f1, f2, f3 in itertools.product(antis, repeat=3)
-                    if star_compose(stars[(f1.images, f2.images)], f3).images
-                    != star_compose(f1, stars[(f2.images, f3.images)]).images),
-                   None)
-    identity_w = next((f.images for f in antis
-                       if star_compose(f, rev).images != f.images
-                       or star_compose(rev, f).images != f.images), None)
+    closure_w, identity_w, assoc_w = _star_laws([m.images for m in antis],
+                                                 g.inverses)
     checks = (
         check("straight-count-matches-scan",
               sorted(m.images for m in homs) == sorted(bh),
@@ -334,33 +320,14 @@ def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
 
 def star_monoid_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     """Star composition is an associative monoid on An(G,G), exhaustively,
-    for every group up to the order limit (raw tables, no revalidation).
-
-    Closure is checked on the raw tables while the star table is built; a
-    closed set then has its associativity checked row by row on that index
-    table by `kernels.associativity_witness`. Each witness is the first
-    counterexample in enumeration order.
-    """
+    for every group up to the order limit (raw tables, no revalidation)."""
     out = []
     for name in sorted(groups):
         g = groups[name]
         if g.order > STAR_MONOID_ORDER_LIMIT:
             continue
-        rev = g.inverses
         tables = [m.images for m in enumerate_morphisms(g, g, ANTI, bound)]
-
-        def star(p, q):
-            return tuple([p[q[v]] for v in rev])
-
-        star_rows, closed_w = _star_index_table(tables, rev)
-        ident_w = next((p for p in tables
-                        if star(p, rev) != p or star(rev, p) != p), None)
-        if closed_w is None:
-            assoc_w = kernels.associativity_witness(star_rows)
-            if assoc_w is not None:
-                assoc_w = tuple(tables[i] for i in assoc_w)
-        else:
-            assoc_w = _first_unassociative_triple(tables, star)
+        closed_w, ident_w, assoc_w = _star_laws(tables, g.inverses)
         out.append(TheoremReport(
             theorem=f"star-monoid/{name}",
             inputs=(("group", name), ("size", str(len(tables)))),
@@ -373,31 +340,31 @@ def star_monoid_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     return out
 
 
-def _first_unassociative_triple(tables, star):
-    """The triple loop on raw tables, for a star that is not closed."""
-    for p in tables:
-        for q in tables:
-            pq = star(p, q)
-            for r in tables:
-                if star(pq, r) != star(p, star(q, r)):
-                    return (p, q, r)
-    return None
+def _star_laws(tables, rev):
+    """The first counterexample (images) to each monoid law of p ★ q =
+    (p∘q)∘rev on the maps `tables`, or None: (p, q) whose star leaves them,
+    p that rev does not fix on both sides, (p, q, r) that does not associate.
 
+    Closure is checked while `kernels.product_table` builds the star index
+    table (p read through q∘rev); a closed set has its associativity checked
+    on that table, a set that is not closed on the raw tables.
+    """
+    def star(p, q):
+        return tuple([p[q[v]] for v in rev])
 
-def _star_index_table(tables, rev):
-    """(rows, None) with rows[i][j] the index of tables[i] ★ tables[j], or
-    (None, (p, q)) for the first pair whose star is not among the tables."""
-    index = {t: i for i, t in enumerate(tables)}
-    # p ★ q is x ↦ p[q[rev[x]]]: p read through q∘rev
     q_after_rev = kernels.reader(rev)
-    through = [kernels.reader(q_after_rev(q)) for q in tables]
-    rows = []
-    for p in tables:
-        row = [index.get(q_rev(p)) for q_rev in through]
-        if None in row:
-            return None, (p, tables[row.index(None)])
-        rows.append(row)
-    return rows, None
+    rows, leaving = kernels.product_table(tables, [q_after_rev(q) for q in tables])
+    closed_w = None if leaving is None else tuple(tables[i] for i in leaving)
+    ident_w = next((p for p in tables if star(p, rev) != p or star(rev, p) != p),
+                   None)
+    if rows is not None:
+        assoc_w = kernels.associativity_witness(rows)
+        if assoc_w is not None:
+            assoc_w = tuple(tables[i] for i in assoc_w)
+    else:
+        assoc_w = next(((p, q, r) for p, q, r in itertools.product(tables, repeat=3)
+                        if star(star(p, q), r) != star(p, star(q, r))), None)
+    return closed_w, ident_w, assoc_w
 
 
 def reconstruction_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
@@ -477,19 +444,19 @@ def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
 
 def automorphism_algebra_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     alg = automorphism_algebra(g, bound)
-    n = alg.straight_group.order
     union_order = alg.union_group.order if alg.union_group else None
-    iso_hom = all(
-        alg.iso_images[alg.straight_group.mul(i, j)] ==
-        alg.star_group.mul(alg.iso_images[i], alg.iso_images[j])
-        for i in range(n) for j in range(n))
+    # a family that is not closed has no group: the checks that need both
+    # groups FAIL with the first pair leaving one of them
+    twin_w = iso_w = alg.straight_witness or alg.star_witness
+    if twin_w is None:
+        twin_w = _twin_witness(alg)
+        if find_isomorphism(alg.straight_group, alg.star_group) is None:
+            iso_w = (alg.straight_group.order, alg.star_group.order)
     checks = [
         check("families-equinumerous", len(alg.autos) == len(alg.anti_autos),
               witness=(len(alg.autos), len(alg.anti_autos))),
-        check("twin-map-is-group-iso",
-              iso_hom and len(set(alg.iso_images)) == n),
-        check("groups-abstractly-isomorphic",
-              find_isomorphism(alg.straight_group, alg.star_group) is not None),
+        check("twin-map-is-group-iso", twin_w is None, witness=twin_w),
+        check("groups-abstractly-isomorphic", iso_w is None, witness=iso_w),
         check("union-is-group", alg.union_group is not None,
               witness=alg.union_witness),
         check("straight-family-normal-in-union", alg.straight_normal_in_union),
@@ -508,6 +475,18 @@ def automorphism_algebra_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
         inputs=(("group", g.name),),
         checks=tuple(checks),
     )
+
+
+def _twin_witness(alg):
+    """The first pair of automorphisms (images) on which f ↦ f∘rev is not a
+    homomorphism into the star group, else its index table if it is not
+    injective; None when it is a group isomorphism."""
+    twin, straight, star = alg.iso_images, alg.straight_group, alg.star_group
+    for i, j in itertools.product(range(straight.order), repeat=2):
+        if None in (twin[i], twin[j]) or \
+                star.mul(twin[i], twin[j]) != twin[straight.mul(i, j)]:
+            return (alg.autos[i].images, alg.autos[j].images)
+    return None if len(set(twin)) == straight.order else twin
 
 
 # -- audits ----------------------------------------------------------------------
@@ -581,10 +560,13 @@ def natural_map_report(r, name: str, ideal, bound=DEFAULT_BOUND) -> TheoremRepor
         theorem=f"natural-map/{r.name}-{name}",
         inputs=(("ring", r.name), ("ideal", ",".join(map(str, ideal.members)))),
         checks=(
-            check("defined-on-whole-domain", nat.well_defined),
-            check("lands-in-anti-set", nat.lands_in_anti_set, witness=nat.witness),
-            check("respects-pointwise-sum", nat.additive),
-            check("respects-pointwise-product", nat.multiplicative),
+            check("defined-on-whole-domain", nat.undefined is None,
+                  witness=nat.undefined),
+            check("lands-in-anti-set", nat.outside is None, witness=nat.outside),
+            check("respects-pointwise-sum", nat.sum_breaks is None,
+                  witness=nat.sum_breaks),
+            check("respects-pointwise-product", nat.product_breaks is None,
+                  witness=nat.product_breaks),
         ),
     )
 

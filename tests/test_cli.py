@@ -225,6 +225,10 @@ MALFORMED = {
                        "sum o o z u = u\nsum o o u z = u\n",
     "duplicate-morphism.cat": "category bad\nobjects: a\nid a = e\nhom a a: e e\n",
     "duplicate-object.cat": "category bad\nobjects: a a\nid a = e\nhom a a: e\n",
+    "hom-line-without-target.cat": "category bad\nobjects: a\nid a = a_a\n"
+                                   "hom a: a_a\n",
+    "stray-composite.cat": "category monoid\nobjects: o\nid o = e\nhom o o: e s\n"
+                           "compose s s = e\ncompose ss s = s\n",
 }
 
 

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from antimorph import kernels, suite
 from antimorph.corpus import cyclic, group_corpus, symmetric3
 from antimorph.maps import ANTI, VARIANCES, Morphism
@@ -174,7 +176,36 @@ def _raw_star(g):
     return lambda p, q: tuple(p[q[g.inv(x)]] for x in g.elements())
 
 
-def test_star_monoid_names_the_first_pair_that_leaves_the_set(monkeypatch):
+# the two reports that check the star monoid of An(S3, S3), each with its
+# names for the laws (closure, reverse map as two-sided identity,
+# associativity)
+STAR_REPORTS = {
+    "star-monoid": (lambda g: star_monoid_reports({g.name: g})[0],
+                    ("closed", "reverse-is-identity", "associative")),
+    "endomorphism-monoid": (suite.endomorphism_monoid_report,
+                            ("star-closed", "reverse-is-two-sided-identity",
+                             "star-associative")),
+}
+
+
+def _star_law_witnesses(report, tables, star, rev):
+    """The report's three star-law checks, and the naive first counterexample
+    to each law on the raw tables: (p, q) whose star leaves them, p that rev
+    does not fix on both sides, (p, q, r) that does not associate."""
+    build, names = STAR_REPORTS[report]
+    checks = build(group_corpus()["s3"]).check_map()
+    naive = (
+        next(((p, q) for p in tables for q in tables
+              if star(p, q) not in set(tables)), None),
+        next((p for p in tables if star(p, rev) != p or star(rev, p) != p), None),
+        next(((p, q, r) for p, q, r in itertools.product(tables, repeat=3)
+              if star(star(p, q), r) != star(p, star(q, r))), None),
+    )
+    return [checks[name] for name in names], naive
+
+
+@pytest.mark.parametrize("report", sorted(STAR_REPORTS))
+def test_star_monoid_names_the_first_pair_that_leaves_the_set(monkeypatch, report):
     # Mutant enumerator: An(S3, S3) loses its last map, so stars that land
     # on it leave the set. The witness is the first such (p, q).
     s3 = group_corpus()["s3"]
@@ -185,18 +216,16 @@ def test_star_monoid_names_the_first_pair_that_leaves_the_set(monkeypatch):
         return out[:-1] if variance == ANTI else out
 
     monkeypatch.setattr(suite, "enumerate_morphisms", dropping)
-    (rep,) = star_monoid_reports({"s3": s3})
     tables = [m.images for m in dropping(s3, s3, ANTI)]
-    star = _raw_star(s3)
-    first = next((p, q) for p in tables for q in tables
-                 if star(p, q) not in set(tables))
-    checks = rep.check_map()
-    assert checks["closed"].witness == first
-    assert checks["reverse-is-identity"].passed
-    assert checks["associative"].passed  # the raw triple loop still runs
+    (closed, ident, assoc), naive = _star_law_witnesses(
+        report, tables, _raw_star(s3), s3.inverses)
+    assert not closed.passed and closed.witness == naive[0]
+    assert ident.passed and naive[1] is None
+    assert assoc.passed and naive[2] is None  # the raw triple loop still runs
 
 
-def test_star_monoid_names_the_first_map_the_reverse_map_moves(monkeypatch):
+@pytest.mark.parametrize("report", sorted(STAR_REPORTS))
+def test_star_monoid_names_the_first_map_the_reverse_map_moves(monkeypatch, report):
     # Mutant enumerator: An(S3, S3) also lists two maps that rev ★ - moves,
     # as they send the 3-cycle 4 = 3^-1 to 3: the identity map with 4 sent
     # to 3, and the constant map onto 3. The witness is the first of them.
@@ -213,11 +242,29 @@ def test_star_monoid_names_the_first_map_the_reverse_map_moves(monkeypatch):
         return out
 
     monkeypatch.setattr(suite, "enumerate_morphisms", adding)
-    (rep,) = star_monoid_reports({"s3": s3})
     tables = [m.images for m in adding(s3, s3, ANTI)]
-    star, rev = _raw_star(s3), s3.inverses
-    moved = [p for p in tables if star(p, rev) != p or star(rev, p) != p]
-    checks = rep.check_map()
-    assert moved == [m.images for m in bad]
-    assert checks["reverse-is-identity"].witness == moved[0]
-    assert not checks["closed"].passed
+    checks, naive = _star_law_witnesses(report, tables, _raw_star(s3), s3.inverses)
+    assert naive[1] == bad[0].images
+    # every law fails, each with its first counterexample
+    assert None not in naive
+    assert [c.witness for c in checks] == list(naive)
+    assert not any(c.passed for c in checks)
+
+
+def test_product_table_matches_a_double_loop():
+    # compositions on End(S3), and stars on An(S3, S3) through q∘rev; then
+    # both sets with their last map dropped, which are not closed
+    s3 = group_corpus()["s3"]
+    rev = s3.inverses
+    for variance in VARIANCES:
+        full = [m.images for m in enumerate_morphisms(s3, s3, variance)]
+        for tables, closed in ((full, True), (full[:-1], False)):
+            through = tables if variance != ANTI else \
+                [tuple(q[rev[x]] for x in s3.elements()) for q in tables]
+            products = [[tuple(p[k] for k in t) for t in through] for p in tables]
+            first = next(((i, j) for i, row in enumerate(products)
+                          for j, pq in enumerate(row) if pq not in tables), None)
+            assert (first is None) == closed
+            assert kernels.product_table(tables, through) == (
+                ([[tables.index(pq) for pq in row] for row in products], None)
+                if closed else (None, first))

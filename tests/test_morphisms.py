@@ -237,14 +237,14 @@ def test_union_is_group_fails_when_the_union_loses_a_member(monkeypatch):
     # the checks that need the union group FAIL too, and the run completes.
     from antimorph.suite import RunConfig, run
 
-    real = morphisms._closure_table
+    real = morphisms._closed_group
 
-    def drop_last(ms, op):
-        if len({m.variance for m in ms}) == 2:
-            ms = ms[:-1]
-        return real(ms, op)
+    def drop_last(tables, through, name):
+        if name == "unionis" and len(tables) > 1:  # not Z2's one-map union
+            tables, through = tables[:-1], through[:-1]
+        return real(tables, through, name)
 
-    monkeypatch.setattr(morphisms, "_closure_table", drop_last)
+    monkeypatch.setattr(morphisms, "_closed_group", drop_last)
     records = run(RunConfig(selection=("automorphism-algebra/s3/",))).records
     found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
     assert not found["union-is-group"].passed
@@ -255,6 +255,41 @@ def test_union_is_group_fails_when_the_union_loses_a_member(monkeypatch):
     assert not found["union-has-index-two"].passed
     assert found["union-has-index-two"].witness == "(None, 12)"
     assert found["families-equinumerous"].passed
+    assert found["twin-map-is-group-iso"].passed
+
+
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_group_checks_fail_when_a_family_loses_a_member(monkeypatch, variance):
+    # Mutant enumerator: Aut(S3) (straight) or its anti-automorphisms lose
+    # their last member, so that family is not closed under its product
+    # (composition, or the star product p ★ q = p∘q∘rev). The checks that
+    # need both groups FAIL with the first pair whose product leaves the
+    # family, and the run completes.
+    from antimorph.suite import RunConfig, run
+
+    real = morphisms.enumerate_morphisms
+
+    def dropping(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        out = real(a, b, v, bound)
+        if a.name != "s3" or v != variance:
+            return out
+        last = max(i for i, m in enumerate(out) if m.is_bijective())
+        return out[:last] + out[last + 1:]
+
+    monkeypatch.setattr(morphisms, "enumerate_morphisms", dropping)
+    records = run(RunConfig(selection=("automorphism-algebra/s3/",))).records
+    found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
+    s3 = group_corpus()["s3"]
+    family = [m.images for m in dropping(s3, s3, variance) if m.is_bijective()]
+    rev = s3.inverses if variance == ANTI else tuple(s3.elements())
+    first = next((p, q) for p in family for q in family
+                 if tuple(p[q[x]] for x in rev) not in family)
+    for name in ("twin-map-is-group-iso", "groups-abstractly-isomorphic"):
+        assert not found[name].passed
+        assert found[name].witness == repr(first)
+    assert found["families-equinumerous"].witness == "(5, 6)" \
+        if variance == STRAIGHT else "(6, 5)"
+    assert not found["union-is-group"].passed
 
 
 def test_pointwise_audit_contract():
@@ -278,8 +313,42 @@ def test_pointwise_audit_contract():
 def test_natural_map_on_z4():
     z4 = zmod(4)
     nat = natural_an_map(z4, named_ideal("z4", "even"))
-    assert nat.well_defined and nat.lands_in_anti_set
-    assert nat.additive and nat.multiplicative
+    assert nat.domain_size == 1
+    assert (nat.undefined, nat.outside, nat.sum_breaks, nat.product_breaks) \
+        == (None, None, None, None)
+
+
+@pytest.mark.parametrize("pi, failing", [
+    ((0, 1, 0, 2), {"defined-on-whole-domain", "lands-in-anti-set"}),
+    ((0, 1, 1, 1), {"lands-in-anti-set", "respects-pointwise-sum",
+                    "respects-pointwise-product"}),
+])
+def test_natural_map_checks_fail_under_a_wrong_projection(monkeypatch, pi, failing):
+    # Mutant projection Z4 -> Z4/even: one entry out of range, so pi∘f is not
+    # a map into Z2; or a map into Z2 that breaks + and *. Each failing check
+    # names its first counterexample by images: the map f, or the pair (f, f).
+    from antimorph.suite import natural_map_report
+
+    z4 = zmod(4)
+    ideal = named_ideal("z4", "even")
+    real = morphisms.quotient_ring
+
+    def wrong(r, i):
+        q, proj = real(r, i)
+        return q, Morphism(r, q, pi, STRAIGHT)
+
+    monkeypatch.setattr(morphisms, "quotient_ring", wrong)
+    found = natural_map_report(z4, "even", ideal).check_map()
+    assert {name for name, c in found.items() if not c.passed} == failing
+    (f,) = [m.images for m in enumerate_morphisms(z4, z4, ANTI)]
+    witnesses = {
+        "defined-on-whole-domain": f,
+        "lands-in-anti-set": (f, tuple(pi[v] for v in f)),
+        "respects-pointwise-sum": (f, f),
+        "respects-pointwise-product": (f, f),
+    }
+    for name in failing:
+        assert found[name].witness == witnesses[name]
 
 
 def _naive_law_witness(images, a, b, variance):
