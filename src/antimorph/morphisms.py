@@ -391,7 +391,8 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
     Each group is the closure-checked product table of its family, so a
     composite is checked by membership in the enumerated set, which holds
     exactly the lawful maps. A family that is not closed gets no group and
-    names the first pair whose product leaves it.
+    names the first pair whose product leaves it; an empty family gets no
+    group and names itself.
     """
     autos = tuple(m for m in enumerate_morphisms(g, g, STRAIGHT, bound) if m.is_bijective())
     antis = tuple(m for m in enumerate_morphisms(g, g, ANTI, bound) if m.is_bijective())
@@ -429,7 +430,10 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
 def _closed_group(tables, through, name: str):
     """The group whose product is tables[i] read through through[j], and
     None; or None and the first pair (images) whose product is not among
-    the tables."""
+    the tables, or the family's name and its empty member list when it has
+    no members and so no identity."""
+    if not tables:
+        return None, (name, ())
     rows, leaving = kernels.product_table(tables, through)
     if rows is None:
         return None, tuple(tables[k] for k in leaving)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import xor
 
 from .errors import AlgebraError, BoundExceeded, NotComposable, PreconditionFailed
 from .maps import ANTI, STRAIGHT, variance_xor
@@ -122,34 +123,90 @@ def _linear_name(x: int, p: int) -> str:
     return head if c0 == 0 else f"{head}+{c0}"
 
 
+# -- packed rows ---------------------------------------------------------------
+
+# The largest scale table `_row_tables` builds, q·q^width entries: rows of up
+# to 7 entries over F4 and 4 over F9.
+_ROW_TABLE_LIMIT = 1 << 16
+
+
+def _encode_row(q: int, row) -> int:
+    """A row as a base-q integer, its first entry the most significant digit."""
+    code = 0
+    for x in row:
+        code = code * q + x
+    return code
+
+
+@lru_cache(maxsize=None)
+def _row_tables(order: int, width: int):
+    """The packed-row tables of one (field order, row width), built on first
+    use: `rows[code]` is the row's entries, `conj[code]` the code of its
+    entrywise Frobenius, and `scale[a][code]` the code of a times the row.
+
+    Keyed by the order, not the field: hashing the frozen field walks all of
+    its tables. No table holds more than q·q^width entries, so rows are added
+    by `_row_adder`, not through a pair table.
+    """
+    if order ** (width + 1) > _ROW_TABLE_LIMIT:
+        raise BoundExceeded(f"rows of {width} entries over F{order} are too wide to pack")
+    field = FieldFq2.of_order(order)
+    rows = tuple(itertools.product(range(order), repeat=width))
+    conj = tuple([_encode_row(order, [field.frob[x] for x in row]) for row in rows])
+    scale = tuple(tuple([_encode_row(order, [times[x] for x in row]) for row in rows])
+                  for times in field.mul)
+    return rows, conj, scale
+
+
+def _row_adder(field: FieldFq2):
+    """The sum of two packed rows: `^` in characteristic 2, where an F_4
+    digit is two bits, else a loop over the digits."""
+    return xor if field.p == 2 else partial(_add_rows, field)
+
+
+def _add_rows(field: FieldFq2, x: int, y: int) -> int:
+    q, add = field.order, field.add
+    total, place = 0, 1
+    while x or y:
+        x, dx = divmod(x, q)
+        y, dy = divmod(y, q)
+        total += add[dx][dy] * place
+        place *= q
+    return total
+
+
 # -- maps ----------------------------------------------------------------------
 
 
 class SemilinearMap:
     """A rows x cols matrix over `field` with a twist tag; a value object.
 
-    Treated as immutable: no code assigns to a map after construction. The
-    class is slotted rather than a frozen dataclass because the twisted hom
-    grid builds hundreds of thousands of maps and frozen construction costs
-    several times more. The one slot filled later is the cache of
-    `conj_entries`, a pure function of the entries. Equality and hashing
-    ignore `name`.
+    The stored form is `codes`, one base-q integer per row (`_encode_row`).
+    `entries`, the matrix as a tuple of row tuples, is a view: the
+    constructor keeps the entries it is given, and a map built from codes
+    decodes them on first read. Treated as immutable: no code assigns to a
+    map after construction. The class is slotted rather than a frozen
+    dataclass because the twisted hom grid builds hundreds of thousands of
+    maps. Besides the entries view, the one slot filled later caches
+    `conj_codes`, a pure function of the codes. Equality and hashing ignore
+    `name`.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "twist", "name", "_conj")
+    __slots__ = ("field", "rows", "cols", "codes", "twist", "name", "_entries", "_conj")
 
     def __init__(self, field: FieldFq2, rows: int, cols: int, entries: tuple,
                  twist: str = STRAIGHT, name: str = ""):
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries    # rows x cols, tuple of row tuples
+        self.codes = tuple([_encode_row(field.order, row) for row in entries])
         self.twist = twist
         self.name = name
+        self._entries = entries    # rows x cols, tuple of row tuples
         self._conj = None
 
     def _key(self) -> tuple:
-        return (self.field, self.rows, self.cols, self.entries, self.twist)
+        return (self.field.order, self.rows, self.cols, self.codes, self.twist)
 
     def __eq__(self, other):
         if other.__class__ is not SemilinearMap:
@@ -160,6 +217,14 @@ class SemilinearMap:
         return hash(self._key())
 
     @property
+    def entries(self) -> tuple:
+        entries = self._entries
+        if entries is None:
+            rows = _row_tables(self.field.order, self.cols)[0]
+            entries = self._entries = tuple([rows[c] for c in self.codes])
+        return entries
+
+    @property
     def is_anti(self) -> bool:
         return self.twist == ANTI
 
@@ -168,26 +233,43 @@ class SemilinearMap:
         if self.is_anti:
             v = tuple(k.conj(x) for x in v)
         out = []
-        for i in range(self.rows):
+        for row in self.entries:
             acc = 0
-            row = self.entries[i]
             for j in range(self.cols):
                 acc = k.add_(acc, k.mul_(row[j], v[j]))
             out.append(acc)
         return tuple(out)
 
-    def conj_entries(self) -> tuple:
-        """The entrywise Frobenius of the matrix, computed once per map."""
+    def conj_codes(self) -> tuple:
+        """The row codes of the entrywise Frobenius, computed once per map."""
         conj = self._conj
         if conj is None:
-            frob = self.field.frob
-            conj = self._conj = tuple([tuple([frob[v] for v in row])
-                                       for row in self.entries])
+            table = _row_tables(self.field.order, self.cols)[1]
+            conj = self._conj = tuple([table[c] for c in self.codes])
         return conj
+
+    def conj_entries(self) -> tuple:
+        """The entrywise Frobenius of the matrix, decoded from `conj_codes`."""
+        rows = _row_tables(self.field.order, self.cols)[0]
+        return tuple([rows[c] for c in self.conj_codes()])
 
     def __repr__(self) -> str:
         label = self.name or "map"
         return f"{label}[{self.twist}]{self.rows}x{self.cols}"
+
+
+def _packed(field, rows, cols, codes, twist, entries=None) -> SemilinearMap:
+    """A map from its row codes; `entries`, when known, fills the view."""
+    m = object.__new__(SemilinearMap)
+    m.field = field
+    m.rows = rows
+    m.cols = cols
+    m.codes = codes
+    m.twist = twist
+    m.name = ""
+    m._entries = entries
+    m._conj = None
+    return m
 
 
 def matrix(field, entries, twist=STRAIGHT, name="") -> SemilinearMap:
@@ -220,27 +302,13 @@ def reverse_map(field, n) -> SemilinearMap:
 
 def mat_mul(field, a, b, cols):
     """Plain matrix product of entry tables (no twist bookkeeping); `b` has
-    `cols` columns, which it cannot say itself when it has no rows."""
+    `cols` columns, which it cannot say itself when it has no rows. The
+    entry-level reference that the packed `compose_semilinear` is checked
+    against."""
     inner = len(b)
     if a and len(a[0]) != inner:
         raise NotComposable("inner dimensions differ")
     add, mul = field.add, field.mul
-    # straight-line products for the inner dimensions the hom grid uses;
-    # index 0 is the additive identity, so the sums need no zero start
-    if inner == 1:
-        (b0,) = b
-        out = []
-        for (x0,) in a:
-            m0 = mul[x0]
-            out.append(tuple([m0[y0] for y0 in b0]))
-        return tuple(out)
-    if inner == 2:
-        b0, b1 = b
-        out = []
-        for x0, x1 in a:
-            m0, m1 = mul[x0], mul[x1]
-            out.append(tuple([add[m0[y0]][m1[y1]] for y0, y1 in zip(b0, b1)]))
-        return tuple(out)
     b_cols = tuple(zip(*b)) if inner else ((),) * cols
     out = []
     for a_row in a:
@@ -255,22 +323,32 @@ def mat_mul(field, a, b, cols):
 
 
 def compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
-    """g after f; twists XOR; the right matrix is conjugated when g is twisted."""
-    if f.field is not g.field or f.rows != g.cols:
+    """g after f; twists XOR; the right matrix is conjugated when g is twisted.
+
+    Row i of the product is the sum over k of g[i][k] times row k of the
+    right matrix, each term one lookup in the scale table of packed rows.
+    """
+    field = g.field
+    if f.field is not field or f.rows != g.cols:
         raise NotComposable(f"cannot compose {g!r} after {f!r}")
-    right = f.conj_entries() if g.is_anti else f.entries
-    return SemilinearMap(g.field, g.rows, f.cols,
-                         mat_mul(g.field, g.entries, right, f.cols),
-                         variance_xor(g.twist, f.twist))
+    right = f.conj_codes() if g.twist == ANTI else f.codes
+    scale = _row_tables(field.order, f.cols)[2]
+    plus = _row_adder(field)
+    inner = range(g.cols)
+    codes = []
+    for row in g.entries:
+        acc = 0
+        for k in inner:
+            acc = plus(acc, scale[row[k]][right[k]])
+        codes.append(acc)
+    return _packed(field, g.rows, f.cols, tuple(codes), variance_xor(g.twist, f.twist))
 
 
 def add_semilinear(f: SemilinearMap, g: SemilinearMap) -> SemilinearMap:
     if (f.rows, f.cols, f.twist) != (g.rows, g.cols, g.twist):
         raise NotComposable("can only add maps of equal shape and twist")
-    add = f.field.add
-    ent = tuple([tuple([add[x][y] for x, y in zip(f_row, g_row)])
-                 for f_row, g_row in zip(f.entries, g.entries)])
-    return SemilinearMap(f.field, f.rows, f.cols, ent, f.twist)
+    codes = tuple(map(_row_adder(f.field), f.codes, g.codes))
+    return _packed(f.field, f.rows, f.cols, codes, f.twist)
 
 
 def star_compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
@@ -282,11 +360,11 @@ def star_compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap
 
 def corresponding_twisted(f: SemilinearMap) -> SemilinearMap:
     """f ↦ f∘conj: same matrix, twist flipped to anti."""
-    return SemilinearMap(f.field, f.rows, f.cols, f.entries, ANTI)
+    return _packed(f.field, f.rows, f.cols, f.codes, ANTI, f._entries)
 
 
 def maps_equal(f: SemilinearMap, g: SemilinearMap) -> bool:
-    return (f.rows, f.cols, f.twist, f.entries) == (g.rows, g.cols, g.twist, g.entries)
+    return (f.rows, f.cols, f.twist, f.codes) == (g.rows, g.cols, g.twist, g.codes)
 
 
 def random_map(field, rows, cols, twist, rng: random.Random) -> SemilinearMap:
@@ -766,51 +844,36 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
             n_expected = q2 ** (dx * dy)
             checks.append(check(f"count-{dx}x{dy}", n_homs == n_expected,
                                 witness=(n_homs, n_expected)))
-    # additive iso of the correspondence on the largest square, all pairs
-    d = max(dims)
-    add_ok = True
-    for fa, ta, _ in shapes[(d, d)]:
-        for fb, tb, _ in shapes[(d, d)]:
-            lhs = corresponding_twisted(add_semilinear(fa, fb))
-            rhs = add_semilinear(ta, tb)
-            if not maps_equal(lhs, rhs):
-                add_ok = False
-    checks.append(check("correspondence-additive", add_ok))
+    # additive iso of the correspondence on the largest square, all pairs;
+    # each check below names its first counterexample
+    square = shapes[(max(dims), max(dims))]
+    add_w = next(((fa.entries, fb.entries)
+                  for fa, ta, _ in square for fb, tb, _ in square
+                  if not maps_equal(corresponding_twisted(add_semilinear(fa, fb)),
+                                    add_semilinear(ta, tb))), None)
+    checks.append(check("correspondence-additive", add_w is None, witness=add_w))
     # naturality on all grid squares, with h∘f computed once per pair
-    post_ok, post_w = True, None
-    pre_ok, pre_w = True, None
+    post_w = pre_w = None
     for dx in dims:
         for dy in dims:
             for dz in dims:
                 for f, f_twisted, _ in shapes[(dy, dx)]:
                     for h, _, h_target in shapes[(dz, dy)]:
                         hf = compose_semilinear(h, f)
-                        lhs = corresponding_twisted(hf)
-                        rhs = compose_semilinear(h, f_twisted)
-                        if not maps_equal(lhs, rhs):
-                            post_ok, post_w = False, (f.entries, h.entries)
-                        lhs2 = _target_side_twisted(hf)
-                        rhs2 = compose_semilinear(h_target, f)
-                        if not maps_equal(lhs2, rhs2):
-                            pre_ok, pre_w = False, (f.entries, h.entries)
-    checks.append(check("naturality-postcompose", post_ok, witness=post_w))
-    checks.append(check("naturality-precompose", pre_ok, witness=pre_w))
+                        if post_w is None and not maps_equal(
+                                corresponding_twisted(hf), compose_semilinear(h, f_twisted)):
+                            post_w = (f.entries, h.entries)
+                        if pre_w is None and not maps_equal(
+                                _target_side_twisted(hf), compose_semilinear(h_target, f)):
+                            pre_w = (f.entries, h.entries)
+    checks.append(check("naturality-postcompose", post_w is None, witness=post_w))
+    checks.append(check("naturality-precompose", pre_w is None, witness=pre_w))
     # right identity of the source-side star composition is exact
-    d0 = dims[0]
-    rid_ok = True
-    for fe in _all_matrices(field, d0, d0):
-        f = SemilinearMap(field, d0, d0, fe, ANTI)
-        if not maps_equal(star_compose_semilinear(f, reverse_map(field, d0)), f):
-            rid_ok = False
-    checks.append(check("star-right-identity", rid_ok))
+    rev = reverse_map(field, dims[0])
+    rid_w = _first_moved(field, dims[0], lambda f: star_compose_semilinear(f, rev))
+    checks.append(check("star-right-identity", rid_w is None, witness=rid_w))
     # the left identity picks up a conjugation: record the defect
-    wit = None
-    for fe in _all_matrices(field, d0, d0):
-        f = SemilinearMap(field, d0, d0, fe, ANTI)
-        lhs = star_compose_semilinear(reverse_map(field, d0), f)
-        if not maps_equal(lhs, f):
-            wit = (fe, lhs.entries)
-            break
+    wit = _first_moved(field, dims[0], lambda f: star_compose_semilinear(rev, f))
     if wit is not None:
         notes.append(f"left star identity conjugates the matrix here: {wit}")
     return TheoremReport(
@@ -821,9 +884,20 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
     )
 
 
+def _first_moved(field, d, star):
+    """The first twisted d x d matrix f, in enumeration order, with star(f) != f,
+    paired with star(f)'s matrix; None when star fixes every one."""
+    for fe in _all_matrices(field, d, d):
+        f = SemilinearMap(field, d, d, fe, ANTI)
+        moved = star(f)
+        if not maps_equal(moved, f):
+            return fe, moved.entries
+    return None
+
+
 def _target_side_twisted(f: SemilinearMap) -> SemilinearMap:
     """f ↦ conj∘f: conjugated matrix, twist flipped."""
-    return SemilinearMap(f.field, f.rows, f.cols, f.conj_entries(), ANTI)
+    return _packed(f.field, f.rows, f.cols, f.conj_codes(), ANTI)
 
 
 def generalized_suite(field=None, count: int = 50, seed: int = 2024,

@@ -292,6 +292,32 @@ def test_group_checks_fail_when_a_family_loses_a_member(monkeypatch, variance):
     assert not found["union-is-group"].passed
 
 
+def test_group_checks_fail_when_z2_loses_its_only_automorphism(monkeypatch):
+    # Mutant enumerator: Z2's straight family is empty. An empty family has no
+    # identity, so before it was guarded `validate_group` raised NoIdentity,
+    # which ends a CLI run with exit 2; now the checks that need the group
+    # FAIL with a witness naming the family, and the run completes.
+    from antimorph.suite import RunConfig, run
+
+    real = morphisms.enumerate_morphisms
+
+    def emptied(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        out = real(a, b, v, bound)
+        if a.name != "z2" or v != STRAIGHT:
+            return out
+        return tuple(m for m in out if not m.is_bijective())
+
+    monkeypatch.setattr(morphisms, "enumerate_morphisms", emptied)
+    records = run(RunConfig(selection=("automorphism-algebra/z2/",))).records
+    found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
+    for name in ("twin-map-is-group-iso", "groups-abstractly-isomorphic"):
+        assert not found[name].passed
+        assert found[name].witness == "('homis', ())"
+    assert found["families-equinumerous"].witness == "(0, 1)"
+    assert not found["abelian-families-coincide"].passed
+    assert found["union-is-group"].passed
+
+
 def test_pointwise_audit_contract():
     z4 = zmod(4)
     z2, _ = quotient_ring(z4, named_ideal("z4", "even"))

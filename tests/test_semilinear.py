@@ -298,20 +298,42 @@ def _entry_pairs(field, rows, inner, cols, rng):
 
 @pytest.mark.parametrize("order", [4, 9])
 def test_mat_mul_matches_a_plain_triple_sum(order):
+    # mat_mul is the entry-level reference; compose_semilinear and
+    # add_semilinear work on packed row codes and are held to the same sums
     field = FieldFq2.of_order(order)
     rng = random.Random(order)
+    one = identity_map(field, 1)
+    for width in range(5 if order == 4 else 4):
+        every_row = list(itertools.product(range(order), repeat=width))
+        codes = [SemilinearMap(field, 1, width, (row,)).codes[0] for row in every_row]
+        assert sorted(codes) == list(range(order ** width))
+        for row in every_row:
+            m = SemilinearMap(field, 1, width, (row,), ANTI)
+            # a map built from codes decodes its entries on first read
+            assert compose_semilinear(one, m).entries == (row,)
+            assert m.conj_entries() == (tuple(field.conj(v) for v in row),)
+    too_wide = 8 if order == 4 else 5   # q·q^width > 2^16: no table is built
+    with pytest.raises(BoundExceeded):
+        compose_semilinear(one, SemilinearMap(field, 1, too_wide, ((0,) * too_wide,)))
     for rows, inner, cols in itertools.product((1, 2, 3), (0, 1, 2, 3), (1, 2, 3)):
         for a, b in _entry_pairs(field, rows, inner, cols, rng):
             expected = _triple_sum(field, a, b, rows, inner, cols)
             assert mat_mul(field, a, b, cols) == expected
-            f = SemilinearMap(field, inner, cols, b, rng.choice((STRAIGHT, ANTI)))
-            g = SemilinearMap(field, rows, inner, a, STRAIGHT)
-            assert compose_semilinear(g, f).entries == expected
             conj_b = tuple(tuple(field.conj(v) for v in row) for row in b)
-            twisted = compose_semilinear(
-                SemilinearMap(field, rows, inner, a, ANTI), f)
-            assert twisted.entries == \
-                _triple_sum(field, a, conj_b, rows, inner, cols)
+            conj_expected = _triple_sum(field, a, conj_b, rows, inner, cols)
+            for g_twist, f_twist in itertools.product((STRAIGHT, ANTI), repeat=2):
+                g = SemilinearMap(field, rows, inner, a, g_twist)
+                f = SemilinearMap(field, inner, cols, b, f_twist)
+                comp = compose_semilinear(g, f)
+                want = conj_expected if g.is_anti else expected
+                assert comp.entries == want
+                built = SemilinearMap(field, rows, cols, want, comp.twist)
+                assert built == comp and hash(built) == hash(comp)
+            total = add_semilinear(SemilinearMap(field, rows, cols, expected),
+                                   SemilinearMap(field, rows, cols, conj_expected))
+            assert total.entries == tuple(
+                tuple(field.add_(x, y) for x, y in zip(row, conj_row))
+                for row, conj_row in zip(expected, conj_expected))
 
 
 def test_semilinear_map_value_contract():
@@ -326,7 +348,7 @@ def test_semilinear_map_value_contract():
     assert repr(a) == "a[anti]2x1"
     assert repr(SemilinearMap(F4, 1, 3, ((0, 1, 2),))) == "map[straight]1x3"
     assert a.conj_entries() == ((3,), (2,))
-    assert a.conj_entries() is a.conj_entries()
+    assert a.conj_codes() is a.conj_codes()  # the conjugate is computed once
     assert a.entries == ((2,), (3,))
 
 
@@ -349,20 +371,48 @@ def _grid_checks(dims=(1, 2)):
     return bifunctor_grid_report(F4, dims=dims).check_map()
 
 
+def _matrices(rows, cols):
+    """Every rows x cols matrix over F4, in the grid's enumeration order."""
+    return [tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
+            for flat in itertools.product(range(4), repeat=rows * cols)]
+
+
+def _conj(entries):
+    return tuple(tuple(F4.conj(v) for v in row) for row in entries)
+
+
+def _first_naturality_failure(dims, holds):
+    """The first (f, h) entry pair, in the grid's order, on which `holds`
+    is False: naive twin of the grid's naturality loops."""
+    for dx, dy, dz in itertools.product(dims, repeat=3):
+        for fe in _matrices(dy, dx):
+            for he in _matrices(dz, dy):
+                if not holds(SemilinearMap(F4, dy, dx, fe), SemilinearMap(F4, dz, dy, he)):
+                    return fe, he
+    return None
+
+
 def test_postcompose_naturality_fails_on_a_flipped_twist(monkeypatch):
     real = semilinear_module.compose_semilinear
 
     def flipped(g, f):
         out = real(g, f)
-        if not g.is_anti and f.is_anti and (g.rows, g.cols, f.cols) == (1, 1, 1):
+        if not g.is_anti and f.is_anti and (g.rows, g.cols, f.cols) == (1, 1, 1) \
+                and f.entries != ((0,),):
             return SemilinearMap(out.field, out.rows, out.cols, out.entries,
                                  STRAIGHT)
         return out
 
+    def holds(f, h):
+        hf = flipped(h, f)
+        return SemilinearMap(F4, hf.rows, hf.cols, hf.entries, ANTI) == \
+            flipped(h, SemilinearMap(F4, f.rows, f.cols, f.entries, ANTI))
+
     monkeypatch.setattr(semilinear_module, "compose_semilinear", flipped)
     checks = _grid_checks(dims=(1,))
     assert not checks["naturality-postcompose"].passed
-    assert checks["naturality-postcompose"].witness is not None
+    assert checks["naturality-postcompose"].witness == \
+        _first_naturality_failure((1,), holds) == (((1,),), ((0,),))
     assert checks["naturality-precompose"].passed
 
 
@@ -377,10 +427,17 @@ def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
                                  STRAIGHT if f.is_anti else ANTI)
         return real(g, f)
 
+    def holds(f, h):
+        hf = unconjugated(h, f)
+        return SemilinearMap(F4, hf.rows, hf.cols, _conj(hf.entries), ANTI) == \
+            unconjugated(SemilinearMap(F4, h.rows, h.cols, _conj(h.entries), ANTI), f)
+
     monkeypatch.setattr(semilinear_module, "compose_semilinear", unconjugated)
     checks = _grid_checks(dims=(1,))
     assert not checks["naturality-precompose"].passed
-    assert checks["naturality-precompose"].witness is not None
+    # f must differ from its conjugate and h must not vanish
+    assert checks["naturality-precompose"].witness == \
+        _first_naturality_failure((1,), holds) == (((2,),), ((1,),))
     assert checks["naturality-postcompose"].passed
 
 
@@ -396,5 +453,34 @@ def test_correspondence_additivity_is_checked_on_every_pair(monkeypatch):
                                  f.entries, out.twist)
         return out
 
+    def map2(entries, twist=STRAIGHT):
+        return SemilinearMap(F4, 2, 2, entries, twist)
+
     monkeypatch.setattr(semilinear_module, "add_semilinear", broken)
-    assert not _grid_checks()["correspondence-additive"].passed
+    check = _grid_checks()["correspondence-additive"]
+    assert not check.passed
+    mats = _matrices(2, 2)
+    first = next((a, b) for a in mats for b in mats
+                 if map2(broken(map2(a), map2(b)).entries, ANTI)
+                 != broken(map2(a, ANTI), map2(b, ANTI)))
+    assert check.witness == first == (((3, 0), (0, 0)), ((0, 0), (0, 1)))
+
+
+def test_star_right_identity_names_its_first_counterexample(monkeypatch):
+    # Mutant star product that conjugates its result, as the left identity
+    # does: the right identity then moves exactly the matrices holding w or w2.
+    real = semilinear_module.star_compose_semilinear
+
+    def conjugating(g, f):
+        out = real(g, f)
+        return SemilinearMap(F4, out.rows, out.cols, _conj(out.entries), out.twist)
+
+    monkeypatch.setattr(semilinear_module, "star_compose_semilinear", conjugating)
+    check = _grid_checks(dims=(1,))["star-right-identity"]
+    assert not check.passed
+    rev = reverse_map(F4, 1)
+    first = next((fe, conjugating(SemilinearMap(F4, 1, 1, fe, ANTI), rev).entries)
+                 for fe in _matrices(1, 1)
+                 if conjugating(SemilinearMap(F4, 1, 1, fe, ANTI), rev)
+                 != SemilinearMap(F4, 1, 1, fe, ANTI))
+    assert check.witness == first == (((2,),), ((3,),))
