@@ -44,19 +44,52 @@ def _classify(images, n, m, cay_a, cay_b):
 
 
 def scan_morphism_space(n, m, cay_a, cay_b):
-    """Brute force over all m**n maps; returns (hom_tables, anti_tables).
+    """Every one of the m**n maps is decided; returns (hom_tables, anti_tables).
 
     Output tables are tuples in odometer (lexicographic) order. A map
     satisfying both laws appears in both lists.
+
+    The odometer runs depth first over f(0), f(1), ..., f(n-1). Each pair
+    (x, y, x*y) is checked once, when the largest of its three elements is
+    assigned, against each law still alive on the path. A prefix on which
+    both laws have failed decides every map that extends it, so its subtree
+    is not entered. Only the two tables are read: no identity, inverse or
+    generating set, so any two binary operations can be scanned.
     """
+    if n == 0:
+        return [()], [()]
+    buckets = [[] for _ in range(n)]
+    for x, y in itertools.product(range(n), repeat=2):
+        z = cay_a[x * n + y]
+        buckets[max(x, y, z)].append((x, y, z))
     homs = []
     antis = []
-    for f in itertools.product(range(m), repeat=n):
-        code = _classify(f, n, m, cay_a, cay_b)
-        if code & HOM_BIT:
-            homs.append(f)
-        if code & ANTI_BIT:
-            antis.append(f)
+    f = [0] * n
+    last = n - 1
+
+    def descend(k, hom, anti):
+        pairs = buckets[k]
+        for v in range(m):
+            f[k] = v
+            h, a = hom, anti
+            for x, y, z in pairs:
+                fx, fy, fz = f[x], f[y], f[z]
+                if h and cay_b[fx * m + fy] != fz:
+                    h = False
+                if a and cay_b[fy * m + fx] != fz:
+                    a = False
+                if not (h or a):
+                    break
+            else:
+                if k == last:
+                    if h:
+                        homs.append(tuple(f))
+                    if a:
+                        antis.append(tuple(f))
+                else:
+                    descend(k + 1, h, a)
+
+    descend(0, True, True)
     return homs, antis
 
 

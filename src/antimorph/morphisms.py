@@ -204,7 +204,9 @@ def enumerate_morphisms(a, b, variance: str, bound: int = DEFAULT_BOUND):
 
 
 def brute_force_tables(a: FiniteGroup, b: FiniteGroup):
-    """Oracle: full scan of all |B|**|A| maps; returns (hom, anti) table lists."""
+    """Oracle: every one of the |B|**|A| maps is decided by the map-space
+    scan, which shares no code with the enumerator; returns (hom, anti)
+    table lists in odometer order."""
     homs, antis = kernels.scan_morphism_space(
         a.order, b.order, kernels.flatten(a.cayley), kernels.flatten(b.cayley))
     return homs, antis

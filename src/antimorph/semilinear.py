@@ -345,8 +345,9 @@ def compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
 
 
 def add_semilinear(f: SemilinearMap, g: SemilinearMap) -> SemilinearMap:
-    if (f.rows, f.cols, f.twist) != (g.rows, g.cols, g.twist):
-        raise NotComposable("can only add maps of equal shape and twist")
+    if f.field is not g.field or \
+            (f.rows, f.cols, f.twist) != (g.rows, g.cols, g.twist):
+        raise NotComposable("can only add maps of equal field, shape and twist")
     codes = tuple(map(_row_adder(f.field), f.codes, g.codes))
     return _packed(f.field, f.rows, f.cols, codes, f.twist)
 

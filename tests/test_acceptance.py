@@ -192,22 +192,29 @@ GROUP_SWEEP_RECORDS = {"variance-xor/": 14 ** 3, "correspondence/": 2 * 14 ** 2 
                        "anti-map-properties/": 4 * 14}
 
 
-def test_group_sweeps_over_every_group_of_order_at_most_8(tmp_path):
-    # The six groups of order <= 8 the bundled corpus lacks, loaded as a
-    # --corpus directory: then all 14 of them (OEIS A000001) run through the
-    # report's five group sweeps, and every record must PASS.
+def _groups_of_order_at_most_8(corpus_dir):
+    """All 14 groups of order <= 8 (OEIS A000001), by name: the bundled corpus
+    plus the six it lacks, which are written to `corpus_dir` as a --corpus
+    directory."""
     z2 = cyclic(2)
     klein = direct_product(z2, z2)[0]
     extra = [cyclic(1), cyclic(5), cyclic(7), cyclic(8),
              direct_product(z2, cyclic(4))[0], direct_product(klein, z2)[0]]
     for g in extra:
-        (tmp_path / f"{g.name}.grp").write_text(emit_group(g))
-    groups = Registry((str(tmp_path),)).groups
+        (corpus_dir / f"{g.name}.grp").write_text(emit_group(g))
+    groups = Registry((str(corpus_dir),)).groups
     assert Counter(g.order for g in groups.values()) == \
         {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5}
     for g, h in itertools.combinations(groups.values(), 2):
         if g.order == h.order:
             assert find_isomorphism(g, h) is None, (g, h)
+    return groups
+
+
+def test_group_sweeps_over_every_group_of_order_at_most_8(tmp_path):
+    # All 14 groups of order <= 8 run through the report's five group
+    # sweeps, and every record must PASS.
+    _groups_of_order_at_most_8(tmp_path)
     t0 = time.time()
     bundle = run(RunConfig(corpus_paths=(str(tmp_path),),
                            selection=tuple(GROUP_SWEEP_RECORDS)))
@@ -218,3 +225,15 @@ def test_group_sweeps_over_every_group_of_order_at_most_8(tmp_path):
     assert not failed, failed[:5]
     counts = Counter(r.check_id.split("/", 1)[0] + "/" for r in bundle.records)
     assert counts == GROUP_SWEEP_RECORDS
+
+
+def test_enumerators_match_the_oracle_on_every_group_of_order_at_most_8(tmp_path):
+    # Hom and An from the generator-image enumerator against the map-space
+    # scan, on all 196 ordered pairs, 8 -> 8 included (8**8 maps each).
+    groups = _groups_of_order_at_most_8(tmp_path)
+    pairs = list(itertools.product(groups.values(), repeat=2))
+    assert len(pairs) == 196
+    for a, b in pairs:
+        bh, ba = brute_force_tables(a, b)
+        assert [m.images for m in enumerate_morphisms(a, b, STRAIGHT)] == bh, (a, b)
+        assert [m.images for m in enumerate_morphisms(a, b, ANTI)] == ba, (a, b)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from antimorph.corpus import cyclic, group_corpus, named_ideal, ring_corpus, symmetric3, zmod
 from antimorph.errors import BoundExceeded, LawViolation, NoInvolution, NotComposable
-from antimorph import morphisms
+from antimorph import morphisms, suite
 from antimorph.maps import ANTI, STRAIGHT, VARIANCES, Morphism
 from antimorph.morphisms import (
     ANTI_ONLY,
@@ -144,6 +144,77 @@ def test_correspondence_is_involutive_bijection():
     ident = Morphism(z2, z2, (0, 1), STRAIGHT)
     twin = corresponding_anti(ident)
     assert twin.variance == ANTI and twin.images == (0, 1)
+
+
+CORRESPONDENCE_GROUPS = ("s3", "z2xz2", "z4")
+
+
+def _correspondence_checks():
+    """Checks of the correspondence reports on three groups, by pair "a-b"."""
+    groups = group_corpus()
+    reports = suite.correspondence_reports(
+        {name: groups[name] for name in CORRESPONDENCE_GROUPS})
+    return {r.theorem.split("/", 1)[1]: r.check_map() for r in reports}
+
+
+def _first_stray(enumerated, scanned):
+    """Naive: the least (variance, table) listed more often on one side."""
+    return next((p for p in sorted(set(enumerated) | set(scanned))
+                 if enumerated.count(p) != scanned.count(p)), None)
+
+
+@pytest.mark.parametrize("dropped", ["enumerate_morphisms", "brute_force_tables"])
+def test_map_space_scan_check_names_the_first_stray_table(monkeypatch, dropped):
+    # Mutant: the enumerator, or the oracle, loses its last straight map. The
+    # counts then differ, but the witness names the table itself.
+    groups = group_corpus()
+    s3, z4 = groups["s3"], groups["z4"]
+    real_enum, real_scan = suite.enumerate_morphisms, suite.brute_force_tables
+
+    def dropping_enum(a, b, variance, bound=suite.DEFAULT_BOUND):
+        out = real_enum(a, b, variance, bound)
+        return out[:-1] if variance == STRAIGHT else out
+
+    def dropping_scan(a, b):
+        homs, antis = real_scan(a, b)
+        return homs[:-1], antis
+
+    mutant = dropping_enum if dropped == "enumerate_morphisms" else dropping_scan
+    monkeypatch.setattr(suite, dropped, mutant)
+    enumerated = [(v, m.images) for v in VARIANCES
+                  for m in suite.enumerate_morphisms(s3, z4, v)]
+    homs, antis = suite.brute_force_tables(s3, z4)
+    scanned = [(STRAIGHT, t) for t in homs] + [(ANTI, t) for t in antis]
+    naive = _first_stray(enumerated, scanned)
+    assert naive is not None and naive[0] == STRAIGHT
+    checks = _correspondence_checks()
+    check = checks["s3-z4"]["matches-map-space-scan"]
+    assert not check.passed and check.witness == naive
+    assert checks["s3-z4"]["correspondence-involutive"].passed
+
+
+def test_correspondence_involutive_names_the_first_moved_map(monkeypatch):
+    # Mutant: the round trip sends the last element to the identity, which
+    # moves every straight map whose last image is not the identity.
+    groups = group_corpus()
+    real = suite.corresponding_hom
+
+    def breaking(f):
+        g = real(f)
+        images = g.images[:-1] + (g.target.identity,)
+        return Morphism(g.source, g.target, images, g.variance)
+
+    monkeypatch.setattr(suite, "corresponding_hom", breaking)
+    checks = _correspondence_checks()
+    for a, b in itertools.product(CORRESPONDENCE_GROUPS, repeat=2):
+        naive = next((f.images
+                      for f in enumerate_morphisms(groups[a], groups[b], STRAIGHT)
+                      if breaking(corresponding_anti(f)).images != f.images), None)
+        involutive = checks[f"{a}-{b}"]["correspondence-involutive"]
+        assert involutive.passed == (naive is None)
+        assert involutive.witness == naive
+        assert checks[f"{a}-{b}"]["matches-map-space-scan"].passed
+    assert not checks["s3-s3"]["correspondence-involutive"].passed
 
 
 def test_kernel_image_cokernel():

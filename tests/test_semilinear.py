@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antimorph.semilinear as semilinear_module
-from antimorph.errors import AlgebraError, BoundExceeded, PreconditionFailed
+from antimorph.errors import AlgebraError, BoundExceeded, NotComposable, PreconditionFailed
 from antimorph.maps import ANTI, STRAIGHT
 from antimorph.semilinear import (
     FieldFq2,
@@ -334,6 +334,18 @@ def test_mat_mul_matches_a_plain_triple_sum(order):
             assert total.entries == tuple(
                 tuple(field.add_(x, y) for x, y in zip(row, conj_row))
                 for row, conj_row in zip(expected, conj_expected))
+
+
+def test_add_semilinear_refuses_maps_over_different_fields():
+    # 3 is a valid F4 code and 8 a valid F9 code; neither order may be
+    # read as an entry of the other field
+    f4_map = SemilinearMap(F4, 1, 1, ((3,),))
+    f9_map = SemilinearMap(FieldFq2.of_order(9), 1, 1, ((8,),))
+    for f, g in ((f4_map, f9_map), (f9_map, f4_map)):
+        with pytest.raises(NotComposable):
+            add_semilinear(f, g)
+        with pytest.raises(NotComposable):
+            compose_semilinear(f, g)
 
 
 def test_semilinear_map_value_contract():
