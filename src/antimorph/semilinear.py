@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 from operator import xor
 
 from .errors import AlgebraError, BoundExceeded, NotComposable, PreconditionFailed
-from .maps import ANTI, STRAIGHT, variance_xor
+from .maps import ANTI, STRAIGHT
 from .verdict import TheoremReport, check
 
 _IRREDUCIBLE = {2: (1, 1), 3: (0, 1)}  # t^2 + a*t + b over F_p
@@ -125,8 +125,9 @@ def _linear_name(x: int, p: int) -> str:
 
 # -- packed rows ---------------------------------------------------------------
 
-# The largest scale table `_row_tables` builds, q·q^width entries: rows of up
-# to 7 entries over F4 and 4 over F9.
+# The largest table built: a scale table of `_row_tables` has q·q^width
+# entries (rows of up to 7 entries over F4 and 4 over F9), an image table of
+# `_image_table` q^rows (maps of up to 8 rows over F4 and 5 over F9).
 _ROW_TABLE_LIMIT = 1 << 16
 
 
@@ -175,6 +176,27 @@ def _add_rows(field: FieldFq2, x: int, y: int) -> int:
     return total
 
 
+def _image_table(field: FieldFq2, cols: int, codes: tuple) -> tuple:
+    """The Four Russians table of a matrix given by its row codes: `table[c]`
+    is the code of (the left row with code c) times the matrix, for every one
+    of the q^rows left rows (Arlazarov et al. 1970; M4RM in Albrecht, Bard &
+    Hart, ACM TOMS 2010).
+
+    Built a digit at a time: the table of the first k rows, read with one
+    more low digit, adds that digit's multiple of row k to each entry.
+    """
+    q = field.order
+    if q ** len(codes) > _ROW_TABLE_LIMIT:
+        raise BoundExceeded(f"maps of {len(codes)} rows over F{q} are too tall to tabulate")
+    scale = _row_tables(q, cols)[2]
+    plus = _row_adder(field)
+    table = [0]
+    for code in codes:
+        multiples = [times[code] for times in scale]
+        table = [plus(acc, m) for acc in table for m in multiples]
+    return tuple(table)
+
+
 # -- maps ----------------------------------------------------------------------
 
 
@@ -187,12 +209,13 @@ class SemilinearMap:
     decodes them on first read. Treated as immutable: no code assigns to a
     map after construction. The class is slotted rather than a frozen
     dataclass because the twisted hom grid builds hundreds of thousands of
-    maps. Besides the entries view, the one slot filled later caches
-    `conj_codes`, a pure function of the codes. Equality and hashing ignore
-    `name`.
+    maps. Besides the entries view, the slots filled later cache pure
+    functions of the codes: `conj_codes` and the two image tables of
+    `image_table`. Equality and hashing ignore `name` and the caches.
     """
 
-    __slots__ = ("field", "rows", "cols", "codes", "twist", "name", "_entries", "_conj")
+    __slots__ = ("field", "rows", "cols", "codes", "twist", "name", "_entries", "_conj",
+                 "_image", "_conj_image")
 
     def __init__(self, field: FieldFq2, rows: int, cols: int, entries: tuple,
                  twist: str = STRAIGHT, name: str = ""):
@@ -203,7 +226,7 @@ class SemilinearMap:
         self.twist = twist
         self.name = name
         self._entries = entries    # rows x cols, tuple of row tuples
-        self._conj = None
+        self._conj = self._image = self._conj_image = None
 
     def _key(self) -> tuple:
         return (self.field.order, self.rows, self.cols, self.codes, self.twist)
@@ -248,6 +271,18 @@ class SemilinearMap:
             conj = self._conj = tuple([table[c] for c in self.codes])
         return conj
 
+    def image_table(self, conjugated: bool = False) -> tuple:
+        """`table[c]` is the row code of (the left row with code c) times this
+        matrix, or times its conjugate; each table is built at most once per
+        map."""
+        if conjugated:
+            if self._conj_image is None:
+                self._conj_image = _image_table(self.field, self.cols, self.conj_codes())
+            return self._conj_image
+        if self._image is None:
+            self._image = _image_table(self.field, self.cols, self.codes)
+        return self._image
+
     def conj_entries(self) -> tuple:
         """The entrywise Frobenius of the matrix, decoded from `conj_codes`."""
         rows = _row_tables(self.field.order, self.cols)[0]
@@ -268,7 +303,7 @@ def _packed(field, rows, cols, codes, twist, entries=None) -> SemilinearMap:
     m.twist = twist
     m.name = ""
     m._entries = entries
-    m._conj = None
+    m._conj = m._image = m._conj_image = None
     return m
 
 
@@ -325,28 +360,24 @@ def mat_mul(field, a, b, cols):
 def compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
     """g after f; twists XOR; the right matrix is conjugated when g is twisted.
 
-    Row i of the product is the sum over k of g[i][k] times row k of the
-    right matrix, each term one lookup in the scale table of packed rows.
+    Row i of the product is one lookup: g's row code read through f's image
+    table, the conjugated one when g is twisted.
     """
-    field = g.field
-    if f.field is not field or f.rows != g.cols:
+    if f.field is not g.field or f.rows != g.cols:
         raise NotComposable(f"cannot compose {g!r} after {f!r}")
-    right = f.conj_codes() if g.twist == ANTI else f.codes
-    scale = _row_tables(field.order, f.cols)[2]
-    plus = _row_adder(field)
-    inner = range(g.cols)
-    codes = []
-    for row in g.entries:
-        acc = 0
-        for k in inner:
-            acc = plus(acc, scale[row[k]][right[k]])
-        codes.append(acc)
-    return _packed(field, g.rows, f.cols, tuple(codes), variance_xor(g.twist, f.twist))
+    # the slot reads spare the hot path a method call; a table is never empty
+    if g.twist == ANTI:
+        table = f._conj_image or f.image_table(True)
+        twist = STRAIGHT if f.twist == ANTI else ANTI
+    else:
+        table = f._image or f.image_table()
+        twist = f.twist
+    return _packed(g.field, g.rows, f.cols, tuple([table[c] for c in g.codes]), twist)
 
 
 def add_semilinear(f: SemilinearMap, g: SemilinearMap) -> SemilinearMap:
-    if f.field is not g.field or \
-            (f.rows, f.cols, f.twist) != (g.rows, g.cols, g.twist):
+    if f.field is not g.field or f.rows != g.rows or f.cols != g.cols \
+            or f.twist != g.twist:
         raise NotComposable("can only add maps of equal field, shape and twist")
     codes = tuple(map(_row_adder(f.field), f.codes, g.codes))
     return _packed(f.field, f.rows, f.cols, codes, f.twist)
@@ -365,7 +396,8 @@ def corresponding_twisted(f: SemilinearMap) -> SemilinearMap:
 
 
 def maps_equal(f: SemilinearMap, g: SemilinearMap) -> bool:
-    return (f.rows, f.cols, f.twist, f.codes) == (g.rows, g.cols, g.twist, g.codes)
+    return f.codes == g.codes and f.twist == g.twist and f.cols == g.cols \
+        and f.rows == g.rows
 
 
 def random_map(field, rows, cols, twist, rng: random.Random) -> SemilinearMap:
@@ -639,18 +671,26 @@ def verify_twisted_factorization(f: SemilinearMap, mu: SemilinearMap) -> Theorem
     pi, sect = qs.projection, qs.section
     psi = compose_semilinear(f, sect)  # candidate through-map, twist = f.twist
     recomposed = compose_semilinear(psi, pi)
+    killed, injected = span_basis(field, qs.subspace), span_basis(field, sub)
+    # the first basis vector of either span that lies outside the other
+    outside = None if killed == injected else next(
+        v for basis, other in ((killed, injected), (injected, killed))
+        for v in basis if not in_span(field, other, v))
     checks = [
-        check("through-map-twist", psi.twist == f.twist),
+        check("through-map-twist", psi.twist == f.twist, witness=(psi.twist, f.twist)),
         check("through-map-composite", maps_equal(recomposed, f),
               witness=(recomposed.entries, f.entries)),
-        check("projection-kernel-is-subspace",
-              span_basis(field, qs.subspace) == span_basis(field, sub)),
+        check("projection-kernel-is-subspace", outside is None, witness=outside),
     ]
     # uniqueness: any candidate with candidate∘pi = f is forced to f∘section,
     # independently of which section is used
     shifted = _shift_section(field, sect, sub)
-    unique_ok = shifted is None or maps_equal(compose_semilinear(f, shifted), psi)
-    checks.append(check("uniqueness-via-section", unique_ok))
+    moved = None
+    if shifted is not None:
+        via_shifted = compose_semilinear(f, shifted)
+        if not maps_equal(via_shifted, psi):
+            moved = (via_shifted.entries, psi.entries)
+    checks.append(check("uniqueness-via-section", moved is None, witness=moved))
     return TheoremReport(
         theorem="twisted-factorization",
         inputs=(("shape", f"{f.rows}x{f.cols}"), ("twist", f.twist),

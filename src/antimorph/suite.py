@@ -280,11 +280,9 @@ def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
             if ga.order <= BRUTE_FORCE_ORDER_LIMIT and \
                     gb.order <= BRUTE_FORCE_ORDER_LIMIT:
                 bh, ba = brute_force_tables(ga, gb)
-                enumerated = Counter((m.variance, m.images) for m in homs + antis)
-                scanned = Counter([(STRAIGHT, t) for t in bh] + [(ANTI, t) for t in ba])
-                # the least (variance, table) listed more often on one side
-                stray = min((enumerated - scanned) + (scanned - enumerated),
-                            default=None)
+                stray = _first_stray(
+                    [(m.variance, m.images) for m in homs + antis],
+                    [(STRAIGHT, t) for t in bh] + [(ANTI, t) for t in ba])
                 checks.append(check("matches-map-space-scan", stray is None,
                                     witness=stray))
             out.append(TheoremReport(
@@ -295,6 +293,13 @@ def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     return out
 
 
+def _first_stray(enumerated, scanned):
+    """The least entry listed more often on one side of the two lists, or
+    None when they hold the same entries equally often."""
+    enumerated, scanned = Counter(enumerated), Counter(scanned)
+    return min((enumerated - scanned) + (scanned - enumerated), default=None)
+
+
 def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     """Endomorphism counts against the oracle scan, and the star monoid laws."""
     homs = enumerate_morphisms(g, g, STRAIGHT, bound)
@@ -302,13 +307,11 @@ def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     bh, ba = brute_force_tables(g, g)
     closure_w, identity_w, assoc_w = _star_laws([m.images for m in antis],
                                                  g.inverses)
+    straight_w = _first_stray([m.images for m in homs], bh)
+    anti_w = _first_stray([m.images for m in antis], ba)
     checks = (
-        check("straight-count-matches-scan",
-              sorted(m.images for m in homs) == sorted(bh),
-              witness=(len(homs), len(bh))),
-        check("anti-count-matches-scan",
-              sorted(m.images for m in antis) == sorted(ba),
-              witness=(len(antis), len(ba))),
+        check("straight-count-matches-scan", straight_w is None, witness=straight_w),
+        check("anti-count-matches-scan", anti_w is None, witness=anti_w),
         check("counts-equal", len(homs) == len(antis),
               witness=(len(homs), len(antis))),
         check("star-closed", closure_w is None, witness=closure_w),

@@ -158,7 +158,7 @@ def _correspondence_checks():
 
 
 def _first_stray(enumerated, scanned):
-    """Naive: the least (variance, table) listed more often on one side."""
+    """Naive: the least entry listed more often on one side."""
     return next((p for p in sorted(set(enumerated) | set(scanned))
                  if enumerated.count(p) != scanned.count(p)), None)
 
@@ -191,6 +191,32 @@ def test_map_space_scan_check_names_the_first_stray_table(monkeypatch, dropped):
     check = checks["s3-z4"]["matches-map-space-scan"]
     assert not check.passed and check.witness == naive
     assert checks["s3-z4"]["correspondence-involutive"].passed
+
+
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_endomorphism_scan_checks_name_the_first_stray_table(monkeypatch, variance):
+    # Mutant: the enumerator lists its first map again in place of its last.
+    # The counts still agree, and only the witness shows which table differs.
+    s3 = group_corpus()["s3"]
+    real = suite.enumerate_morphisms
+
+    def repeating(a, b, v, bound=suite.DEFAULT_BOUND):
+        out = real(a, b, v, bound)
+        return out[:-1] + out[:1] if v == variance else out
+
+    monkeypatch.setattr(suite, "enumerate_morphisms", repeating)
+    checks = suite.endomorphism_monoid_report(s3).check_map()
+    listed = [m.images for m in repeating(s3, s3, variance)]
+    homs, antis = brute_force_tables(s3, s3)
+    scanned = homs if variance == STRAIGHT else antis
+    assert len(listed) == len(scanned)
+    naive = _first_stray(listed, scanned)
+    assert naive is not None
+    mutated, kept = (("straight-count-matches-scan", "anti-count-matches-scan")
+                     if variance == STRAIGHT else
+                     ("anti-count-matches-scan", "straight-count-matches-scan"))
+    assert not checks[mutated].passed and checks[mutated].witness == naive
+    assert checks[kept].passed and checks["counts-equal"].passed
 
 
 def test_correspondence_involutive_names_the_first_moved_map(monkeypatch):

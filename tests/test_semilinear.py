@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -315,6 +316,15 @@ def test_mat_mul_matches_a_plain_triple_sum(order):
     too_wide = 8 if order == 4 else 5   # q·q^width > 2^16: no table is built
     with pytest.raises(BoundExceeded):
         compose_semilinear(one, SemilinearMap(field, 1, too_wide, ((0,) * too_wide,)))
+    too_tall = 9 if order == 4 else 6   # q^rows > 2^16: no image table is built
+    for height in (too_tall - 1, too_tall):
+        ones_row = SemilinearMap(field, 1, height, ((1,) * height,))
+        ones_col = SemilinearMap(field, height, 1, ((1,),) * height)
+        if height < too_tall:   # the tallest table: a sum of `height` ones
+            assert compose_semilinear(ones_row, ones_col).entries == ((height % field.p,),)
+        else:
+            with pytest.raises(BoundExceeded, match="too tall"):
+                compose_semilinear(ones_row, ones_col)
     for rows, inner, cols in itertools.product((1, 2, 3), (0, 1, 2, 3), (1, 2, 3)):
         for a, b in _entry_pairs(field, rows, inner, cols, rng):
             expected = _triple_sum(field, a, b, rows, inner, cols)
@@ -334,6 +344,54 @@ def test_mat_mul_matches_a_plain_triple_sum(order):
             assert total.entries == tuple(
                 tuple(field.add_(x, y) for x, y in zip(row, conj_row))
                 for row, conj_row in zip(expected, conj_expected))
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_image_tables_do_not_leak_between_twists(order):
+    # one right factor composed after a straight and then a twisted left
+    # factor, and in the reverse order: each product reads its own table
+    field = FieldFq2.of_order(order)
+    rng = random.Random(order)
+    rows, cols = 2, 2
+    for inner in range(5 if order == 4 else 4):
+        a = [[rng.randrange(order) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randrange(order) for _ in range(cols)] for _ in range(inner)]
+        if inner:
+            # a nonzero left entry over a right entry outside the prime field,
+            # so the two tables give different products
+            a[0][0], b[0][0] = 1, order - 1
+        a, b = tuple(map(tuple, a)), tuple(map(tuple, b))
+        conj_b = tuple(tuple(field.conj(v) for v in row) for row in b)
+        straight = _triple_sum(field, a, b, rows, inner, cols)
+        twisted = _triple_sum(field, a, conj_b, rows, inner, cols)
+        assert inner == 0 or straight != twisted
+        for f_twist, lefts in itertools.product(
+                (STRAIGHT, ANTI), ((STRAIGHT, ANTI), (ANTI, STRAIGHT))):
+            f = SemilinearMap(field, inner, cols, b, f_twist)
+            for g_twist in lefts + lefts:
+                comp = compose_semilinear(SemilinearMap(field, rows, inner, a, g_twist), f)
+                assert comp.entries == (twisted if g_twist == ANTI else straight)
+
+
+def test_each_image_table_is_built_once_per_map_and_conjugation(monkeypatch):
+    real = semilinear_module._image_table
+    built = []
+
+    def counting(field, cols, codes):
+        built.append(codes)
+        return real(field, cols, codes)
+
+    monkeypatch.setattr(semilinear_module, "_image_table", counting)
+    f = SemilinearMap(F4, 2, 2, ((1, 2), (3, 0)), ANTI)
+    assert f.conj_codes() != f.codes
+    for g_twist in (STRAIGHT, ANTI, STRAIGHT, ANTI):
+        for ge in _matrices(1, 2):
+            compose_semilinear(SemilinearMap(F4, 1, 2, ge, g_twist), f)
+    assert built == [f.codes, f.conj_codes()]
+    # reading the tables again builds nothing
+    assert f.image_table() is f.image_table()
+    assert f.image_table(True) is f.image_table(True)
+    assert len(built) == 2
 
 
 def test_add_semilinear_refuses_maps_over_different_fields():
@@ -362,6 +420,12 @@ def test_semilinear_map_value_contract():
     assert a.conj_entries() == ((3,), (2,))
     assert a.conj_codes() is a.conj_codes()  # the conjugate is computed once
     assert a.entries == ((2,), (3,))
+    # the image tables are caches: equality and hashing ignore them
+    for g_twist in (STRAIGHT, ANTI):
+        compose_semilinear(SemilinearMap(F4, 1, 2, ((1, 1),), g_twist), a)
+    assert a._image is not None and a._conj_image is not None
+    assert b._image is None and b._conj_image is None
+    assert a == b and hash(a) == hash(b)
 
 
 @settings(max_examples=50, deadline=None)
@@ -496,3 +560,66 @@ def test_star_right_identity_names_its_first_counterexample(monkeypatch):
                  if conjugating(SemilinearMap(F4, 1, 1, fe, ANTI), rev)
                  != SemilinearMap(F4, 1, 1, fe, ANTI))
     assert check.witness == first == (((2,),), ((3,),))
+
+
+def _factorization_checks():
+    """The checks of the twisted factorization of (1 0) through the quotient
+    of F4^2 by its killed line, spanned by (0, 1)."""
+    f = matrix(F4, [(1, 0)], STRAIGHT)
+    mu = matrix(F4, [(0,), (1,)], STRAIGHT)
+    return verify_twisted_factorization(f, mu).check_map()
+
+
+def test_twisted_factorization_passes_with_null_witnesses():
+    checks = _factorization_checks()
+    assert all(c.passed and c.witness is None for c in checks.values())
+
+
+def test_through_map_twist_names_both_twists(monkeypatch):
+    # Mutant: every product with a 1x2 left factor has its twist flipped,
+    # so the through-map comes out twisted while f is straight
+    real = semilinear_module.compose_semilinear
+
+    def flipped(g, f):
+        out = real(g, f)
+        if (g.rows, g.cols) == (1, 2):
+            return SemilinearMap(F4, out.rows, out.cols, out.entries,
+                                 STRAIGHT if out.is_anti else ANTI)
+        return out
+
+    monkeypatch.setattr(semilinear_module, "compose_semilinear", flipped)
+    check = _factorization_checks()["through-map-twist"]
+    assert not check.passed and check.witness == (ANTI, STRAIGHT)
+
+
+@pytest.mark.parametrize("reported, outside", [(((1, 0),), (1, 0)), ((), (0, 1))])
+def test_projection_kernel_names_a_vector_outside_the_other_span(
+        monkeypatch, reported, outside):
+    # Mutant: the quotient reports the wrong killed subspace. The witness is
+    # the first basis vector of the reported span outside the injected one,
+    # else the first injected basis vector outside the reported span.
+    real = semilinear_module.quotient_space
+
+    def misreported(field, n, basis):
+        return dataclasses.replace(real(field, n, basis), subspace=reported)
+
+    monkeypatch.setattr(semilinear_module, "quotient_space", misreported)
+    check = _factorization_checks()["projection-kernel-is-subspace"]
+    assert not check.passed and check.witness == outside
+
+
+def test_uniqueness_via_section_names_both_composites(monkeypatch):
+    # Mutant: the second section is shifted by (1, 0), which f does not
+    # kill, so f after it differs from the through-map
+    real = semilinear_module._shift_section
+
+    def off_kernel(field, sect, kernel_vectors):
+        return real(field, sect, [(1, 0)])
+
+    monkeypatch.setattr(semilinear_module, "_shift_section", off_kernel)
+    check = _factorization_checks()["uniqueness-via-section"]
+    f = matrix(F4, [(1, 0)], STRAIGHT)
+    section = quotient_space(F4, 2, [(0, 1)]).section
+    naive = (compose_semilinear(f, off_kernel(F4, section, ())).entries,
+             compose_semilinear(f, section).entries)
+    assert not check.passed and check.witness == naive == (((0,),), ((1,),))
