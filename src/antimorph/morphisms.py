@@ -64,18 +64,22 @@ def law_witness(images, a, b, variance: str):
 
 def _ring_pair_witness(images, a, b, variance: str):
     """First ("add", x, y) or ("mul", x, y) where a ring map breaks additivity
-    or the (straight or reversed) product rule; the unit is not checked."""
-    for x in a.elements():
-        for y in a.elements():
-            if images[a.add_(x, y)] != b.add_(images[x], images[y]):
-                return ("add", x, y)
-            z = images[a.mul_(x, y)]
-            if variance == STRAIGHT:
-                if b.mul_(images[x], images[y]) != z:
-                    return ("mul", x, y)
-            else:
-                if b.mul_(images[y], images[x]) != z:
-                    return ("mul", x, y)
+    or the (straight or reversed) product rule; the unit is not checked.
+
+    Row by row, as for groups: row x compares f(x+y) with f(x)+f(y), and
+    f(xy) with f(x)f(y) (or f(y)f(x)), for every y at once. At the first
+    y where either differs, the sum is named before the product.
+    """
+    via_f = kernels.reader(images)
+    mul_b = b.mul if variance == STRAIGHT else tuple(zip(*b.mul))
+    for x, (sums, prods) in enumerate(zip(a.add, a.mul)):
+        fx = images[x]
+        add_got, add_want = via_f(b.add[fx]), kernels.reader(sums)(images)
+        mul_got, mul_want = via_f(mul_b[fx]), kernels.reader(prods)(images)
+        if add_got != add_want or mul_got != mul_want:
+            y = next(y for y in a.elements() if add_got[y] != add_want[y]
+                     or mul_got[y] != mul_want[y])
+            return ("add" if add_got[y] != add_want[y] else "mul", x, y)
     return None
 
 
@@ -272,34 +276,90 @@ def _word_plan(a: FiniteGroup, gens):
 
 def _ring_hom_tables(a: FiniteRing, b: FiniteRing, bound: int,
                      unital: bool = True):
-    """Unital ring morphism tables A -> B by generator-image extension."""
+    """Ring morphism tables A -> B, unital or with no unit constraint, by
+    generator-image extension, in generator-assignment order.
+
+    The search goes depth first over the generator images, one stage per
+    generator. Each stage ends on a closed subset of A, and the law is
+    checked there on the pairs no earlier stage checked; an assignment
+    prefix that breaks it breaks it in every extension, so its subtree is
+    skipped. The last stage ends on A, so every table returned keeps the law.
+    """
     base = {a.zero, a.one} if unital else {a.zero}
-    gens, plan = _ring_generating_plan(a, base)
+    gens, stages = _ring_generating_plan(a, base)
     if b.order ** len(gens) > bound:
         raise BoundExceeded(
             f"{b.order}**{len(gens)} candidate extensions exceed bound {bound}")
+    ops = {"+": b.add, "*": b.mul}
+    stages_b = []
+    before = set()
+    for plan, members in stages:
+        stages_b.append(([(z, ops[op], i, j) for z, (op, i, j) in plan],
+                         _stage_rows(a, members, before)))
+        before = set(members)
+    f = [None] * a.order
+    f[a.zero] = b.zero
+    if unital:
+        f[a.one] = b.one
     out = []
-    for assignment in itertools.product(b.elements(), repeat=len(gens)):
-        f = [None] * a.order
-        f[a.zero] = b.zero
-        if unital:
-            f[a.one] = b.one
-        for gi, g in enumerate(gens):
-            f[g] = assignment[gi]
-        for z, (op, i, j) in plan:
-            f[z] = b.add_(f[i], f[j]) if op == "+" else b.mul_(f[i], f[j])
-        # the plan never reassigns the unit, so only the pairs need checking
-        if _ring_pair_witness(f, a, b, STRAIGHT) is None:
-            out.append(tuple(f))
+    if _extend_lawfully(f, stages_b[0], b):
+        _descend(0, gens, stages_b, f, b, out)
     return out
 
 
+def _descend(k, gens, stages, f, b, out):
+    """Try every image of gens[k] on top of the lawful prefix in f, and go
+    on with each that keeps the law through stage k + 1."""
+    if k == len(gens):
+        out.append(tuple(f))
+        return
+    for v in b.elements():
+        f[gens[k]] = v
+        if _extend_lawfully(f, stages[k + 1], b):
+            _descend(k + 1, gens, stages, f, b, out)
+
+
+def _extend_lawfully(f, stage, b) -> bool:
+    """Extend f over one stage's closure, then check the law on the stage's
+    new pairs row by row."""
+    plan, rows = stage
+    for z, op, i, j in plan:
+        f[z] = op[f[i]][f[j]]
+    add_b, mul_b = b.add, b.mul
+    for x, ys, sums, prods in rows:
+        via_fys = kernels.reader(ys(f))
+        if sums(f) != via_fys(add_b[f[x]]) or prods(f) != via_fys(mul_b[f[x]]):
+            return False
+    return True
+
+
+def _stage_rows(a: FiniteRing, members, before):
+    """(x, ys, sums, prods) for each x of a closed subset of A: the readers
+    of f(y), f(x+y) and f(xy) over the y of the subset that make a pair
+    (x, y) not already inside `before`."""
+    rows = []
+    for x in members:
+        ys = [y for y in members if x not in before or y not in before]
+        if ys:
+            rows.append((x, kernels.reader(ys),
+                         kernels.reader([a.add[x][y] for y in ys]),
+                         kernels.reader([a.mul[x][y] for y in ys])))
+    return rows
+
+
 def _ring_generating_plan(a: FiniteRing, base):
-    """Greedy generators plus a provenance plan expressing every element."""
+    """Greedy generators, and one (plan, members) stage for the base and
+    for each generator.
+
+    A plan lists (z, (op, i, j)) with z = i op j in evaluation order;
+    `members` is the sorted closed subset known after the stage. Stage k + 1
+    begins with gens[k], which its plan does not list.
+    """
     gens = []
-    plan = []
+    stages = []
 
     def close(known):
+        plan = []
         changed = True
         while changed:
             changed = False
@@ -311,6 +371,7 @@ def _ring_generating_plan(a: FiniteRing, base):
                             known.add(z)
                             plan.append((z, (op, x, y)))
                             changed = True
+        stages.append((plan, sorted(known)))
         return known
 
     known = close(set(base))
@@ -319,7 +380,7 @@ def _ring_generating_plan(a: FiniteRing, base):
         gens.append(nxt)
         known.add(nxt)
         known = close(known)
-    return gens, plan
+    return gens, stages
 
 
 def nonunital_morphism_tables(a: FiniteRing, b: FiniteRing, variance: str,
@@ -450,11 +511,13 @@ class ClosureAudit:
     variance: str
     size: int
     has_zero_map: bool
+    zero_witness: object    # the zero map, when the set lacks it
     add_closed: bool
     add_witness: object
     mul_closed: bool
     mul_witness: object
     has_mul_identity: bool
+    unit_witness: object    # ((e, first table e fails to fix), ...) or (variance, ())
     forms_unital_ring: bool
 
 
@@ -471,53 +534,68 @@ def pointwise_ring_audit(a: FiniteRing, b: FiniteRing,
                          bound: int = DEFAULT_BOUND) -> PointwiseAudit:
     """Audit whether pointwise + and * close on the morphism sets.
 
-    The claim under audit is reported, never asserted: non-commutative (and
-    most commutative) targets fail with explicit witnesses.
+    Each variance's nonunital set is enumerated once and serves both its
+    closure audit and the correspondence check. The claim under audit is
+    reported, never asserted: non-commutative (and most commutative)
+    targets fail with explicit witnesses.
     """
-    straight = _closure_audit(a, b, STRAIGHT, bound)
-    anti = _closure_audit(a, b, ANTI, bound)
+    hom_tables = nonunital_morphism_tables(a, b, STRAIGHT, bound)
+    anti_tables = nonunital_morphism_tables(a, b, ANTI, bound)
     corr = None
     if a.involution is not None:
-        sigma = a.involution
-        hom_tables = nonunital_morphism_tables(a, b, STRAIGHT, bound)
-        anti_tables = set(nonunital_morphism_tables(a, b, ANTI, bound))
-        mapped = {tuple(t[sigma[x]] for x in a.elements()) for t in hom_tables}
-        corr = mapped == anti_tables and len(mapped) == len(hom_tables)
-    return PointwiseAudit(a.name, b.name, straight, anti, corr)
+        sigma = kernels.reader(a.involution)
+        mapped = set(map(sigma, hom_tables))
+        corr = mapped == set(anti_tables) and len(mapped) == len(hom_tables)
+    return PointwiseAudit(a.name, b.name,
+                          _closure_audit(a, b, STRAIGHT, hom_tables),
+                          _closure_audit(a, b, ANTI, anti_tables), corr)
 
 
-def _closure_audit(a, b, variance, bound) -> ClosureAudit:
-    tables = nonunital_morphism_tables(a, b, variance, bound)
+def _closure_audit(a, b, variance, tables) -> ClosureAudit:
     in_set = set(tables)
-    zero_map = tuple(b.zero for _ in a.elements())
+    zero_map = (b.zero,) * a.order
     add_witness = None
     mul_witness = None
+
+    def pointwise(op, t1, t2):
+        return tuple([op[u][v] for u, v in zip(t1, t2)])
+
     for t1 in tables:
         for t2 in tables:
             if add_witness is None:
-                s = tuple(b.add_(t1[x], t2[x]) for x in a.elements())
+                s = pointwise(b.add, t1, t2)
                 if s not in in_set:
                     add_witness = (t1, t2, s)
             if mul_witness is None:
-                p = tuple(b.mul_(t1[x], t2[x]) for x in a.elements())
+                p = pointwise(b.mul, t1, t2)
                 if p not in in_set:
                     mul_witness = (t1, t2, p)
-    has_identity = any(
-        all(tuple(b.mul_(e[x], t[x]) for x in a.elements()) == t
-            and tuple(b.mul_(t[x], e[x]) for x in a.elements()) == t
-            for t in tables)
-        for e in tables)
+
+    def first_unfixed(e):
+        return next((t for t in tables if pointwise(b.mul, e, t) != t
+                     or pointwise(b.mul, t, e) != t), None)
+
+    unfixed = [(e, first_unfixed(e)) for e in tables]
+    has_identity = any(t is None for _, t in unfixed)
+    unit_witness = None
+    if not tables:
+        unit_witness = (variance, ())
+    elif not has_identity:
+        unit_witness = tuple(unfixed)
+    has_zero = zero_map in in_set
     return ClosureAudit(
         variance=variance,
         size=len(tables),
-        has_zero_map=zero_map in in_set,
+        has_zero_map=has_zero,
+        zero_witness=None if has_zero else zero_map,
         add_closed=add_witness is None,
         add_witness=add_witness,
         mul_closed=mul_witness is None,
         mul_witness=mul_witness,
         has_mul_identity=has_identity,
+        unit_witness=unit_witness,
         forms_unital_ring=(add_witness is None and mul_witness is None
-                           and zero_map in in_set and has_identity),
+                           and has_zero and has_identity),
     )
 
 

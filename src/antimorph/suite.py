@@ -544,12 +544,14 @@ def pointwise_audit_report(a, b, bound: int = DEFAULT_BOUND) -> TheoremReport:
     checks = []
     for side in (audit.straight, audit.anti):
         tag = side.variance
-        checks.append(check(f"{tag}-zero-map-present", side.has_zero_map))
+        checks.append(check(f"{tag}-zero-map-present", side.has_zero_map,
+                            witness=side.zero_witness))
         checks.append(check(f"{tag}-sum-closed", side.add_closed,
                             witness=side.add_witness))
         checks.append(check(f"{tag}-product-closed", side.mul_closed,
                             witness=side.mul_witness))
-        checks.append(check(f"{tag}-has-unit", side.has_mul_identity))
+        checks.append(check(f"{tag}-has-unit", side.has_mul_identity,
+                            witness=side.unit_witness))
     return TheoremReport(
         theorem=f"pointwise-audit/{a.name}-{b.name}",
         inputs=(("source", a.name), ("target", b.name),

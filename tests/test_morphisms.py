@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from antimorph.corpus import cyclic, group_corpus, named_ideal, ring_corpus, symmetric3, zmod
 from antimorph.errors import BoundExceeded, LawViolation, NoInvolution, NotComposable
-from antimorph import morphisms, suite
+from antimorph import kernels, morphisms, suite
 from antimorph.maps import ANTI, STRAIGHT, VARIANCES, Morphism
 from antimorph.morphisms import (
     ANTI_ONLY,
@@ -32,7 +32,7 @@ from antimorph.morphisms import (
     reverse_morphism,
     star_compose,
 )
-from antimorph.groups import subgroup_closure, validate_group
+from antimorph.groups import direct_product, subgroup_closure, validate_group
 from antimorph.rings import opposite, quotient_ring
 from antimorph.theorems import sign_morphism
 
@@ -433,6 +433,98 @@ def test_pointwise_audit_contract():
     assert not mid.straight.add_closed
 
 
+def test_pointwise_audit_enumerates_each_nonunital_set_once(monkeypatch):
+    # One enumeration per variance serves both the closure audit and the
+    # correspondence check, and a second audit enumerates again.
+    calls = []
+    real = morphisms.nonunital_morphism_tables
+    real_search = morphisms._ring_hom_tables
+
+    def counting(a, b, variance, bound=morphisms.DEFAULT_BOUND):
+        calls.append(variance)
+        return real(a, b, variance, bound)
+
+    def counting_search(*args, **kwargs):
+        calls.append("search")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(morphisms, "nonunital_morphism_tables", counting)
+    monkeypatch.setattr(morphisms, "_ring_hom_tables", counting_search)
+    rings = ring_corpus()
+    audit = pointwise_ring_audit(rings["t2f2"], rings["m2f2"])
+    assert audit.correspondence_is_ring_iso is True
+    assert sorted(calls) == sorted([STRAIGHT, ANTI, "search", "search"])
+    pointwise_ring_audit(rings["t2f2"], rings["m2f2"])
+    assert len(calls) == 8
+
+
+def _pointwise_checks(a, b):
+    return suite.pointwise_audit_report(a, b).check_map()
+
+
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_zero_map_present_names_the_missing_zero_map(monkeypatch, variance):
+    # Mutant enumerator: the variance's set loses the zero map.
+    real = morphisms.nonunital_morphism_tables
+    z4, z2xz2 = zmod(4), ring_corpus()["z2xz2"]
+    zero_map = (z2xz2.zero,) * z4.order
+
+    def dropped(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        return [t for t in real(a, b, v, bound) if v != variance or t != zero_map]
+
+    assert _pointwise_checks(z4, z2xz2)[f"{variance}-zero-map-present"].passed
+    monkeypatch.setattr(morphisms, "nonunital_morphism_tables", dropped)
+    found = _pointwise_checks(z4, z2xz2)
+    assert not found[f"{variance}-zero-map-present"].passed
+    assert found[f"{variance}-zero-map-present"].witness == zero_map
+    other = ANTI if variance == STRAIGHT else STRAIGHT
+    assert found[f"{other}-zero-map-present"].passed
+
+
+def _fixes(b, e, t):
+    return all(b.mul_(u, v) == v and b.mul_(v, u) == v for u, v in zip(e, t))
+
+
+def _naive_unit_witness(b, tables):
+    """Each candidate unit in table order with the first table it fails to fix."""
+    return tuple((e, next(t for t in tables if not _fixes(b, e, t))) for e in tables)
+
+
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_has_unit_names_the_first_table_each_candidate_fails_to_fix(monkeypatch, variance):
+    # Mutant enumerator: the variance's set loses its pointwise unit, so
+    # each remaining candidate is named with the first table it fails to fix.
+    real = morphisms.nonunital_morphism_tables
+    z4, z2xz2 = zmod(4), ring_corpus()["z2xz2"]
+    tables = real(z4, z2xz2, variance)
+    (unit,) = [e for e in tables if all(_fixes(z2xz2, e, t) for t in tables)]
+    rest = [t for t in tables if t != unit]
+
+    def dropped(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        return rest if v == variance else real(a, b, v, bound)
+
+    assert _pointwise_checks(z4, z2xz2)[f"{variance}-has-unit"].passed
+    monkeypatch.setattr(morphisms, "nonunital_morphism_tables", dropped)
+    found = _pointwise_checks(z4, z2xz2)
+    assert not found[f"{variance}-has-unit"].passed
+    assert found[f"{variance}-has-unit"].witness == _naive_unit_witness(z2xz2, rest)
+    assert len(rest) == len(tables) - 1 > 1
+
+
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_an_empty_pointwise_set_fails_naming_itself(monkeypatch, variance):
+    real = morphisms.nonunital_morphism_tables
+    z4, z2xz2 = zmod(4), ring_corpus()["z2xz2"]
+
+    def emptied(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        return [] if v == variance else real(a, b, v, bound)
+
+    monkeypatch.setattr(morphisms, "nonunital_morphism_tables", emptied)
+    found = _pointwise_checks(z4, z2xz2)
+    assert found[f"{variance}-has-unit"].witness == (variance, ())
+    assert found[f"{variance}-zero-map-present"].witness == (z2xz2.zero,) * z4.order
+
+
 def test_natural_map_on_z4():
     z4 = zmod(4)
     nat = natural_an_map(z4, named_ideal("z4", "even"))
@@ -485,14 +577,19 @@ def _naive_law_witness(images, a, b, variance):
     return None
 
 
-def _relabeled(g, rng):
-    p = list(g.elements())
-    rng.shuffle(p)
+def _relabeled_by(g, p):
+    """G with each element x renamed p[x]."""
     table = [[0] * g.order for _ in g.elements()]
     for x in g.elements():
         for y in g.elements():
             table[p[x]][p[y]] = p[g.mul(x, y)]
     return validate_group(table, name=g.name)
+
+
+def _relabeled(g, rng):
+    p = list(g.elements())
+    rng.shuffle(p)
+    return _relabeled_by(g, p)
 
 
 def test_find_isomorphism_matches_a_brute_force_scan():
@@ -533,19 +630,81 @@ def _naive_ring_maps(a, b):
     return straight, anti
 
 
+def _scanned_ring_maps(a, b):
+    """(straight, anti) as `_naive_ring_maps` gives them, from the map-space
+    scan of the two addition tables, filtered by the product law."""
+    additive, _ = kernels.scan_morphism_space(
+        a.order, b.order, kernels.flatten(a.add), kernels.flatten(b.add))
+    pairs = [(x, y) for x in a.elements() for y in a.elements()]
+    straight = {f for f in additive
+                if all(f[a.mul_(x, y)] == b.mul_(f[x], f[y]) for x, y in pairs)}
+    anti = {f for f in additive
+            if all(f[a.mul_(x, y)] == b.mul_(f[y], f[x]) for x, y in pairs)}
+    return straight, anti
+
+
 def test_ring_enumeration_matches_a_brute_force_scan():
-    # Every ordered pair of bundled rings with at most 65,536 maps.
+    # Every ordered pair of bundled rings but m2f2 -> m2f2 (whose scan alone
+    # takes seconds): the 18 with at most 65,536 maps against trying them
+    # all, the other 6 against the map-space scan of the addition tables.
     rings = ring_corpus()
     pairs = [(a, b) for _, a in sorted(rings.items()) for _, b in sorted(rings.items())
-             if b.order ** a.order <= 65536]
-    assert len(pairs) == 18
+             if not a.name == b.name == "m2f2"]
+    assert len(pairs) == 24
+    scanned = set()
     for a, b in pairs:
-        for variance, tables in zip(VARIANCES, _naive_ring_maps(a, b)):
+        if b.order ** a.order <= 65536:
+            oracle = _naive_ring_maps(a, b)
+        else:
+            oracle = _scanned_ring_maps(a, b)
+            scanned.add((a.name, b.name))
+        for variance, tables in zip(VARIANCES, oracle):
             assert nonunital_morphism_tables(a, b, variance) == sorted(tables), \
                 (a, b, variance)
             unital = sorted(t for t in tables if t[a.one] == b.one)
             assert [m.images for m in enumerate_morphisms(a, b, variance)] == unital, \
                 (a, b, variance)
+    assert len(scanned) == 6
+    assert {("t2f2", "m2f2"), ("m2f2", "t2f2"), ("t2f2", "t2f2")} <= scanned
+
+
+def test_scanned_ring_maps_agree_with_trying_them_all():
+    # The second oracle against the first on pairs both can afford.
+    rings = ring_corpus()
+    for a, b in ((rings["z4"], rings["t2f2"]), (rings["f4"], rings["z2xz2"]),
+                 (rings["t2f2"], rings["f4"])):
+        assert _scanned_ring_maps(a, b) == _naive_ring_maps(a, b)
+
+
+def _naive_ring_law_witness(images, a, b, variance):
+    """The ring law checked one (x, y) at a time: the unit, then the sum
+    before the product at each pair."""
+    if images[a.one] != b.one:
+        return ("one", a.one)
+    for x in a.elements():
+        for y in a.elements():
+            fx, fy = images[x], images[y]
+            if images[a.add_(x, y)] != b.add_(fx, fy):
+                return ("add", x, y)
+            got = b.mul_(fx, fy) if variance == STRAIGHT else b.mul_(fy, fx)
+            if images[a.mul_(x, y)] != got:
+                return ("mul", x, y)
+    return None
+
+
+def test_ring_law_witness_matches_a_naive_oracle_on_every_map():
+    # Every map z4 -> z2xz2 and f4 -> t2f2, in both variances. Between them
+    # the first witnesses are of every kind, and some maps keep the law.
+    rings = ring_corpus()
+    kinds = set()
+    for a, b in ((rings["z4"], rings["z2xz2"]), (rings["f4"], rings["t2f2"])):
+        for images in itertools.product(b.elements(), repeat=a.order):
+            for variance in VARIANCES:
+                w = law_witness(images, a, b, variance)
+                assert w == _naive_ring_law_witness(images, a, b, variance), \
+                    (a, b, images, variance)
+                kinds.add(None if w is None else w[0])
+    assert kinds == {None, "one", "add", "mul"}
 
 
 def test_law_witness_matches_a_naive_oracle_on_every_z3_to_s3_map():
@@ -681,17 +840,9 @@ def test_hom_and_anti_sets_equinumerous(a_name, b_name):
 SMALL = sorted(name for name, g in group_corpus().items() if g.order <= 6)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.data())
-def test_enumeration_matches_brute_force_on_relabeled_groups(a_name, b_name, data):
-    groups = group_corpus()
-    a, b = groups[a_name], groups[b_name]
-    p = data.draw(st.permutations(range(a.order)))
-    table = [[0] * a.order for _ in range(a.order)]
-    for x in a.elements():
-        for y in a.elements():
-            table[p[x]][p[y]] = p[a.mul(x, y)]
-    relabeled = validate_group(table)
+def _assert_enumeration_matches_brute_force(a, relabeled, b):
+    """Both variances of A -> B, with A relabeled, equal the map-space scan,
+    and relabeling keeps the counts."""
     bh, ba = brute_force_tables(relabeled, b)
     homs = enumerate_morphisms(relabeled, b, STRAIGHT)
     antis = enumerate_morphisms(relabeled, b, ANTI)
@@ -699,3 +850,27 @@ def test_enumeration_matches_brute_force_on_relabeled_groups(a_name, b_name, dat
     assert [m.images for m in antis] == sorted(ba)
     assert len(homs) == len(enumerate_morphisms(a, b, STRAIGHT))
     assert len(antis) == len(enumerate_morphisms(a, b, ANTI))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL), st.sampled_from(SMALL), st.data())
+def test_enumeration_matches_brute_force_on_relabeled_groups(a_name, b_name, data):
+    groups = group_corpus()
+    a, b = groups[a_name], groups[b_name]
+    p = data.draw(st.permutations(range(a.order)))
+    _assert_enumeration_matches_brute_force(a, _relabeled_by(a, p), b)
+
+
+def test_enumeration_matches_brute_force_on_relabeled_products():
+    # Z2xZ3 and Z2xS3 from `direct_product` against every small bundled
+    # group and each other, in both directions; the source is relabeled by
+    # a seeded permutation.
+    rng = random.Random(7)
+    z2 = cyclic(2)
+    products = [direct_product(z2, cyclic(3))[0], direct_product(z2, symmetric3())[0]]
+    groups = group_corpus()
+    others = [groups[name] for name in SMALL] + products
+    for prod in products:
+        for other in others:
+            for a, b in ((prod, other), (other, prod)):
+                _assert_enumeration_matches_brute_force(a, _relabeled(a, rng), b)
