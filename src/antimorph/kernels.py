@@ -49,7 +49,8 @@ def scan_morphism_space(n, m, cay_a, cay_b):
     Output tables are tuples in odometer (lexicographic) order. A map
     satisfying both laws appears in both lists.
 
-    The odometer runs depth first over f(0), f(1), ..., f(n-1). Each pair
+    The odometer runs depth first over f(0), f(1), ..., f(n-1), as one loop
+    over the depth k, so a scan leaves no reference cycle behind. Each pair
     (x, y, x*y) is checked once, when the largest of its three elements is
     assigned, against each law still alive on the path. A prefix on which
     both laws have failed decides every map that extends it, so its subtree
@@ -65,31 +66,35 @@ def scan_morphism_space(n, m, cay_a, cay_b):
     homs = []
     antis = []
     f = [0] * n
+    f[0] = -1
+    laws = [(True, True)] * n   # laws[k]: (hom, anti) still alive on f[:k]
     last = n - 1
-
-    def descend(k, hom, anti):
-        pairs = buckets[k]
-        for v in range(m):
-            f[k] = v
-            h, a = hom, anti
-            for x, y, z in pairs:
-                fx, fy, fz = f[x], f[y], f[z]
-                if h and cay_b[fx * m + fy] != fz:
-                    h = False
-                if a and cay_b[fy * m + fx] != fz:
-                    a = False
-                if not (h or a):
-                    break
+    k = 0
+    while k >= 0:
+        v = f[k] + 1
+        if v == m:
+            k -= 1
+            continue
+        f[k] = v
+        h, a = laws[k]
+        for x, y, z in buckets[k]:
+            fx, fy, fz = f[x], f[y], f[z]
+            if h and cay_b[fx * m + fy] != fz:
+                h = False
+            if a and cay_b[fy * m + fx] != fz:
+                a = False
+            if not (h or a):
+                break
+        else:
+            if k == last:
+                if h:
+                    homs.append(tuple(f))
+                if a:
+                    antis.append(tuple(f))
             else:
-                if k == last:
-                    if h:
-                        homs.append(tuple(f))
-                    if a:
-                        antis.append(tuple(f))
-                else:
-                    descend(k + 1, h, a)
-
-    descend(0, True, True)
+                k += 1
+                laws[k] = (h, a)
+                f[k] = -1
     return homs, antis
 
 
@@ -144,20 +149,18 @@ def associativity_witness(rows):
     return None
 
 
-def compose_classify_pairs(n_a, n_c, cay_a, cay_c, left_tables, right_tables):
-    """Classify g∘f for every f in left_tables (A->B) and g in right_tables (B->C).
+def compose_classify_pairs(n_a, n_c, cay_a, cay_c, left_tables, right_tables,
+                           codes):
+    """The set of composites g∘f for f in left_tables (A->B) and g in
+    right_tables (B->C), each with its law bitmask in `codes`.
 
-    Returns a flat list of law bitmasks indexed by i * len(right_tables) + j.
-    Every pair's composite is built; each distinct composite is classified
-    once, in order of first appearance, and the memo lives only for this
-    call.
+    `codes` is the caller's memo from composite table to law bitmask: a
+    composite not yet in it is classified and added, so each distinct
+    composite is classified once for as long as the caller keeps the memo.
     """
-    out = []
-    codes = {}
+    composites = set()
     for f in left_tables:
-        composites = list(map(reader(f), right_tables))  # g∘f for every g
-        for comp in dict.fromkeys(composites):
-            if comp not in codes:
-                codes[comp] = _classify(comp, n_a, n_c, cay_a, cay_c)
-        out.extend(map(codes.__getitem__, composites))
-    return out
+        composites.update(map(reader(f), right_tables))  # g∘f for every g
+    for comp in composites.difference(codes):
+        codes[comp] = _classify(comp, n_a, n_c, cay_a, cay_c)
+    return composites

@@ -193,18 +193,25 @@ def enumerate_morphisms(a, b, variance: str, bound: int = DEFAULT_BOUND):
     bijection (groups) or via maps into the opposite ring (rings).
     """
     if is_group(a):
-        if variance == STRAIGHT:
-            tables = _group_hom_tables(a, b, bound)
-        else:
-            inv = a.inverses
-            tables = [tuple(t[inv[x]] for x in a.elements())
-                      for t in _group_hom_tables(a, b, bound)]
+        tables = _group_hom_tables(a, b, bound)
+        if variance == ANTI:
+            tables = map(kernels.reader(a.inverses), tables)
     else:
         if variance == STRAIGHT:
             tables = _ring_hom_tables(a, b, bound)
         else:
             tables = _ring_hom_tables(a, opposite(b), bound)
     return tuple(Morphism(a, b, t, variance) for t in sorted(set(tables)))
+
+
+def hom_and_an(a: FiniteGroup, b: FiniteGroup, bound: int = DEFAULT_BOUND):
+    """(Hom(A, B), An(A, B)) for groups, each as `enumerate_morphisms` gives
+    it, from one search: the anti tables are the straight ones read through
+    the inverses of A."""
+    homs = sorted(set(_group_hom_tables(a, b, bound)))
+    antis = sorted(map(kernels.reader(a.inverses), homs))
+    return (tuple(Morphism(a, b, t, STRAIGHT) for t in homs),
+            tuple(Morphism(a, b, t, ANTI) for t in antis))
 
 
 def brute_force_tables(a: FiniteGroup, b: FiniteGroup):
@@ -457,8 +464,8 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
     names the first pair whose product leaves it; an empty family gets no
     group and names itself.
     """
-    autos = tuple(m for m in enumerate_morphisms(g, g, STRAIGHT, bound) if m.is_bijective())
-    antis = tuple(m for m in enumerate_morphisms(g, g, ANTI, bound) if m.is_bijective())
+    autos, antis = (tuple(m for m in ms if m.is_bijective())
+                    for ms in hom_and_an(g, g, bound))
     auto_tables = [m.images for m in autos]
     anti_tables = [m.images for m in antis]
     auto_set = set(auto_tables)

@@ -62,6 +62,7 @@ from .morphisms import (
     enumerate_morphisms,
     factor_pairs,
     find_isomorphism,
+    hom_and_an,
     law_witness,
     natural_an_map,
     pointwise_ring_audit,
@@ -212,22 +213,37 @@ def _index_list(spec: str, order: int):
 def variance_table_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     """XOR law for every composable pair from the enumerated sets, per triple.
 
-    One `compose_classify_pairs` call per triple takes the straight and the
-    anti tables together, so one memo serves all four variance pairs; the
-    four blocks are then read out of its codes.
+    Each (A, C) keeps one memo from composite table to law code for this
+    call, shared by every middle group B, and `compose_classify_pairs`
+    returns the set of composites of one variance block. The law needs one
+    bit of every composite in it; only a block with a composite lacking
+    that bit is searched pair by pair for the witness, the first failing
+    pair in (vf, vg, f, g) order.
     """
     names = sorted(groups)
     flat = {a: kernels.flatten(groups[a].cayley) for a in names}
-    sets = {(a, b): tuple([m.images for m in enumerate_morphisms(
-                groups[a], groups[b], variance, bound)] for variance in VARIANCES)
+    sets = {(a, b): tuple([m.images for m in ms]
+                          for ms in hom_and_an(groups[a], groups[b], bound))
             for a in names for b in names}
+    memos = {}
     out = []
     for a, b, c in itertools.product(names, repeat=3):
         left, right = sets[(a, b)], sets[(b, c)]
-        codes = kernels.compose_classify_pairs(
-            groups[a].order, groups[c].order, flat[a], flat[c],
-            left[0] + left[1], right[0] + right[1])
-        witness = _first_xor_failure(left, right, codes)
+        codes = memos.setdefault((a, c), {})
+        witness = None
+        for (kf, vf), (kg, vg) in itertools.product(enumerate(VARIANCES), repeat=2):
+            need = kernels.ANTI_BIT if vf != vg else kernels.HOM_BIT
+            composites = kernels.compose_classify_pairs(
+                groups[a].order, groups[c].order, flat[a], flat[c],
+                left[kf], right[kg], codes)
+            if all(codes[comp] & need for comp in composites):
+                continue
+            witness = next((vf, vg, f, g, codes[comp])
+                           for f in left[kf]
+                           for g, comp in zip(right[kg],
+                                              map(kernels.reader(f), right[kg]))
+                           if not codes[comp] & need)
+            break
         out.append(TheoremReport(
             theorem=f"variance-xor/{a}-{b}-{c}",
             inputs=(("triple", f"{a},{b},{c}"),),
@@ -235,29 +251,6 @@ def variance_table_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
                           witness=witness),),
         ))
     return out
-
-
-def _first_xor_failure(left, right, codes):
-    """(vf, vg, f, g, code) for the first pair, in (vf, vg, f, g) order, whose
-    law code lacks the bit the XOR of its variances asks for; else None.
-
-    `left` and `right` are (straight, anti) table lists and `codes` is
-    row-major over their concatenations.
-    """
-    width = len(right[0]) + len(right[1])
-    for (kf, vf), (kg, vg) in itertools.product(enumerate(VARIANCES), repeat=2):
-        need = kernels.ANTI_BIT if vf != vg else kernels.HOM_BIT
-        lacking = {code for code in range(kernels.HOM_BIT + kernels.ANTI_BIT + 1)
-                   if not code & need}
-        first_col = kg * len(right[0])
-        g_tables = right[kg]
-        for i, f in enumerate(left[kf], kf * len(left[0])):
-            start = i * width + first_col
-            block_row = codes[start:start + len(g_tables)]
-            if not lacking.isdisjoint(block_row):
-                j = next(j for j, code in enumerate(block_row) if code in lacking)
-                return (vf, vg, f, g_tables[j], block_row[j])
-    return None
 
 
 def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
@@ -268,8 +261,7 @@ def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     for a in names:
         for b in names:
             ga, gb = groups[a], groups[b]
-            homs = enumerate_morphisms(ga, gb, STRAIGHT, bound)
-            antis = enumerate_morphisms(ga, gb, ANTI, bound)
+            homs, antis = hom_and_an(ga, gb, bound)
             checks = [check("sets-equinumerous", len(homs) == len(antis),
                             witness=(len(homs), len(antis)))]
             moved = next((f.images for f in homs
@@ -302,8 +294,7 @@ def _first_stray(enumerated, scanned):
 
 def endomorphism_monoid_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
     """Endomorphism counts against the oracle scan, and the star monoid laws."""
-    homs = enumerate_morphisms(g, g, STRAIGHT, bound)
-    antis = enumerate_morphisms(g, g, ANTI, bound)
+    homs, antis = hom_and_an(g, g, bound)
     bh, ba = brute_force_tables(g, g)
     closure_w, identity_w, assoc_w = _star_laws([m.images for m in antis],
                                                  g.inverses)
@@ -382,38 +373,51 @@ def reconstruction_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     out = []
     for a in names:
         ga = groups[a]
-        an_aa = enumerate_morphisms(ga, ga, ANTI, bound)
+        sets = {c: hom_and_an(ga, groups[c], bound) for c in names}
+        an_aa = sets[a][1]
         rev = reverse_morphism(ga)
         for c in names:
             gc = groups[c]
-            homs = enumerate_morphisms(ga, gc, STRAIGHT, bound)
-            rebuilt = all(
-                compose(corresponding_anti(f), rev).images == f.images
-                for f in homs)
-            an_ac = enumerate_morphisms(ga, gc, ANTI, bound)
+            homs, an_ac = sets[c]
+            not_rebuilt = next(
+                (f.images for f in homs
+                 if compose(corresponding_anti(f), rev).images != f.images),
+                None)
             classes = factor_pairs(ga, ga, gc, an_aa, an_ac)
             n_anti_aa, n_anti_ac = len(an_aa), len(an_ac)
             keys = [(f.images, g.images) for cl in classes for f, g in cl.pairs]
             total_pairs = len(keys)
-            disjoint = len(set(keys)) == total_pairs
+            repeated = _first_repeat(keys)
             composites = {cl.composite.images for cl in classes}
             hom_tables = {f.images for f in homs}
+            stray = min(composites - hom_tables, default=None)
+            unfactored = min(hom_tables - composites, default=None)
             out.append(TheoremReport(
                 theorem=f"reconstruction/{a}-{c}",
                 inputs=(("pair", f"{a},{c}"),),
                 checks=(
-                    check("straight-equals-twin-after-reverse", rebuilt),
+                    check("straight-equals-twin-after-reverse",
+                          not_rebuilt is None, witness=not_rebuilt),
                     check("classes-cover-all-pairs",
                           total_pairs == n_anti_aa * n_anti_ac,
                           witness=(total_pairs, n_anti_aa * n_anti_ac)),
-                    check("classes-disjoint", disjoint),
-                    check("composites-are-straight",
-                          composites <= hom_tables),
-                    check("every-straight-map-factors",
-                          hom_tables <= composites),
+                    check("classes-disjoint", repeated is None, witness=repeated),
+                    check("composites-are-straight", stray is None, witness=stray),
+                    check("every-straight-map-factors", unfactored is None,
+                          witness=unfactored),
                 ),
             ))
     return out
+
+
+def _first_repeat(keys):
+    """The first entry of `keys` that an earlier entry equals, or None."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
 
 
 def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:

@@ -32,6 +32,7 @@ from .morphisms import (
     corresponding_anti,
     enumerate_morphisms,
     find_isomorphism,
+    hom_and_an,
     image,
     kernel,
     law_witness,
@@ -381,10 +382,8 @@ def verify_groups_vs_star_category(groups: dict,
     anti_sets = {}
     for a in names:
         for b in names:
-            straight_sets[(a, b)] = enumerate_morphisms(groups[a], groups[b],
-                                                        STRAIGHT, bound)
-            anti_sets[(a, b)] = enumerate_morphisms(groups[a], groups[b],
-                                                    ANTI, bound)
+            straight_sets[(a, b)], anti_sets[(a, b)] = hom_and_an(
+                groups[a], groups[b], bound)
 
     def build(sets, star: bool, tag: str):
         mids = {}

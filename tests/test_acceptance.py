@@ -15,7 +15,12 @@ from antimorph.formats import emit_group
 from antimorph.groups import direct_product
 from antimorph.kernels import BACKEND
 from antimorph.maps import ANTI, STRAIGHT
-from antimorph.morphisms import brute_force_tables, enumerate_morphisms, find_isomorphism
+from antimorph.morphisms import (
+    brute_force_tables,
+    enumerate_morphisms,
+    find_isomorphism,
+    hom_and_an,
+)
 from antimorph.reports import ReportBundle, emit_records
 from antimorph.suite import (
     SECTIONS,
@@ -237,3 +242,13 @@ def test_enumerators_match_the_oracle_on_every_group_of_order_at_most_8(tmp_path
         bh, ba = brute_force_tables(a, b)
         assert [m.images for m in enumerate_morphisms(a, b, STRAIGHT)] == bh, (a, b)
         assert [m.images for m in enumerate_morphisms(a, b, ANTI)] == ba, (a, b)
+
+
+def test_hom_and_an_equals_both_enumerations_on_every_group_of_order_at_most_8(
+        tmp_path):
+    # One search gives both sets exactly as the two enumerations do, order
+    # and variance tags included, on all 196 ordered pairs.
+    groups = _groups_of_order_at_most_8(tmp_path)
+    for a, b in itertools.product(groups.values(), repeat=2):
+        assert hom_and_an(a, b) == (enumerate_morphisms(a, b, STRAIGHT),
+                                    enumerate_morphisms(a, b, ANTI)), (a, b)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -146,6 +147,20 @@ def test_classify_table_codes():
         kernels.HOM_BIT | kernels.ANTI_BIT
 
 
+def test_scan_leaves_no_reference_cycle():
+    # With the collector off, whatever a scan leaves in a cycle stays
+    # unreachable until gc.collect() finds it.
+    s3 = flat(symmetric3())
+    gc.collect()
+    gc.disable()
+    try:
+        homs, antis = kernels.scan_morphism_space(6, 6, s3, s3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(homs) == len(antis) == 10
+
+
 def test_selected_backend_exports():
     assert kernels.BACKEND == "pure"
     z2 = cyclic(2)
@@ -161,19 +176,27 @@ def _pair_tables():
     return flat(cyclic(4)), left, right
 
 
+def _composites(left, right):
+    """g∘f for every f in left and g in right, in (f, g) order."""
+    return [tuple(g[x] for x in f) for f in left for g in right]
+
+
 def test_compose_classify_pairs_matches_per_pair_oracle():
+    # The returned set is exactly the pairs' composites, and the memo holds
+    # the per-pair oracle's code for every pair, on z4 and s3 tables.
     cay, left, right = _pair_tables()
-    codes = kernels.compose_classify_pairs(4, 4, cay, cay, left, right)
-    oracle = [kernels._classify([g[x] for x in f], 4, 4, cay, cay)
-              for f in left for g in right]
-    assert codes == oracle
-    assert len(set(codes)) > 1
     s3 = symmetric3()
     homs, antis = kernels.scan_morphism_space(6, 6, flat(s3), flat(s3))
-    tables = homs + antis
-    codes = kernels.compose_classify_pairs(6, 6, flat(s3), flat(s3), tables, tables)
-    assert codes == [kernels._classify([g[x] for x in f], 6, 6, flat(s3), flat(s3))
-                     for f in tables for g in tables]
+    for n, cay, left, right in ((4, cay, left, right),
+                                (6, flat(s3), homs + antis, homs + antis)):
+        codes = {}
+        composites = kernels.compose_classify_pairs(n, n, cay, cay, left, right,
+                                                    codes)
+        pairs = _composites(left, right)
+        assert composites == set(pairs) == set(codes)
+        assert [codes[gf] for gf in pairs] == \
+            [kernels._classify(gf, n, n, cay, cay) for gf in pairs]
+        assert len(set(codes.values())) > 1
 
 
 def test_compose_classify_pairs_classifies_each_distinct_composite_once(monkeypatch):
@@ -186,14 +209,50 @@ def test_compose_classify_pairs_classifies_each_distinct_composite_once(monkeypa
         return real(images, *rest)
 
     monkeypatch.setattr(kernels, "_classify", counting)
-    codes = kernels.compose_classify_pairs(4, 4, cay, cay, left, right)
-    composites = {tuple(g[x] for x in f) for f in left for g in right}
-    assert len(codes) == len(left) * len(right) == 20
-    assert sorted(seen) == sorted(composites)
-    assert len(seen) == len(composites) < len(codes)
-    # the memo lives inside one call: a second call classifies again
-    kernels.compose_classify_pairs(4, 4, cay, cay, left, right)
-    assert len(seen) == 2 * len(composites)
+    codes = {}
+    composites = kernels.compose_classify_pairs(4, 4, cay, cay, left, right, codes)
+    pairs = _composites(left, right)
+    assert len(pairs) == 20
+    assert sorted(seen) == sorted(composites) == sorted(set(pairs))
+    assert len(seen) == len(composites) < len(pairs)
+    # a composite already in the caller's memo is not classified again
+    assert kernels.compose_classify_pairs(4, 4, cay, cay, left, right,
+                                          codes) == composites
+    assert len(seen) == len(composites)
+    # only the composites missing from the memo are: here all but one
+    kept = next(iter(composites))
+    kernels.compose_classify_pairs(4, 4, cay, cay, left, right,
+                                   {kept: codes[kept]})
+    assert len(seen) == 2 * len(composites) - 1 and kept not in seen[len(composites):]
+    # a fresh memo classifies every composite again
+    kernels.compose_classify_pairs(4, 4, cay, cay, left, right, {})
+    assert len(seen) == 3 * len(composites) - 1
+
+
+def test_variance_table_reports_classifies_each_composite_once_per_source_and_target(
+        monkeypatch):
+    # One memo per (A, C) for one call: every composite A -> C of an
+    # enumerated pair through any B is classified exactly once, and a second
+    # call classifies each again. (A, C) is named by its two tables.
+    groups = {k: group_corpus()[k] for k in ("z2", "z4", "z2xz2", "s3")}
+    seen = []
+    real = kernels._classify
+
+    def counting(images, n, m, cay_a, cay_c):
+        seen.append((tuple(cay_a), tuple(cay_c), tuple(images)))
+        return real(images, n, m, cay_a, cay_c)
+
+    monkeypatch.setattr(kernels, "_classify", counting)
+    sets = {(a, b): [m.images for v in VARIANCES
+                     for m in enumerate_morphisms(groups[a], groups[b], v)]
+            for a, b in itertools.product(groups, repeat=2)}
+    expected = {(tuple(flat(groups[a])), tuple(flat(groups[c])), gf)
+                for a, b, c in itertools.product(groups, repeat=3)
+                for gf in _composites(sets[(a, b)], sets[(b, c)])}
+    assert all(r.passed for r in variance_table_reports(groups))
+    assert len(seen) == len(set(seen)) and set(seen) == expected
+    variance_table_reports(groups)
+    assert sorted(seen) == sorted(2 * list(expected))
 
 
 def test_variance_xor_fails_when_one_composite_loses_its_anti_bit(monkeypatch):
@@ -263,7 +322,8 @@ def _star_law_witnesses(report, tables, star, rev):
 
 
 @pytest.mark.parametrize("report", sorted(STAR_REPORTS))
-def test_star_monoid_names_the_first_pair_that_leaves_the_set(monkeypatch, report):
+def test_star_monoid_names_the_first_pair_that_leaves_the_set(install_enumerator,
+                                                             report):
     # Mutant enumerator: An(S3, S3) loses its last map, so stars that land
     # on it leave the set. The witness is the first such (p, q).
     s3 = group_corpus()["s3"]
@@ -273,7 +333,7 @@ def test_star_monoid_names_the_first_pair_that_leaves_the_set(monkeypatch, repor
         out = real(a, b, variance, bound)
         return out[:-1] if variance == ANTI else out
 
-    monkeypatch.setattr(suite, "enumerate_morphisms", dropping)
+    install_enumerator(suite, dropping)
     tables = [m.images for m in dropping(s3, s3, ANTI)]
     (closed, ident, assoc), naive = _star_law_witnesses(
         report, tables, _raw_star(s3), s3.inverses)
@@ -283,7 +343,8 @@ def test_star_monoid_names_the_first_pair_that_leaves_the_set(monkeypatch, repor
 
 
 @pytest.mark.parametrize("report", sorted(STAR_REPORTS))
-def test_star_monoid_names_the_first_map_the_reverse_map_moves(monkeypatch, report):
+def test_star_monoid_names_the_first_map_the_reverse_map_moves(install_enumerator,
+                                                              report):
     # Mutant enumerator: An(S3, S3) also lists two maps that rev ★ - moves,
     # as they send the 3-cycle 4 = 3^-1 to 3: the identity map with 4 sent
     # to 3, and the constant map onto 3. The witness is the first of them.
@@ -299,7 +360,7 @@ def test_star_monoid_names_the_first_map_the_reverse_map_moves(monkeypatch, repo
             out = tuple(sorted(out + tuple(bad), key=lambda m: m.images))
         return out
 
-    monkeypatch.setattr(suite, "enumerate_morphisms", adding)
+    install_enumerator(suite, adding)
     tables = [m.images for m in adding(s3, s3, ANTI)]
     checks, naive = _star_law_witnesses(report, tables, _raw_star(s3), s3.inverses)
     assert naive[1] == bad[0].images

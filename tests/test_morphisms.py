@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -163,26 +164,26 @@ def _first_stray(enumerated, scanned):
                  if enumerated.count(p) != scanned.count(p)), None)
 
 
-@pytest.mark.parametrize("dropped", ["enumerate_morphisms", "brute_force_tables"])
+@pytest.mark.parametrize("dropped", ["hom_and_an", "brute_force_tables"])
 def test_map_space_scan_check_names_the_first_stray_table(monkeypatch, dropped):
     # Mutant: the enumerator, or the oracle, loses its last straight map. The
     # counts then differ, but the witness names the table itself.
     groups = group_corpus()
     s3, z4 = groups["s3"], groups["z4"]
-    real_enum, real_scan = suite.enumerate_morphisms, suite.brute_force_tables
+    real_enum, real_scan = suite.hom_and_an, suite.brute_force_tables
 
-    def dropping_enum(a, b, variance, bound=suite.DEFAULT_BOUND):
-        out = real_enum(a, b, variance, bound)
-        return out[:-1] if variance == STRAIGHT else out
+    def dropping_enum(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real_enum(a, b, bound)
+        return homs[:-1], antis
 
     def dropping_scan(a, b):
         homs, antis = real_scan(a, b)
         return homs[:-1], antis
 
-    mutant = dropping_enum if dropped == "enumerate_morphisms" else dropping_scan
+    mutant = dropping_enum if dropped == "hom_and_an" else dropping_scan
     monkeypatch.setattr(suite, dropped, mutant)
-    enumerated = [(v, m.images) for v in VARIANCES
-                  for m in suite.enumerate_morphisms(s3, z4, v)]
+    enumerated = [(v, m.images)
+                  for v, ms in zip(VARIANCES, suite.hom_and_an(s3, z4)) for m in ms]
     homs, antis = suite.brute_force_tables(s3, z4)
     scanned = [(STRAIGHT, t) for t in homs] + [(ANTI, t) for t in antis]
     naive = _first_stray(enumerated, scanned)
@@ -198,15 +199,15 @@ def test_endomorphism_scan_checks_name_the_first_stray_table(monkeypatch, varian
     # Mutant: the enumerator lists its first map again in place of its last.
     # The counts still agree, and only the witness shows which table differs.
     s3 = group_corpus()["s3"]
-    real = suite.enumerate_morphisms
+    real = suite.hom_and_an
 
-    def repeating(a, b, v, bound=suite.DEFAULT_BOUND):
-        out = real(a, b, v, bound)
-        return out[:-1] + out[:1] if v == variance else out
+    def repeating(a, b, bound=suite.DEFAULT_BOUND):
+        return tuple(ms[:-1] + ms[:1] if v == variance else ms
+                     for v, ms in zip(VARIANCES, real(a, b, bound)))
 
-    monkeypatch.setattr(suite, "enumerate_morphisms", repeating)
+    monkeypatch.setattr(suite, "hom_and_an", repeating)
     checks = suite.endomorphism_monoid_report(s3).check_map()
-    listed = [m.images for m in repeating(s3, s3, variance)]
+    listed = [m.images for m in repeating(s3, s3)[VARIANCES.index(variance)]]
     homs, antis = brute_force_tables(s3, s3)
     scanned = homs if variance == STRAIGHT else antis
     assert len(listed) == len(scanned)
@@ -217,6 +218,94 @@ def test_endomorphism_scan_checks_name_the_first_stray_table(monkeypatch, varian
                      ("anti-count-matches-scan", "straight-count-matches-scan"))
     assert not checks[mutated].passed and checks[mutated].witness == naive
     assert checks[kept].passed and checks["counts-equal"].passed
+
+
+def _reconstruction_checks(names):
+    """Checks of the reconstruction reports on the named corpus groups, by
+    pair "a-c"."""
+    groups = {k: group_corpus()[k] for k in names}
+    return {dict(r.inputs)["pair"].replace(",", "-"): r.check_map()
+            for r in suite.reconstruction_reports(groups)}
+
+
+def test_reconstruction_names_the_first_map_its_twin_does_not_rebuild(monkeypatch):
+    # Mutant: the reverse map is the identity, which is anti on abelian
+    # groups, so the rebuild of f is its twin f∘inv, which differs from f
+    # unless f sends every element and its inverse alike.
+    names = ("z2", "z3", "z4")
+    groups = group_corpus()
+    monkeypatch.setattr(suite, "reverse_morphism",
+                        lambda g: Morphism(g, g, tuple(g.elements()), ANTI))
+    checks = _reconstruction_checks(names)
+    failed = 0
+    for a, c in itertools.product(names, repeat=2):
+        ga = groups[a]
+        naive = next((f.images for f in enumerate_morphisms(ga, groups[c], STRAIGHT)
+                      if tuple(f.images[ga.inv(x)] for x in ga.elements())
+                      != f.images), None)
+        rebuilt = checks[f"{a}-{c}"]["straight-equals-twin-after-reverse"]
+        assert rebuilt.passed == (naive is None) and rebuilt.witness == naive
+        failed += naive is not None
+    assert 0 < failed < len(names) ** 2
+    assert checks["z3-z3"]["straight-equals-twin-after-reverse"].witness == (0, 1, 2)
+
+
+def test_reconstruction_names_the_first_pair_listed_twice(monkeypatch):
+    # Mutant: the last class also lists the first pair of every class, last
+    # class first, so the first pair seen twice is the last class's own
+    # first pair, which is not the least pair listed twice.
+    real = suite.factor_pairs
+    firsts = {}
+
+    def repeating(a, b, c, an_ab, an_bc):
+        classes = real(a, b, c, an_ab, an_bc)
+        *rest, last = classes
+        extra = tuple(cl.pairs[0] for cl in reversed(classes))
+        f, g = last.pairs[0]
+        firsts[(a.name, c.name)] = (f.images, g.images), min(
+            (p.images, q.images) for p, q in extra)
+        return (*rest, replace(last, pairs=last.pairs + extra))
+
+    monkeypatch.setattr(suite, "factor_pairs", repeating)
+    checks = _reconstruction_checks(("z2", "z3", "s3"))
+    assert any(first != least for first, least in firsts.values())
+    for (a, c), (first, _) in firsts.items():
+        disjoint = checks[f"{a}-{c}"]["classes-disjoint"]
+        assert not disjoint.passed and disjoint.witness == first
+
+
+def test_reconstruction_names_the_least_stray_composite_and_unfactored_map(
+        monkeypatch):
+    # Mutant: every class composite is translated by k, which does not fix
+    # the identity, so no composite is straight and no straight map is a
+    # composite. The witnesses are the least translated map and the least
+    # straight map.
+    names = ("z2", "z3", "s3")
+    groups = group_corpus()
+    real = suite.factor_pairs
+
+    def shift(c):
+        k = next(x for x in c.elements() if x != c.identity)
+        return lambda t: tuple(c.mul(k, v) for v in t)
+
+    def translated(a, b, c, an_ab, an_bc):
+        return tuple(replace(cl, composite=Morphism(
+            a, c, shift(c)(cl.composite.images), STRAIGHT))
+            for cl in real(a, b, c, an_ab, an_bc))
+
+    monkeypatch.setattr(suite, "factor_pairs", translated)
+    checks = _reconstruction_checks(names)
+    moved_order = False
+    for a, c in itertools.product(names, repeat=2):
+        homs = [f.images for f in enumerate_morphisms(groups[a], groups[c], STRAIGHT)]
+        shifted = [shift(groups[c])(t) for t in homs]
+        moved_order |= shifted != sorted(shifted)
+        pair = checks[f"{a}-{c}"]
+        assert not pair["composites-are-straight"].passed
+        assert pair["composites-are-straight"].witness == min(shifted)
+        assert not pair["every-straight-map-factors"].passed
+        assert pair["every-straight-map-factors"].witness == homs[0]
+    assert moved_order
 
 
 def test_correspondence_involutive_names_the_first_moved_map(monkeypatch):
@@ -356,7 +445,7 @@ def test_union_is_group_fails_when_the_union_loses_a_member(monkeypatch):
 
 
 @pytest.mark.parametrize("variance", VARIANCES)
-def test_group_checks_fail_when_a_family_loses_a_member(monkeypatch, variance):
+def test_group_checks_fail_when_a_family_loses_a_member(install_enumerator, variance):
     # Mutant enumerator: Aut(S3) (straight) or its anti-automorphisms lose
     # their last member, so that family is not closed under its product
     # (composition, or the star product p ★ q = p∘q∘rev). The checks that
@@ -373,7 +462,7 @@ def test_group_checks_fail_when_a_family_loses_a_member(monkeypatch, variance):
         last = max(i for i, m in enumerate(out) if m.is_bijective())
         return out[:last] + out[last + 1:]
 
-    monkeypatch.setattr(morphisms, "enumerate_morphisms", dropping)
+    install_enumerator(morphisms, dropping)
     records = run(RunConfig(selection=("automorphism-algebra/s3/",))).records
     found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
     s3 = group_corpus()["s3"]
@@ -389,7 +478,7 @@ def test_group_checks_fail_when_a_family_loses_a_member(monkeypatch, variance):
     assert not found["union-is-group"].passed
 
 
-def test_group_checks_fail_when_z2_loses_its_only_automorphism(monkeypatch):
+def test_group_checks_fail_when_z2_loses_its_only_automorphism(install_enumerator):
     # Mutant enumerator: Z2's straight family is empty. An empty family has no
     # identity, so before it was guarded `validate_group` raised NoIdentity,
     # which ends a CLI run with exit 2; now the checks that need the group
@@ -404,7 +493,7 @@ def test_group_checks_fail_when_z2_loses_its_only_automorphism(monkeypatch):
             return out
         return tuple(m for m in out if not m.is_bijective())
 
-    monkeypatch.setattr(morphisms, "enumerate_morphisms", emptied)
+    install_enumerator(morphisms, emptied)
     records = run(RunConfig(selection=("automorphism-algebra/z2/",))).records
     found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
     for name in ("twin-map-is-group-iso", "groups-abstractly-isomorphic"):
