@@ -17,7 +17,8 @@ Ids name cells in files, witnesses and report inputs only.
 Once built, a category is read through its cells alone: validation, the iso
 and mediator searches, and the derived categories all use the composition
 table. The `compose`, `identities`, `mixed` and `reverse` dicts are the
-constructor input, the form `formats` writes, and what `same_tables` compares.
+constructor input, the form `formats` writes, and what `table_difference`
+compares.
 """
 
 from __future__ import annotations
@@ -84,16 +85,23 @@ class FiniteCategory(_Cells):
     def hom(self, a: str, b: str) -> tuple:
         return tuple(m.mid for m in self.morphisms if m.src == a and m.dst == b)
 
-    def same_tables(self, other: "FiniteCategory") -> bool:
-        return (self.objects == other.objects
-                and self.morphisms == other.morphisms
-                and self.identities == other.identities
-                and self.compose == other.compose
-                and self.additive == other.additive)
+    def table_difference(self, other: "FiniteCategory"):
+        """The first table field on which `other` differs, as (field, own
+        value, other's value); None when every table agrees."""
+        return _first_difference(self, other, (
+            "objects", "morphisms", "identities", "compose", "additive"))
 
     def __repr__(self) -> str:
         return f"FiniteCategory({self.name}, {len(self.objects)} objects, " \
                f"{len(self.morphisms)} morphisms)"
+
+
+def _first_difference(a, b, fields):
+    for name in fields:
+        mine, theirs = getattr(a, name), getattr(b, name)
+        if mine != theirs:
+            return (name, mine, theirs)
+    return None
 
 
 def _number(objects, morphisms, compose, identities) -> dict:
@@ -300,12 +308,11 @@ class FactorizationCategory(_Cells):
         """The cell of k∘rev, rev the reverse morphism at the source of k."""
         return self.composite(k, self._rev[self._src[k]])
 
-    def same_tables(self, other: "FactorizationCategory") -> bool:
-        return (self.base.same_tables(other.base)
-                and self.an_morphisms == other.an_morphisms
-                and self.reverse == other.reverse
-                and self.mixed == other.mixed
-                and self.an_additive == other.an_additive)
+    def table_difference(self, other: "FactorizationCategory"):
+        """The first table field on which `other` differs, its base's first;
+        None when every table agrees."""
+        return self.base.table_difference(other.base) or _first_difference(
+            self, other, ("an_morphisms", "reverse", "mixed", "an_additive"))
 
 
 def validate_factorization(fc: FactorizationCategory) -> FactorizationCategory:
@@ -789,10 +796,13 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
                            for f in functor_sets[(n1, n2)]}
     # round trips are table-identities
     for name, c in cats.items():
-        checks.append(check(f"forget-equip-identity-{name}",
-                            fca(caf(c)).same_tables(c)))
-        checks.append(check(f"equip-forget-identity-{name}",
-                            caf(fca(equipped[name])).same_tables(equipped[name])))
+        forgot = fca(equipped[name])
+        forget_w = forgot.table_difference(c)
+        equip_w = caf(forgot).table_difference(equipped[name])
+        checks.append(check(f"forget-equip-identity-{name}", forget_w is None,
+                            witness=forget_w))
+        checks.append(check(f"equip-forget-identity-{name}", equip_w is None,
+                            witness=equip_w))
     # bijections: every functor lifts to exactly one factorable functor
     for key in sorted(functor_sets):
         underlying = {ff[:width[key[0]]] for ff in factorable_sets[key]}
@@ -874,43 +884,7 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
     )
 
 
-# -- bundled categories ----------------------------------------------------------------
-
-
-def poset_category(name: str, objects, relation) -> FiniteCategory:
-    """Thin category of a partial order; `relation` lists the (a, b) pairs
-    with a <= b (reflexive pairs are implied)."""
-    leq = set(relation) | {(o, o) for o in objects}
-    morphisms = [(f"{a}_{b}", a, b) for a in objects for b in objects
-                 if (a, b) in leq]
-    identities = {o: f"{o}_{o}" for o in objects}
-    compose = {}
-    for (a, b) in leq:
-        for (b2, c) in leq:
-            if b2 == b:
-                compose[(f"{b}_{c}", f"{a}_{b}")] = f"{a}_{c}"
-    return build_category(name, objects, morphisms, identities, compose)
-
-
-def arrow_category() -> FiniteCategory:
-    return poset_category("arrow", ("a", "b"), {("a", "b")})
-
-
-def chain3_category() -> FiniteCategory:
-    return poset_category("chain3", ("a", "b", "c"),
-                          {("a", "b"), ("b", "c"), ("a", "c")})
-
-
-def meet_semilattice_category() -> FiniteCategory:
-    """Three objects x, y and their meet m, as a thin category."""
-    return poset_category("meet", ("m", "x", "y"), {("m", "x"), ("m", "y")})
-
-
-def monoid_z2_category() -> FiniteCategory:
-    """One object whose endomorphisms form the order-2 group."""
-    morphisms = [("e", "o", "o"), ("s", "o", "o")]
-    compose = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
-    return build_category("monoid", ("o",), morphisms, {"o": "e"}, compose)
+# -- preadditive examples ----------------------------------------------------------
 
 
 def preadditive_one_object() -> FiniteCategory:

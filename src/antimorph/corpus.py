@@ -1,101 +1,35 @@
 """Bundled desk-scale corpus: the groups, rings, and categories every
 verification suite runs against.
 
-Builders are deterministic; the shipped data files are generated from them
-and the format tests assert both stay in sync.
+The corpus is the `*.grp`, `*.rng` and `*.cat` files under `antimorph/data`.
+Each is read through `formats.parse_text`, the parser `--corpus` input goes
+through, so every structure is validated on load. The tests compare each
+file with an independent builder.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from importlib import resources
 
-from .groups import FiniteGroup, Subgroup, direct_product, subgroup_closure, validate_group
-from .rings import FiniteRing, validate_ring
+from .formats import parse_text
+from .groups import FiniteGroup, Subgroup, subgroup_closure
+from .rings import TWO_SIDED, FiniteRing, RingIdeal
+
+
+def _load(suffix: str, names: tuple) -> dict:
+    """The bundled `NAME.suffix` files, parsed, in the order of `names`."""
+    data = resources.files("antimorph").joinpath("data")
+    return {name: parse_text(data.joinpath(f"{name}.{suffix}").read_text("utf-8"))
+            for name in names}
+
 
 # -- groups -------------------------------------------------------------------
 
 
-def cyclic(n: int, name: str = "") -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return validate_group(table, name or f"z{n}")
-
-
-def _perm_mul(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _group_from_perms(gens, name):
-    """Close a permutation set under products; BFS discovery order fixes indices."""
-    deg = len(gens[0])
-    e = tuple(range(deg))
-    elems = [e]
-    seen = {e: 0}
-    queue = [e]
-    while queue:
-        nxt = []
-        for p in queue:
-            for g in gens:
-                z = _perm_mul(p, g)
-                if z not in seen:
-                    seen[z] = len(elems)
-                    elems.append(z)
-                    nxt.append(z)
-        queue = nxt
-    table = [[seen[_perm_mul(p, q)] for q in elems] for p in elems]
-    return validate_group(table, name), elems
-
-
-def symmetric3() -> FiniteGroup:
-    """S3 with elements indexed by lexicographic order of their mapping tuples."""
-    perms = sorted(itertools.permutations(range(3)))
-    idx = {p: i for i, p in enumerate(perms)}
-    table = [[idx[_perm_mul(p, q)] for q in perms] for p in perms]
-    return validate_group(table, "s3")
-
-
-def dihedral4() -> FiniteGroup:
-    rot = (1, 2, 3, 0)
-    ref = (0, 3, 2, 1)
-    g, _ = _group_from_perms([rot, ref], "d4")
-    return g
-
-
-def quaternion8() -> FiniteGroup:
-    """Q8 with index 2*basis + sign: 0:+1 1:-1 2:+i 3:-i 4:+j 5:-j 6:+k 7:-k."""
-    bmul = {
-        (0, 0): (0, 0), (0, 1): (1, 0), (0, 2): (2, 0), (0, 3): (3, 0),
-        (1, 0): (1, 0), (2, 0): (2, 0), (3, 0): (3, 0),
-        (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
-        (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
-        (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
-    }
-    n = 8
-    table = [[0] * n for _ in range(n)]
-    for b1, s1 in itertools.product(range(4), range(2)):
-        for b2, s2 in itertools.product(range(4), range(2)):
-            b, s = bmul[(b1, b2)]
-            table[2 * b1 + s1][2 * b2 + s2] = 2 * b + (s1 ^ s2 ^ s)
-    return validate_group(table, "q8")
-
-
-def klein4() -> FiniteGroup:
-    g, _, _ = direct_product(cyclic(2), cyclic(2))
-    return validate_group(g.cayley, "z2xz2")
-
-
 @lru_cache(maxsize=1)
 def group_corpus() -> dict[str, FiniteGroup]:
-    return {
-        "z2": cyclic(2),
-        "z3": cyclic(3),
-        "z4": cyclic(4),
-        "z6": cyclic(6),
-        "s3": symmetric3(),
-        "d4": dihedral4(),
-        "q8": quaternion8(),
-        "z2xz2": klein4(),
-    }
+    return _load("grp", ("z2", "z3", "z4", "z6", "s3", "d4", "q8", "z2xz2"))
 
 
 # Named subgroups used by the theorem instances, given by generators.
@@ -122,88 +56,9 @@ def named_subgroup(group_name: str, sub_name: str) -> Subgroup:
 # -- rings --------------------------------------------------------------------
 
 
-def zmod(n: int, name: str = "") -> FiniteRing:
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
-    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-    return validate_ring(add, mul, involution=tuple(range(n)), name=name or f"z{n}")
-
-
-def f4_ring() -> FiniteRing:
-    """The field with four elements, 0 1 w w2, carrying the squaring involution."""
-    from .semilinear import FieldFq2
-
-    fld = FieldFq2.of_order(4)
-    return validate_ring(fld.add, fld.mul, involution=fld.frob, name="f4")
-
-
-def _t2_pack(a, b, c):
-    return a * 4 + b * 2 + c
-
-
-def t2f2_ring() -> FiniteRing:
-    """Upper-triangular 2x2 matrices over F2 with the diagonal-swap involution."""
-    n = 8
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    sigma = [0] * n
-    for a1, b1, c1 in itertools.product(range(2), repeat=3):
-        i = _t2_pack(a1, b1, c1)
-        sigma[i] = _t2_pack(c1, b1, a1)
-        for a2, b2, c2 in itertools.product(range(2), repeat=3):
-            j = _t2_pack(a2, b2, c2)
-            add[i][j] = _t2_pack(a1 ^ a2, b1 ^ b2, c1 ^ c2)
-            mul[i][j] = _t2_pack(a1 & a2, (a1 & b2) ^ (b1 & c2), c1 & c2)
-    return validate_ring(add, mul, involution=sigma, name="t2f2")
-
-
-def _m2_pack(a, b, c, d):
-    return a * 8 + b * 4 + c * 2 + d
-
-
-def m2f2_ring() -> FiniteRing:
-    """Full 2x2 matrix ring over F2 with the transpose involution."""
-    n = 16
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    sigma = [0] * n
-    for m1 in itertools.product(range(2), repeat=4):
-        a1, b1, c1, d1 = m1
-        i = _m2_pack(*m1)
-        sigma[i] = _m2_pack(a1, c1, b1, d1)
-        for m2 in itertools.product(range(2), repeat=4):
-            a2, b2, c2, d2 = m2
-            j = _m2_pack(*m2)
-            add[i][j] = _m2_pack(a1 ^ a2, b1 ^ b2, c1 ^ c2, d1 ^ d2)
-            mul[i][j] = _m2_pack((a1 & a2) ^ (b1 & c2), (a1 & b2) ^ (b1 & d2),
-                                 (c1 & a2) ^ (d1 & c2), (c1 & b2) ^ (d1 & d2))
-    return validate_ring(add, mul, involution=sigma, name="m2f2")
-
-
-def z2xz2_ring() -> FiniteRing:
-    """Product ring Z2 x Z2 with the coordinate-swap involution."""
-    n = 4
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    sigma = [0] * n
-    for a1, b1 in itertools.product(range(2), repeat=2):
-        i = a1 * 2 + b1
-        sigma[i] = b1 * 2 + a1
-        for a2, b2 in itertools.product(range(2), repeat=2):
-            j = a2 * 2 + b2
-            add[i][j] = (a1 ^ a2) * 2 + (b1 ^ b2)
-            mul[i][j] = (a1 & a2) * 2 + (b1 & b2)
-    return validate_ring(add, mul, involution=sigma, name="z2xz2")
-
-
 @lru_cache(maxsize=1)
 def ring_corpus() -> dict[str, FiniteRing]:
-    return {
-        "z4": zmod(4),
-        "f4": f4_ring(),
-        "z2xz2": z2xz2_ring(),
-        "t2f2": t2f2_ring(),
-        "m2f2": m2f2_ring(),
-    }
+    return _load("rng", ("z4", "f4", "z2xz2", "t2f2", "m2f2"))
 
 
 # Named ideals used by the theorem instances.
@@ -215,23 +70,14 @@ IDEAL_MEMBERS = {
 }
 
 
-def named_ideal(ring_name: str, ideal_name: str):
-    from .rings import TWO_SIDED, RingIdeal
-
+def named_ideal(ring_name: str, ideal_name: str) -> RingIdeal:
     r = ring_corpus()[ring_name]
     return RingIdeal(r, IDEAL_MEMBERS[(ring_name, ideal_name)], TWO_SIDED)
 
 
-# -- categories (filled in by the category engine) ----------------------------
+# -- categories ---------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
 def category_corpus():
-    from .categories import arrow_category, chain3_category, meet_semilattice_category, monoid_z2_category
-
-    return {
-        "arrow": arrow_category(),
-        "chain3": chain3_category(),
-        "meet": meet_semilattice_category(),
-        "monoid": monoid_z2_category(),
-    }
+    return _load("cat", ("arrow", "chain3", "meet", "monoid"))

@@ -2,7 +2,8 @@
 
 The first token of a file names its kind. Parsers reject ragged tables and
 report the offending line number; emitters produce canonical, byte-stable
-text so corpus files can be regenerated and diffed.
+text. The bundled corpus under `antimorph/data` is a set of such files, and
+`corpus` reads it through `parse_text`, as the CLI reads `--corpus` input.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def _int_row(line: str, lineno: int, expected: int) -> tuple:
     return row
 
 
+def _int_field(token: str, what: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"bad {what} on line {lineno}", lineno)
+
+
 def detect_kind(text: str) -> str:
     for _, line in _lines(text):
         return line.split()[0]
@@ -84,10 +92,7 @@ def parse_group(text: str) -> FiniteGroup:
     if len(parts) != 4 or parts[0] != "group" or parts[2] != "order":
         raise ParseError(f"bad group header on line {lineno}", lineno)
     name = parts[1]
-    try:
-        order = int(parts[3])
-    except ValueError:
-        raise ParseError(f"bad order on line {lineno}", lineno)
+    order = _int_field(parts[3], "order", lineno)
     rows = []
     for lineno, line in it:
         rows.append(_int_row(line, lineno, order))
@@ -112,7 +117,7 @@ def parse_ring(text: str) -> FiniteRing:
     if len(parts) != 4 or parts[0] != "ring" or parts[2] != "order":
         raise ParseError(f"bad ring header on line {lineno}", lineno)
     name = parts[1]
-    order = int(parts[3])
+    order = _int_field(parts[3], "order", lineno)
     sections: dict[str, list] = {}
     current = None
     for lineno, line in it[1:]:
@@ -155,7 +160,7 @@ def parse_map(text: str) -> MapFile:
     if len(it) != 2:
         raise ParseError("map file needs exactly one image row")
     lineno2, row_line = it[1]
-    row = tuple(int(p) for p in row_line.split())
+    row = _int_row(row_line, lineno2, len(row_line.split()))
     return MapFile(parts[1], parts[3], parts[5], parts[7], row)
 
 
@@ -332,7 +337,8 @@ def parse_semilinear(text: str) -> SemilinearMap:
         raise ParseError(f"unsupported field {parts[3]!r} (only F4 files)", lineno)
     if parts[9] not in VARIANCES:
         raise ParseError(f"unknown twist {parts[9]!r}", lineno)
-    rows, cols = int(parts[5]), int(parts[7])
+    rows = _int_field(parts[5], "row count", lineno)
+    cols = _int_field(parts[7], "column count", lineno)
     field = FieldFq2.of_order(4)
     entries = []
     for lineno2, line in it[1:]:

@@ -647,14 +647,18 @@ def category_reports(cats: dict) -> list:
             if iso_w is None and iso != anti_iso:
                 iso_w = (mid, iso, anti_iso)
         ac_w, assoc_w = category_violation(ac), category_violation(assoc)
+        forgot = fca(fc)
+        forget_w = forgot.table_difference(c)
+        equip_w = caf(forgot).table_difference(fc)
         sizes = (len(assoc.morphisms), 2 * len(c.morphisms))
         out.append(TheoremReport(
             theorem=f"category-roundtrip/{name}",
             inputs=(("category", name),),
             checks=(
-                check("forget-equip-identity", fca(caf(c)).same_tables(c)),
-                check("equip-forget-identity",
-                      caf(fca(fc)).same_tables(fc)),
+                check("forget-equip-identity", forget_w is None,
+                      witness=forget_w),
+                check("equip-forget-identity", equip_w is None,
+                      witness=equip_w),
                 check("anti-category-is-category", ac_w is None, witness=ac_w),
                 check("associated-category-is-category", assoc_w is None,
                       witness=assoc_w),

@@ -10,7 +10,7 @@ import itertools
 import time
 from collections import Counter
 
-from antimorph.corpus import category_corpus, cyclic, group_corpus, ring_corpus
+from antimorph.corpus import category_corpus, group_corpus, ring_corpus
 from antimorph.formats import emit_group
 from antimorph.groups import direct_product
 from antimorph.kernels import BACKEND
@@ -38,6 +38,8 @@ from antimorph.suite import (
     theorem_instance_reports,
     variance_table_reports,
 )
+
+from corpus_builders import cyclic
 
 GROUPS = group_corpus()
 RINGS = ring_corpus()

@@ -1,21 +1,20 @@
 """The package's public surface: every public top-level name has a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "antimorph"
 
 
-def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set:
-    """Names a module's code refers to (loads, attributes and imports),
-    leaving out the subtree `skip`; string mentions do not count."""
+def _referenced_names(tree: ast.AST) -> set:
+    """Names the code under `tree` refers to (loads, attributes and
+    imports); string mentions do not count."""
     names = set()
     stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -28,20 +27,24 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set:
 
 def test_every_public_name_has_a_caller():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in sources}
-    everywhere = {path: _referenced_names(tree) for path, tree in trees.items()}
+    # one walk per top-level statement; `uses` counts, per module, the
+    # statements that refer to each name
+    statements, uses = {}, {}
+    for path in sources:
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        statements[path] = [(node, _referenced_names(node)) for node in body]
+        uses[path] = Counter(name for _, names in statements[path] for name in names)
     uncalled = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
+        for node, names in statements[path]:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("_"):
                 continue
-            own = _referenced_names(trees[path], skip=node)
-            others = (names for other, names in everywhere.items()
-                      if other != path)
-            if node.name not in own and not any(node.name in n for n in others):
+            # the other statements of its module, then every other module
+            own = uses[path][node.name] - (node.name in names)
+            others = (counts for other, counts in uses.items() if other != path)
+            if not own and not any(node.name in counts for counts in others):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert uncalled == [], f"public names no package or benchmark code uses: {uncalled}"
 

@@ -28,7 +28,6 @@ from antimorph.categories import (
     functor_witness,
     identity_functor,
     lift_functor,
-    poset_category,
     preadditive_one_object,
     preadditive_two_object,
     validate_factorization,
@@ -41,6 +40,8 @@ from antimorph.errors import (
     NotAssociative,
     NotComposable,
 )
+
+from corpus_builders import poset_category
 
 CATS = category_corpus()
 
@@ -108,8 +109,8 @@ def test_caf_builds_a_valid_factorization_category():
 def test_caf_fca_round_trips_table_identical():
     for cat in CATS.values():
         fc = caf(cat)
-        assert fca(fc).same_tables(cat)
-        assert caf(fca(fc)).same_tables(fc)
+        assert fca(fc).table_difference(cat) is None
+        assert caf(fca(fc)).table_difference(fc) is None
 
 
 def test_wrong_variance_composite_is_axiom_violation():
@@ -473,6 +474,37 @@ def test_straight_factors_through_reverse_names_its_first_morphism(monkeypatch):
     found = _roundtrip(CATS["chain3"]).check_map()["straight-factors-through-reverse"]
     assert not found.passed
     assert found.witness == ("a_b", "a_b", "a_a")
+
+
+@pytest.mark.parametrize("module", [suite_module, categories_module],
+                         ids=["category-roundtrip", "equip-forget-adjunctions"])
+def test_round_trip_identities_name_the_first_differing_table(monkeypatch,
+                                                              module):
+    # The mutant forget lists the monoid's morphisms backwards: the same
+    # category, but its morphism table is not the one it was equipped from.
+    real = categories_module.fca
+
+    def backwards(fc):
+        cat = real(fc)
+        return FiniteCategory(cat.name, cat.objects, cat.morphisms[::-1],
+                              cat.identities, cat.compose, cat.additive)
+
+    monkeypatch.setattr(module, "fca", backwards)
+    monoid = CATS["monoid"]
+    if module is suite_module:
+        checks = _roundtrip(monoid).check_map()
+        suffix = ""
+    else:
+        checks = adjunction_report(MONOID_ONLY).check_map()
+        suffix = "-monoid"
+    forget = checks["forget-equip-identity" + suffix]
+    equip = checks["equip-forget-identity" + suffix]
+    assert not forget.passed
+    assert forget.witness == ("morphisms", monoid.morphisms[::-1],
+                              monoid.morphisms)
+    assert not equip.passed
+    assert equip.witness == ("morphisms", monoid.morphisms[::-1],
+                             monoid.morphisms)
 
 
 # -- brute-force oracles for both enumerators ----------------------------------

@@ -229,6 +229,10 @@ MALFORMED = {
                                    "hom a: a_a\n",
     "stray-composite.cat": "category monoid\nobjects: o\nid o = e\nhom o o: e s\n"
                            "compose s s = e\ncompose ss s = s\n",
+    # non-integer header fields and image entries
+    "ring-order.rng": "ring r order x\nadd:\n0\nmul:\n0\n",
+    "map-image.map": "map f from z2 to z2 variance straight\n0 x\n",
+    "semilinear-rows.mat": "semilinear m over F4 rows x cols 1 twist anti\n0\n",
 }
 
 

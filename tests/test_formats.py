@@ -11,6 +11,8 @@ from antimorph.morphisms import corresponding_anti
 from antimorph.semilinear import FieldFq2, matrix
 from antimorph.theorems import sign_morphism
 
+from corpus_builders import CATEGORY_BUILDERS, GROUP_BUILDERS, RING_BUILDERS
+
 DATA = resources.files("antimorph").joinpath("data")
 
 
@@ -41,24 +43,40 @@ def test_ring_round_trip_all_corpus():
 
 def test_category_and_factorization_round_trips():
     for c in category_corpus().values():
-        assert F.parse_text(F.emit_category_text(c)).same_tables(c)
+        assert F.parse_text(F.emit_category_text(c)).table_difference(c) is None
         fc = caf(c)
-        assert F.parse_text(F.emit_factorization_text(fc)).same_tables(fc)
+        assert F.parse_text(F.emit_factorization_text(fc)).table_difference(fc) is None
+
+
+def _header_name(text: str) -> str:
+    return text.split()[1]
 
 
 def test_bundled_files_match_builders():
-    groups = group_corpus()
-    for name, g in groups.items():
-        text = DATA.joinpath(f"{name}.grp").read_text()
-        assert F.parse_text(text).cayley == g.cayley
-    for name, r in ring_corpus().items():
-        text = DATA.joinpath(f"{name}.rng").read_text()
-        assert F.parse_text(text).mul == r.mul
-    for name, c in category_corpus().items():
-        text = DATA.joinpath(f"{name}.cat").read_text()
-        assert F.parse_text(text).same_tables(c)
-    fct = F.parse_text(DATA.joinpath("meet.fct").read_text())
-    assert fct.same_tables(caf(category_corpus()["meet"]))
+    groups, rings, cats = group_corpus(), ring_corpus(), category_corpus()
+    assert list(groups) == list(GROUP_BUILDERS)
+    assert sorted(rings) == sorted([*RING_BUILDERS, "f4"])
+    assert list(cats) == list(CATEGORY_BUILDERS)
+    for suffix, corpus in (("grp", groups), ("rng", rings), ("cat", cats)):
+        for name, value in corpus.items():
+            text = DATA.joinpath(f"{name}.{suffix}").read_text()
+            assert _header_name(text) == name == value.name
+    for name, build in GROUP_BUILDERS.items():
+        expected = build()
+        assert (groups[name].cayley, name) == (expected.cayley, expected.name)
+    for name, build in RING_BUILDERS.items():
+        r, expected = rings[name], build()
+        assert (r.add, r.mul, r.involution, name) == \
+            (expected.add, expected.mul, expected.involution, expected.name)
+    f4, field = rings["f4"], FieldFq2.of_order(4)
+    assert (f4.add, f4.mul, f4.involution) == (field.add, field.mul, field.frob)
+    for name, build in CATEGORY_BUILDERS.items():
+        expected = build()
+        assert expected.name == name
+        assert cats[name].table_difference(expected) is None
+    fct_text = DATA.joinpath("meet.fct").read_text()
+    assert _header_name(fct_text) == "meet"
+    assert F.parse_text(fct_text).table_difference(caf(cats["meet"])) is None
 
 
 def test_bundled_parity_map_resolves():

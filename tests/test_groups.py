@@ -1,6 +1,6 @@
 import pytest
 
-from antimorph.corpus import cyclic, dihedral4, group_corpus, named_subgroup, quaternion8, symmetric3
+from antimorph.corpus import group_corpus, named_subgroup
 from antimorph.errors import BoundExceeded, MissingInverse, NoIdentity, NotAssociative, NotClosed, NotNormal
 from antimorph.groups import (
     Subgroup,
@@ -15,6 +15,8 @@ from antimorph.groups import (
     validate_group,
 )
 from antimorph.morphisms import find_isomorphism
+
+from corpus_builders import cyclic, dihedral4, quaternion8, symmetric3
 
 
 def test_order_two_table_is_the_cyclic_group():

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from antimorph import kernels, suite
-from antimorph.corpus import cyclic, group_corpus, symmetric3
+from antimorph.corpus import group_corpus
 from antimorph.maps import ANTI, VARIANCES, Morphism
 from antimorph.morphisms import enumerate_morphisms
 from antimorph.suite import star_monoid_reports, variance_table_reports
+
+from corpus_builders import cyclic, symmetric3
 
 
 def flat(g):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimorph.corpus import cyclic, group_corpus, named_ideal, ring_corpus, symmetric3, zmod
+from antimorph.corpus import group_corpus, named_ideal, ring_corpus
 from antimorph.errors import BoundExceeded, LawViolation, NoInvolution, NotComposable
 from antimorph import kernels, morphisms, suite
 from antimorph.maps import ANTI, STRAIGHT, VARIANCES, Morphism
@@ -36,6 +36,8 @@ from antimorph.morphisms import (
 from antimorph.groups import direct_product, subgroup_closure, validate_group
 from antimorph.rings import opposite, quotient_ring
 from antimorph.theorems import sign_morphism
+
+from corpus_builders import cyclic, symmetric3, zmod
 
 
 def _factorization_classes(a, b, c):

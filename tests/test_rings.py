@@ -1,6 +1,6 @@
 import pytest
 
-from antimorph.corpus import named_ideal, ring_corpus, t2f2_ring, zmod
+from antimorph.corpus import named_ideal, ring_corpus
 from antimorph.errors import AddNotAbelianGroup, BadInvolution, MulNotMonoid, NotDistributive, NotIdeal
 from antimorph.rings import (
     RingIdeal,
@@ -13,6 +13,8 @@ from antimorph.rings import (
     subring_as_ring,
     validate_ring,
 )
+
+from corpus_builders import t2f2_ring, zmod
 
 
 def test_zmod4_is_a_commutative_ring():
