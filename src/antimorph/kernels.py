@@ -101,9 +101,11 @@ def scan_morphism_space(n, m, cay_a, cay_b):
 def reader(indices):
     """The function t ↦ tuple(t[i] for i in indices), run in C.
 
-    `operator.itemgetter` returns a bare value for a single index, so one
-    index gets a plain function that keeps the tuple.
+    `operator.itemgetter` returns a bare value for a single index and takes
+    no empty index list, so those get plain functions that keep the tuple.
     """
+    if not indices:
+        return lambda t: ()
     if len(indices) == 1:
         (i,) = indices
         return lambda t: (t[i],)

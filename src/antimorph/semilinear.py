@@ -208,10 +208,12 @@ class SemilinearMap:
     constructor keeps the entries it is given, and a map built from codes
     decodes them on first read. Treated as immutable: no code assigns to a
     map after construction. The class is slotted rather than a frozen
-    dataclass because the twisted hom grid builds hundreds of thousands of
-    maps. Besides the entries view, the slots filled later cache pure
-    functions of the codes: `conj_codes` and the two image tables of
-    `image_table`. Equality and hashing ignore `name` and the caches.
+    dataclass because every product is a fresh map; the twisted hom grid,
+    which composes hundreds of thousands of pairs, skips the maps and works
+    on row codes through `_compose_codes` and `_add_codes`. Besides the
+    entries view, the slots filled later cache pure functions of the codes:
+    `conj_codes` and the two image tables of `image_table`. Equality and
+    hashing ignore `name` and the caches.
     """
 
     __slots__ = ("field", "rows", "cols", "codes", "twist", "name", "_entries", "_conj",
@@ -358,29 +360,42 @@ def mat_mul(field, a, b, cols):
 
 
 def compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
-    """g after f; twists XOR; the right matrix is conjugated when g is twisted.
+    """g after f; twists XOR; the right matrix is conjugated when g is twisted."""
+    if f.field is not g.field or f.rows != g.cols:
+        raise NotComposable(f"cannot compose {g!r} after {f!r}")
+    codes, twist = _compose_codes(g.codes, g.twist, f)
+    return _packed(g.field, g.rows, f.cols, codes, twist)
+
+
+def _compose_codes(g_codes: tuple, g_twist: str, f: SemilinearMap) -> tuple:
+    """The (row codes, twist) of g after f, for a left factor g given by its
+    row codes and twist and known to compose with f.
 
     Row i of the product is one lookup: g's row code read through f's image
     table, the conjugated one when g is twisted.
     """
-    if f.field is not g.field or f.rows != g.cols:
-        raise NotComposable(f"cannot compose {g!r} after {f!r}")
     # the slot reads spare the hot path a method call; a table is never empty
-    if g.twist == ANTI:
+    if g_twist == ANTI:
         table = f._conj_image or f.image_table(True)
         twist = STRAIGHT if f.twist == ANTI else ANTI
     else:
         table = f._image or f.image_table()
         twist = f.twist
-    return _packed(g.field, g.rows, f.cols, tuple([table[c] for c in g.codes]), twist)
+    return tuple([table[c] for c in g_codes]), twist
 
 
 def add_semilinear(f: SemilinearMap, g: SemilinearMap) -> SemilinearMap:
     if f.field is not g.field or f.rows != g.rows or f.cols != g.cols \
             or f.twist != g.twist:
         raise NotComposable("can only add maps of equal field, shape and twist")
-    codes = tuple(map(_row_adder(f.field), f.codes, g.codes))
-    return _packed(f.field, f.rows, f.cols, codes, f.twist)
+    codes, twist = _add_codes(f.field, f.codes, g.codes, f.twist)
+    return _packed(f.field, f.rows, f.cols, codes, twist)
+
+
+def _add_codes(field: FieldFq2, f_codes: tuple, g_codes: tuple, twist: str) -> tuple:
+    """The (row codes, twist) of the sum of two maps of one shape and twist,
+    given by their row codes."""
+    return tuple(map(_row_adder(field), f_codes, g_codes)), twist
 
 
 def star_compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
@@ -588,32 +603,39 @@ def verify_quotient_image_iso(f: SemilinearMap) -> TheoremReport:
     """source/kernel is twisted-isomorphic to the image, through the map itself."""
     proj, mid, incl = factor_sequence(f)
     r = mid.rows
+    composite = compose_semilinear(incl, compose_semilinear(mid, proj))
+    proj_rank = rank_of(proj)
+    incl_kernel = kernel_basis(incl)
     checks = [
         check("rank-nullity", f.cols == len(kernel_basis(f)) + rank_of(f),
               witness=(f.cols, len(kernel_basis(f)), rank_of(f))),
-        check("middle-twist", mid.twist == f.twist),
+        check("middle-twist", mid.twist == f.twist, witness=(mid.twist, f.twist)),
         check("middle-invertible", invert_matrix(f.field, mid.entries) is not None
-              if r else True),
-        check("composite-equals-map",
-              maps_equal(compose_semilinear(incl, compose_semilinear(mid, proj)), f)),
-        check("projection-surjective", rank_of(proj) == r),
-        check("inclusion-injective", len(kernel_basis(incl)) == 0),
+              if r else True, witness=mid.entries),
+        check("composite-equals-map", maps_equal(composite, f),
+              witness=((composite.entries, composite.twist), (f.entries, f.twist))),
+        check("projection-surjective", proj_rank == r, witness=(proj_rank, r)),
+        check("inclusion-injective", not incl_kernel,
+              witness=incl_kernel[0] if incl_kernel else None),
     ]
     # uniqueness by coordinates: any middle map making the triangle commute is
-    # forced to incl \ (f ∘ section) for every section of the projection
-    unique_ok = True
-    if r:
-        sect = _right_inverse(f.field, proj)
-        forced = _solve_full_column_rank(
-            f.field, incl.entries, compose_semilinear(f, sect).entries, r)
-        unique_ok = maps_equal(SemilinearMap(f.field, r, r, forced, f.twist), mid)
-        shifted = _shift_section(f.field, sect, set_kernel_basis(f))
-        if shifted is not None:
-            forced2 = _solve_full_column_rank(
-                f.field, incl.entries, compose_semilinear(f, shifted).entries, r)
-            unique_ok = unique_ok and maps_equal(
-                SemilinearMap(f.field, r, r, forced2, f.twist), mid)
-    checks.append(check("middle-determined-by-coordinates", unique_ok))
+    # forced to incl \ (f ∘ section) for every section of the projection;
+    # the witness is the first forced middle that differs from the actual one.
+    # Sections and the solve need a surjective projection and an injective
+    # inclusion, so the check is made only when both hold.
+    if proj_rank == r and not incl_kernel:
+        moved = None
+        if r:
+            sect = _right_inverse(f.field, proj)
+            shifted = _shift_section(f.field, sect, set_kernel_basis(f))
+            for section in (sect,) if shifted is None else (sect, shifted):
+                forced = _solve_full_column_rank(
+                    f.field, incl.entries, compose_semilinear(f, section).entries, r)
+                if not maps_equal(SemilinearMap(f.field, r, r, forced, f.twist), mid):
+                    moved = ((forced, f.twist), (mid.entries, mid.twist))
+                    break
+        checks.append(check("middle-determined-by-coordinates", moved is None,
+                            witness=moved))
     return TheoremReport(
         theorem="quotient-image-twisted-iso",
         inputs=(("shape", f"{f.rows}x{f.cols}"), ("twist", f.twist)),
@@ -641,10 +663,9 @@ def _shift_section(field, sect: SemilinearMap, kernel_vectors):
     """A second section differing from sect by a map into the kernel, or None."""
     if not kernel_vectors or sect.cols == 0:
         return None
-    shift = kernel_vectors[0]
-    ent = tuple(tuple(field.add_(sect.entries[i][j], shift[i])
-                      for j in range(sect.cols)) for i in range(sect.rows))
-    return SemilinearMap(field, sect.rows, sect.cols, ent, STRAIGHT)
+    # the map sending every basis vector to the first kernel vector
+    shift = tuple((x,) * sect.cols for x in kernel_vectors[0])
+    return add_semilinear(sect, SemilinearMap(field, sect.rows, sect.cols, shift, STRAIGHT))
 
 
 def set_kernel_basis(f: SemilinearMap):
@@ -729,15 +750,17 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
 
     tp = compose_semilinear(tau, pi_c)                    # A -> (A/C)/(B/C)
     theta = compose_semilinear(rho, _right_inverse(field, tp))
-    theta_ok = maps_equal(compose_semilinear(theta, tp), rho)
+    theta_tp = compose_semilinear(theta, tp)
     theta_inv_entries = invert_matrix(field, theta.entries)
 
     checks = [
         check("intermediate-dims",
               q_tau.dim == q_b.dim,
               witness=(q_tau.dim, q_b.dim)),
-        check("straight-comparison-commutes", theta_ok),
-        check("straight-comparison-invertible", theta_inv_entries is not None),
+        check("straight-comparison-commutes", maps_equal(theta_tp, rho),
+              witness=((theta_tp.entries, theta_tp.twist), (rho.entries, rho.twist))),
+        check("straight-comparison-invertible", theta_inv_entries is not None,
+              witness=theta.entries),
     ]
     notes = ()
     if theta_inv_entries is not None:
@@ -749,13 +772,15 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
             SemilinearMap(field, q_tau.dim, q_b.dim, theta_inv_entries, STRAIGHT),
             reverse_map(field, q_b.dim))
         square = compose_semilinear(xi, rho_star)
-        checks.append(check("twisted-comparison-is-twisted", xi.is_anti))
+        checks.append(check("twisted-comparison-is-twisted", xi.is_anti, witness=xi.twist))
         checks.append(check("twisted-square-commutes", maps_equal(square, tp),
                             witness=(square.entries, tp.entries)))
         determined = compose_semilinear(tp, _right_inverse_of_action(field, rho_star))
         checks.append(check("uniqueness-via-surjectivity",
                             determined.entries == xi.entries
-                            and determined.twist == xi.twist))
+                            and determined.twist == xi.twist,
+                            witness=((determined.entries, determined.twist),
+                                     (xi.entries, xi.twist))))
     return TheoremReport(
         theorem="nested-quotient-twisted-iso",
         inputs=(("dims", f"{len(c_basis)}<={len(b_basis)}<={dim_a}<=F^{ambient}"),),
@@ -873,9 +898,9 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
     checks = []
     notes = []
     q2 = field.order
-    # every straight map of each shape with its two twisted counterparts,
-    # built once and shared by the checks below
-    shapes = {(r, c): [(m, corresponding_twisted(m), _target_side_twisted(m))
+    # every straight map of each shape with its source-side twisted
+    # counterpart, built once and shared by the checks below
+    shapes = {(r, c): [(m, corresponding_twisted(m))
                        for m in (SemilinearMap(field, r, c, e, STRAIGHT)
                                  for e in _all_matrices(field, r, c))]
               for r in dims for c in dims}
@@ -885,27 +910,34 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
             n_expected = q2 ** (dx * dy)
             checks.append(check(f"count-{dx}x{dy}", n_homs == n_expected,
                                 witness=(n_homs, n_expected)))
-    # additive iso of the correspondence on the largest square, all pairs;
-    # each check below names its first counterexample
-    square = shapes[(max(dims), max(dims))]
-    add_w = next(((fa.entries, fb.entries)
-                  for fa, ta, _ in square for fb, tb, _ in square
-                  if not maps_equal(corresponding_twisted(add_semilinear(fa, fb)),
-                                    add_semilinear(ta, tb))), None)
+    # The pair loops below run on (row codes, twist) pairs through the cores
+    # that compose_semilinear and add_semilinear wrap, so no map is built per
+    # pair; each check names its first counterexample.
+    compose, add = _compose_codes, _add_codes
+    # additive iso of the correspondence on the largest square, all pairs
+    square = [f for f, _ in shapes[(max(dims), max(dims))]]
+    add_w = next(((a.entries, b.entries) for a in square for b in square
+                  if (add(field, a.codes, b.codes, STRAIGHT)[0], ANTI)
+                  != add(field, a.codes, b.codes, ANTI)), None)
     checks.append(check("correspondence-additive", add_w is None, witness=add_w))
-    # naturality on all grid squares, with h∘f computed once per pair
+    # naturality on all grid squares, with h∘f computed once per pair:
+    # post-composition against the source-side correspondence f ↦ f∘conj,
+    # pre-composition against the target-side one h ↦ conj∘h, whose matrix
+    # is the conjugate of h's
     post_w = pre_w = None
     for dx in dims:
+        conj = _row_tables(q2, dx)[1]
         for dy in dims:
             for dz in dims:
-                for f, f_twisted, _ in shapes[(dy, dx)]:
-                    for h, _, h_target in shapes[(dz, dy)]:
-                        hf = compose_semilinear(h, f)
-                        if post_w is None and not maps_equal(
-                                corresponding_twisted(hf), compose_semilinear(h, f_twisted)):
+                lefts = [(h, h.codes, h.conj_codes()) for h, _ in shapes[(dz, dy)]]
+                for f, f_twisted in shapes[(dy, dx)]:
+                    for h, h_codes, h_conj in lefts:
+                        hf = compose(h_codes, STRAIGHT, f)[0]
+                        if post_w is None and \
+                                (hf, ANTI) != compose(h_codes, STRAIGHT, f_twisted):
                             post_w = (f.entries, h.entries)
-                        if pre_w is None and not maps_equal(
-                                _target_side_twisted(hf), compose_semilinear(h_target, f)):
+                        if pre_w is None and \
+                                (tuple([conj[c] for c in hf]), ANTI) != compose(h_conj, ANTI, f):
                             pre_w = (f.entries, h.entries)
     checks.append(check("naturality-postcompose", post_w is None, witness=post_w))
     checks.append(check("naturality-precompose", pre_w is None, witness=pre_w))
@@ -934,11 +966,6 @@ def _first_moved(field, d, star):
         if not maps_equal(moved, f):
             return fe, moved.entries
     return None
-
-
-def _target_side_twisted(f: SemilinearMap) -> SemilinearMap:
-    """f ↦ conj∘f: conjugated matrix, twist flipped."""
-    return _packed(f.field, f.rows, f.cols, f.conj_codes(), ANTI)
 
 
 def generalized_suite(field=None, count: int = 50, seed: int = 2024,

@@ -247,6 +247,21 @@ def test_malformed_category_is_bad_input(tmp_path, capsys, name):
     assert err.startswith("error: ") and out == ""
 
 
+def test_category_without_objects_reaches_the_report(tmp_path, capsys):
+    # its one functor is empty, which the adjunction reads through an empty
+    # index list
+    path = tmp_path / "c.cat"
+    path.write_text("category c\nobjects:\n")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and "[PASS]" in out
+    code, out, err = run_cli(capsys, "--corpus", str(tmp_path), "--format", "records",
+                             "report")
+    assert code == 0 and err == ""
+    records = parse_records(out).records
+    assert any(r.check_id.startswith("anti-category-equivalence/c/") for r in records)
+    assert all(r.passed for r in records)
+
+
 # sha256 of `cat caf|anti|assoc --category NAME`, fixed when these texts were
 # still built from the dicts, so deriving them from cells cannot change them
 CATEGORY_TEXT_SHA256 = {

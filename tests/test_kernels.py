@@ -17,6 +17,12 @@ def flat(g):
     return kernels.flatten(g.cayley)
 
 
+def test_reader_keeps_a_tuple_for_every_index_count():
+    t = ("a", "b", "c")
+    for indices in ((), (1,), (2, 0), (0, 0, 2)):
+        assert kernels.reader(indices)(t) == tuple(t[i] for i in indices)
+
+
 def test_scan_finds_exactly_the_morphisms():
     z2 = cyclic(2)
     homs, antis = kernels.scan_morphism_space(2, 2, flat(z2), flat(z2))

@@ -347,6 +347,41 @@ def test_mat_mul_matches_a_plain_triple_sum(order):
 
 
 @pytest.mark.parametrize("order", [4, 9])
+def test_code_level_cores_match_the_map_products(order):
+    # The hom grid calls _compose_codes and _add_codes once per pair; each
+    # returns the (codes, twist) of the map its wrapper builds, and of the
+    # entry-level product with f conjugated when g is twisted
+    field = FieldFq2.of_order(order)
+    rng = random.Random(order)
+
+    def codes_of(entries):
+        return tuple(semilinear_module._encode_row(order, row) for row in entries)
+
+    for rows, inner, cols in itertools.product(range(3), repeat=3):
+        for a, b in _entry_pairs(field, rows, inner, cols, rng):
+            conj_b = tuple(tuple(field.conj(v) for v in row) for row in b)
+            for g_twist, f_twist in itertools.product((STRAIGHT, ANTI), repeat=2):
+                g = SemilinearMap(field, rows, inner, a, g_twist)
+                f = SemilinearMap(field, inner, cols, b, f_twist)
+                core = semilinear_module._compose_codes(g.codes, g_twist, f)
+                comp = compose_semilinear(g, f)
+                assert core == (comp.codes, comp.twist)
+                product = mat_mul(field, a, conj_b if g_twist == ANTI else b, cols)
+                assert core == (codes_of(product), STRAIGHT if g_twist == f_twist else ANTI)
+    # every pair of 2x1 maps: two rows, each one digit
+    every = [tuple((x,) for x in col) for col in itertools.product(range(order), repeat=2)]
+    for twist in (STRAIGHT, ANTI):
+        for x, y in itertools.product(every, repeat=2):
+            f = SemilinearMap(field, 2, 1, x, twist)
+            g = SemilinearMap(field, 2, 1, y, twist)
+            core = semilinear_module._add_codes(field, f.codes, g.codes, twist)
+            total = add_semilinear(f, g)
+            assert core == (total.codes, total.twist)
+            sums = tuple(tuple(map(field.add_, xr, yr)) for xr, yr in zip(x, y))
+            assert core == (codes_of(sums), twist)
+
+
+@pytest.mark.parametrize("order", [4, 9])
 def test_image_tables_do_not_leak_between_twists(order):
     # one right factor composed after a straight and then a twisted left
     # factor, and in the reverse order: each product reads its own table
@@ -468,23 +503,27 @@ def _first_naturality_failure(dims, holds):
     return None
 
 
-def test_postcompose_naturality_fails_on_a_flipped_twist(monkeypatch):
-    real = semilinear_module.compose_semilinear
+# The grid's pair loops run on row codes through the cores that
+# compose_semilinear and add_semilinear wrap, so the mutants below replace
+# the cores; the naive twins reach the same mutants through the wrappers.
 
-    def flipped(g, f):
-        out = real(g, f)
-        if not g.is_anti and f.is_anti and (g.rows, g.cols, f.cols) == (1, 1, 1) \
+
+def test_postcompose_naturality_fails_on_a_flipped_twist(monkeypatch):
+    real = semilinear_module._compose_codes
+
+    def flipped(g_codes, g_twist, f):
+        codes, twist = real(g_codes, g_twist, f)
+        if g_twist == STRAIGHT and f.is_anti and (len(g_codes), f.rows, f.cols) == (1, 1, 1) \
                 and f.entries != ((0,),):
-            return SemilinearMap(out.field, out.rows, out.cols, out.entries,
-                                 STRAIGHT)
-        return out
+            return codes, STRAIGHT
+        return codes, twist
 
     def holds(f, h):
-        hf = flipped(h, f)
+        hf = compose_semilinear(h, f)
         return SemilinearMap(F4, hf.rows, hf.cols, hf.entries, ANTI) == \
-            flipped(h, SemilinearMap(F4, f.rows, f.cols, f.entries, ANTI))
+            compose_semilinear(h, SemilinearMap(F4, f.rows, f.cols, f.entries, ANTI))
 
-    monkeypatch.setattr(semilinear_module, "compose_semilinear", flipped)
+    monkeypatch.setattr(semilinear_module, "_compose_codes", flipped)
     checks = _grid_checks(dims=(1,))
     assert not checks["naturality-postcompose"].passed
     assert checks["naturality-postcompose"].witness == \
@@ -493,22 +532,20 @@ def test_postcompose_naturality_fails_on_a_flipped_twist(monkeypatch):
 
 
 def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
-    real = semilinear_module.compose_semilinear
+    real = semilinear_module._compose_codes
 
-    def unconjugated(g, f):
-        if g.is_anti and (g.rows, g.cols, f.cols) == (1, 1, 1):
-            return SemilinearMap(g.field, g.rows, f.cols,
-                                 semilinear_module.mat_mul(F4, g.entries, f.entries,
-                                                          f.cols),
-                                 STRAIGHT if f.is_anti else ANTI)
-        return real(g, f)
+    def unconjugated(g_codes, g_twist, f):
+        if g_twist == ANTI and (len(g_codes), f.rows, f.cols) == (1, 1, 1):
+            # the twisted product read through f's unconjugated image table
+            return real(g_codes, STRAIGHT, f)[0], STRAIGHT if f.is_anti else ANTI
+        return real(g_codes, g_twist, f)
 
     def holds(f, h):
-        hf = unconjugated(h, f)
+        hf = compose_semilinear(h, f)
         return SemilinearMap(F4, hf.rows, hf.cols, _conj(hf.entries), ANTI) == \
-            unconjugated(SemilinearMap(F4, h.rows, h.cols, _conj(h.entries), ANTI), f)
+            compose_semilinear(SemilinearMap(F4, h.rows, h.cols, _conj(h.entries), ANTI), f)
 
-    monkeypatch.setattr(semilinear_module, "compose_semilinear", unconjugated)
+    monkeypatch.setattr(semilinear_module, "_compose_codes", unconjugated)
     checks = _grid_checks(dims=(1,))
     assert not checks["naturality-precompose"].passed
     # f must differ from its conjugate and h must not vanish
@@ -520,25 +557,24 @@ def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
 def test_correspondence_additivity_is_checked_on_every_pair(monkeypatch):
     # Broken only for twisted sums whose left summand starts with w2, so a
     # check restricted to the 64 matrices that start with 0 would miss it.
-    real = semilinear_module.add_semilinear
+    # A 2x2 row code's leading base-4 digit is the row's first entry.
+    real = semilinear_module._add_codes
 
-    def broken(f, g):
-        out = real(f, g)
-        if f.is_anti and f.entries[0][0] == 3:
-            return SemilinearMap(out.field, out.rows, out.cols,
-                                 f.entries, out.twist)
-        return out
+    def broken(field, f_codes, g_codes, twist):
+        if twist == ANTI and f_codes[0] // 4 == 3:
+            return f_codes, twist
+        return real(field, f_codes, g_codes, twist)
 
     def map2(entries, twist=STRAIGHT):
         return SemilinearMap(F4, 2, 2, entries, twist)
 
-    monkeypatch.setattr(semilinear_module, "add_semilinear", broken)
+    monkeypatch.setattr(semilinear_module, "_add_codes", broken)
     check = _grid_checks()["correspondence-additive"]
     assert not check.passed
     mats = _matrices(2, 2)
     first = next((a, b) for a in mats for b in mats
-                 if map2(broken(map2(a), map2(b)).entries, ANTI)
-                 != broken(map2(a, ANTI), map2(b, ANTI)))
+                 if map2(add_semilinear(map2(a), map2(b)).entries, ANTI)
+                 != add_semilinear(map2(a, ANTI), map2(b, ANTI)))
     assert check.witness == first == (((3, 0), (0, 0)), ((0, 0), (0, 1)))
 
 
@@ -623,3 +659,137 @@ def test_uniqueness_via_section_names_both_composites(monkeypatch):
     naive = (compose_semilinear(f, off_kernel(F4, section, ())).entries,
              compose_semilinear(f, section).entries)
     assert not check.passed and check.witness == naive == (((0,),), ((1,),))
+
+
+# -- negative controls: the quotient and nested-quotient checks can fail -----
+
+TWISTED_2X2 = matrix(F4, [(1, 2), (0, 1)], ANTI)   # invertible, so rank 2
+
+
+def _scaled(entries, a):
+    return tuple(tuple(F4.mul_(a, v) for v in row) for row in entries)
+
+
+def _quotient_checks(monkeypatch, change):
+    """The checks of verify_quotient_image_iso(TWISTED_2X2) with the
+    factorization's (proj, mid, incl) replaced by change(proj, mid, incl)."""
+    real = semilinear_module.factor_sequence
+    monkeypatch.setattr(semilinear_module, "factor_sequence", lambda f: change(*real(f)))
+    return verify_quotient_image_iso(TWISTED_2X2).check_map()
+
+
+def _with_entries(m, entries, twist=None):
+    return SemilinearMap(F4, m.rows, m.cols, entries, twist or m.twist)
+
+
+def test_quotient_image_iso_passes_with_null_witnesses():
+    checks = verify_quotient_image_iso(TWISTED_2X2).check_map()
+    assert all(c.passed and c.witness is None for c in checks.values())
+
+
+def test_middle_twist_names_both_twists(monkeypatch):
+    checks = _quotient_checks(monkeypatch, lambda p, m, i: (
+        p, _with_entries(m, m.entries, STRAIGHT), i))
+    check = checks["middle-twist"]
+    assert not check.passed and check.witness == (STRAIGHT, ANTI)
+
+
+def test_middle_invertible_names_the_middle_matrix(monkeypatch):
+    checks = _quotient_checks(monkeypatch, lambda p, m, i: (
+        p, _with_entries(m, ((0, 0), (0, 0))), i))
+    check = checks["middle-invertible"]
+    assert not check.passed and check.witness == ((0, 0), (0, 0))
+
+
+def test_composite_names_both_maps(monkeypatch):
+    # the inclusion scaled by w makes the composite w times the map
+    checks = _quotient_checks(monkeypatch, lambda p, m, i: (
+        p, m, _with_entries(i, _scaled(i.entries, 2))))
+    check = checks["composite-equals-map"]
+    f = TWISTED_2X2
+    assert not check.passed
+    assert check.witness == ((_scaled(f.entries, 2), ANTI), (f.entries, ANTI)) \
+        == ((((2, 3), (0, 2)), ANTI), (((1, 2), (0, 1)), ANTI))
+
+
+def test_projection_surjective_names_its_rank_and_the_middle_rank(monkeypatch):
+    checks = _quotient_checks(monkeypatch, lambda p, m, i: (
+        _with_entries(p, (p.entries[0], (0,) * p.cols)), m, i))
+    check = checks["projection-surjective"]
+    assert not check.passed and check.witness == (1, 2)
+    # the uniqueness solve needs both, so it is not made
+    assert "middle-determined-by-coordinates" not in checks
+
+
+def test_inclusion_injective_names_a_killed_vector(monkeypatch):
+    checks = _quotient_checks(monkeypatch, lambda p, m, i: (
+        p, m, _with_entries(i, tuple((row[0], 0) for row in i.entries))))
+    check = checks["inclusion-injective"]
+    assert not check.passed and check.witness == (0, 1)
+    # the uniqueness solve needs both, so it is not made
+    assert "middle-determined-by-coordinates" not in checks
+
+
+def test_middle_determined_names_the_forced_and_actual_middles(monkeypatch):
+    # the middle scaled by w is still twisted and invertible, but the
+    # coordinates force the middle factor_sequence builds
+    real_mid = factor_sequence(TWISTED_2X2)[1]
+    checks = _quotient_checks(monkeypatch, lambda p, m, i: (
+        p, _with_entries(m, _scaled(m.entries, 2)), i))
+    check = checks["middle-determined-by-coordinates"]
+    assert checks["middle-twist"].passed and checks["middle-invertible"].passed
+    assert not check.passed
+    assert check.witness == ((real_mid.entries, ANTI), (_scaled(real_mid.entries, 2), ANTI)) \
+        == ((((1, 0), (0, 1)), ANTI), (((2, 0), (0, 2)), ANTI))
+
+
+NESTED = ([(1, 0), (0, 1)], [(1, 0)], [], 2)   # C = 0 inside B = <e1> inside A = F^2
+
+
+def _nested_checks(monkeypatch, name, mutant):
+    monkeypatch.setattr(semilinear_module, name, mutant)
+    return verify_nested_quotient_iso(F4, *NESTED).check_map()
+
+
+def test_nested_quotient_iso_passes_with_null_witnesses():
+    checks = verify_nested_quotient_iso(F4, *NESTED).check_map()
+    assert all(c.passed and c.witness is None for c in checks.values())
+
+
+def test_straight_comparison_commutes_names_both_maps(monkeypatch):
+    # every right inverse scaled by w: the comparison becomes w times itself
+    real = semilinear_module._right_inverse
+    checks = _nested_checks(monkeypatch, "_right_inverse", lambda field, f: _with_entries(
+        real(field, f), _scaled(real(field, f).entries, 2)))
+    rho = quotient_space(F4, 2, [(1, 0)]).projection
+    check = checks["straight-comparison-commutes"]
+    assert not check.passed
+    assert check.witness == ((_scaled(rho.entries, 2), STRAIGHT), (rho.entries, STRAIGHT)) \
+        == ((((0, 2),), STRAIGHT), (((0, 1),), STRAIGHT))
+
+
+def test_straight_comparison_invertible_names_the_comparison(monkeypatch):
+    checks = _nested_checks(monkeypatch, "_right_inverse", lambda field, f: zero_map(
+        field, f.cols, f.rows))
+    check = checks["straight-comparison-invertible"]
+    assert not check.passed and check.witness == ((0,),)
+
+
+def test_twisted_comparison_names_its_twist(monkeypatch):
+    # a straight "reverse" map leaves the comparison straight
+    checks = _nested_checks(monkeypatch, "reverse_map", identity_map)
+    check = checks["twisted-comparison-is-twisted"]
+    assert not check.passed and check.witness == STRAIGHT
+    assert checks["twisted-square-commutes"].passed
+
+
+def test_uniqueness_via_surjectivity_names_both_maps(monkeypatch):
+    # the right inverse of the twisted projection scaled by w, so the map it
+    # determines is w times the twisted comparison
+    real = semilinear_module._right_inverse_of_action
+    checks = _nested_checks(monkeypatch, "_right_inverse_of_action",
+                            lambda field, f: _with_entries(
+                                real(field, f), _scaled(real(field, f).entries, 2)))
+    check = checks["uniqueness-via-surjectivity"]
+    assert not check.passed
+    assert check.witness == ((((2,),), ANTI), (((1,),), ANTI))
