@@ -4,8 +4,8 @@ anti-products, and the equip/forget adjunction checks.
 
 Anti-morphisms of an abstract finite category are formal tagged copies: there
 is no set-map law for them to violate, which is exactly what makes the
-canonical factorial structure unique by construction. Concreteness lives in
-the group, ring, and semilinear modules.
+canonical factorial structure unique by construction. Real group and ring
+maps arrive through `theorems.concrete_factorization`.
 
 Every category numbers its cells once, when it is built: its objects, then its
 morphisms, and for a factorization category then its anti morphisms. A functor

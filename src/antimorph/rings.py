@@ -239,19 +239,24 @@ def subring_closure(r: FiniteRing, gens) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def all_subrings(r: FiniteRing) -> tuple[tuple[int, ...], ...]:
-    """Every unital subring, by closing each found subring under one more element."""
-    found = {subring_closure(r, ())}
+def _closed_sets(r: FiniteRing, close) -> tuple[tuple[int, ...], ...]:
+    """Every set `close` gives, closing each found set under one more element."""
+    found = {close(())}
     frontier = list(found)
     while frontier:
         s = frontier.pop()
         for x in r.elements():
             if x not in s:
-                t = subring_closure(r, set(s) | {x})
+                t = close(set(s) | {x})
                 if t not in found:
                     found.add(t)
                     frontier.append(t)
     return tuple(sorted(found))
+
+
+def all_subrings(r: FiniteRing) -> tuple[tuple[int, ...], ...]:
+    """Every unital subring."""
+    return _closed_sets(r, lambda gens: subring_closure(r, gens))
 
 
 def ideal_closure(r: FiniteRing, gens, side: str) -> tuple[int, ...]:
@@ -275,15 +280,5 @@ def ideal_closure(r: FiniteRing, gens, side: str) -> tuple[int, ...]:
 
 
 def all_ideals(r: FiniteRing, side: str) -> tuple[tuple[int, ...], ...]:
-    """Every ideal of the declared side, by generator extension."""
-    found = {ideal_closure(r, (), side)}
-    frontier = list(found)
-    while frontier:
-        s = frontier.pop()
-        for x in r.elements():
-            if x not in s:
-                t = ideal_closure(r, set(s) | {x}, side)
-                if t not in found:
-                    found.add(t)
-                    frontier.append(t)
-    return tuple(sorted(found))
+    """Every ideal of the declared side."""
+    return _closed_sets(r, lambda gens: ideal_closure(r, gens, side))

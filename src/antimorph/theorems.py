@@ -1,5 +1,5 @@
 """Constructive verifiers for the named factorization and isomorphism
-statements on groups and rings.
+statements on groups and rings, and the factorization category of their maps.
 
 Each verifier builds the canonical map from the corresponding proof, then
 checks well-definedness, the variance law, commutativity of the diagram,
@@ -9,7 +9,18 @@ morphism of the same signature.
 
 from __future__ import annotations
 
+import itertools
+
 from . import kernels
+from .categories import (
+    FactorizationCategory,
+    FiniteCategory,
+    Mor,
+    anti_category,
+    anti_functor,
+    check_equivalence,
+    validate_category,
+)
 from .errors import PreconditionFailed
 from .groups import (
     FiniteGroup,
@@ -29,7 +40,6 @@ from .morphisms import (
     DEFAULT_BOUND,
     classify,
     compose,
-    corresponding_anti,
     enumerate_morphisms,
     find_isomorphism,
     hom_and_an,
@@ -37,7 +47,6 @@ from .morphisms import (
     kernel,
     law_witness,
     reverse_morphism,
-    star_compose,
 )
 from .rings import (
     FiniteRing,
@@ -74,9 +83,19 @@ def _anti_solutions(src, dst, pre, rhs, bound: int) -> list:
             if through_pre(ell.images) == rhs]
 
 
-def _anti_check(name: str, images, a, b):
-    w = law_witness(images, a, b, ANTI)
+def _witnessed(name: str, w):
+    """The check that passes when its witness `w` is None."""
     return check(name, w is None, witness=w)
+
+
+def _anti_check(name: str, images, a, b):
+    return _witnessed(name, law_witness(images, a, b, ANTI))
+
+
+def _commutes_check(composite, images):
+    """`diagram-commutes`, witnessed by the first (x, composite, map) that differ."""
+    return _witnessed("diagram-commutes", next(
+        ((x, c, m) for x, (c, m) in enumerate(zip(composite, images)) if c != m), None))
 
 
 # -- factorization through a quotient -----------------------------------------
@@ -102,10 +121,9 @@ def verify_anti_factorization(structure, sub, phi: Morphism,
     psi = Morphism(q, phi.target, psi_images, ANTI, name="through")
     solutions = _anti_solutions(q, phi.target, proj.images, phi.images, bound)
     checks = (
-        check("well-defined", conflict is None, witness=conflict),
+        _witnessed("well-defined", conflict),
         _anti_check("through-map-is-anti", psi_images, q, phi.target),
-        check("diagram-commutes",
-              tuple(psi_images[v] for v in proj.images) == phi.images),
+        _commutes_check(tuple(psi_images[v] for v in proj.images), phi.images),
         check("unique", solutions == [psi_images], witness=solutions),
     )
     return TheoremReport(
@@ -146,10 +164,10 @@ def verify_anti_hom_theorem(phi: Morphism, bound: int = DEFAULT_BOUND) -> Theore
                        for x in range(src.order))
     solutions = _anti_solutions(q, im_struct, proj.images, values, bound)
     checks = [
-        check("well-defined", conflict is None, witness=conflict),
+        _witnessed("well-defined", conflict),
         _anti_check("canonical-map-is-anti", xi_images, q, im_struct),
         check("bijective", xi.is_bijective()),
-        check("diagram-commutes", recomposed == phi.images),
+        _commutes_check(recomposed, phi.images),
         check("unique", solutions == [xi_images], witness=solutions),
     ]
     if group_world and phi.is_injective():
@@ -202,17 +220,16 @@ def verify_second_anti_iso(a: FiniteGroup, b: Subgroup, c: Subgroup,
     xi = Morphism(q2, q3, xi_images, ANTI, name="xi")
     solutions = _anti_solutions(q2, q3, rho_star.images, rhs.images, bound)
     checks = (
-        check("c-normal-in-b", is_normal(b_grp, c_in_b)),
-        check("bc-normal-in-quotient", is_normal(q1, bc)),
-        check("sigma-well-defined", sigma_conflict is None, witness=sigma_conflict),
+        _witnessed("c-normal-in-b", normality_witness(b_grp, c_in_b)),
+        _witnessed("bc-normal-in-quotient", normality_witness(q1, bc)),
+        _witnessed("sigma-well-defined", sigma_conflict),
         _anti_check("sigma-is-anti", sigma_images, q1, q2),
         check("sigma-kernel-is-bc", ker_sigma.members == bc_members,
               witness=(ker_sigma.members, bc_members)),
-        check("xi-well-defined", xi_conflict is None, witness=xi_conflict),
+        _witnessed("xi-well-defined", xi_conflict),
         _anti_check("xi-is-anti", xi_images, q2, q3),
         check("xi-bijective", xi.is_bijective()),
-        check("diagram-commutes",
-              tuple(xi.images[v] for v in rho_star.images) == rhs.images),
+        _commutes_check(tuple(xi.images[v] for v in rho_star.images), rhs.images),
         check("unique", solutions == [xi_images], witness=solutions),
     )
     return TheoremReport(
@@ -268,17 +285,16 @@ def verify_third_anti_iso(g: FiniteGroup, a: Subgroup, n: Subgroup,
     solutions = _anti_solutions(q_a, q_an, rho.images, phi.images, bound)
     checks = (
         check("an-is-subgroup", an_is_subgroup, witness=an.members),
-        check("n-normal-in-an", is_normal(an_grp, n_in_an)),
-        check("meet-normal-in-a", is_normal(a_grp, meet_in_a)),
+        _witnessed("n-normal-in-an", normality_witness(an_grp, n_in_an)),
+        _witnessed("meet-normal-in-a", normality_witness(a_grp, meet_in_a)),
         _anti_check("phi-is-anti", phi.images, a_grp, q_an),
         check("phi-surjective", phi.is_surjective()),
         check("kernel-is-meet", ker_phi.members == meet_in_a.members,
               witness=(ker_phi.members, meet_in_a.members)),
-        check("xi-well-defined", xi_conflict is None, witness=xi_conflict),
+        _witnessed("xi-well-defined", xi_conflict),
         _anti_check("xi-is-anti", xi_images, q_a, q_an),
         check("xi-bijective", xi_proof.is_bijective()),
-        check("diagram-commutes",
-              tuple(xi_proof.images[v] for v in rho.images) == phi.images),
+        _commutes_check(tuple(xi_proof.images[v] for v in rho.images), phi.images),
         (check("statement-direction-is-anti", False,
                witness="xi-proof is not bijective: no xi-statement")
          if xi_stmt is None else
@@ -362,73 +378,60 @@ def verify_subring_and_transport(phi: Morphism) -> TheoremReport:
     )
 
 
-# -- the two group categories are equivalent ---------------------------------------------
+# -- concrete factorization categories -----------------------------------------------
+
+
+def concrete_factorization(name: str, structures: dict,
+                           sets: dict) -> FactorizationCategory:
+    """The factorization category of the maps sets[(a, b)] = (Hom(a, b),
+    An(a, b)) between `structures` (name -> group or ring): straight maps
+    as the base, anti maps as `an_morphisms`, identity tables as identities
+    and `reverse_morphism` as each object's reverse. g∘f is the composed
+    image table, its variance the XOR; a composite outside the sets is an
+    engine error. Objects come in name order, and the i-th map of the p-th
+    pair in that order is `hom:p:i` or `an:p:i`, whatever the names."""
+    objects = tuple(sorted(structures))
+    # (a, b) -> per variance, straight then anti, image table -> id
+    ids = {key: tuple({m.images: f"{tag}:{p}:{i}" for i, m in enumerate(maps)}
+                      for tag, maps in zip(("hom", "an"), sets[key]))
+           for p, key in enumerate(itertools.product(objects, repeat=2))}
+
+    def mid(v, a, b, images):
+        if images not in ids[(a, b)][v]:
+            raise RuntimeError(f"{name} has no {(STRAIGHT, ANTI)[v]} map {images} "
+                               f"from {a} to {b}; this is an engine bug")
+        return ids[(a, b)][v][images]
+
+    base, mixed = {}, {}
+    for a, b, c in itertools.product(objects, repeat=3):
+        for vf, fs in enumerate(ids[(a, b)]):
+            for f_images, f_id in fs.items():
+                through_f = kernels.reader(f_images)
+                for vg, gs in enumerate(ids[(b, c)]):
+                    table = mixed if vf or vg else base
+                    for g_images, g_id in gs.items():
+                        table[(g_id, f_id)] = mid(vf ^ vg, a, c, through_f(g_images))
+    straight, anti = (tuple(Mor(m, *key) for key, per in ids.items()
+                            for m in per[v].values()) for v in (0, 1))
+    identities = {a: mid(0, a, a, tuple(structures[a].elements())) for a in objects}
+    reverse = {a: mid(1, a, a, reverse_morphism(structures[a]).images) for a in objects}
+    return FactorizationCategory(
+        FiniteCategory(name, objects, straight, identities, base), anti, reverse, mixed)
 
 
 def verify_groups_vs_star_category(groups: dict,
                                    bound: int = DEFAULT_BOUND) -> TheoremReport:
-    """Builds the category of the given groups under straight morphisms and its
-    twin under anti-morphisms with star composition, then checks that sending
-    f to f∘rev is an equivalence between them."""
-    from .categories import (
-        FiniteCategory,
-        Mor,
-        check_equivalence,
-        validate_category,
-    )
-
-    names = sorted(groups)
-    straight_sets = {}
-    anti_sets = {}
-    for a in names:
-        for b in names:
-            straight_sets[(a, b)], anti_sets[(a, b)] = hom_and_an(
-                groups[a], groups[b], bound)
-
-    def build(sets, star: bool, tag: str):
-        mids = {}
-        morphisms = []
-        for (a, b), ms in sorted(sets.items()):
-            for i, m in enumerate(ms):
-                mid = f"{tag}:{a}>{b}:{i}"
-                mids[(a, b, m.images)] = mid
-                morphisms.append((mid, a, b))
-        identities = {}
-        for a in names:
-            if star:
-                unit = reverse_morphism(groups[a])
-            else:
-                unit = Morphism(groups[a], groups[a],
-                                tuple(groups[a].elements()), STRAIGHT)
-            identities[a] = mids[(a, a, unit.images)]
-        compose_table = {}
-        for (a, b), fs in sets.items():
-            for (b2, c), gs in sets.items():
-                if b2 != b:
-                    continue
-                for f in fs:
-                    for g in gs:
-                        h = star_compose(g, f) if star else compose(g, f)
-                        compose_table[(mids[(b, c, g.images)],
-                                       mids[(a, b, f.images)])] = \
-                            mids[(a, c, h.images)]
-        cat = FiniteCategory(tag, tuple(names),
-                             tuple(Mor(*m) for m in morphisms),
-                             identities, compose_table)
-        return validate_category(cat), mids
-
-    straight_cat, _ = build(straight_sets, star=False, tag="grp")
-    star_cat, amids = build(anti_sets, star=True, tag="grpan")
-    # both categories number the objects `names` alike and `build` numbers
-    # the morphisms in this order, so the functor fixes the objects and sends
-    # each straight map to the cell of its anti twin
-    functor = tuple(range(len(names))) + tuple(
-        star_cat.cell(amids[(a, b, corresponding_anti(m).images)])
-        for (a, b), ms in sorted(straight_sets.items()) for m in ms)
-    rep = check_equivalence(functor, straight_cat, star_cat)
+    """Builds the factorization category of the given groups under their
+    morphisms and anti-morphisms, then checks that sending f to f∘rev is an
+    equivalence from its base to its anti category (star composition)."""
+    fc = concrete_factorization("grp", groups, {
+        (a, b): hom_and_an(groups[a], groups[b], bound)
+        for a, b in itertools.product(sorted(groups), repeat=2)})
+    rep = check_equivalence(anti_functor(fc), validate_category(fc.base),
+                            validate_category(anti_category(fc)))
     return TheoremReport(
         theorem="groups-equivalent-to-star-groups",
-        inputs=(("objects", "+".join(names)),),
+        inputs=(("objects", "+".join(fc.objects)),),
         checks=rep.checks,
         constructed=(("functor", "f -> f∘rev"),),
     )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from antimorph import cli
+from antimorph import cli, theorems
 from antimorph.cli import main
 from antimorph.reports import parse_records
 from antimorph.suite import RunConfig, run
@@ -260,6 +260,33 @@ def test_category_without_objects_reaches_the_report(tmp_path, capsys):
     records = parse_records(out).records
     assert any(r.check_id.startswith("anti-category-equivalence/c/") for r in records)
     assert all(r.passed for r in records)
+
+
+def test_groups_vs_star_ids_are_unique_whatever_the_names(tmp_path, capsys):
+    # ids built from names alone would read (p, q>r) and (p>q, r) both as
+    # p>q>r; four trivial groups hold no other pitfall
+    for i, name in enumerate(("p", "q>r", "p>q", "r")):
+        (tmp_path / f"g{i}.grp").write_text(f"group {name} order 1\n0\n")
+    code, out, err = run_cli(capsys, "--corpus", str(tmp_path), "--format", "records",
+                             "verify", "groups-vs-star", "--objects", "p,q>r,p>q,r")
+    assert code == 0 and err == ""
+    bundle = parse_records(out)
+    assert [r.check_id for r in bundle.records] == [
+        f"groups-equivalent-to-star-groups/{name}" for name in
+        ("is-functor", "fully-faithful", "essentially-surjective")]
+    assert bundle.all_passed
+
+
+def test_groups_vs_star_map_outside_its_sets_is_an_engine_error(monkeypatch, capsys):
+    # a Hom/An search that loses Z2's trivial endomorphism leaves the
+    # trivial anti map composed with itself nowhere to go
+    real = theorems.hom_and_an
+    monkeypatch.setattr(theorems, "hom_and_an",
+                        lambda a, b, bound: (real(a, b, bound)[0][1:],
+                                             real(a, b, bound)[1]))
+    code, _, err = run_cli(capsys, "verify", "groups-vs-star", "--objects", "z2")
+    assert code == 3
+    assert "RuntimeError" in err and "engine bug" in err
 
 
 # sha256 of `cat caf|anti|assoc --category NAME`, fixed when these texts were

@@ -2,18 +2,29 @@ import pytest
 
 import antimorph.theorems as theorems_module
 
+from antimorph.categories import (
+    Mor,
+    anti_category,
+    anti_functor,
+    associated_category,
+    category_violation,
+    check_equivalence,
+    validate_factorization,
+)
 from antimorph.corpus import group_corpus, named_ideal, named_subgroup, ring_corpus
-from antimorph.errors import PreconditionFailed
-from antimorph.groups import Subgroup, quotient, subgroup_closure
+from antimorph.errors import AxiomViolation, PreconditionFailed
+from antimorph.groups import Subgroup, quotient, subgroup_closure, validate_group
 from antimorph.maps import ANTI, STRAIGHT, Morphism
 from antimorph.morphisms import (
     classify,
     corresponding_anti,
     enumerate_morphisms,
+    hom_and_an,
     reverse_morphism,
 )
 from antimorph.rings import quotient_ring
 from antimorph.theorems import (
+    concrete_factorization,
     sign_morphism,
     verify_abelian_collapse,
     verify_anti_factorization,
@@ -151,6 +162,108 @@ def test_groups_vs_star_category_equivalence():
     assert rep.passed
 
 
+def _swap_first_two_s3_endos(fc, f):
+    # hom:0:0 is the trivial endomorphism of S3 and hom:0:1 one onto an
+    # order-2 subgroup; both stay in Hom(s3, s3), so only composition breaks
+    k = fc.cell("hom:0:0")
+    f[k], f[k + 1] = f[k + 1], f[k]
+
+
+def _collapse_first_s3_endo(fc, f):
+    f[fc.cell("hom:0:0")] = f[fc.cell("hom:0:1")]
+
+
+def _every_object_to_z2(fc, f):
+    f[:len(fc.objects)] = [fc.obj_cell("z2")] * len(fc.objects)
+
+
+@pytest.mark.parametrize("mutate, witnesses", [
+    (_swap_first_two_s3_endos,
+     {"is-functor": ("composition", ("hom:0:0", "hom:0:1")),
+      "fully-faithful": None, "essentially-surjective": None}),
+    (_collapse_first_s3_endo,
+     {"is-functor": ("composition", ("hom:0:0", "hom:3:1")),
+      "fully-faithful": ("s3", "s3"), "essentially-surjective": None}),
+    (_every_object_to_z2,
+     {"is-functor": ("typing", "hom:0:0"),
+      "fully-faithful": ("s3", "s3"), "essentially-surjective": "s3"}),
+])
+def test_groups_vs_star_checks_fail_under_a_mutant_functor(monkeypatch, mutate,
+                                                           witnesses):
+    # Objects come in name order (s3, z2, z3), so pair 3 is (z2, s3). A
+    # check FAILs exactly when the mutant gives it a witness. The trivial
+    # map after the order-2 one is trivial, but the swapped images compose
+    # to the order-2 map's twin. Collapsed onto the order-2 map, the trivial
+    # map still composes right within End(S3), whose composites with it are
+    # all trivial or that map, and breaks first after a map out of Z2; the
+    # hom set it collapses is not bijective. S3 is not isomorphic to Z2.
+    real = theorems_module.anti_functor
+
+    def mutant(fc):
+        f = list(real(fc))
+        mutate(fc, f)
+        return tuple(f)
+
+    monkeypatch.setattr(theorems_module, "anti_functor", mutant)
+    rep = verify_groups_vs_star_category({k: GROUPS[k] for k in ("z2", "z3", "s3")})
+    assert {c.name: c.witness for c in rep.checks} == witnesses
+    assert {c.name for c in rep.checks if not c.passed} == \
+        {name for name, w in witnesses.items() if w is not None}
+
+
+# -- concrete factorization categories -------------------------------------------------
+
+
+def _concrete(structures, sets_of):
+    return concrete_factorization("fam", structures, {
+        (a, b): sets_of(structures[a], structures[b])
+        for a in structures for b in structures})
+
+
+def test_group_family_is_a_factorization_category():
+    groups = {k: GROUPS[k] for k in ("z2", "z3", "z4", "z2xz2", "s3")}
+    fc = _concrete(groups, hom_and_an)
+    assert (len(fc.base.morphisms), len(fc.an_morphisms)) == (91, 91)
+    assert validate_factorization(fc) is fc
+    assert category_violation(anti_category(fc)) is None
+    assert category_violation(associated_category(fc)) is None
+
+
+def _ring_sets(a, b):
+    return (tuple(enumerate_morphisms(a, b, STRAIGHT)),
+            tuple(enumerate_morphisms(a, b, ANTI)))
+
+
+def _commutes_with_involutions(m):
+    a, b = m.source, m.target
+    return all(m.images[a.involution[x]] == b.involution[m.images[x]]
+               for x in a.elements())
+
+
+def test_star_ring_family_is_a_factorization_category():
+    # the *-maps, f∘inv = inv∘f, of the five bundled rings
+    def star_sets(a, b):
+        return tuple(tuple(filter(_commutes_with_involutions, maps))
+                     for maps in _ring_sets(a, b))
+
+    fc = _concrete(RINGS, star_sets)
+    assert (len(fc.base.morphisms), len(fc.an_morphisms)) == (23, 23)
+    assert validate_factorization(fc) is fc
+    assert check_equivalence(anti_functor(fc), fc.base, anti_category(fc)).passed
+
+
+def test_ring_family_without_the_star_condition_breaks_axiom_3():
+    # Objects come in name order, f4 then m2f2, so pair 1 is (f4, m2f2); its
+    # first hom does not commute with the involutions.
+    fc = _concrete(RINGS, _ring_sets)
+    assert Mor("hom:1:0", "f4", "m2f2") in fc.base.morphisms
+    with pytest.raises(AxiomViolation) as exc:
+        validate_factorization(fc)
+    assert exc.value.axiom == 3
+    assert str(exc.value) == "hom:1:0∘rev != rev∘hom:1:0"
+    assert exc.value.witness == ("hom:1:0", "an:1:1", "an:1:0")
+
+
 def test_an_is_subgroup_fails_when_the_product_set_is_wrong(monkeypatch):
     # With A = <(1 2)> and N trivial, AN is A itself; a subgroup_product that
     # answers the whole group gives a subgroup, but not the set {a*n}.
@@ -258,3 +371,162 @@ def test_third_anti_iso_xi_fails_when_the_meet_is_too_big(monkeypatch):
     missing = checks["statement-direction-is-anti"]
     assert not missing.passed
     assert missing.witness == "xi-proof is not bijective: no xi-statement"
+
+
+# -- diagram-commutes and normality witnesses ----------------------------------------
+
+
+def _first_disagreement(surjection, values):
+    """The first (x, value of the least element in x's slot, value of x) at
+    which the two differ: where a map defined through the surjection by least
+    preimages fails to recompose to `values`."""
+    for x, slot in enumerate(surjection):
+        least = min(y for y, s in enumerate(surjection) if s == slot)
+        if values[x] != values[least]:
+            return (x, values[least], values[x])
+    return None
+
+
+def _first_unconjugated(g, members):
+    """The first (x, h) with x*h*x^-1 outside `members`, by the group table."""
+    for x in g.elements():
+        x_inv = next(y for y in g.elements() if g.mul(x, y) == g.identity)
+        for h in members:
+            if g.mul(g.mul(x, h), x_inv) not in members:
+                return (x, h)
+    return None
+
+
+def _swapped_labels(g, p):
+    """G with the labels of elements p[0] and p[1] exchanged, which for S3's
+    1 and 3 (a transposition and a 3-cycle) is no automorphism."""
+    rename = {p[0]: p[1], p[1]: p[0]}
+    table = [[0] * g.order for _ in g.elements()]
+    for x in g.elements():
+        for y in g.elements():
+            table[rename.get(x, x)][rename.get(y, y)] = rename.get(g.mul(x, y),
+                                                                    g.mul(x, y))
+    return validate_group(table, name=g.name)
+
+
+def test_anti_factorization_diagram_fails_when_the_kernel_is_too_big(monkeypatch):
+    # The reverse map of S3 is injective; a kernel that answers A3 lets the
+    # precondition pass, and the through map sends each coset of A3 where
+    # its least member goes.
+    s3, a3 = GROUPS["s3"], named_subgroup("s3", "a3")
+    monkeypatch.setattr(theorems_module, "kernel", lambda m: a3)
+    phi = reverse_morphism(s3)
+    rep = verify_anti_factorization(s3, a3, phi)
+    _, proj = quotient(s3, a3)
+    found = rep.check_map()["diagram-commutes"]
+    assert not found.passed
+    assert found.witness == _first_disagreement(proj.images, phi.images) is not None
+
+
+def test_anti_hom_diagram_fails_when_the_kernel_is_too_big(monkeypatch):
+    s3, a3 = GROUPS["s3"], named_subgroup("s3", "a3")
+    monkeypatch.setattr(theorems_module, "kernel", lambda m: a3)
+    phi = reverse_morphism(s3)
+    rep = verify_anti_hom_theorem(phi)
+    _, proj = quotient(s3, a3)
+    found = rep.check_map()["diagram-commutes"]
+    assert not found.passed
+    assert found.witness == _first_disagreement(proj.images, phi.images) is not None
+
+
+def test_second_anti_iso_diagram_fails_when_a_mod_b_is_too_coarse(monkeypatch):
+    # With B = rot2 and C trivial, a quotient by B that answers A/rot makes
+    # xi read (A/C)/(B/C) through cosets on which it is not constant.
+    d4 = GROUPS["d4"]
+    rot, rot2 = named_subgroup("d4", "rot"), named_subgroup("d4", "rot2")
+    trivial = Subgroup(d4, (d4.identity,))
+    real_quotient = theorems_module.quotient
+    monkeypatch.setattr(theorems_module, "quotient",
+                        lambda g, n: real_quotient(g, rot if n is rot2 else n))
+    rep = verify_second_anti_iso(d4, rot2, trivial)
+    _, rho = quotient(d4, rot)
+    rho_star = [rho.images[d4.inv(x)] for x in d4.elements()]
+    q1, pi = quotient(d4, trivial)
+    _, tau = quotient(q1, Subgroup(q1, tuple(sorted(pi.images[x]
+                                                     for x in rot2.members))))
+    rhs = [tau.images[pi.images[x]] for x in d4.elements()]
+    found = rep.check_map()["diagram-commutes"]
+    assert not found.passed
+    assert found.witness == _first_disagreement(rho_star, rhs) is not None
+
+
+def test_third_anti_iso_diagram_fails_when_the_meet_is_too_big(monkeypatch):
+    # A/(A∩N) collapses to one element, so xi sends everything where the
+    # identity goes while phi, the projection of A onto S3/A3, does not.
+    s3 = GROUPS["s3"]
+    s12, a3 = named_subgroup("s3", "s12"), named_subgroup("s3", "a3")
+    monkeypatch.setattr(theorems_module, "subgroup_intersection", lambda a, b: a)
+    rep = verify_third_anti_iso(s3, s12, a3)
+    _, proj = quotient(s3, a3)
+    phi = tuple(proj.images[x] for x in s12.members)
+    found = rep.check_map()["diagram-commutes"]
+    assert not found.passed
+    assert found.witness == _first_disagreement((0,) * len(phi), phi) is not None
+
+
+def test_c_normal_in_b_fails_under_a_relabeled_b(monkeypatch):
+    # B is all of S3 and C = A3; B re-indexed with a 3-cycle and a
+    # transposition swapped puts A3's positions on a set that is not normal.
+    s3 = GROUPS["s3"]
+    real = theorems_module.subgroup_as_group
+    monkeypatch.setattr(theorems_module, "subgroup_as_group",
+                        lambda g, s: (_swapped_labels(real(g, s)[0], (1, 3)), None))
+    rep = verify_second_anti_iso(s3, Subgroup(s3, tuple(s3.elements())),
+                                 named_subgroup("s3", "a3"))
+    found = rep.check_map()["c-normal-in-b"]
+    assert not found.passed
+    assert found.witness == _first_unconjugated(_swapped_labels(s3, (1, 3)),
+                                                (0, 3, 4)) is not None
+
+
+def test_bc_normal_in_quotient_fails_under_a_relabeled_projection(monkeypatch):
+    # B = A3 and C trivial: a projection onto A/C with 1 and 3 swapped sends
+    # B to {0, 1, 4}, which is not normal; (A/C)/(B/C) is then taken by the
+    # whole group, which needs no normality, so the verifier reaches the check.
+    s3 = GROUPS["s3"]
+    trivial = Subgroup(s3, (s3.identity,))
+    real_quotient = theorems_module.quotient
+
+    def mutant(g, n):
+        if g is not s3:
+            return real_quotient(g, Subgroup(g, tuple(g.elements())))
+        q, proj = real_quotient(g, n)
+        if n is trivial:
+            swap = {1: 3, 3: 1}
+            proj = Morphism(g, q, tuple(swap.get(v, v) for v in proj.images),
+                            STRAIGHT)
+        return q, proj
+
+    monkeypatch.setattr(theorems_module, "quotient", mutant)
+    rep = verify_second_anti_iso(s3, named_subgroup("s3", "a3"), trivial)
+    q1, _ = quotient(s3, trivial)
+    found = rep.check_map()["bc-normal-in-quotient"]
+    assert not found.passed
+    assert found.witness == _first_unconjugated(q1, (0, 1, 4)) is not None
+
+
+@pytest.mark.parametrize("name", ["n-normal-in-an", "meet-normal-in-a"])
+def test_third_anti_iso_normality_fails_under_relabeled_subgroups(monkeypatch, name):
+    # A is all of S3 and N = A3, so AN and A re-index S3; with a 3-cycle and
+    # a transposition swapped, N and A∩N = A3 sit on a set that is not
+    # normal. Quotients by the whole group need no normality, so the
+    # verifier reaches both checks.
+    s3 = GROUPS["s3"]
+    real_as_group, real_quotient = (theorems_module.subgroup_as_group,
+                                    theorems_module.quotient)
+    monkeypatch.setattr(theorems_module, "subgroup_as_group",
+                        lambda g, s: (_swapped_labels(real_as_group(g, s)[0], (1, 3)),
+                                      None))
+    monkeypatch.setattr(theorems_module, "quotient",
+                        lambda g, n: real_quotient(g, Subgroup(g, tuple(g.elements()))))
+    rep = verify_third_anti_iso(s3, Subgroup(s3, tuple(s3.elements())),
+                                named_subgroup("s3", "a3"))
+    found = rep.check_map()[name]
+    assert not found.passed
+    assert found.witness == _first_unconjugated(_swapped_labels(s3, (1, 3)),
+                                                (0, 3, 4)) is not None
