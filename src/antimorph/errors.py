@@ -37,10 +37,6 @@ class NotNormal(AlgebraError):
     pass
 
 
-class ClosureViolation(AlgebraError):
-    """Internal-consistency alarm: a guaranteed-closed set failed its check."""
-
-
 # -- ring table validation --------------------------------------------------
 
 class AddNotAbelianGroup(AlgebraError):
@@ -70,7 +66,7 @@ class NotComposable(AlgebraError):
 
 
 class LawViolation(AlgebraError):
-    """Internal-consistency alarm: a composed map broke its claimed law."""
+    """A map table given as a morphism breaks its declared law."""
 
 
 class NoInvolution(AlgebraError):

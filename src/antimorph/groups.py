@@ -13,7 +13,6 @@ from functools import cached_property
 
 from . import kernels
 from .errors import (
-    ClosureViolation,
     MissingInverse,
     NoIdentity,
     NotAssociative,
@@ -229,7 +228,8 @@ def subgroup_product(g: FiniteGroup, a: Subgroup, n: Subgroup) -> Subgroup:
         raise NotNormal(f"conjugate of {w[1]} by {w[0]} leaves the subgroup", witness=w)
     members = sorted({g.mul(x, y) for x in a.members for y in n.members})
     if not is_subgroup(g, members):
-        raise ClosureViolation("product set is not closed", witness=tuple(members))
+        raise RuntimeError(f"product set {members} of a subgroup and a normal "
+                           "subgroup is not closed; this is an engine bug")
     return Subgroup(g, tuple(members))
 
 
@@ -248,13 +248,6 @@ def subgroup_as_group(g: FiniteGroup, s: Subgroup):
 
 
 def generating_set(g: FiniteGroup) -> tuple[int, ...]:
-    """Deterministic small generating set: greedily add the least uncovered element."""
-    gens: list[int] = []
-    covered = subgroup_closure(g, gens)
-    while covered.order < g.order:
-        for x in g.elements():
-            if x not in covered:
-                gens.append(x)
-                break
-        covered = subgroup_closure(g, gens)
-    return tuple(gens)
+    """Deterministic small generating set: greedily add the least uncovered
+    element. These are the generators the Hom/An search extends over."""
+    return tuple(kernels.generating_plan((g.cayley,), (g.identity,))[0])

@@ -1,9 +1,9 @@
 """The hot table loops: map-space scan, batch classification, product
-tables of maps, associativity.
+tables of maps, generating plans, associativity.
 
 Cayley tables are flat row-major lists of element indices, except for
-`associativity_witness`, which reads a table as its rows. A map is the tuple
-of its images.
+`generating_plan` and `associativity_witness`, which read a table as its
+rows. A map is the tuple of its images.
 
 Classification codes: bit 1 set when the map satisfies the product-preserving
 law, bit 2 set when it satisfies the product-reversing law.
@@ -129,6 +129,40 @@ def product_table(tables, through):
             return None, (i, row.index(None))
         rows.append(row)
     return rows, None
+
+
+def generating_plan(ops, base):
+    """Greedy generators of an algebra A under its operation tables, and one
+    (plan, members, before) stage for the base and for each generator.
+
+    Each generator is the least element not in the closure of the base and
+    the generators before it. A plan lists (z, k, i, j) with
+    z = ops[k][i][j] in evaluation order; `members` is the sorted closed
+    subset known after the stage and `before` the set known before it.
+    Stage k + 1 begins with gens[k], which its plan does not list.
+    """
+    gens, stages = [], []
+    known, before = set(base), set()
+    while True:
+        plan = []
+        changed = True
+        while changed:
+            changed = False
+            known_list = sorted(known)
+            for x in known_list:
+                for y in known_list:
+                    for k, op in enumerate(ops):
+                        z = op[x][y]
+                        if z not in known:
+                            known.add(z)
+                            plan.append((z, k, x, y))
+                            changed = True
+        stages.append((plan, sorted(known), before))
+        if len(known) == len(ops[0]):
+            return gens, stages
+        before = set(known)
+        gens.append(min(x for x in range(len(ops[0])) if x not in known))
+        known.add(gens[-1])
 
 
 def associativity_witness(rows):

@@ -4,6 +4,14 @@ Classification, variance-tracked composition, *-composition, reverse
 morphisms, kernels and images, enumeration, isomorphism search,
 factorization classes, the straight/anti correspondences, and the
 automorphism-group algebra.
+
+Every enumeration goes through one staged generator-image extension search
+over a tuple of operation tables with some images fixed: a group's Cayley
+table with its identity fixed, or a ring's addition and multiplication with
+zero fixed, and the unit too for unital maps. Anti-morphisms of groups are
+the homomorphisms read through the inverses of the source; those of rings
+are the morphisms into the opposite ring. A composite that breaks its law
+is an engine bug and raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -13,13 +21,7 @@ from dataclasses import dataclass, field
 
 from . import kernels
 from .errors import BoundExceeded, LawViolation, NoInvolution, NotComposable
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    generating_set,
-    normality_witness,
-    validate_group,
-)
+from .groups import FiniteGroup, Subgroup, normality_witness, validate_group
 from .maps import ANTI, STRAIGHT, Morphism, variance_xor
 from .rings import TWO_SIDED, FiniteRing, RingIdeal, opposite, quotient_ring
 
@@ -124,9 +126,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     variance = variance_xor(g.variance, f.variance)
     w = law_witness(images, f.source, g.target, variance)
     if w is not None:
-        raise LawViolation(
-            f"composite broke its {variance} law at {w}; this is an engine bug",
-            witness=w)
+        raise RuntimeError(
+            f"composite broke its {variance} law at {w}; this is an engine bug")
     return Morphism(f.source, g.target, images, variance)
 
 
@@ -188,19 +189,16 @@ def image(m: Morphism):
 def enumerate_morphisms(a, b, variance: str, bound: int = DEFAULT_BOUND):
     """Complete, duplicate-free, canonically sorted morphism set.
 
-    Straight morphisms come from generator-image extension with full law
-    checking; anti-morphisms from the straight set via the reverse-map
-    bijection (groups) or via maps into the opposite ring (rings).
+    Straight morphisms come from the generator-image extension search;
+    anti-morphisms from the straight set via the reverse-map bijection
+    (groups) or as the morphisms into the opposite ring (rings).
     """
     if is_group(a):
-        tables = _group_hom_tables(a, b, bound)
+        tables = _hom_tables(a, b, bound)
         if variance == ANTI:
             tables = map(kernels.reader(a.inverses), tables)
     else:
-        if variance == STRAIGHT:
-            tables = _ring_hom_tables(a, b, bound)
-        else:
-            tables = _ring_hom_tables(a, opposite(b), bound)
+        tables = _hom_tables(a, b if variance == STRAIGHT else opposite(b), bound)
     return tuple(Morphism(a, b, t, variance) for t in sorted(set(tables)))
 
 
@@ -208,7 +206,7 @@ def hom_and_an(a: FiniteGroup, b: FiniteGroup, bound: int = DEFAULT_BOUND):
     """(Hom(A, B), An(A, B)) for groups, each as `enumerate_morphisms` gives
     it, from one search: the anti tables are the straight ones read through
     the inverses of A."""
-    homs = sorted(set(_group_hom_tables(a, b, bound)))
+    homs = sorted(set(_hom_tables(a, b, bound)))
     antis = sorted(map(kernels.reader(a.inverses), homs))
     return (tuple(Morphism(a, b, t, STRAIGHT) for t in homs),
             tuple(Morphism(a, b, t, ANTI) for t in antis))
@@ -234,160 +232,9 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
     if g.order > ISO_SEARCH_LIMIT:
         raise BoundExceeded(
             f"isomorphism search limited to order {ISO_SEARCH_LIMIT}, got {g.order}")
-    table = next((t for t in _group_hom_tables(g, h, DEFAULT_BOUND)
+    table = next((t for t in _hom_tables(g, h, DEFAULT_BOUND)
                   if len(set(t)) == g.order), None)
     return None if table is None else Morphism(g, h, table, STRAIGHT)
-
-
-def _group_hom_tables(a: FiniteGroup, b: FiniteGroup, bound: int):
-    """Yield the homomorphism tables A -> B in generator-assignment order;
-    the bound is checked when iteration starts."""
-    gens = generating_set(a)
-    if b.order ** len(gens) > bound:
-        raise BoundExceeded(
-            f"{b.order}**{len(gens)} candidate extensions exceed bound {bound}")
-    plan = _word_plan(a, gens)
-    rows_b = b.cayley
-    # f(x*y) for every y is row x of A read through f
-    products_of = [kernels.reader(row_x) for row_x in a.cayley]
-    for assignment in itertools.product(b.elements(), repeat=len(gens)):
-        f = [None] * a.order
-        f[a.identity] = b.identity
-        for z, parent, gi in plan:
-            f[z] = rows_b[f[parent]][assignment[gi]]
-        # the full law, row by row: f(x)*f(y) == f(x*y) for every y
-        via_f = kernels.reader(f)
-        if all(via_f(rows_b[fx]) == products(f)
-               for fx, products in zip(f, products_of)):
-            yield tuple(f)
-
-
-def _word_plan(a: FiniteGroup, gens):
-    """(z, parent, gi) with z = parent * gens[gi], breadth first from the
-    identity, so every parent comes before its children."""
-    plan = []
-    frontier = [a.identity]
-    seen = {a.identity}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, y in enumerate(gens):
-                z = a.mul(x, y)
-                if z not in seen:
-                    seen.add(z)
-                    plan.append((z, x, gi))
-                    nxt.append(z)
-        frontier = nxt
-    return plan
-
-
-def _ring_hom_tables(a: FiniteRing, b: FiniteRing, bound: int,
-                     unital: bool = True):
-    """Ring morphism tables A -> B, unital or with no unit constraint, by
-    generator-image extension, in generator-assignment order.
-
-    The search goes depth first over the generator images, one stage per
-    generator. Each stage ends on a closed subset of A, and the law is
-    checked there on the pairs no earlier stage checked; an assignment
-    prefix that breaks it breaks it in every extension, so its subtree is
-    skipped. The last stage ends on A, so every table returned keeps the law.
-    """
-    base = {a.zero, a.one} if unital else {a.zero}
-    gens, stages = _ring_generating_plan(a, base)
-    if b.order ** len(gens) > bound:
-        raise BoundExceeded(
-            f"{b.order}**{len(gens)} candidate extensions exceed bound {bound}")
-    ops = {"+": b.add, "*": b.mul}
-    stages_b = []
-    before = set()
-    for plan, members in stages:
-        stages_b.append(([(z, ops[op], i, j) for z, (op, i, j) in plan],
-                         _stage_rows(a, members, before)))
-        before = set(members)
-    f = [None] * a.order
-    f[a.zero] = b.zero
-    if unital:
-        f[a.one] = b.one
-    out = []
-    if _extend_lawfully(f, stages_b[0], b):
-        _descend(0, gens, stages_b, f, b, out)
-    return out
-
-
-def _descend(k, gens, stages, f, b, out):
-    """Try every image of gens[k] on top of the lawful prefix in f, and go
-    on with each that keeps the law through stage k + 1."""
-    if k == len(gens):
-        out.append(tuple(f))
-        return
-    for v in b.elements():
-        f[gens[k]] = v
-        if _extend_lawfully(f, stages[k + 1], b):
-            _descend(k + 1, gens, stages, f, b, out)
-
-
-def _extend_lawfully(f, stage, b) -> bool:
-    """Extend f over one stage's closure, then check the law on the stage's
-    new pairs row by row."""
-    plan, rows = stage
-    for z, op, i, j in plan:
-        f[z] = op[f[i]][f[j]]
-    add_b, mul_b = b.add, b.mul
-    for x, ys, sums, prods in rows:
-        via_fys = kernels.reader(ys(f))
-        if sums(f) != via_fys(add_b[f[x]]) or prods(f) != via_fys(mul_b[f[x]]):
-            return False
-    return True
-
-
-def _stage_rows(a: FiniteRing, members, before):
-    """(x, ys, sums, prods) for each x of a closed subset of A: the readers
-    of f(y), f(x+y) and f(xy) over the y of the subset that make a pair
-    (x, y) not already inside `before`."""
-    rows = []
-    for x in members:
-        ys = [y for y in members if x not in before or y not in before]
-        if ys:
-            rows.append((x, kernels.reader(ys),
-                         kernels.reader([a.add[x][y] for y in ys]),
-                         kernels.reader([a.mul[x][y] for y in ys])))
-    return rows
-
-
-def _ring_generating_plan(a: FiniteRing, base):
-    """Greedy generators, and one (plan, members) stage for the base and
-    for each generator.
-
-    A plan lists (z, (op, i, j)) with z = i op j in evaluation order;
-    `members` is the sorted closed subset known after the stage. Stage k + 1
-    begins with gens[k], which its plan does not list.
-    """
-    gens = []
-    stages = []
-
-    def close(known):
-        plan = []
-        changed = True
-        while changed:
-            changed = False
-            known_list = sorted(known)
-            for x in known_list:
-                for y in known_list:
-                    for op, z in (("+", a.add_(x, y)), ("*", a.mul_(x, y))):
-                        if z not in known:
-                            known.add(z)
-                            plan.append((z, (op, x, y)))
-                            changed = True
-        stages.append((plan, sorted(known)))
-        return known
-
-    known = close(set(base))
-    while len(known) < a.order:
-        nxt = min(x for x in a.elements() if x not in known)
-        gens.append(nxt)
-        known.add(nxt)
-        known = close(known)
-    return gens, stages
 
 
 def nonunital_morphism_tables(a: FiniteRing, b: FiniteRing, variance: str,
@@ -399,7 +246,91 @@ def nonunital_morphism_tables(a: FiniteRing, b: FiniteRing, variance: str,
     pointwise operations) belong to the set at all.
     """
     target = b if variance == STRAIGHT else opposite(b)
-    return sorted(set(_ring_hom_tables(a, target, bound, unital=False)))
+    return sorted(set(_hom_tables(a, target, bound, unital=False)))
+
+
+def _hom_tables(a, b, bound: int, unital: bool = True):
+    """Iterator over the straight morphism tables A -> B in
+    generator-assignment order.
+
+    A group is searched over its one table with the identity fixed; a ring
+    over + and * with zero fixed, and the unit too when `unital`.
+    """
+    if is_group(a):
+        return _extension_tables((a.cayley,), (b.cayley,),
+                                 {a.identity: b.identity}, bound)
+    fixed = {a.zero: b.zero, a.one: b.one} if unital else {a.zero: b.zero}
+    return _extension_tables((a.add, a.mul), (b.add, b.mul), fixed, bound)
+
+
+def _extension_tables(ops_a, ops_b, fixed: dict, bound: int):
+    """Iterator over every map f with f(x op y) = f(x) op f(y) for each
+    operation table of A and its partner table of B, and f(x) = fixed[x]
+    on the fixed elements; in generator-assignment order.
+
+    The search goes depth first over the generator images, one stage per
+    generator. Each stage ends on a subset of A closed under the operations,
+    and the law is checked there on the pairs no earlier stage checked; an
+    assignment prefix that breaks it breaks it in every extension, so its
+    subtree is skipped. The last stage ends on A, so every table yielded
+    keeps the law. The bound is checked on the call, the tables are found
+    as the iterator is read.
+    """
+    gens, plans = kernels.generating_plan(ops_a, fixed)
+    targets = range(len(ops_b[0]))
+    if len(targets) ** len(gens) > bound:
+        raise BoundExceeded(
+            f"{len(targets)}**{len(gens)} candidate extensions exceed bound {bound}")
+    stages = [([(z, ops_b[k], i, j) for z, k, i, j in plan],
+               _stage_rows(ops_a, ops_b, members, before))
+              for plan, members, before in plans]
+    f = [None] * len(ops_a[0])
+    for x, v in fixed.items():
+        f[x] = v
+    if not _extend_lawfully(f, stages[0]):
+        return iter(())
+    return _descend(0, gens, stages, f, targets)
+
+
+def _descend(k, gens, stages, f, targets):
+    """Try every image of gens[k] on top of the lawful prefix in f, and go
+    on with each that keeps the law through stage k + 1."""
+    if k == len(gens):
+        yield tuple(f)
+        return
+    for v in targets:
+        f[gens[k]] = v
+        if _extend_lawfully(f, stages[k + 1]):
+            yield from _descend(k + 1, gens, stages, f, targets)
+
+
+def _extend_lawfully(f, stage) -> bool:
+    """Extend f over one stage's closure, then check the law on the stage's
+    new pairs row by row: f(x op y) against f(x) op f(y) for every y at once."""
+    plan, rows = stage
+    for z, op, i, j in plan:
+        f[z] = op[f[i]][f[j]]
+    for x, ys, laws in rows:
+        via_fys = kernels.reader(ys(f))
+        fx = f[x]
+        for products, op in laws:
+            if products(f) != via_fys(op[fx]):
+                return False
+    return True
+
+
+def _stage_rows(ops_a, ops_b, members, before):
+    """(x, ys, laws) for each x of a closed subset of A: the reader of f(y)
+    over the y of the subset that make a pair (x, y) not inside `before`,
+    and per operation the reader of f(x op y) with the table of B."""
+    rows = []
+    for x in members:
+        ys = [y for y in members if x not in before or y not in before]
+        if ys:
+            rows.append((x, kernels.reader(ys),
+                         tuple((kernels.reader([op_a[x][y] for y in ys]), op_b)
+                               for op_a, op_b in zip(ops_a, ops_b))))
+    return rows
 
 
 # -- factorization classes -----------------------------------------------------
@@ -417,7 +348,7 @@ def factor_pairs(a, b, c, an_ab, an_bc):
 
     Every pair's composite g∘f is built and bucketed; each distinct composite
     is validated once, in order of first appearance, so a composite that
-    breaks the straight law raises the LawViolation that `compose` would
+    breaks the straight law raises the RuntimeError that `compose` would
     raise at its first pair. Both sets come sorted from `enumerate_morphisms`,
     so each class lists its pairs in (f, g) order.
     """
@@ -429,9 +360,8 @@ def factor_pairs(a, b, c, an_ab, an_bc):
     for images in buckets:
         w = law_witness(images, a, c, STRAIGHT)
         if w is not None:
-            raise LawViolation(
-                f"composite broke its {STRAIGHT} law at {w}; this is an engine bug",
-                witness=w)
+            raise RuntimeError(
+                f"composite broke its {STRAIGHT} law at {w}; this is an engine bug")
     return tuple(FactorClass(Morphism(a, c, images, STRAIGHT), b, tuple(buckets[images]))
                  for images in sorted(buckets))
 

@@ -410,11 +410,6 @@ def corresponding_twisted(f: SemilinearMap) -> SemilinearMap:
     return _packed(f.field, f.rows, f.cols, f.codes, ANTI, f._entries)
 
 
-def maps_equal(f: SemilinearMap, g: SemilinearMap) -> bool:
-    return f.codes == g.codes and f.twist == g.twist and f.cols == g.cols \
-        and f.rows == g.rows
-
-
 def random_map(field, rows, cols, twist, rng: random.Random) -> SemilinearMap:
     if rng.random() < 0.5 and rows and cols:
         r = rng.randrange(0, min(rows, cols) + 1)  # planted rank
@@ -591,7 +586,7 @@ def factor_sequence(f: SemilinearMap):
         mid = identity_map(field, r, STRAIGHT)
     incl = SemilinearMap(field, f.rows, r, j_entries, STRAIGHT)
     composite = compose_semilinear(incl, compose_semilinear(mid, proj))
-    if not maps_equal(composite, f):
+    if composite != f:
         raise AlgebraError("factor sequence failed to reproduce the map")
     return proj, mid, incl
 
@@ -612,7 +607,7 @@ def verify_quotient_image_iso(f: SemilinearMap) -> TheoremReport:
         check("middle-twist", mid.twist == f.twist, witness=(mid.twist, f.twist)),
         check("middle-invertible", invert_matrix(f.field, mid.entries) is not None
               if r else True, witness=mid.entries),
-        check("composite-equals-map", maps_equal(composite, f),
+        check("composite-equals-map", composite == f,
               witness=((composite.entries, composite.twist), (f.entries, f.twist))),
         check("projection-surjective", proj_rank == r, witness=(proj_rank, r)),
         check("inclusion-injective", not incl_kernel,
@@ -631,7 +626,7 @@ def verify_quotient_image_iso(f: SemilinearMap) -> TheoremReport:
             for section in (sect,) if shifted is None else (sect, shifted):
                 forced = _solve_full_column_rank(
                     f.field, incl.entries, compose_semilinear(f, section).entries, r)
-                if not maps_equal(SemilinearMap(f.field, r, r, forced, f.twist), mid):
+                if SemilinearMap(f.field, r, r, forced, f.twist) != mid:
                     moved = ((forced, f.twist), (mid.entries, mid.twist))
                     break
         checks.append(check("middle-determined-by-coordinates", moved is None,
@@ -640,9 +635,6 @@ def verify_quotient_image_iso(f: SemilinearMap) -> TheoremReport:
         theorem="quotient-image-twisted-iso",
         inputs=(("shape", f"{f.rows}x{f.cols}"), ("twist", f.twist)),
         checks=tuple(checks),
-        constructed=(("projection", repr(proj)), ("middle", repr(mid)),
-                     ("inclusion", repr(incl))),
-        uniqueness_method="coordinates",
     )
 
 
@@ -699,7 +691,7 @@ def verify_twisted_factorization(f: SemilinearMap, mu: SemilinearMap) -> Theorem
         for v in basis if not in_span(field, other, v))
     checks = [
         check("through-map-twist", psi.twist == f.twist, witness=(psi.twist, f.twist)),
-        check("through-map-composite", maps_equal(recomposed, f),
+        check("through-map-composite", recomposed == f,
               witness=(recomposed.entries, f.entries)),
         check("projection-kernel-is-subspace", outside is None, witness=outside),
     ]
@@ -709,7 +701,7 @@ def verify_twisted_factorization(f: SemilinearMap, mu: SemilinearMap) -> Theorem
     moved = None
     if shifted is not None:
         via_shifted = compose_semilinear(f, shifted)
-        if not maps_equal(via_shifted, psi):
+        if via_shifted != psi:
             moved = (via_shifted.entries, psi.entries)
     checks.append(check("uniqueness-via-section", moved is None, witness=moved))
     return TheoremReport(
@@ -717,8 +709,6 @@ def verify_twisted_factorization(f: SemilinearMap, mu: SemilinearMap) -> Theorem
         inputs=(("shape", f"{f.rows}x{f.cols}"), ("twist", f.twist),
                 ("subspace-dim", str(len(sub)))),
         checks=tuple(checks),
-        constructed=(("projection", repr(pi)), ("through-map", repr(psi))),
-        uniqueness_method="surjectivity-argument",
     )
 
 
@@ -757,12 +747,11 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
         check("intermediate-dims",
               q_tau.dim == q_b.dim,
               witness=(q_tau.dim, q_b.dim)),
-        check("straight-comparison-commutes", maps_equal(theta_tp, rho),
+        check("straight-comparison-commutes", theta_tp == rho,
               witness=((theta_tp.entries, theta_tp.twist), (rho.entries, rho.twist))),
         check("straight-comparison-invertible", theta_inv_entries is not None,
               witness=theta.entries),
     ]
-    notes = ()
     if theta_inv_entries is not None:
         # twisted projection onto A/B (conjugation on the target side) and the
         # twisted comparison (conjugation on the source side): the two
@@ -773,21 +762,16 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
             reverse_map(field, q_b.dim))
         square = compose_semilinear(xi, rho_star)
         checks.append(check("twisted-comparison-is-twisted", xi.is_anti, witness=xi.twist))
-        checks.append(check("twisted-square-commutes", maps_equal(square, tp),
+        checks.append(check("twisted-square-commutes", square == tp,
                             witness=(square.entries, tp.entries)))
         determined = compose_semilinear(tp, _right_inverse_of_action(field, rho_star))
-        checks.append(check("uniqueness-via-surjectivity",
-                            determined.entries == xi.entries
-                            and determined.twist == xi.twist,
+        checks.append(check("uniqueness-via-surjectivity", determined == xi,
                             witness=((determined.entries, determined.twist),
                                      (xi.entries, xi.twist))))
     return TheoremReport(
         theorem="nested-quotient-twisted-iso",
         inputs=(("dims", f"{len(c_basis)}<={len(b_basis)}<={dim_a}<=F^{ambient}"),),
         checks=tuple(checks),
-        constructed=(("straight-comparison", repr(theta)),),
-        uniqueness_method="surjectivity-argument",
-        notes=notes,
     )
 
 
@@ -848,7 +832,7 @@ def verify_mono_epi(f: SemilinearMap, max_dim: int = 2) -> TheoremReport:
                     continue
                 m1 = SemilinearMap(field, f.cols, dz, v1, STRAIGHT)
                 m2 = SemilinearMap(field, f.cols, dz, v2, STRAIGHT)
-                if maps_equal(compose_semilinear(f, m1), compose_semilinear(f, m2)):
+                if compose_semilinear(f, m1) == compose_semilinear(f, m2):
                     mono, mono_w = False, (dz, v1, v2)
                     break
             if not mono:
@@ -859,7 +843,7 @@ def verify_mono_epi(f: SemilinearMap, max_dim: int = 2) -> TheoremReport:
                     continue
                 m1 = SemilinearMap(field, dz, f.rows, v1, STRAIGHT)
                 m2 = SemilinearMap(field, dz, f.rows, v2, STRAIGHT)
-                if maps_equal(compose_semilinear(m1, f), compose_semilinear(m2, f)):
+                if compose_semilinear(m1, f) == compose_semilinear(m2, f):
                     epi, epi_w = False, (dz, v1, v2)
                     break
             if not epi:
@@ -963,7 +947,7 @@ def _first_moved(field, d, star):
     for fe in _all_matrices(field, d, d):
         f = SemilinearMap(field, d, d, fe, ANTI)
         moved = star(f)
-        if not maps_equal(moved, f):
+        if moved != f:
             return fe, moved.entries
     return None
 

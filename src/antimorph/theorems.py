@@ -118,7 +118,6 @@ def verify_anti_factorization(structure, sub, phi: Morphism,
     else:
         q, proj = quotient_ring(structure, sub)
     psi_images, conflict = _through(proj.images, phi.images, q.order)
-    psi = Morphism(q, phi.target, psi_images, ANTI, name="through")
     solutions = _anti_solutions(q, phi.target, proj.images, phi.images, bound)
     checks = (
         _witnessed("well-defined", conflict),
@@ -131,8 +130,6 @@ def verify_anti_factorization(structure, sub, phi: Morphism,
         inputs=(("structure", structure.name), ("sub", str(members)),
                 ("map", repr(phi))),
         checks=checks,
-        constructed=(("projection", repr(proj)), ("through", repr(psi))),
-        uniqueness_method="enumeration",
     )
 
 
@@ -159,7 +156,7 @@ def verify_anti_hom_theorem(phi: Morphism, bound: int = DEFAULT_BOUND) -> Theore
     pos = {x: i for i, x in enumerate(im_members)}
     values = tuple(pos[v] for v in phi.images)
     xi_images, conflict = _through(proj.images, values, q.order)
-    xi = Morphism(q, im_struct, xi_images, ANTI, name="canonical")
+    xi = Morphism(q, im_struct, xi_images, ANTI)
     recomposed = tuple(incl.images[xi_images[proj.images[x]]]
                        for x in range(src.order))
     solutions = _anti_solutions(q, im_struct, proj.images, values, bound)
@@ -180,9 +177,6 @@ def verify_anti_hom_theorem(phi: Morphism, bound: int = DEFAULT_BOUND) -> Theore
         theorem="anti-homomorphism",
         inputs=(("map", repr(phi)),),
         checks=tuple(checks),
-        constructed=(("projection", repr(proj)), ("canonical", repr(xi)),
-                     ("inclusion", repr(incl))),
-        uniqueness_method="enumeration",
     )
 
 
@@ -207,37 +201,38 @@ def verify_second_anti_iso(a: FiniteGroup, b: Subgroup, c: Subgroup,
     rho_star = compose(rho, reverse_morphism(a))  # anti projection
     bc_members = tuple(sorted({pi.images[x] for x in b.members}))
     bc = Subgroup(q1, bc_members)                 # B/C inside A/C
-    q3, tau = quotient(q1, bc)                    # (A/C)/(B/C)
+    bc_witness = normality_witness(q1, bc)
 
     # sigma: A/C -> A/B through the anti projection
     sigma_images, sigma_conflict = _through(pi.images, rho_star.images, q1.order)
-    sigma = Morphism(q1, q2, sigma_images, ANTI, name="sigma")
-    ker_sigma = kernel(sigma)
-
-    # xi: A/B -> (A/C)/(B/C), defined through the surjection rho_star
-    rhs = compose(tau, pi)
-    xi_images, xi_conflict = _through(rho_star.images, rhs.images, q2.order)
-    xi = Morphism(q2, q3, xi_images, ANTI, name="xi")
-    solutions = _anti_solutions(q2, q3, rho_star.images, rhs.images, bound)
-    checks = (
+    ker_sigma = kernel(Morphism(q1, q2, sigma_images, ANTI))
+    checks = [
         _witnessed("c-normal-in-b", normality_witness(b_grp, c_in_b)),
-        _witnessed("bc-normal-in-quotient", normality_witness(q1, bc)),
+        _witnessed("bc-normal-in-quotient", bc_witness),
         _witnessed("sigma-well-defined", sigma_conflict),
         _anti_check("sigma-is-anti", sigma_images, q1, q2),
         check("sigma-kernel-is-bc", ker_sigma.members == bc_members,
               witness=(ker_sigma.members, bc_members)),
-        _witnessed("xi-well-defined", xi_conflict),
-        _anti_check("xi-is-anti", xi_images, q2, q3),
-        check("xi-bijective", xi.is_bijective()),
-        _commutes_check(tuple(xi.images[v] for v in rho_star.images), rhs.images),
-        check("unique", solutions == [xi_images], witness=solutions),
-    )
+    ]
+    # xi lands in (A/C)/(B/C), which exists only when B/C is normal
+    if bc_witness is None:
+        q3, tau = quotient(q1, bc)
+        # xi: A/B -> (A/C)/(B/C), defined through the surjection rho_star
+        rhs = compose(tau, pi)
+        xi_images, xi_conflict = _through(rho_star.images, rhs.images, q2.order)
+        xi = Morphism(q2, q3, xi_images, ANTI)
+        solutions = _anti_solutions(q2, q3, rho_star.images, rhs.images, bound)
+        checks += [
+            _witnessed("xi-well-defined", xi_conflict),
+            _anti_check("xi-is-anti", xi_images, q2, q3),
+            check("xi-bijective", xi.is_bijective()),
+            _commutes_check(tuple(xi.images[v] for v in rho_star.images), rhs.images),
+            check("unique", solutions == [xi_images], witness=solutions),
+        ]
     return TheoremReport(
         theorem="second-anti-isomorphism",
         inputs=(("group", a.name), ("b", str(b.members)), ("c", str(c.members))),
-        checks=checks,
-        constructed=(("sigma", repr(sigma)), ("xi", repr(xi))),
-        uniqueness_method="enumeration",
+        checks=tuple(checks),
     )
 
 
@@ -260,57 +255,64 @@ def verify_third_anti_iso(g: FiniteGroup, a: Subgroup, n: Subgroup,
     an_grp, _ = subgroup_as_group(g, an)
     pos_an = {x: i for i, x in enumerate(an.members)}
     n_in_an = Subgroup(an_grp, tuple(sorted(pos_an[x] for x in n.members)))
-    q_an, pi = quotient(an_grp, n_in_an)              # AN/N
-    pi_star = compose(pi, reverse_morphism(an_grp))   # anti projection
-
     a_grp, _ = subgroup_as_group(g, a)
-    iota = Morphism(a_grp, an_grp, tuple(pos_an[x] for x in a.members), STRAIGHT,
-                    name="incl")
-    phi = compose(pi_star, iota)                      # anti: A -> AN/N
-
-    a_meet_n = subgroup_intersection(a, n)
     pos_a = {x: i for i, x in enumerate(a.members)}
-    meet_in_a = Subgroup(a_grp, tuple(sorted(pos_a[x] for x in a_meet_n.members)))
-    q_a, rho = quotient(a_grp, meet_in_a)             # A/(A∩N)
-
-    ker_phi = kernel(phi)
-    xi_images, xi_conflict = _through(rho.images, phi.images, q_a.order)
-    xi_proof = Morphism(q_a, q_an, xi_images, ANTI, name="xi-proof")
-    xi_stmt = None
-    if xi_proof.is_bijective():
-        inverse_images = [None] * q_an.order
-        for i, v in enumerate(xi_images):
-            inverse_images[v] = i
-        xi_stmt = Morphism(q_an, q_a, tuple(inverse_images), ANTI, name="xi-statement")
-    solutions = _anti_solutions(q_a, q_an, rho.images, phi.images, bound)
-    checks = (
+    meet_in_a = Subgroup(a_grp, tuple(sorted(
+        pos_a[x] for x in subgroup_intersection(a, n).members)))
+    n_witness = normality_witness(an_grp, n_in_an)
+    meet_witness = normality_witness(a_grp, meet_in_a)
+    checks = [
         check("an-is-subgroup", an_is_subgroup, witness=an.members),
-        _witnessed("n-normal-in-an", normality_witness(an_grp, n_in_an)),
-        _witnessed("meet-normal-in-a", normality_witness(a_grp, meet_in_a)),
-        _anti_check("phi-is-anti", phi.images, a_grp, q_an),
-        check("phi-surjective", phi.is_surjective()),
-        check("kernel-is-meet", ker_phi.members == meet_in_a.members,
-              witness=(ker_phi.members, meet_in_a.members)),
-        _witnessed("xi-well-defined", xi_conflict),
-        _anti_check("xi-is-anti", xi_images, q_a, q_an),
-        check("xi-bijective", xi_proof.is_bijective()),
-        _commutes_check(tuple(xi_proof.images[v] for v in rho.images), phi.images),
-        (check("statement-direction-is-anti", False,
-               witness="xi-proof is not bijective: no xi-statement")
-         if xi_stmt is None else
-         _anti_check("statement-direction-is-anti", xi_stmt.images, q_an, q_a)),
-        check("unique", solutions == [xi_images], witness=solutions),
-    )
+        _witnessed("n-normal-in-an", n_witness),
+        _witnessed("meet-normal-in-a", meet_witness),
+    ]
+    # phi lands in AN/N, and xi also starts from A/(A∩N): each quotient
+    # exists only when its subgroup is normal
+    if n_witness is None:
+        q_an, pi = quotient(an_grp, n_in_an)              # AN/N
+        pi_star = compose(pi, reverse_morphism(an_grp))   # anti projection
+        iota = Morphism(a_grp, an_grp, tuple(pos_an[x] for x in a.members), STRAIGHT)
+        phi = compose(pi_star, iota)                      # anti: A -> AN/N
+        ker_phi = kernel(phi)
+        checks += [
+            _anti_check("phi-is-anti", phi.images, a_grp, q_an),
+            check("phi-surjective", phi.is_surjective()),
+            check("kernel-is-meet", ker_phi.members == meet_in_a.members,
+                  witness=(ker_phi.members, meet_in_a.members)),
+        ]
+        if meet_witness is None:
+            q_a, rho = quotient(a_grp, meet_in_a)         # A/(A∩N)
+            xi_images, xi_conflict = _through(rho.images, phi.images, q_a.order)
+            xi_proof = Morphism(q_a, q_an, xi_images, ANTI)
+            solutions = _anti_solutions(q_a, q_an, rho.images, phi.images, bound)
+            checks += [
+                _witnessed("xi-well-defined", xi_conflict),
+                _anti_check("xi-is-anti", xi_images, q_a, q_an),
+                check("xi-bijective", xi_proof.is_bijective()),
+                _commutes_check(tuple(xi_images[v] for v in rho.images), phi.images),
+                _statement_direction_check(xi_proof),
+                check("unique", solutions == [xi_images], witness=solutions),
+            ]
     return TheoremReport(
         theorem="third-anti-isomorphism",
         inputs=(("group", g.name), ("a", str(a.members)), ("n", str(n.members))),
-        checks=checks,
-        constructed=(("phi", repr(phi)), ("xi-proof", repr(xi_proof)),
-                     ("xi-statement", repr(xi_stmt))),
-        uniqueness_method="enumeration",
+        checks=tuple(checks),
         notes=("statement arrow runs AN/N -> A/(A∩N); the proof constructs "
-               "A/(A∩N) -> AN/N; the verifier checks both directions",),
+               "A/(A∩N) -> AN/N; the verifier checks both directions",)
+        if n_witness is None and meet_witness is None else (),
     )
+
+
+def _statement_direction_check(xi_proof: Morphism):
+    """The statement's arrow AN/N -> A/(A∩N) is the inverse of the proof's."""
+    if not xi_proof.is_bijective():
+        return check("statement-direction-is-anti", False,
+                     witness="xi-proof is not bijective: no xi-statement")
+    inverse_images = [None] * xi_proof.target.order
+    for i, v in enumerate(xi_proof.images):
+        inverse_images[v] = i
+    return _anti_check("statement-direction-is-anti", tuple(inverse_images),
+                       xi_proof.target, xi_proof.source)
 
 
 # -- commutative collapse -----------------------------------------------------------
@@ -433,7 +435,6 @@ def verify_groups_vs_star_category(groups: dict,
         theorem="groups-equivalent-to-star-groups",
         inputs=(("objects", "+".join(fc.objects)),),
         checks=rep.checks,
-        constructed=(("functor", "f -> f∘rev"),),
     )
 
 

@@ -22,8 +22,6 @@ class TheoremReport:
     theorem: str
     inputs: tuple = ()            # ordered (key, value) pairs
     checks: tuple = ()            # Check values
-    constructed: tuple = ()       # ordered (name, description) pairs
-    uniqueness_method: str = ""
     notes: tuple = ()
 
     @property

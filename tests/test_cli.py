@@ -8,6 +8,7 @@ import pytest
 
 from antimorph import cli, theorems
 from antimorph.cli import main
+from antimorph.maps import STRAIGHT, Morphism
 from antimorph.reports import parse_records
 from antimorph.suite import RunConfig, run
 
@@ -287,6 +288,25 @@ def test_groups_vs_star_map_outside_its_sets_is_an_engine_error(monkeypatch, cap
     code, _, err = run_cli(capsys, "verify", "groups-vs-star", "--objects", "z2")
     assert code == 3
     assert "RuntimeError" in err and "engine bug" in err
+
+
+def test_composite_breaking_its_law_is_an_engine_error(monkeypatch, capsys):
+    # a projection S3 -> S3/1 with the labels 1 and 3 swapped is no
+    # homomorphism, so composing it with the reverse map breaks the anti law
+    real = theorems.quotient
+
+    def swapped(g, n):
+        q, proj = real(g, n)
+        if n.order == 1:
+            swap = {1: 3, 3: 1}
+            proj = Morphism(g, q, tuple(swap.get(v, v) for v in proj.images), STRAIGHT)
+        return q, proj
+
+    monkeypatch.setattr(theorems, "quotient", swapped)
+    code, out, err = run_cli(capsys, "verify", "second-anti-iso", "--group", "s3",
+                             "--sub-b", "triv", "--sub-c", "triv")
+    assert code == 3 and out == ""
+    assert "RuntimeError" in err and "this is an engine bug" in err
 
 
 # sha256 of `cat caf|anti|assoc --category NAME`, fixed when these texts were

@@ -44,7 +44,6 @@ def test_anti_factorization_on_parity_map():
     phi = corresponding_anti(sign_morphism(s3, z2))
     rep = verify_anti_factorization(s3, named_subgroup("s3", "a3"), phi)
     assert rep.passed
-    assert rep.uniqueness_method == "enumeration"
 
 
 def test_anti_factorization_by_trivial_subgroup():
@@ -486,15 +485,13 @@ def test_c_normal_in_b_fails_under_a_relabeled_b(monkeypatch):
 
 def test_bc_normal_in_quotient_fails_under_a_relabeled_projection(monkeypatch):
     # B = A3 and C trivial: a projection onto A/C with 1 and 3 swapped sends
-    # B to {0, 1, 4}, which is not normal; (A/C)/(B/C) is then taken by the
-    # whole group, which needs no normality, so the verifier reaches the check.
+    # B to {0, 1, 4}, which is not normal. The verifier takes no quotient by
+    # it: the report ends with the checks that do not need (A/C)/(B/C).
     s3 = GROUPS["s3"]
     trivial = Subgroup(s3, (s3.identity,))
     real_quotient = theorems_module.quotient
 
     def mutant(g, n):
-        if g is not s3:
-            return real_quotient(g, Subgroup(g, tuple(g.elements())))
         q, proj = real_quotient(g, n)
         if n is trivial:
             swap = {1: 3, 3: 1}
@@ -508,25 +505,29 @@ def test_bc_normal_in_quotient_fails_under_a_relabeled_projection(monkeypatch):
     found = rep.check_map()["bc-normal-in-quotient"]
     assert not found.passed
     assert found.witness == _first_unconjugated(q1, (0, 1, 4)) is not None
+    assert [c.name for c in rep.checks] == [
+        "c-normal-in-b", "bc-normal-in-quotient", "sigma-well-defined",
+        "sigma-is-anti", "sigma-kernel-is-bc"]
 
 
 @pytest.mark.parametrize("name", ["n-normal-in-an", "meet-normal-in-a"])
 def test_third_anti_iso_normality_fails_under_relabeled_subgroups(monkeypatch, name):
     # A is all of S3 and N = A3, so AN and A re-index S3; with a 3-cycle and
     # a transposition swapped, N and A∩N = A3 sit on a set that is not
-    # normal. Quotients by the whole group need no normality, so the
-    # verifier reaches both checks.
+    # normal. The verifier takes no quotient by either, so the report ends
+    # with the three checks that need neither.
     s3 = GROUPS["s3"]
-    real_as_group, real_quotient = (theorems_module.subgroup_as_group,
-                                    theorems_module.quotient)
+    real_as_group = theorems_module.subgroup_as_group
     monkeypatch.setattr(theorems_module, "subgroup_as_group",
                         lambda g, s: (_swapped_labels(real_as_group(g, s)[0], (1, 3)),
                                       None))
-    monkeypatch.setattr(theorems_module, "quotient",
-                        lambda g, n: real_quotient(g, Subgroup(g, tuple(g.elements()))))
     rep = verify_third_anti_iso(s3, Subgroup(s3, tuple(s3.elements())),
                                 named_subgroup("s3", "a3"))
     found = rep.check_map()[name]
     assert not found.passed
     assert found.witness == _first_unconjugated(_swapped_labels(s3, (1, 3)),
                                                 (0, 3, 4)) is not None
+    assert [c.name for c in rep.checks] == [
+        "an-is-subgroup", "n-normal-in-an", "meet-normal-in-a"]
+    # no xi was built, so the note on its two directions is not made
+    assert rep.notes == ()
