@@ -209,8 +209,9 @@ class SemilinearMap:
     decodes them on first read. Treated as immutable: no code assigns to a
     map after construction. The class is slotted rather than a frozen
     dataclass because every product is a fresh map; the twisted hom grid,
-    which composes hundreds of thousands of pairs, skips the maps and works
-    on row codes through `_compose_codes` and `_add_codes`. Besides the
+    which compares hundreds of thousands of pairs, builds no map per pair:
+    it reads whole hom sets through the rules `_product_table` and
+    `_sum_rule`, as the wrappers do one map at a time. Besides the
     entries view, the slots filled later cache pure functions of the codes:
     `conj_codes` and the two image tables of `image_table`. Equality and
     hashing ignore `name` and the caches.
@@ -363,39 +364,38 @@ def compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
     """g after f; twists XOR; the right matrix is conjugated when g is twisted."""
     if f.field is not g.field or f.rows != g.cols:
         raise NotComposable(f"cannot compose {g!r} after {f!r}")
-    codes, twist = _compose_codes(g.codes, g.twist, f)
-    return _packed(g.field, g.rows, f.cols, codes, twist)
+    table, twist = _product_table(g.twist, f)
+    return _packed(g.field, g.rows, f.cols, tuple([table[c] for c in g.codes]), twist)
 
 
-def _compose_codes(g_codes: tuple, g_twist: str, f: SemilinearMap) -> tuple:
-    """The (row codes, twist) of g after f, for a left factor g given by its
-    row codes and twist and known to compose with f.
+def _product_table(g_twist: str, f: SemilinearMap) -> tuple:
+    """The composition rule a row at a time: (table, twist) such that, for
+    every left factor g of twist `g_twist` that composes with f, row i of g∘f
+    is `table[c]` for c the code of g's row i, and g∘f has `twist`.
 
-    Row i of the product is one lookup: g's row code read through f's image
-    table, the conjugated one when g is twisted.
+    The table is f's image table, the conjugated one when g is twisted; the
+    twist is the XOR of the two.
     """
     # the slot reads spare the hot path a method call; a table is never empty
     if g_twist == ANTI:
-        table = f._conj_image or f.image_table(True)
-        twist = STRAIGHT if f.twist == ANTI else ANTI
-    else:
-        table = f._image or f.image_table()
-        twist = f.twist
-    return tuple([table[c] for c in g_codes]), twist
+        return f._conj_image or f.image_table(True), STRAIGHT if f.twist == ANTI else ANTI
+    return f._image or f.image_table(), f.twist
 
 
 def add_semilinear(f: SemilinearMap, g: SemilinearMap) -> SemilinearMap:
     if f.field is not g.field or f.rows != g.rows or f.cols != g.cols \
             or f.twist != g.twist:
         raise NotComposable("can only add maps of equal field, shape and twist")
-    codes, twist = _add_codes(f.field, f.codes, g.codes, f.twist)
-    return _packed(f.field, f.rows, f.cols, codes, twist)
+    plus, twist = _sum_rule(f.field, f.twist)
+    return _packed(f.field, f.rows, f.cols, tuple(map(plus, f.codes, g.codes)), twist)
 
 
-def _add_codes(field: FieldFq2, f_codes: tuple, g_codes: tuple, twist: str) -> tuple:
-    """The (row codes, twist) of the sum of two maps of one shape and twist,
-    given by their row codes."""
-    return tuple(map(_row_adder(field), f_codes, g_codes)), twist
+def _sum_rule(field: FieldFq2, twist: str) -> tuple:
+    """The addition rule a row at a time: (plus, twist) such that, for any
+    two maps of twist `twist` and one shape over `field`, row i of their sum
+    is `plus(x, y)` for x and y the codes of their rows i, and the sum has
+    `twist`."""
+    return _row_adder(field), twist
 
 
 def star_compose_semilinear(g: SemilinearMap, f: SemilinearMap) -> SemilinearMap:
@@ -823,31 +823,16 @@ def verify_mono_epi(f: SemilinearMap, max_dim: int = 2) -> TheoremReport:
         raise BoundExceeded(f"hom-set enumeration capped at dimension {max_dim}")
     injective = len(kernel_basis(f)) == 0
     surjective = rank_of(f) == f.rows
-    mono, mono_w = True, None
-    epi, epi_w = True, None
+    mono_w = epi_w = None
     for dz in range(0, max_dim + 1):
-        for v1 in _all_matrices(field, f.cols, dz):
-            for v2 in _all_matrices(field, f.cols, dz):
-                if v1 >= v2:
-                    continue
-                m1 = SemilinearMap(field, f.cols, dz, v1, STRAIGHT)
-                m2 = SemilinearMap(field, f.cols, dz, v2, STRAIGHT)
-                if compose_semilinear(f, m1) == compose_semilinear(f, m2):
-                    mono, mono_w = False, (dz, v1, v2)
-                    break
-            if not mono:
-                break
-        for v1 in _all_matrices(field, dz, f.rows):
-            for v2 in _all_matrices(field, dz, f.rows):
-                if v1 >= v2:
-                    continue
-                m1 = SemilinearMap(field, dz, f.rows, v1, STRAIGHT)
-                m2 = SemilinearMap(field, dz, f.rows, v2, STRAIGHT)
-                if compose_semilinear(m1, f) == compose_semilinear(m2, f):
-                    epi, epi_w = False, (dz, v1, v2)
-                    break
-            if not epi:
-                break
+        # each side stops at its first dz with a collision
+        if mono_w is None:
+            mono_w = _first_collision(dz, _all_matrices(field, f.cols, dz), lambda e: (
+                compose_semilinear(f, SemilinearMap(field, f.cols, dz, e, STRAIGHT))))
+        if epi_w is None:
+            epi_w = _first_collision(dz, _all_matrices(field, dz, f.rows), lambda e: (
+                compose_semilinear(SemilinearMap(field, dz, f.rows, e, STRAIGHT), f)))
+    mono, epi = mono_w is None, epi_w is None
     checks = (
         check("mono-iff-injective", mono == injective, witness=mono_w),
         check("epi-iff-surjective", epi == surjective, witness=epi_w),
@@ -857,6 +842,28 @@ def verify_mono_epi(f: SemilinearMap, max_dim: int = 2) -> TheoremReport:
         inputs=(("shape", f"{f.rows}x{f.cols}"), ("twist", f.twist)),
         checks=checks,
     )
+
+
+def _first_collision(dz, matrices, product):
+    """The first (dz, v1, v2), v1 before v2 in the order of `matrices`, with
+    product(v1) == product(v2); None when the products are pairwise distinct.
+
+    Each product is computed once. The first pair starts at the least index
+    whose product recurs, which is that product's first index, and ends at
+    the product's second index.
+    """
+    matrices = list(matrices)
+    first, second = {}, {}
+    for j, e in enumerate(matrices):
+        p = product(e)
+        if p in first:
+            second.setdefault(p, j)
+        else:
+            first[p] = j
+    if not second:
+        return None
+    p = min(second, key=first.__getitem__)
+    return dz, matrices[first[p]], matrices[second[p]]
 
 
 def _all_matrices(field, rows, cols):
@@ -878,6 +885,13 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
     The conjugation map is not central here, so the two one-sided star
     identities differ by a Frobenius twist; that defect is recorded as a note
     with a witness instead of being asserted away.
+
+    Every (f, h) and (a, b) pair is compared. The products and sums come
+    from the rules that `compose_semilinear` and `add_semilinear` use, a
+    whole hom set at a time: for each right factor f, the products with
+    every left factor of a shape are a Cartesian power of one table. The
+    first mismatch's index names the witness, the first failing pair in
+    enumeration order.
     """
     checks = []
     notes = []
@@ -894,35 +908,56 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
             n_expected = q2 ** (dx * dy)
             checks.append(check(f"count-{dx}x{dy}", n_homs == n_expected,
                                 witness=(n_homs, n_expected)))
-    # The pair loops below run on (row codes, twist) pairs through the cores
-    # that compose_semilinear and add_semilinear wrap, so no map is built per
-    # pair; each check names its first counterexample.
-    compose, add = _compose_codes, _add_codes
+    # Row i of h∘f is row i of h read through `_product_table`'s table, and
+    # row i of a + b is `_sum_rule`'s sum of the two rows i. `_all_matrices`
+    # runs through the flattened entries in lexicographic order, which is
+    # that of the row codes (a code's first entry is its most significant
+    # digit). So the results for every h of a shape, or every b, in that
+    # order, are the Cartesian product of one list per row. Each check
+    # compares two such lists and their twists; the first mismatch's index
+    # names the counterexample.
     # additive iso of the correspondence on the largest square, all pairs
-    square = [f for f, _ in shapes[(max(dims), max(dims))]]
-    add_w = next(((a.entries, b.entries) for a in square for b in square
-                  if (add(field, a.codes, b.codes, STRAIGHT)[0], ANTI)
-                  != add(field, a.codes, b.codes, ANTI)), None)
+    d = max(dims)
+    every_row = range(q2 ** d)
+    plus, _ = _sum_rule(field, STRAIGHT)
+    plus_twisted, twisted = _sum_rule(field, ANTI)
+    add_w = None
+    for a, _ in shapes[(d, d)]:
+        i = _first_mismatch(
+            list(itertools.product(*[[plus(x, c) for c in every_row] for x in a.codes])),
+            ANTI,
+            list(itertools.product(*[[plus_twisted(x, c) for c in every_row]
+                                     for x in a.codes])),
+            twisted)
+        if i is not None:
+            add_w = (a.entries, _nth_matrix(field, d, d, i))
+            break
     checks.append(check("correspondence-additive", add_w is None, witness=add_w))
-    # naturality on all grid squares, with h∘f computed once per pair:
-    # post-composition against the source-side correspondence f ↦ f∘conj,
-    # pre-composition against the target-side one h ↦ conj∘h, whose matrix
-    # is the conjugate of h's
+    # naturality on all grid squares: post-composition against the
+    # source-side correspondence f ↦ f∘conj, pre-composition against the
+    # target-side one h ↦ conj∘h, whose matrix is the conjugate of h's
     post_w = pre_w = None
     for dx in dims:
         conj = _row_tables(q2, dx)[1]
         for dy in dims:
+            conj_rows = _row_tables(q2, dy)[1]
             for dz in dims:
-                lefts = [(h, h.codes, h.conj_codes()) for h, _ in shapes[(dz, dy)]]
                 for f, f_twisted in shapes[(dy, dx)]:
-                    for h, h_codes, h_conj in lefts:
-                        hf = compose(h_codes, STRAIGHT, f)[0]
-                        if post_w is None and \
-                                (hf, ANTI) != compose(h_codes, STRAIGHT, f_twisted):
-                            post_w = (f.entries, h.entries)
-                        if pre_w is None and \
-                                (tuple([conj[c] for c in hf]), ANTI) != compose(h_conj, ANTI, f):
-                            pre_w = (f.entries, h.entries)
+                    table = _product_table(STRAIGHT, f)[0]
+                    if post_w is None:
+                        post, twist = _product_table(STRAIGHT, f_twisted)
+                        i = _first_mismatch(list(itertools.product(table, repeat=dz)), ANTI,
+                                            list(itertools.product(post, repeat=dz)), twist)
+                        if i is not None:
+                            post_w = (f.entries, _nth_matrix(field, dz, dy, i))
+                    if pre_w is None:
+                        pre, twist = _product_table(ANTI, f)
+                        i = _first_mismatch(
+                            list(itertools.product([conj[c] for c in table], repeat=dz)), ANTI,
+                            list(itertools.product([pre[c] for c in conj_rows], repeat=dz)),
+                            twist)
+                        if i is not None:
+                            pre_w = (f.entries, _nth_matrix(field, dz, dy, i))
     checks.append(check("naturality-postcompose", post_w is None, witness=post_w))
     checks.append(check("naturality-precompose", pre_w is None, witness=pre_w))
     # right identity of the source-side star composition is exact
@@ -939,6 +974,22 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
         checks=tuple(checks),
         notes=tuple(notes),
     )
+
+
+def _first_mismatch(left, left_twist, right, right_twist):
+    """The index of the first pair whose results differ, given each side's
+    results for every pair as a list of row codes and one twist; None when
+    every pair agrees. A twist mismatch fails every pair, the first included."""
+    if left_twist != right_twist:
+        return 0
+    if left == right:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+
+
+def _nth_matrix(field, rows, cols, i):
+    """The i-th matrix of `_all_matrices(field, rows, cols)`."""
+    return next(itertools.islice(_all_matrices(field, rows, cols), i, None))
 
 
 def _first_moved(field, d, star):

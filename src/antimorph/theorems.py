@@ -88,6 +88,31 @@ def _witnessed(name: str, w):
     return check(name, w is None, witness=w)
 
 
+def _missed(m: Morphism):
+    """("missed", v) for the least element v of m's target that m does not
+    take; None when m is surjective."""
+    taken = set(m.images)
+    return next((("missed", v) for v in range(m.target.order) if v not in taken), None)
+
+
+def _bijection_witness(m: Morphism):
+    """None when m is bijective. Else its first ("collision", x, y): x < y
+    with equal images, y least; or, when m is injective, `_missed(m)`."""
+    first = {}
+    for y, v in enumerate(m.images):
+        if v in first:
+            return "collision", first[v], y
+        first[v] = y
+    return _missed(m)
+
+
+def _iso_check(name: str, a, b):
+    """`name` passes when the groups a and b are isomorphic; its witness
+    names both with their orders."""
+    return check(name, find_isomorphism(a, b) is not None,
+                 witness=((a.name, a.order), (b.name, b.order)))
+
+
 def _anti_check(name: str, images, a, b):
     return _witnessed(name, law_witness(images, a, b, ANTI))
 
@@ -163,16 +188,14 @@ def verify_anti_hom_theorem(phi: Morphism, bound: int = DEFAULT_BOUND) -> Theore
     checks = [
         _witnessed("well-defined", conflict),
         _anti_check("canonical-map-is-anti", xi_images, q, im_struct),
-        check("bijective", xi.is_bijective()),
+        _witnessed("bijective", _bijection_witness(xi)),
         _commutes_check(recomposed, phi.images),
         check("unique", solutions == [xi_images], witness=solutions),
     ]
     if group_world and phi.is_injective():
-        checks.append(check("injective-source-iso-image",
-                            find_isomorphism(src, im_struct) is not None))
+        checks.append(_iso_check("injective-source-iso-image", src, im_struct))
     if group_world and phi.is_surjective():
-        checks.append(check("surjective-target-iso-quotient",
-                            find_isomorphism(dst, q) is not None))
+        checks.append(_iso_check("surjective-target-iso-quotient", dst, q))
     return TheoremReport(
         theorem="anti-homomorphism",
         inputs=(("map", repr(phi)),),
@@ -225,7 +248,7 @@ def verify_second_anti_iso(a: FiniteGroup, b: Subgroup, c: Subgroup,
         checks += [
             _witnessed("xi-well-defined", xi_conflict),
             _anti_check("xi-is-anti", xi_images, q2, q3),
-            check("xi-bijective", xi.is_bijective()),
+            _witnessed("xi-bijective", _bijection_witness(xi)),
             _commutes_check(tuple(xi.images[v] for v in rho_star.images), rhs.images),
             check("unique", solutions == [xi_images], witness=solutions),
         ]
@@ -276,7 +299,7 @@ def verify_third_anti_iso(g: FiniteGroup, a: Subgroup, n: Subgroup,
         ker_phi = kernel(phi)
         checks += [
             _anti_check("phi-is-anti", phi.images, a_grp, q_an),
-            check("phi-surjective", phi.is_surjective()),
+            _witnessed("phi-surjective", _missed(phi)),
             check("kernel-is-meet", ker_phi.members == meet_in_a.members,
                   witness=(ker_phi.members, meet_in_a.members)),
         ]
@@ -288,7 +311,7 @@ def verify_third_anti_iso(g: FiniteGroup, a: Subgroup, n: Subgroup,
             checks += [
                 _witnessed("xi-well-defined", xi_conflict),
                 _anti_check("xi-is-anti", xi_images, q_a, q_an),
-                check("xi-bijective", xi_proof.is_bijective()),
+                _witnessed("xi-bijective", _bijection_witness(xi_proof)),
                 _commutes_check(tuple(xi_images[v] for v in rho.images), phi.images),
                 _statement_direction_check(xi_proof),
                 check("unique", solutions == [xi_images], witness=solutions),
@@ -338,7 +361,9 @@ def verify_abelian_collapse(phi: Morphism) -> TheoremReport:
     if phi.is_bijective() and cls == BOTH:
         iso = find_isomorphism(a, b)
         checks.append(check("bijective-both-forces-abelian-isomorphic",
-                            a.abelian and b.abelian and iso is not None))
+                            a.abelian and b.abelian and iso is not None,
+                            witness=((a.name, a.order, a.abelian),
+                                     (b.name, b.order, b.abelian))))
     return TheoremReport(
         theorem="abelian-collapse",
         inputs=(("map", repr(phi)),),

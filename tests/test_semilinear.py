@@ -216,6 +216,44 @@ def test_mono_epi_characterization():
         verify_mono_epi(zero_map(F4, 3, 3, ANTI))
 
 
+def _first_collision_naive(f, max_dim=2):
+    """The first (dz, v1, v2) with v1 < v2 and f∘v1 == f∘v2, and the first
+    with v1∘f == v2∘f, by a scan of every pair: the naive twin of
+    verify_mono_epi's two scans."""
+    def scan(shape, product):
+        return next(((dz, v1, v2) for dz in range(max_dim + 1)
+                     for v1 in _matrices(*shape(dz)) for v2 in _matrices(*shape(dz))
+                     if v1 < v2 and product(dz, v1) == product(dz, v2)), None)
+
+    mono = scan(lambda dz: (f.cols, dz),
+                lambda dz, v: compose_semilinear(f, SemilinearMap(F4, f.cols, dz, v)))
+    epi = scan(lambda dz: (dz, f.rows),
+               lambda dz, v: compose_semilinear(SemilinearMap(F4, dz, f.rows, v), f))
+    return mono, epi
+
+
+def test_mono_epi_witnesses_are_the_first_collisions(monkeypatch):
+    # Each side stops at its first collision, which the naive scan finds
+    # too. A witness shows only on a FAIL, so the mutant claims every map
+    # injective and surjective: then each side with a collision FAILs and
+    # names it.
+    monkeypatch.setattr(semilinear_module, "kernel_basis", lambda f: ())
+    monkeypatch.setattr(semilinear_module, "rank_of", lambda f: f.rows)
+    rank1 = matrix(F4, [(1, 0), (0, 0)])
+    checks = verify_mono_epi(rank1).check_map()
+    assert checks["mono-iff-injective"].witness == (1, ((0,), (0,)), ((0,), (1,)))
+    assert (checks["mono-iff-injective"].witness, checks["epi-iff-surjective"].witness) \
+        == _first_collision_naive(rank1)
+    # every map of one row or one column, both twists
+    for rows, cols in ((1, 1), (1, 2), (2, 1)):
+        for e in _matrices(rows, cols):
+            for twist in (STRAIGHT, ANTI):
+                f = SemilinearMap(F4, rows, cols, e, twist)
+                checks = verify_mono_epi(f).check_map()
+                assert (checks["mono-iff-injective"].witness,
+                        checks["epi-iff-surjective"].witness) == _first_collision_naive(f)
+
+
 def test_hom_twisted_counts():
     rep = bifunctor_grid_report(F4, dims=(1, 2))
     assert rep.passed, rep.failures()
@@ -346,9 +384,10 @@ def test_mat_mul_matches_a_plain_triple_sum(order):
 
 @pytest.mark.parametrize("order", [4, 9])
 def test_code_level_cores_match_the_map_products(order):
-    # The hom grid calls _compose_codes and _add_codes once per pair; each
-    # returns the (codes, twist) of the map its wrapper builds, and of the
-    # entry-level product with f conjugated when g is twisted
+    # compose_semilinear, add_semilinear and the hom grid read each row
+    # through _product_table and _sum_rule; each rule gives, row by row, the
+    # (codes, twist) of the map its wrapper builds, and of the entry-level
+    # product with f conjugated when g is twisted, or the entrywise sum
     field = FieldFq2.of_order(order)
     rng = random.Random(order)
 
@@ -361,22 +400,68 @@ def test_code_level_cores_match_the_map_products(order):
             for g_twist, f_twist in itertools.product((STRAIGHT, ANTI), repeat=2):
                 g = SemilinearMap(field, rows, inner, a, g_twist)
                 f = SemilinearMap(field, inner, cols, b, f_twist)
-                core = semilinear_module._compose_codes(g.codes, g_twist, f)
+                table, twist = semilinear_module._product_table(g_twist, f)
+                rule = (tuple(table[c] for c in g.codes), twist)
                 comp = compose_semilinear(g, f)
-                assert core == (comp.codes, comp.twist)
+                assert rule == (comp.codes, comp.twist)
                 product = mat_mul(field, a, conj_b if g_twist == ANTI else b, cols)
-                assert core == (codes_of(product), STRAIGHT if g_twist == f_twist else ANTI)
+                assert rule == (codes_of(product), STRAIGHT if g_twist == f_twist else ANTI)
     # every pair of 2x1 maps: two rows, each one digit
     every = [tuple((x,) for x in col) for col in itertools.product(range(order), repeat=2)]
     for twist in (STRAIGHT, ANTI):
+        plus, sum_twist = semilinear_module._sum_rule(field, twist)
         for x, y in itertools.product(every, repeat=2):
             f = SemilinearMap(field, 2, 1, x, twist)
             g = SemilinearMap(field, 2, 1, y, twist)
-            core = semilinear_module._add_codes(field, f.codes, g.codes, twist)
+            rule = (tuple(map(plus, f.codes, g.codes)), sum_twist)
             total = add_semilinear(f, g)
-            assert core == (total.codes, total.twist)
+            assert rule == (total.codes, total.twist)
             sums = tuple(tuple(map(field.add_, xr, yr)) for xr, yr in zip(x, y))
-            assert core == (codes_of(sums), twist)
+            assert rule == (codes_of(sums), twist)
+
+
+def _grid_shapes(order):
+    """The (rows, cols) shapes of the grid's maps over F_order: dims (1, 2)
+    over F4, as in the report, and (1,) over F9."""
+    dims = (1, 2) if order == 4 else (1,)
+    return dims, list(itertools.product(dims, repeat=2))
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_cartesian_powers_match_the_per_pair_products(order):
+    # The grid evaluates h∘f for every h of dz rows as the Cartesian power
+    # of one table; its witness index is the position in _all_matrices
+    # order, so the power must list the products in exactly that order.
+    field = FieldFq2.of_order(order)
+    dims, shapes = _grid_shapes(order)
+    every = semilinear_module._all_matrices
+    for (dy, dx), dz in itertools.product(shapes, dims):
+        for g_twist in (STRAIGHT, ANTI):
+            lefts = [SemilinearMap(field, dz, dy, e, g_twist) for e in every(field, dz, dy)]
+            for fe in every(field, dy, dx):
+                for f_twist in (STRAIGHT, ANTI):
+                    f = SemilinearMap(field, dy, dx, fe, f_twist)
+                    table, twist = semilinear_module._product_table(g_twist, f)
+                    products = [compose_semilinear(h, f) for h in lefts]
+                    assert list(itertools.product(table, repeat=dz)) == \
+                        [p.codes for p in products]
+                    assert {p.twist for p in products} == {twist}
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_per_row_sum_lists_match_the_per_pair_sums(order):
+    # a + b for every b of a's shape is the product of one list per row of a
+    field = FieldFq2.of_order(order)
+    _, shapes = _grid_shapes(order)
+    every = semilinear_module._all_matrices
+    for (rows, cols), twist in itertools.product(shapes, (STRAIGHT, ANTI)):
+        plus, sum_twist = semilinear_module._sum_rule(field, twist)
+        maps = [SemilinearMap(field, rows, cols, e, twist) for e in every(field, rows, cols)]
+        for a in maps:
+            per_row = [[plus(x, c) for c in range(order ** cols)] for x in a.codes]
+            sums = [add_semilinear(a, b) for b in maps]
+            assert list(itertools.product(*per_row)) == [s.codes for s in sums]
+            assert {s.twist for s in sums} == {sum_twist}
 
 
 @pytest.mark.parametrize("order", [4, 9])
@@ -501,27 +586,27 @@ def _first_naturality_failure(dims, holds):
     return None
 
 
-# The grid's pair loops run on row codes through the cores that
-# compose_semilinear and add_semilinear wrap, so the mutants below replace
-# the cores; the naive twins reach the same mutants through the wrappers.
+# The grid and the wrappers read each row through the same rules,
+# _product_table and _sum_rule, so the mutants below replace a rule; the
+# naive twins reach the same mutant through the wrappers, one pair at a time.
 
 
 def test_postcompose_naturality_fails_on_a_flipped_twist(monkeypatch):
-    real = semilinear_module._compose_codes
+    real = semilinear_module._product_table
 
-    def flipped(g_codes, g_twist, f):
-        codes, twist = real(g_codes, g_twist, f)
-        if g_twist == STRAIGHT and f.is_anti and (len(g_codes), f.rows, f.cols) == (1, 1, 1) \
+    def flipped(g_twist, f):
+        table, twist = real(g_twist, f)
+        if g_twist == STRAIGHT and f.is_anti and (f.rows, f.cols) == (1, 1) \
                 and f.entries != ((0,),):
-            return codes, STRAIGHT
-        return codes, twist
+            return table, STRAIGHT
+        return table, twist
 
     def holds(f, h):
         hf = compose_semilinear(h, f)
         return SemilinearMap(F4, hf.rows, hf.cols, hf.entries, ANTI) == \
             compose_semilinear(h, SemilinearMap(F4, f.rows, f.cols, f.entries, ANTI))
 
-    monkeypatch.setattr(semilinear_module, "_compose_codes", flipped)
+    monkeypatch.setattr(semilinear_module, "_product_table", flipped)
     checks = _grid_checks(dims=(1,))
     assert not checks["naturality-postcompose"].passed
     assert checks["naturality-postcompose"].witness == \
@@ -530,20 +615,20 @@ def test_postcompose_naturality_fails_on_a_flipped_twist(monkeypatch):
 
 
 def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
-    real = semilinear_module._compose_codes
+    real = semilinear_module._product_table
 
-    def unconjugated(g_codes, g_twist, f):
-        if g_twist == ANTI and (len(g_codes), f.rows, f.cols) == (1, 1, 1):
+    def unconjugated(g_twist, f):
+        if g_twist == ANTI and (f.rows, f.cols) == (1, 1):
             # the twisted product read through f's unconjugated image table
-            return real(g_codes, STRAIGHT, f)[0], STRAIGHT if f.is_anti else ANTI
-        return real(g_codes, g_twist, f)
+            return real(STRAIGHT, f)[0], STRAIGHT if f.is_anti else ANTI
+        return real(g_twist, f)
 
     def holds(f, h):
         hf = compose_semilinear(h, f)
         return SemilinearMap(F4, hf.rows, hf.cols, _conj(hf.entries), ANTI) == \
             compose_semilinear(SemilinearMap(F4, h.rows, h.cols, _conj(h.entries), ANTI), f)
 
-    monkeypatch.setattr(semilinear_module, "_compose_codes", unconjugated)
+    monkeypatch.setattr(semilinear_module, "_product_table", unconjugated)
     checks = _grid_checks(dims=(1,))
     assert not checks["naturality-precompose"].passed
     # f must differ from its conjugate and h must not vanish
@@ -552,28 +637,56 @@ def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
     assert checks["naturality-postcompose"].passed
 
 
-def test_correspondence_additivity_is_checked_on_every_pair(monkeypatch):
-    # Broken only for twisted sums whose left summand starts with w2, so a
-    # check restricted to the 64 matrices that start with 0 would miss it.
-    # A 2x2 row code's leading base-4 digit is the row's first entry.
-    real = semilinear_module._add_codes
+def test_naturality_witness_fails_late_in_a_two_row_left_factor(monkeypatch):
+    # Only products through a twisted 2x2 right factor break, and only in
+    # rows of code 13, (w2, 1). The first failing h has a zero first row and
+    # that row second: index 13 of the Cartesian power, whose mismatch lies
+    # in the second row. Reading the index with the rows swapped would name
+    # ((w2, 1), (0, 0)) instead.
+    real = semilinear_module._product_table
 
-    def broken(field, f_codes, g_codes, twist):
-        if twist == ANTI and f_codes[0] // 4 == 3:
-            return f_codes, twist
-        return real(field, f_codes, g_codes, twist)
+    def broken(g_twist, f):
+        table, twist = real(g_twist, f)
+        if g_twist == STRAIGHT and f.is_anti and (f.rows, f.cols) == (2, 2):
+            table = tuple(t ^ 1 if c == 13 else t for c, t in enumerate(table))
+        return table, twist
+
+    def holds(f, h):
+        hf = compose_semilinear(h, f)
+        return SemilinearMap(F4, hf.rows, hf.cols, hf.entries, ANTI) == \
+            compose_semilinear(h, SemilinearMap(F4, f.rows, f.cols, f.entries, ANTI))
+
+    monkeypatch.setattr(semilinear_module, "_product_table", broken)
+    checks = _grid_checks(dims=(2,))
+    assert not checks["naturality-postcompose"].passed
+    assert checks["naturality-postcompose"].witness == \
+        _first_naturality_failure((2,), holds) == (((0, 0), (0, 0)), ((0, 0), (3, 1)))
+    assert checks["naturality-precompose"].passed
+
+
+def test_correspondence_additivity_is_checked_on_every_pair(monkeypatch):
+    # Broken only for twisted sums of two rows that both start with w2 (a
+    # 2-entry row code's leading base-4 digit is the row's first entry), so
+    # a check that sampled b, or stopped at a's first row, would miss it.
+    real = semilinear_module._sum_rule
+
+    def broken(field, twist):
+        plus, out = real(field, twist)
+        if twist == ANTI:
+            return (lambda x, y: x if x // 4 == y // 4 == 3 else plus(x, y)), out
+        return plus, out
 
     def map2(entries, twist=STRAIGHT):
         return SemilinearMap(F4, 2, 2, entries, twist)
 
-    monkeypatch.setattr(semilinear_module, "_add_codes", broken)
+    monkeypatch.setattr(semilinear_module, "_sum_rule", broken)
     check = _grid_checks()["correspondence-additive"]
     assert not check.passed
     mats = _matrices(2, 2)
     first = next((a, b) for a in mats for b in mats
                  if map2(add_semilinear(map2(a), map2(b)).entries, ANTI)
                  != add_semilinear(map2(a, ANTI), map2(b, ANTI)))
-    assert check.witness == first == (((3, 0), (0, 0)), ((0, 0), (0, 1)))
+    assert check.witness == first == (((0, 0), (3, 0)), ((0, 0), (3, 0)))
 
 
 def test_star_right_identity_names_its_first_counterexample(monkeypatch):

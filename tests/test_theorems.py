@@ -531,3 +531,138 @@ def test_third_anti_iso_normality_fails_under_relabeled_subgroups(monkeypatch, n
         "an-is-subgroup", "n-normal-in-an", "meet-normal-in-a"]
     # no xi was built, so the note on its two directions is not made
     assert rep.notes == ()
+
+
+# -- bijectivity, surjectivity and isomorphism witnesses -------------------------------
+
+
+def _first_non_bijective(images, size):
+    """Naive twin of the bijectivity witnesses: the least y whose image an
+    earlier x shares, with the least such x; else the least value below
+    `size` that no element takes; None for a bijection."""
+    for y in range(len(images)):
+        for x in range(y):
+            if images[x] == images[y]:
+                return ("collision", x, y)
+    missed = [v for v in range(size) if v not in images]
+    return ("missed", missed[0]) if missed else None
+
+
+def _least_preimage_values(surjection, values, size):
+    """The map through a surjection that gives each slot the value of its
+    least preimage, as the verifiers define their canonical maps."""
+    return [values[min(x for x, s in enumerate(surjection) if s == slot)]
+            for slot in range(size)]
+
+
+@pytest.mark.parametrize("kernel_of, phi_of, kind", [
+    # the parity map onto Z2 with a trivial kernel: six cosets, two values
+    (lambda s3: Subgroup(s3, (s3.identity,)),
+     lambda s3: corresponding_anti(sign_morphism(s3, GROUPS["z2"])), "collision"),
+    # the injective reverse map with kernel A3: two cosets, six values
+    (lambda s3: named_subgroup("s3", "a3"), reverse_morphism, "missed"),
+])
+def test_anti_hom_bijective_names_a_collision_or_a_missed_element(
+        monkeypatch, kernel_of, phi_of, kind):
+    s3 = GROUPS["s3"]
+    ker = kernel_of(s3)
+    monkeypatch.setattr(theorems_module, "kernel", lambda m: ker)
+    phi = phi_of(s3)
+    found = verify_anti_hom_theorem(phi).check_map()["bijective"]
+    q, proj = quotient(s3, ker)
+    image = sorted(set(phi.images))
+    values = [image.index(v) for v in phi.images]
+    xi = _least_preimage_values(proj.images, values, q.order)
+    assert not found.passed
+    assert found.witness == _first_non_bijective(xi, len(image))
+    assert found.witness[0] == kind
+
+
+def test_second_anti_iso_xi_bijective_names_a_missed_element(monkeypatch):
+    # A quotient by B = rot2 that answers A/rot leaves xi two elements for
+    # the four of (A/C)/(B/C).
+    d4 = GROUPS["d4"]
+    rot, rot2 = named_subgroup("d4", "rot"), named_subgroup("d4", "rot2")
+    trivial = Subgroup(d4, (d4.identity,))
+    real_quotient = theorems_module.quotient
+    monkeypatch.setattr(theorems_module, "quotient",
+                        lambda g, n: real_quotient(g, rot if n is rot2 else n))
+    found = verify_second_anti_iso(d4, rot2, trivial).check_map()["xi-bijective"]
+    q2, rho = quotient(d4, rot)
+    rho_star = [rho.images[d4.inv(x)] for x in d4.elements()]
+    q1, pi = quotient(d4, trivial)
+    q3, tau = quotient(q1, Subgroup(q1, tuple(sorted(pi.images[x] for x in rot2.members))))
+    rhs = [tau.images[pi.images[x]] for x in d4.elements()]
+    xi = _least_preimage_values(rho_star, rhs, q2.order)
+    assert not found.passed
+    assert found.witness == _first_non_bijective(xi, q3.order) == ("missed", 1)
+
+
+def test_third_anti_iso_phi_and_xi_name_a_missed_element(monkeypatch):
+    # With A = <(1 2)> and N trivial, a product AN that answers all of S3
+    # makes phi: A -> AN/N and xi: A/(A∩N) -> AN/N two elements into six.
+    s3 = GROUPS["s3"]
+    s12, trivial = named_subgroup("s3", "s12"), Subgroup(s3, (s3.identity,))
+    monkeypatch.setattr(theorems_module, "subgroup_product",
+                        lambda g, a, n: Subgroup(g, tuple(g.elements())))
+    checks = verify_third_anti_iso(s3, s12, trivial).check_map()
+    q, pi = quotient(s3, trivial)
+    phi = [pi.images[s3.inv(x)] for x in s12.members]
+    for name in ("phi-surjective", "xi-bijective"):
+        assert not checks[name].passed
+        assert checks[name].witness == _first_non_bijective(phi, q.order) == ("missed", 2)
+
+
+def test_third_anti_iso_xi_bijective_names_a_missed_element(monkeypatch):
+    # An intersection that answers A makes A/(A∩N) one element for AN/N's two
+    s3 = GROUPS["s3"]
+    s12, a3 = named_subgroup("s3", "s12"), named_subgroup("s3", "a3")
+    monkeypatch.setattr(theorems_module, "subgroup_intersection", lambda a, b: a)
+    found = verify_third_anti_iso(s3, s12, a3).check_map()["xi-bijective"]
+    _, proj = quotient(s3, a3)
+    phi = [proj.images[x] for x in s12.members]
+    assert not found.passed
+    xi = _least_preimage_values((0,) * len(phi), phi, 1)
+    assert found.witness == _first_non_bijective(xi, 2) == ("missed", 1)
+
+
+def test_iso_checks_name_both_groups_and_their_orders(monkeypatch):
+    # The reverse map of Z4 is bijective and, Z4 being abelian, satisfies
+    # both laws; each mutant puts Z2xZ2, of the same order, where Z4 belongs.
+    z4, klein = GROUPS["z4"], GROUPS["z2xz2"]
+    phi = reverse_morphism(z4)
+    real_as_group, real_quotient = theorems_module.subgroup_as_group, theorems_module.quotient
+    with monkeypatch.context() as m:
+        m.setattr(theorems_module, "subgroup_as_group",
+                  lambda g, s: (klein, real_as_group(g, s)[1]))
+        checks = verify_anti_hom_theorem(phi).check_map()
+    assert checks["surjective-target-iso-quotient"].passed
+    found = checks["injective-source-iso-image"]
+    assert not found.passed and found.witness == (("z4", 4), ("z2xz2", 4))
+    with monkeypatch.context() as m:
+        m.setattr(theorems_module, "quotient", lambda g, n: (klein, real_quotient(g, n)[1]))
+        checks = verify_anti_hom_theorem(phi).check_map()
+    assert checks["injective-source-iso-image"].passed
+    found = checks["surjective-target-iso-quotient"]
+    assert not found.passed and found.witness == (("z4", 4), ("z2xz2", 4))
+    # no isomorphism found: the abelian collapse names both groups, their
+    # orders and that both are abelian
+    monkeypatch.setattr(theorems_module, "find_isomorphism", lambda a, b: None)
+    found = verify_abelian_collapse(phi).check_map()["bijective-both-forces-abelian-isomorphic"]
+    assert not found.passed and found.witness == (("z4", 4, True), ("z4", 4, True))
+
+
+def test_the_seven_witnessed_checks_pass_with_null_witnesses():
+    s3, z4 = GROUPS["s3"], GROUPS["z4"]
+    reports = [
+        verify_anti_hom_theorem(reverse_morphism(z4)),
+        verify_second_anti_iso(GROUPS["d4"], named_subgroup("d4", "rot"),
+                               named_subgroup("d4", "rot2")),
+        verify_third_anti_iso(s3, named_subgroup("s3", "s12"), named_subgroup("s3", "a3")),
+        verify_abelian_collapse(reverse_morphism(z4)),
+    ]
+    names = {"bijective", "xi-bijective", "phi-surjective", "injective-source-iso-image",
+             "surjective-target-iso-quotient", "bijective-both-forces-abelian-isomorphic"}
+    seen = [c for rep in reports for c in rep.checks if c.name in names]
+    assert {c.name for c in seen} == names
+    assert all(c.passed and c.witness is None for c in seen)
