@@ -138,22 +138,9 @@ def validate_group(table, name: str = "") -> FiniteGroup:
 
 
 def subgroup_closure(g: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup containing gens (identity always included)."""
-    members = {g.identity}
-    frontier = [g.identity]
-    gens = sorted(set(gens))
-    for x in gens:
-        if x not in members:
-            members.add(x)
-            frontier.append(x)
-    while frontier:
-        x = frontier.pop()
-        for y in gens:
-            for z in (g.mul(x, y), g.mul(y, x), g.inv(x)):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return Subgroup(g, tuple(sorted(members)))
+    """Smallest subgroup containing gens (identity always included). A
+    finite set closed under the product is closed under inverses too."""
+    return Subgroup(g, kernels.closure((g.cayley,), (), (g.identity,), gens)[0])
 
 
 def is_subgroup(g: FiniteGroup, members) -> bool:

@@ -1,9 +1,9 @@
 """The hot table loops: map-space scan, batch classification, product
-tables of maps, generating plans, associativity.
+tables of maps, closures and generating plans, associativity.
 
 Cayley tables are flat row-major lists of element indices, except for
-`generating_plan` and `associativity_witness`, which read a table as its
-rows. A map is the tuple of its images.
+`closure`, `closed_sets`, `generating_plan` and `associativity_witness`,
+which read a table as its rows. A map is the tuple of its images.
 
 Classification codes: bit 1 set when the map satisfies the product-preserving
 law, bit 2 set when it satisfies the product-reversing law.
@@ -131,38 +131,84 @@ def product_table(tables, through):
     return rows, None
 
 
+def closure(ops, maps, closed, new):
+    """The least superset of the closed set `closed` and of `new` that is
+    closed under each binary table in `ops` and each unary table in `maps`.
+
+    Semi-naive: each element found is combined, in both orders, only with
+    itself and the elements known before it: pairs within `closed`, or
+    pairs met in an earlier round, are not formed again.
+    Returns (members, plan): the sorted tuple of members, and one
+    (z, k, x, y) per derived element in the order found, its operands known
+    before it: z = ops[k][x][y], or for k >= len(ops), z = maps[k -
+    len(ops)][x] with y None. The elements of `new` are not listed.
+    """
+    known, done, plan = set(closed), list(closed), []
+    queue = [x for x in dict.fromkeys(new) if x not in known]
+    known.update(queue)
+
+    def derive(z, k, x, y):
+        known.add(z)
+        queue.append(z)
+        plan.append((z, k, x, y))
+
+    for x in queue:                 # the queue grows as elements are found
+        done.append(x)
+        for k, op in enumerate(ops):
+            row_x = op[x]
+            for y in done:
+                if row_x[y] not in known:
+                    derive(row_x[y], k, x, y)
+                if op[y][x] not in known:
+                    derive(op[y][x], k, y, x)
+        for k, t in enumerate(maps, len(ops)):
+            if t[x] not in known:
+                derive(t[x], k, x, None)
+    return tuple(sorted(known)), plan
+
+
+def closed_sets(ops, maps, bottom):
+    """Every set containing `bottom` and closed under `ops` and `maps`, as
+    a sorted tuple of sorted tuples. Each closed set found is extended by
+    every element outside it (the cyclic extension method); this reaches
+    every closed set T, as the closure of a smaller one in T and one more
+    element of T."""
+    least = closure(ops, maps, (), bottom)[0]
+    found = {least}
+    frontier = [least]
+    while frontier:
+        s = frontier.pop()
+        inside = set(s)
+        for x in range(len(ops[0])):
+            if x not in inside:
+                t = closure(ops, maps, s, (x,))[0]
+                if t not in found:
+                    found.add(t)
+                    frontier.append(t)
+    return tuple(sorted(found))
+
+
 def generating_plan(ops, base):
     """Greedy generators of an algebra A under its operation tables, and one
     (plan, members, before) stage for the base and for each generator.
 
     Each generator is the least element not in the closure of the base and
-    the generators before it. A plan lists (z, k, i, j) with
-    z = ops[k][i][j] in evaluation order; `members` is the sorted closed
-    subset known after the stage and `before` the set known before it.
-    Stage k + 1 begins with gens[k], which its plan does not list.
+    the generators before it. A stage is one `closure` call: its plan lists
+    (z, k, i, j) with z = ops[k][i][j] in evaluation order; `members` is the
+    sorted closed subset known after the stage and `before` the set known
+    before it. Stage k + 1 begins with gens[k], which its plan does not list.
     """
+    n = len(ops[0])
     gens, stages = [], []
-    known, before = set(base), set()
+    members, before, new = (), set(), base
     while True:
-        plan = []
-        changed = True
-        while changed:
-            changed = False
-            known_list = sorted(known)
-            for x in known_list:
-                for y in known_list:
-                    for k, op in enumerate(ops):
-                        z = op[x][y]
-                        if z not in known:
-                            known.add(z)
-                            plan.append((z, k, x, y))
-                            changed = True
-        stages.append((plan, sorted(known), before))
-        if len(known) == len(ops[0]):
+        members, plan = closure(ops, (), members, new)
+        stages.append((plan, members, before))
+        if len(members) == n:
             return gens, stages
-        before = set(known)
-        gens.append(min(x for x in range(len(ops[0])) if x not in known))
-        known.add(gens[-1])
+        before = set(members)
+        gens.append(min(x for x in range(n) if x not in before))
+        new = (gens[-1],)
 
 
 def associativity_witness(rows):

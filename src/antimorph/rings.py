@@ -223,62 +223,16 @@ def subring_as_ring(r: FiniteRing, members):
     return sub, incl
 
 
-def subring_closure(r: FiniteRing, gens) -> tuple[int, ...]:
-    """Smallest unital subring containing gens."""
-    members = {r.zero, r.one}
-    frontier = list(members | set(gens))
-    members |= set(gens)
-    while frontier:
-        x = frontier.pop()
-        for y in list(members):
-            for z in (r.add_(x, y), r.add_(y, x), r.mul_(x, y), r.mul_(y, x),
-                      r.neg(x)):
-                if z not in members:
-                    members.add(z)
-                    frontier.append(z)
-    return tuple(sorted(members))
-
-
-def _closed_sets(r: FiniteRing, close) -> tuple[tuple[int, ...], ...]:
-    """Every set `close` gives, closing each found set under one more element."""
-    found = {close(())}
-    frontier = list(found)
-    while frontier:
-        s = frontier.pop()
-        for x in r.elements():
-            if x not in s:
-                t = close(set(s) | {x})
-                if t not in found:
-                    found.add(t)
-                    frontier.append(t)
-    return tuple(sorted(found))
-
-
 def all_subrings(r: FiniteRing) -> tuple[tuple[int, ...], ...]:
-    """Every unital subring."""
-    return _closed_sets(r, lambda gens: subring_closure(r, gens))
-
-
-def ideal_closure(r: FiniteRing, gens, side: str) -> tuple[int, ...]:
-    """Smallest ideal of the declared side containing gens."""
-    members = {r.zero}
-    frontier = list(set(gens) - members)
-    members |= set(gens)
-    while frontier:
-        x = frontier.pop()
-        candidates = [r.neg(x)]
-        candidates.extend(r.add_(x, y) for y in list(members))
-        if side in (LEFT, TWO_SIDED):
-            candidates.extend(r.mul_(y, x) for y in r.elements())
-        if side in (RIGHT, TWO_SIDED):
-            candidates.extend(r.mul_(x, y) for y in r.elements())
-        for z in candidates:
-            if z not in members:
-                members.add(z)
-                frontier.append(z)
-    return tuple(sorted(members))
+    """Every unital subring: the sets with 0 and 1 closed under + and *
+    (in a finite ring, closed under + means closed under negation too)."""
+    return kernels.closed_sets((r.add, r.mul), (), (r.zero, r.one))
 
 
 def all_ideals(r: FiniteRing, side: str) -> tuple[tuple[int, ...], ...]:
-    """Every ideal of the declared side."""
-    return _closed_sets(r, lambda gens: ideal_closure(r, gens, side))
+    """Every ideal of the declared side: the sets with 0 closed under + and
+    under a ↦ x*a (left) or a ↦ a*x (right) for every x, which are the rows
+    and the columns of the multiplication table."""
+    rows, columns = r.mul, tuple(zip(*r.mul))
+    maps = {LEFT: rows, RIGHT: columns, TWO_SIDED: rows + columns}[side]
+    return kernels.closed_sets((r.add,), maps, (r.zero,))

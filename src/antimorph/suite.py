@@ -421,34 +421,40 @@ def _first_repeat(keys):
 
 
 def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
-    """Unit, inverse, and power preservation plus anti-inverse closure."""
+    """Unit, inverse, and power preservation plus anti-inverse closure. Each
+    witness is the first failing anti map's images, with the failing x (and
+    n), or with its inverse table and that table's `law_witness`."""
     out = []
     for name in sorted(groups):
         g = groups[name]
         antis = enumerate_morphisms(g, g, ANTI, bound)
-        unit_ok = all(m.images[g.identity] == g.identity for m in antis)
-        inv_ok = all(m.images[g.inv(x)] == g.inv(m.images[x])
-                     for m in antis for x in g.elements())
-        pow_ok = all(m.images[g.power(x, n)] == g.power(m.images[x], n)
-                     for m in antis for x in g.elements()
-                     for n in range(g.exponent + 1))
-        anti_inverse_ok = True
+        e = g.identity
+        unit_w = next(((m.images, e) for m in antis if m.images[e] != e), None)
+        inv_w = next(((m.images, x) for m in antis for x in g.elements()
+                      if m.images[g.inv(x)] != g.inv(m.images[x])), None)
+        pow_w = next(((m.images, x, n) for m in antis for x in g.elements()
+                      for n in range(g.exponent + 1)
+                      if m.images[g.power(x, n)] != g.power(m.images[x], n)), None)
+        anti_inverse_w = None
         for m in antis:
             if not m.is_bijective():
                 continue
             inverse = [0] * g.order
             for x in g.elements():
                 inverse[m.images[x]] = x
-            if law_witness(tuple(inverse), g, g, ANTI) is not None:
-                anti_inverse_ok = False
+            w = law_witness(tuple(inverse), g, g, ANTI)
+            if w is not None:
+                anti_inverse_w = (m.images, tuple(inverse), w)
+                break
         out.append(TheoremReport(
             theorem=f"anti-map-properties/{name}",
             inputs=(("group", name),),
             checks=(
-                check("preserves-unit", unit_ok),
-                check("preserves-inverses", inv_ok),
-                check("preserves-powers", pow_ok),
-                check("bijective-anti-has-anti-inverse", anti_inverse_ok),
+                check("preserves-unit", unit_w is None, witness=unit_w),
+                check("preserves-inverses", inv_w is None, witness=inv_w),
+                check("preserves-powers", pow_w is None, witness=pow_w),
+                check("bijective-anti-has-anti-inverse", anti_inverse_w is None,
+                      witness=anti_inverse_w),
             ),
         ))
     return out

@@ -380,24 +380,28 @@ def verify_subring_and_transport(phi: Morphism) -> TheoremReport:
     if not phi.is_anti or not isinstance(phi.source, FiniteRing):
         raise PreconditionFailed("phi must be an anti ring morphism")
     a, b = phi.source, phi.target
+    # an endomorphism walks each lattice once
+    subrings_a = all_subrings(a)
+    subrings_b = subrings_a if a == b else all_subrings(b)
     checks = []
-    for s in all_subrings(a):
+    for s in subrings_a:
         im = tuple(sorted({phi.images[x] for x in s}))
         checks.append(check(f"image-subring-{s}", is_subring(b, im), witness=im))
-    for s in all_subrings(b):
+    for s in subrings_b:
         pre = tuple(sorted(x for x in a.elements() if phi.images[x] in s))
         checks.append(check(f"preimage-subring-{s}", is_subring(a, pre), witness=pre))
     if phi.is_surjective():
-        for ideal in all_ideals(a, "left"):
+        lefts_a = all_ideals(a, "left")
+        lefts_b = lefts_a if a == b else all_ideals(b, "left")
+        for ideal in lefts_a:
             im = tuple(sorted({phi.images[x] for x in ideal}))
-            checks.append(check(f"image-left-ideal-{ideal}",
-                                ideal_witness(b, im, "right") is None,
-                                witness=(im, ideal_witness(b, im, "right"))))
-        for ideal in all_ideals(b, "left"):
+            w = ideal_witness(b, im, "right")
+            checks.append(check(f"image-left-ideal-{ideal}", w is None, witness=(im, w)))
+        for ideal in lefts_b:
             pre = tuple(sorted(x for x in a.elements() if phi.images[x] in ideal))
-            checks.append(check(f"preimage-left-ideal-{ideal}",
-                                ideal_witness(a, pre, "right") is None,
-                                witness=(pre, ideal_witness(a, pre, "right"))))
+            w = ideal_witness(a, pre, "right")
+            checks.append(check(f"preimage-left-ideal-{ideal}", w is None,
+                                witness=(pre, w)))
     return TheoremReport(
         theorem="subring-transport",
         inputs=(("map", repr(phi)),),

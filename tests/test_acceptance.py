@@ -10,9 +10,10 @@ import itertools
 import time
 from collections import Counter
 
+from antimorph import kernels
 from antimorph.corpus import category_corpus, group_corpus, ring_corpus
 from antimorph.formats import emit_group
-from antimorph.groups import direct_product
+from antimorph.groups import direct_product, is_subgroup
 from antimorph.kernels import BACKEND
 from antimorph.maps import ANTI, STRAIGHT
 from antimorph.morphisms import (
@@ -254,3 +255,25 @@ def test_hom_and_an_equals_both_enumerations_on_every_group_of_order_at_most_8(
     for a, b in itertools.product(groups.values(), repeat=2):
         assert hom_and_an(a, b) == (enumerate_morphisms(a, b, STRAIGHT),
                                     enumerate_morphisms(a, b, ANTI)), (a, b)
+
+
+# subgroup counts of the 14 groups of order <= 8
+SUBGROUP_COUNTS = {"z1": 1, "z2": 2, "z3": 2, "z4": 3, "z2xz2": 5, "z5": 2, "z6": 4,
+                   "s3": 6, "z7": 2, "z8": 4, "z2xz4": 8, "z2xz2xz2": 16, "d4": 10,
+                   "q8": 6}
+
+
+def test_subgroup_lattices_match_a_subset_scan_on_every_group_of_order_at_most_8(
+        tmp_path):
+    # The lattice walk from the trivial subgroup against every subset of
+    # the group tested with is_subgroup.
+    groups = _groups_of_order_at_most_8(tmp_path)
+    counts = {}
+    for name, g in groups.items():
+        lattice = kernels.closed_sets((g.cayley,), (), (g.identity,))
+        scanned = tuple(s for k in range(g.order + 1)
+                        for s in itertools.combinations(g.elements(), k)
+                        if is_subgroup(g, s))
+        assert lattice == tuple(sorted(scanned)), name
+        counts[name] = len(lattice)
+    assert counts == SUBGROUP_COUNTS

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from antimorph import kernels, suite
-from antimorph.corpus import group_corpus
+from antimorph.corpus import group_corpus, ring_corpus
+from antimorph.groups import subgroup_closure
 from antimorph.maps import ANTI, VARIANCES, Morphism
 from antimorph.morphisms import enumerate_morphisms
+from antimorph.rings import all_ideals, all_subrings
 from antimorph.suite import star_monoid_reports, variance_table_reports
 
 from corpus_builders import cyclic, symmetric3
@@ -395,3 +397,188 @@ def test_product_table_matches_a_double_loop():
             assert kernels.product_table(tables, through) == (
                 ([[tables.index(pq) for pq in row] for row in products], None)
                 if closed else (None, first))
+
+
+# -- closures -------------------------------------------------------------------
+# The naive twins below are the closure loops the kernel replaced: the
+# subgroup closure under products with the generators and inverses, the
+# subring and ideal closures with negation, and the lattice walk that closes
+# every candidate s ∪ {x} from scratch.
+
+
+def _naive_subgroup(g, gens):
+    members = {g.identity}
+    frontier = [g.identity]
+    gens = sorted(set(gens))
+    for x in gens:
+        if x not in members:
+            members.add(x)
+            frontier.append(x)
+    while frontier:
+        x = frontier.pop()
+        for y in gens:
+            for z in (g.mul(x, y), g.mul(y, x), g.inv(x)):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return tuple(sorted(members))
+
+
+def _naive_subring(r, gens):
+    members = {r.zero, r.one} | set(gens)
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for y in list(members):
+            for z in (r.add_(x, y), r.add_(y, x), r.mul_(x, y), r.mul_(y, x),
+                      r.neg(x)):
+                if z not in members:
+                    members.add(z)
+                    frontier.append(z)
+    return tuple(sorted(members))
+
+
+def _naive_ideal(r, gens, side):
+    members = {r.zero}
+    frontier = list(set(gens) - members)
+    members |= set(gens)
+    while frontier:
+        x = frontier.pop()
+        candidates = [r.neg(x)]
+        candidates.extend(r.add_(x, y) for y in list(members))
+        if side in ("left", "two-sided"):
+            candidates.extend(r.mul_(y, x) for y in r.elements())
+        if side in ("right", "two-sided"):
+            candidates.extend(r.mul_(x, y) for y in r.elements())
+        for z in candidates:
+            if z not in members:
+                members.add(z)
+                frontier.append(z)
+    return tuple(sorted(members))
+
+
+def _naive_closed_sets(r, close):
+    found = {close(())}
+    frontier = list(found)
+    while frontier:
+        s = frontier.pop()
+        for x in r.elements():
+            if x not in s:
+                t = close(set(s) | {x})
+                if t not in found:
+                    found.add(t)
+                    frontier.append(t)
+    return tuple(sorted(found))
+
+
+def _ideal_maps(r, side):
+    """a ↦ x*a (the rows of mul) and a ↦ a*x (its columns) for every x."""
+    rows, columns = r.mul, tuple(zip(*r.mul))
+    return {"left": rows, "right": columns, "two-sided": rows + columns}[side]
+
+
+def _assert_plan_valid(ops, maps, known, plan):
+    """Each entry is the table value of operands known before it, and new."""
+    known = set(known)
+    for z, k, i, j in plan:
+        assert i in known and (j is None or j in known), (z, k, i, j)
+        assert z == (ops[k][i][j] if k < len(ops) else maps[k - len(ops)][i])
+        assert z not in known
+        known.add(z)
+    return known
+
+
+def _ring_closures(r):
+    """(ops, maps, bottom, naive closure) for subrings and for the ideals of
+    each side."""
+    yield (r.add, r.mul), (), (r.zero, r.one), lambda gens: _naive_subring(r, gens)
+    for side in ("left", "right", "two-sided"):
+        yield ((r.add,), _ideal_maps(r, side), (r.zero,),
+               lambda gens, side=side: _naive_ideal(r, gens, side))
+
+
+def test_closure_matches_the_naive_loops_on_every_seed_pair():
+    # Every (x, y) of every bundled group and ring: the closure of the
+    # bottom and {x, y} from nothing, and the closed set of {x} extended by
+    # y, which is how the lattice walk uses the kernel.
+    cases = [((g.cayley,), (), (g.identity,), lambda gens, g=g: _naive_subgroup(g, gens))
+             for g in group_corpus().values()]
+    for r in ring_corpus().values():
+        cases.extend(_ring_closures(r))
+    for ops, maps, bottom, naive in cases:
+        for x, y in itertools.product(range(len(ops[0])), repeat=2):
+            expected = naive((x, y))
+            members, plan = kernels.closure(ops, maps, (), bottom + (x, y))
+            assert members == expected, (bottom, x, y)
+            _assert_plan_valid(ops, maps, set(bottom) | {x, y}, plan)
+            half = naive((x,))
+            members, plan = kernels.closure(ops, maps, half, (y,))
+            assert members == expected, (bottom, x, y)
+            assert _assert_plan_valid(ops, maps, set(half) | {y}, plan) == set(members)
+    for g in group_corpus().values():
+        for x, y in itertools.product(g.elements(), repeat=2):
+            assert subgroup_closure(g, (x, y)).members == _naive_subgroup(g, (x, y))
+
+
+def _naive_fixpoint(ops, maps, gens):
+    """Close gens under every pair and every map until nothing is added."""
+    members = set(gens)
+    while True:
+        grown = members | {op[x][y] for op in ops for x in members for y in members} \
+            | {t[x] for t in maps for x in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+def test_closure_is_the_least_closed_superset_on_random_tables():
+    # Seeded random tables, neither associative nor commutative, so no
+    # product of one order follows from the other: the closure of a random
+    # seed set, and that closure extended by one more element.
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        ops = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+               for _ in range(rng.randint(1, 2))]
+        maps = [[rng.randrange(n) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        seed = rng.sample(range(n), rng.randint(0, min(n, 2)))
+        closed, plan = kernels.closure(ops, maps, (), seed)
+        assert closed == _naive_fixpoint(ops, maps, seed), (ops, maps, seed)
+        _assert_plan_valid(ops, maps, seed, plan)
+        x = rng.randrange(n)
+        members, plan = kernels.closure(ops, maps, closed, (x,))
+        assert members == _naive_fixpoint(ops, maps, closed + (x,))
+        _assert_plan_valid(ops, maps, set(closed) | {x}, plan)
+
+
+def test_closed_sets_match_the_naive_walk_on_every_bundled_ring():
+    for r in ring_corpus().values():
+        expected = [_naive_closed_sets(r, naive) for *_, naive in _ring_closures(r)]
+        walked = [kernels.closed_sets(ops, maps, bottom)
+                  for ops, maps, bottom, _ in _ring_closures(r)]
+        assert walked == expected, r
+        assert [all_subrings(r)] + [all_ideals(r, side) for side in
+                                    ("left", "right", "two-sided")] == expected
+
+
+def test_generating_plans_are_valid_on_every_bundled_group_and_ring():
+    # Per stage: each entry is the table value of operands known before it,
+    # and the members are the closure of the earlier members and the
+    # stage's generator (of the base, for the first stage).
+    cases = [((g.cayley,), (g.identity,)) for g in group_corpus().values()]
+    cases += [((r.add, r.mul), base) for r in ring_corpus().values()
+              for base in ((r.zero, r.one), (r.zero,))]
+    for ops, base in cases:
+        gens, stages = kernels.generating_plan(ops, base)
+        assert len(stages) == len(gens) + 1
+        members, new = (), base
+        for k, (plan, stage_members, before) in enumerate(stages):
+            assert before == set(members)
+            known = _assert_plan_valid(ops, (), set(members) | set(new), plan)
+            assert tuple(sorted(known)) == stage_members
+            assert stage_members == kernels.closure(ops, (), members, new)[0]
+            members = stage_members
+            if k < len(gens):
+                assert gens[k] == min(set(range(len(ops[0]))) - set(members))
+                new = (gens[k],)
+        assert members == tuple(range(len(ops[0])))

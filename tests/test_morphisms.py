@@ -1023,3 +1023,46 @@ def test_enumeration_matches_brute_force_on_relabeled_products():
         for other in others:
             for a, b in ((prod, other), (other, prod)):
                 _assert_enumeration_matches_brute_force(a, _relabeled(a, rng), b)
+
+
+# Per anti-map-properties check on S3: two maps that break it, listed after
+# An(S3, S3), and the witness the check must give, naming the first. S3's
+# identity is 0, its involutions 1, 2 and 5, and 4 = 3^-1.
+_PROPERTY_BREAKERS = {
+    # constant maps onto a 3-cycle and onto an involution
+    "preserves-unit": (((3,) * 6, (1,) * 6), lambda bad: (bad, 0)),
+    # the identity fixed, everything else sent to a 3-cycle, which is not
+    # its own inverse: f(1^-1) = 3 but f(1)^-1 = 4
+    "preserves-inverses": (((0, 3, 3, 3, 3, 3), (0, 4, 4, 4, 4, 4)),
+                           lambda bad: (bad, 1)),
+    # both 3-cycles sent to one involution: inverses are kept, but
+    # f(3^2) = f(4) = 1 while f(3)^2 = 0
+    "preserves-powers": (((0, 1, 2, 1, 1, 5), (0, 1, 2, 2, 2, 5)),
+                         lambda bad: (bad, 3, 2)),
+    # bijections swapping a 3-cycle with an involution: each is its own
+    # inverse and breaks the anti law
+    "bijective-anti-has-anti-inverse": (
+        ((0, 3, 2, 1, 4, 5), (0, 1, 3, 2, 4, 5)),
+        lambda bad: (bad, bad, law_witness(bad, group_corpus()["s3"],
+                                           group_corpus()["s3"], ANTI))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROPERTY_BREAKERS))
+def test_anti_map_property_names_its_first_failing_map(install_enumerator, name):
+    s3 = group_corpus()["s3"]
+    tables, expected = _PROPERTY_BREAKERS[name]
+    real = suite.enumerate_morphisms
+
+    def adding(a, b, variance, bound=suite.DEFAULT_BOUND):
+        out = real(a, b, variance, bound)
+        if variance == ANTI:
+            out = out + tuple(Morphism(a, b, t, ANTI) for t in tables)
+        return out
+
+    install_enumerator(suite, adding)
+    checks = suite.morphism_property_reports({"s3": s3})[0].check_map()
+    assert not checks[name].passed
+    assert checks[name].witness == expected(tables[0])
+    assert law_witness(tables[0], s3, s3, ANTI) is not None
+

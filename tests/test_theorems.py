@@ -22,7 +22,7 @@ from antimorph.morphisms import (
     hom_and_an,
     reverse_morphism,
 )
-from antimorph.rings import quotient_ring
+from antimorph.rings import opposite, quotient_ring
 from antimorph.theorems import (
     concrete_factorization,
     sign_morphism,
@@ -154,6 +154,24 @@ def test_subring_transport_on_involutions():
         rep = verify_subring_and_transport(reverse_morphism(RINGS[name]))
         assert rep.passed, rep.failures()
 
+
+
+def test_subring_transport_walks_each_lattice_once_per_ring(monkeypatch):
+    # An endomorphism walks one subring and one left-ideal lattice; the
+    # identity map onto the opposite ring, a different ring, walks two each.
+    calls = []
+    for name in ("all_subrings", "all_ideals"):
+        real = getattr(theorems_module, name)
+        monkeypatch.setattr(theorems_module, name,
+                            lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    m2 = RINGS["m2f2"]
+    assert verify_subring_and_transport(reverse_morphism(m2)).passed
+    assert calls == ["all_subrings", "all_ideals"]
+    calls.clear()
+    to_opposite = Morphism(m2, opposite(m2), tuple(m2.elements()), ANTI)
+    assert verify_subring_and_transport(to_opposite).passed
+    assert calls == ["all_subrings"] * 2 + ["all_ideals"] * 2
 
 def test_groups_vs_star_category_equivalence():
     rep = verify_groups_vs_star_category(
