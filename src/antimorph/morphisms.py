@@ -380,8 +380,8 @@ class AutomorphismAlgebra:
     straight_witness: tuple | None   # first pair (images) leaving Hom.Is
     star_witness: tuple | None       # first pair (images) leaving An.Is under *
     union_witness: tuple | None      # first pair (images) leaving the union
-    straight_normal_in_union: bool
-    families_disjoint: bool
+    normal_witness: tuple | None     # (x, h) images with x∘h∘x^-1 outside
+                                     # Hom.Is, or union_witness
 
 
 def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> AutomorphismAlgebra:
@@ -409,9 +409,12 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
 
     anti_index = {t: i for i, t in enumerate(anti_tables)}
     iso_images = tuple(anti_index.get(after_rev(t)) for t in auto_tables)
-    straight_normal = union_group is not None and normality_witness(
-        union_group, Subgroup(union_group, tuple(
-            i for i, t in enumerate(union) if t in auto_set))) is None
+    normal_w = union_w
+    if union_group is not None:
+        normal_w = normality_witness(union_group, Subgroup(union_group, tuple(
+            i for i, t in enumerate(union) if t in auto_set)))
+        if normal_w is not None:
+            normal_w = tuple(union[i] for i in normal_w)
     return AutomorphismAlgebra(
         autos=autos,
         anti_autos=antis,
@@ -422,8 +425,7 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
         straight_witness=straight_w,
         star_witness=star_w,
         union_witness=union_w,
-        straight_normal_in_union=straight_normal,
-        families_disjoint=auto_set.isdisjoint(anti_tables),
+        normal_witness=normal_w,
     )
 
 

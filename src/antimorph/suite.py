@@ -214,36 +214,37 @@ def variance_table_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     """XOR law for every composable pair from the enumerated sets, per triple.
 
     Each (A, C) keeps one memo from composite table to law code for this
-    call, shared by every middle group B, and `compose_classify_pairs`
-    returns the set of composites of one variance block. The law needs one
-    bit of every composite in it; only a block with a composite lacking
-    that bit is searched pair by pair for the witness, the first failing
-    pair in (vf, vg, f, g) order.
+    call, shared by every middle group B. A table of Hom(A, B) ∪ An(A, B)
+    is tagged with the variances it carries, and `compose_classify_pairs`
+    returns the set of composites of one (left tag, right tag) group, so
+    each distinct pair (f, g) is composed once per triple. The pair lies in
+    block (vf, vg) exactly when vf is in f's tag and vg in g's, so its
+    composite needs the law bit of each such block. Only when a composite
+    lacks one are the variance blocks searched pair by pair for the
+    witness, the first failing pair in (vf, vg, f, g) order.
     """
     names = sorted(groups)
     flat = {a: kernels.flatten(groups[a].cayley) for a in names}
     sets = {(a, b): tuple([m.images for m in ms]
                           for ms in hom_and_an(groups[a], groups[b], bound))
             for a in names for b in names}
+    tagged = {pair: _tag_groups(blocks) for pair, blocks in sets.items()}
     memos = {}
     out = []
     for a, b, c in itertools.product(names, repeat=3):
-        left, right = sets[(a, b)], sets[(b, c)]
+        shape = (groups[a].order, groups[c].order, flat[a], flat[c])
         codes = memos.setdefault((a, c), {})
         witness = None
-        for (kf, vf), (kg, vg) in itertools.product(enumerate(VARIANCES), repeat=2):
-            need = kernels.ANTI_BIT if vf != vg else kernels.HOM_BIT
-            composites = kernels.compose_classify_pairs(
-                groups[a].order, groups[c].order, flat[a], flat[c],
-                left[kf], right[kg], codes)
-            if all(codes[comp] & need for comp in composites):
-                continue
-            witness = next((vf, vg, f, g, codes[comp])
-                           for f in left[kf]
-                           for g, comp in zip(right[kg],
-                                              map(kernels.reader(f), right[kg]))
-                           if not codes[comp] & need)
-            break
+        for (tf, fs), (tg, gs) in itertools.product(tagged[(a, b)],
+                                                    tagged[(b, c)]):
+            need = 0
+            for vf, vg in itertools.product(tf, tg):
+                need |= kernels.ANTI_BIT if vf != vg else kernels.HOM_BIT
+            composites = kernels.compose_classify_pairs(*shape, fs, gs, codes)
+            if any(codes[comp] & need != need for comp in composites):
+                witness = _first_xor_failure(shape, sets[(a, b)],
+                                             sets[(b, c)], codes)
+                break
         out.append(TheoremReport(
             theorem=f"variance-xor/{a}-{b}-{c}",
             inputs=(("triple", f"{a},{b},{c}"),),
@@ -251,6 +252,37 @@ def variance_table_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
                           witness=witness),),
         ))
     return out
+
+
+def _tag_groups(blocks):
+    """The distinct tables of the variance blocks, grouped by the tuple of
+    variances each one carries: at most three groups, in first-seen order."""
+    tags = {}
+    for v, tables in zip(VARIANCES, blocks):
+        for t in tables:
+            tags.setdefault(t, []).append(v)
+    groups = {}
+    for t, tag in tags.items():
+        groups.setdefault(tuple(tag), []).append(t)
+    return list(groups.items())
+
+
+def _first_xor_failure(shape, left, right, codes):
+    """The first (vf, vg, f, g, code) in variance-block order whose
+    composite g∘f lacks the law bit of its block (vf, vg), or None; `shape`
+    is the kernel's (n_a, n_c, cay_a, cay_c)."""
+    for (kf, vf), (kg, vg) in itertools.product(enumerate(VARIANCES), repeat=2):
+        need = kernels.ANTI_BIT if vf != vg else kernels.HOM_BIT
+        composites = kernels.compose_classify_pairs(
+            *shape, left[kf], right[kg], codes)
+        if all(codes[comp] & need for comp in composites):
+            continue
+        return next((vf, vg, f, g, codes[comp])
+                    for f in left[kf]
+                    for g, comp in zip(right[kg],
+                                       map(kernels.reader(f), right[kg]))
+                    if not codes[comp] & need)
+    return None
 
 
 def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
@@ -477,14 +509,22 @@ def automorphism_algebra_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
         check("groups-abstractly-isomorphic", iso_w is None, witness=iso_w),
         check("union-is-group", alg.union_group is not None,
               witness=alg.union_witness),
-        check("straight-family-normal-in-union", alg.straight_normal_in_union),
+        check("straight-family-normal-in-union", alg.normal_witness is None,
+              witness=alg.normal_witness),
     ]
+    autos = {m.images for m in alg.autos}
+    antis = {m.images for m in alg.anti_autos}
     if g.abelian:
-        checks.append(check("abelian-families-coincide",
-                            not alg.families_disjoint
-                            and union_order == len(alg.autos)))
+        # the least table in one family only, else the orders that differ
+        apart = min(autos ^ antis, default=None)
+        if apart is None and union_order != len(autos):
+            apart = (union_order, len(autos))
+        checks.append(check("abelian-families-coincide", apart is None,
+                            witness=apart))
     else:
-        checks.append(check("nonabelian-families-disjoint", alg.families_disjoint))
+        shared = min(autos & antis, default=None)
+        checks.append(check("nonabelian-families-disjoint", shared is None,
+                            witness=shared))
         checks.append(check("union-has-index-two",
                             union_order == 2 * len(alg.autos),
                             witness=(union_order, 2 * len(alg.autos))))

@@ -13,7 +13,7 @@ from collections import Counter
 from antimorph import kernels
 from antimorph.corpus import category_corpus, group_corpus, ring_corpus
 from antimorph.formats import emit_group
-from antimorph.groups import direct_product, is_subgroup
+from antimorph.groups import Subgroup, direct_product, is_normal, is_subgroup
 from antimorph.kernels import BACKEND
 from antimorph.maps import ANTI, STRAIGHT
 from antimorph.morphisms import (
@@ -39,6 +39,7 @@ from antimorph.suite import (
     theorem_instance_reports,
     variance_table_reports,
 )
+from antimorph.theorems import verify_second_anti_iso, verify_third_anti_iso
 
 from corpus_builders import cyclic
 
@@ -277,3 +278,41 @@ def test_subgroup_lattices_match_a_subset_scan_on_every_group_of_order_at_most_8
         assert lattice == tuple(sorted(scanned)), name
         counts[name] = len(lattice)
     assert counts == SUBGROUP_COUNTS
+
+
+def _failures(reports):
+    return [(r.theorem, r.inputs, c.name, c.witness)
+            for r in reports for c in r.failures()]
+
+
+def _subgroup_lattices(groups):
+    """Each group's subgroups from the lattice walk, and the normal ones."""
+    out = {}
+    for name, g in groups.items():
+        subs = [Subgroup(g, s) for s in
+                kernels.closed_sets((g.cayley,), (), (g.identity,))]
+        out[name] = (subs, [s for s in subs if is_normal(g, s)])
+    return out
+
+
+def test_third_anti_iso_on_every_subgroup_pair_of_order_at_most_8(tmp_path):
+    # AN/N anti-isomorphic to A/(A∩N) for every subgroup A and normal N of
+    # each of the 14 groups of order <= 8, every pair included.
+    groups = _groups_of_order_at_most_8(tmp_path)
+    reports = [verify_third_anti_iso(groups[name], a, n)
+               for name, (subs, normal) in _subgroup_lattices(groups).items()
+               for a in subs for n in normal]
+    assert len(reports) == 517
+    assert not _failures(reports), _failures(reports)[:5]
+
+
+def test_second_anti_iso_on_every_normal_chain_of_order_at_most_8(tmp_path):
+    # A/B anti-isomorphic to (A/C)/(B/C) for every normal C inside a normal
+    # B of each of the 14 groups of order <= 8, every pair included.
+    groups = _groups_of_order_at_most_8(tmp_path)
+    reports = [verify_second_anti_iso(groups[name], b, c)
+               for name, (_, normal) in _subgroup_lattices(groups).items()
+               for b in normal for c in normal
+               if set(c.members) <= set(b.members)]
+    assert len(reports) == 184
+    assert not _failures(reports), _failures(reports)[:5]

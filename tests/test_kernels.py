@@ -299,6 +299,81 @@ def test_variance_xor_fails_when_one_composite_loses_its_anti_bit(monkeypatch):
         assert (vf, vg, f, g) == first
 
 
+def test_variance_table_reports_composes_each_distinct_pair_once_per_triple(
+        monkeypatch):
+    # One kernel call per (left tag, right tag) group of a triple: on the
+    # bundled corpus the calls of triple (A, B, C) pass every pair of
+    # Hom(A, B) ∪ An(A, B) and Hom(B, C) ∪ An(B, C) exactly once, so their
+    # |left| * |right| sum to the product of the two union sizes.
+    groups = group_corpus()
+    names = sorted(groups)
+    calls = []
+    real = kernels.compose_classify_pairs
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "compose_classify_pairs", recording)
+    assert all(r.passed for r in variance_table_reports(groups))
+    unions = {(a, b): {m.images for v in VARIANCES
+                       for m in enumerate_morphisms(groups[a], groups[b], v)}
+              for a, b in itertools.product(names, repeat=2)}
+    # consecutive triples differ in C, so a triple's calls are one run of
+    # equal (A, C) tables
+    runs = [list(run) for _, run in itertools.groupby(
+        calls, key=lambda args: (tuple(args[2]), tuple(args[3])))]
+    triples = list(itertools.product(names, repeat=3))
+    assert len(runs) == len(triples)
+    for (a, b, c), run in zip(triples, runs):
+        assert len(run) <= 9
+        assert sum(len(args[4]) * len(args[5]) for args in run) == \
+            len(unions[(a, b)]) * len(unions[(b, c)]), (a, b, c)
+        pairs = {(f, g) for args in run for f in args[4] for g in args[5]}
+        assert pairs == set(itertools.product(unions[(a, b)], unions[(b, c)]))
+
+
+def test_variance_xor_fails_when_one_composite_loses_its_hom_bit(monkeypatch):
+    # Mutant: the identity table of z3 is classified as not straight. Each
+    # map out of z3 has a cyclic image, so it lies in Hom and An and is
+    # composed in the group of tables that carry both variances. Exactly the
+    # triples with a same-variance pair composing to it FAIL, each with the
+    # first failing pair of a naive (vf, vg, f, g) block scan as witness.
+    target = (0, 1, 2)
+    real = kernels._classify
+
+    def mutant(images, *rest):
+        code = real(images, *rest)
+        return code & ~kernels.HOM_BIT if tuple(images) == target else code
+
+    monkeypatch.setattr(kernels, "_classify", mutant)
+    groups = group_corpus()
+    reports = variance_table_reports(groups)
+    tables = {(a, b, v): [m.images for m in enumerate_morphisms(
+        groups[a], groups[b], v)]
+        for a, b in itertools.product(groups, repeat=2) for v in VARIANCES}
+
+    def naive_first(a, b, c):
+        return next(
+            ((wf, wg, p, q)
+             for wf, wg in itertools.product(VARIANCES, repeat=2) if wf == wg
+             for p in tables[(a, b, wf)] for q in tables[(b, c, wg)]
+             if tuple(q[x] for x in p) == target), None)
+
+    failing = {rep.theorem for rep in reports
+               if naive_first(*dict(rep.inputs)["triple"].split(","))}
+    assert {rep.theorem for rep in reports if not rep.passed} == failing
+    assert "variance-xor/z3-z3-z3" in failing and len(failing) < len(reports)
+    for rep in reports:
+        if rep.passed:
+            continue
+        a, b, c = dict(rep.inputs)["triple"].split(",")
+        vf, vg, f, g, code = rep.check_map()["composites-obey-xor-law"].witness
+        assert (vf, vg, f, g) == naive_first(a, b, c)
+        assert not code & kernels.HOM_BIT and code & kernels.ANTI_BIT
+        assert all(f in tables[(a, b, v)] for v in VARIANCES)
+
+
 def _raw_star(g):
     return lambda p, q: tuple(p[q[g.inv(x)]] for x in g.elements())
 

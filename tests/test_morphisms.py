@@ -474,8 +474,8 @@ def test_automorphism_algebra_s3():
     alg = automorphism_algebra(symmetric3())
     assert len(alg.autos) == 6
     assert alg.union_group.order == 12
-    assert alg.families_disjoint
-    assert alg.straight_normal_in_union
+    assert not {m.images for m in alg.autos} & {m.images for m in alg.anti_autos}
+    assert alg.normal_witness is None
 
 
 def test_union_is_group_fails_when_the_union_loses_a_member(monkeypatch):
@@ -563,6 +563,106 @@ def test_group_checks_fail_when_z2_loses_its_only_automorphism(install_enumerato
     assert found["families-equinumerous"].witness == "(0, 1)"
     assert not found["abelian-families-coincide"].passed
     assert found["union-is-group"].passed
+
+
+def _bijective(maps):
+    return sorted(m.images for m in maps if m.is_bijective())
+
+
+def test_straight_family_normal_in_union_names_a_conjugate_outside_it(
+        install_enumerator):
+    # Mutant enumerator: of Aut(Z2xZ2) = GL2(F2) only the identity and one
+    # involution stay straight. They form a subgroup of the union, which the
+    # full anti family keeps a group, but not a normal one: the check names
+    # the first (x, h) in table order with x∘h∘x^-1 outside the family.
+    g = group_corpus()["z2xz2"]
+    real = morphisms.enumerate_morphisms
+    identity = tuple(g.elements())
+
+    def keeping_two(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        out = real(a, b, v, bound)
+        if a.name != "z2xz2" or b.name != "z2xz2" or v != STRAIGHT:
+            return out
+        flip = next(t for t in _bijective(out)
+                    if t != identity and all(t[y] == x for x, y in enumerate(t)))
+        return tuple(m for m in out
+                     if not m.is_bijective() or m.images in (identity, flip))
+
+    install_enumerator(morphisms, keeping_two)
+    checks = suite.automorphism_algebra_report(g).check_map()
+    autos = _bijective(keeping_two(g, g, STRAIGHT))
+    union = sorted(set(autos).union(_bijective(real(g, g, ANTI))))
+    assert len(autos) == 2 and len(union) == 6
+
+    def inverse(x):
+        return tuple(sorted(range(len(x)), key=x.__getitem__))
+
+    first = next((x, h) for x in union for h in autos
+                 if tuple(x[h[y]] for y in inverse(x)) not in autos)
+    assert checks["union-is-group"].passed
+    assert not checks["straight-family-normal-in-union"].passed
+    assert checks["straight-family-normal-in-union"].witness == first
+
+
+def test_nonabelian_families_disjoint_names_the_least_shared_table(
+        install_enumerator):
+    # Mutant enumerator: two automorphisms of S3, the larger one first, are
+    # appended to its anti family. The check names the least table that
+    # both families hold.
+    s3 = group_corpus()["s3"]
+    real = morphisms.enumerate_morphisms
+    autos = _bijective(real(s3, s3, STRAIGHT))
+    added = (autos[-1], autos[1])
+
+    def adding(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        out = real(a, b, v, bound)
+        if a.name == b.name == "s3" and v == ANTI:
+            out = out + tuple(Morphism(a, b, t, ANTI) for t in added)
+        return out
+
+    install_enumerator(morphisms, adding)
+    checks = suite.automorphism_algebra_report(s3).check_map()
+    antis = _bijective(adding(s3, s3, ANTI))
+    shared = [t for t in autos if t in antis]
+    assert shared == [autos[1], autos[-1]]
+    assert not checks["nonabelian-families-disjoint"].passed
+    assert checks["nonabelian-families-disjoint"].witness == autos[1]
+
+
+@pytest.mark.parametrize("dropped", ["anti-loses-two", "both-lose-one"])
+def test_abelian_families_coincide_names_a_table_in_one_family_only(
+        install_enumerator, dropped):
+    # Mutant enumerators on Aut(Z2xZ2), where both families are GL2(F2).
+    # The anti family loses its two largest tables: the check names the
+    # least table in one family only (the union is still Aut(Z2xZ2), so a
+    # check of union order and overlap alone would PASS). Both families
+    # lose their largest table: they coincide, but the five maps are not
+    # closed, so the check names (union order, family size) = (None, 5).
+    g = group_corpus()["z2xz2"]
+    real = morphisms.enumerate_morphisms
+    tables = _bijective(real(g, g, STRAIGHT))
+    drop = {"anti-loses-two": {ANTI: tables[-2:]},
+            "both-lose-one": {STRAIGHT: tables[-1:], ANTI: tables[-1:]}}[dropped]
+
+    def dropping(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        out = real(a, b, v, bound)
+        if a.name != "z2xz2" or b.name != "z2xz2":
+            return out
+        return tuple(m for m in out if m.images not in drop.get(v, ()))
+
+    install_enumerator(morphisms, dropping)
+    check = suite.automorphism_algebra_report(g).check_map()[
+        "abelian-families-coincide"]
+    autos, antis = (_bijective(dropping(g, g, v)) for v in VARIANCES)
+    one_only = [t for t in sorted(set(autos + antis))
+                if (t in autos) != (t in antis)]
+    assert not check.passed
+    if dropped == "anti-loses-two":
+        assert one_only == tables[-2:]
+        assert check.witness == tables[-2]
+    else:
+        assert one_only == [] and autos == antis == tables[:-1]
+        assert check.witness == (None, 5)
 
 
 def test_pointwise_audit_contract():
