@@ -10,19 +10,22 @@ over a tuple of operation tables with some images fixed: a group's Cayley
 table with its identity fixed, or a ring's addition and multiplication with
 zero fixed, and the unit too for unital maps. Anti-morphisms of groups are
 the homomorphisms read through the inverses of the source; those of rings
-are the morphisms into the opposite ring. A composite that breaks its law
-is an engine bug and raises RuntimeError.
+are the morphisms into the opposite ring. The tables of a group pair are
+kept while both groups live, so `enumerate_morphisms` and `hom_and_an`
+search each pair once.
+A composite that breaks its law is an engine bug and raises RuntimeError.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 from . import kernels
 from .errors import BoundExceeded, LawViolation, NoInvolution, NotComposable
 from .groups import FiniteGroup, Subgroup, normality_witness, validate_group
-from .maps import ANTI, STRAIGHT, Morphism, variance_xor
+from .maps import ANTI, STRAIGHT, VARIANCES, Morphism, variance_xor
 from .rings import TWO_SIDED, FiniteRing, RingIdeal, opposite, quotient_ring
 
 HOM_ONLY = "HomOnly"
@@ -189,27 +192,45 @@ def image(m: Morphism):
 def enumerate_morphisms(a, b, variance: str, bound: int = DEFAULT_BOUND):
     """Complete, duplicate-free, canonically sorted morphism set.
 
-    Straight morphisms come from the generator-image extension search;
-    anti-morphisms from the straight set via the reverse-map bijection
-    (groups) or as the morphisms into the opposite ring (rings).
+    A group pair's tables are kept by `_group_tables`, which `hom_and_an`
+    reads too. Straight ring morphisms come from the generator-image
+    extension search, anti ones as the morphisms into the opposite ring.
     """
     if is_group(a):
-        tables = _hom_tables(a, b, bound)
-        if variance == ANTI:
-            tables = map(kernels.reader(a.inverses), tables)
+        tables = _group_tables(a, b, bound)[VARIANCES.index(variance)]
     else:
-        tables = _hom_tables(a, b if variance == STRAIGHT else opposite(b), bound)
-    return tuple(Morphism(a, b, t, variance) for t in sorted(set(tables)))
+        tables = sorted(set(_hom_tables(a, b if variance == STRAIGHT else opposite(b),
+                                        bound)))
+    return tuple(Morphism(a, b, t, variance) for t in tables)
 
 
 def hom_and_an(a: FiniteGroup, b: FiniteGroup, bound: int = DEFAULT_BOUND):
     """(Hom(A, B), An(A, B)) for groups, each as `enumerate_morphisms` gives
-    it, from one search: the anti tables are the straight ones read through
-    the inverses of A."""
-    homs = sorted(set(_hom_tables(a, b, bound)))
-    antis = sorted(map(kernels.reader(a.inverses), homs))
-    return (tuple(Morphism(a, b, t, STRAIGHT) for t in homs),
-            tuple(Morphism(a, b, t, ANTI) for t in antis))
+    it, from one search; the morphisms are built afresh on `a` and `b`."""
+    return tuple(tuple(Morphism(a, b, t, v) for t in tables)
+                 for v, tables in zip(VARIANCES, _group_tables(a, b, bound)))
+
+
+# source -> target -> {bound: (hom tables, anti tables)}, both sorted. The
+# values are tuples of ints and refer to neither group, so an entry lives
+# exactly as long as its two groups, and content-equal groups share it.
+_GROUP_TABLES = weakref.WeakKeyDictionary()
+
+
+def _group_tables(a, b, bound: int):
+    """The sorted hom and anti tables of two groups: one search, whose
+    tables are kept while both groups live and reused for the same bound.
+    The anti tables are the straight ones read through the inverses of A."""
+    by_target = _GROUP_TABLES.get(a)
+    if by_target is None:
+        by_target = _GROUP_TABLES[a] = weakref.WeakKeyDictionary()
+    by_bound = by_target.setdefault(b, {})
+    tables = by_bound.get(bound)
+    if tables is None:
+        homs = tuple(sorted(set(_hom_tables(a, b, bound))))
+        antis = tuple(sorted(map(kernels.reader(a.inverses), homs)))
+        tables = by_bound[bound] = (homs, antis)
+    return tables
 
 
 def brute_force_tables(a: FiniteGroup, b: FiniteGroup):
@@ -467,6 +488,10 @@ class PointwiseAudit:
     straight: ClosureAudit
     anti: ClosureAudit
     correspondence_is_ring_iso: bool | None
+    # the first straight table whose σ-image is not an anti table, else
+    # (straight size, anti size) when σ misses some, or ("no-involution",
+    # source) when there is no σ; None when σ is a bijection between the sets
+    correspondence_witness: object
 
 
 def pointwise_ring_audit(a: FiniteRing, b: FiniteRing,
@@ -480,14 +505,18 @@ def pointwise_ring_audit(a: FiniteRing, b: FiniteRing,
     """
     hom_tables = nonunital_morphism_tables(a, b, STRAIGHT, bound)
     anti_tables = nonunital_morphism_tables(a, b, ANTI, bound)
-    corr = None
+    corr, corr_witness = None, ("no-involution", a.name)
     if a.involution is not None:
+        # σ is a bijection of A, so it maps distinct tables to distinct tables
         sigma = kernels.reader(a.involution)
-        mapped = set(map(sigma, hom_tables))
-        corr = mapped == set(anti_tables) and len(mapped) == len(hom_tables)
+        anti_set = set(anti_tables)
+        corr_witness = next((t for t in hom_tables if sigma(t) not in anti_set), None)
+        if corr_witness is None and len(hom_tables) != len(anti_tables):
+            corr_witness = (len(hom_tables), len(anti_tables))
+        corr = corr_witness is None
     return PointwiseAudit(a.name, b.name,
                           _closure_audit(a, b, STRAIGHT, hom_tables),
-                          _closure_audit(a, b, ANTI, anti_tables), corr)
+                          _closure_audit(a, b, ANTI, anti_tables), corr, corr_witness)
 
 
 def _closure_audit(a, b, variance, tables) -> ClosureAudit:

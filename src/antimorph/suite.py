@@ -562,30 +562,45 @@ def audit_reports(bound: int = DEFAULT_BOUND) -> list:
         inputs=(("ring", "z4/even"),),
         checks=(
             check("straight-set-forms-unital-ring",
-                  passing.straight.forms_unital_ring),
-            check("anti-set-forms-unital-ring", passing.anti.forms_unital_ring),
+                  passing.straight.forms_unital_ring,
+                  witness=_unital_ring_witness(passing.straight)),
+            check("anti-set-forms-unital-ring", passing.anti.forms_unital_ring,
+                  witness=_unital_ring_witness(passing.anti)),
             check("correspondence-is-bijection",
-                  passing.correspondence_is_ring_iso is True),
+                  passing.correspondence_is_ring_iso is True,
+                  witness=passing.correspondence_witness),
         ),
     ))
     failing = pointwise_ring_audit(t2, t2, bound)
+    straight_size = (STRAIGHT, failing.straight.size)
     out.append(TheoremReport(
         theorem="pointwise-audit/t2f2",
         inputs=(("ring", "t2f2"),),
         checks=(
             check("closure-failure-detected",
-                  not (failing.straight.add_closed and failing.straight.mul_closed)),
+                  not (failing.straight.add_closed and failing.straight.mul_closed),
+                  witness=straight_size),
             check("failure-carries-witness",
                   failing.straight.add_witness is not None
-                  or failing.straight.mul_witness is not None),
+                  or failing.straight.mul_witness is not None,
+                  witness=straight_size),
             check("anti-closure-failure-detected",
-                  not (failing.anti.add_closed and failing.anti.mul_closed)),
+                  not (failing.anti.add_closed and failing.anti.mul_closed),
+                  witness=(ANTI, failing.anti.size)),
         ),
         notes=("the pointwise closure claim fails here; the audit records "
                "witnesses instead of asserting it",),
     ))
     out.append(natural_map_report(z4, "even", named_ideal("z4", "even"), bound))
     return out
+
+
+def _unital_ring_witness(side):
+    """The first of a closure audit's zero, sum, product and unit witnesses:
+    None exactly when its set forms a unital ring."""
+    return next((w for w in (side.zero_witness, side.add_witness,
+                             side.mul_witness, side.unit_witness) if w is not None),
+                None)
 
 
 def pointwise_audit_report(a, b, bound: int = DEFAULT_BOUND) -> TheoremReport:

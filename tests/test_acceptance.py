@@ -10,17 +10,19 @@ import itertools
 import time
 from collections import Counter
 
-from antimorph import kernels
+from antimorph import kernels, morphisms
 from antimorph.corpus import category_corpus, group_corpus, ring_corpus
 from antimorph.formats import emit_group
 from antimorph.groups import Subgroup, direct_product, is_normal, is_subgroup
 from antimorph.kernels import BACKEND
-from antimorph.maps import ANTI, STRAIGHT
+from antimorph.maps import ANTI, STRAIGHT, Morphism
 from antimorph.morphisms import (
+    DEFAULT_BOUND,
     brute_force_tables,
     enumerate_morphisms,
     find_isomorphism,
     hom_and_an,
+    kernel,
 )
 from antimorph.reports import ReportBundle, emit_records
 from antimorph.suite import (
@@ -39,7 +41,11 @@ from antimorph.suite import (
     theorem_instance_reports,
     variance_table_reports,
 )
-from antimorph.theorems import verify_second_anti_iso, verify_third_anti_iso
+from antimorph.theorems import (
+    verify_anti_factorization,
+    verify_second_anti_iso,
+    verify_third_anti_iso,
+)
 
 from corpus_builders import cyclic
 
@@ -250,12 +256,18 @@ def test_enumerators_match_the_oracle_on_every_group_of_order_at_most_8(tmp_path
 
 def test_hom_and_an_equals_both_enumerations_on_every_group_of_order_at_most_8(
         tmp_path):
-    # One search gives both sets exactly as the two enumerations do, order
-    # and variance tags included, on all 196 ordered pairs.
+    # The kept sets, which the two enumerations read, against a fresh
+    # search and its reading through the inverses of A, order and variance
+    # tags included, on all 196 ordered pairs.
     groups = _groups_of_order_at_most_8(tmp_path)
     for a, b in itertools.product(groups.values(), repeat=2):
-        assert hom_and_an(a, b) == (enumerate_morphisms(a, b, STRAIGHT),
-                                    enumerate_morphisms(a, b, ANTI)), (a, b)
+        homs = sorted(set(morphisms._hom_tables(a, b, DEFAULT_BOUND)))
+        antis = sorted(map(kernels.reader(a.inverses), homs))
+        expected = (tuple(Morphism(a, b, t, STRAIGHT) for t in homs),
+                    tuple(Morphism(a, b, t, ANTI) for t in antis))
+        assert hom_and_an(a, b) == expected, (a, b)
+        assert (enumerate_morphisms(a, b, STRAIGHT),
+                enumerate_morphisms(a, b, ANTI)) == expected, (a, b)
 
 
 # subgroup counts of the 14 groups of order <= 8
@@ -315,4 +327,21 @@ def test_second_anti_iso_on_every_normal_chain_of_order_at_most_8(tmp_path):
                for b in normal for c in normal
                if set(c.members) <= set(b.members)]
     assert len(reports) == 184
+    assert not _failures(reports), _failures(reports)[:5]
+
+
+def test_anti_factorization_on_every_normal_subgroup_and_anti_map_of_order_at_most_8(
+        tmp_path):
+    # The unique anti map G/N -> H through which φ factors, for every normal
+    # N of each of the 14 groups G of order <= 8 and every anti map
+    # φ: G -> H into any of them with N inside its kernel.
+    groups = _groups_of_order_at_most_8(tmp_path)
+    lattices = _subgroup_lattices(groups)
+    reports = []
+    for (name, g), h in itertools.product(groups.items(), groups.values()):
+        for phi in enumerate_morphisms(g, h, ANTI):
+            ker = set(kernel(phi).members)
+            reports += [verify_anti_factorization(g, n, phi)
+                        for n in lattices[name][1] if ker.issuperset(n.members)]
+    assert len(reports) == 4722
     assert not _failures(reports), _failures(reports)[:5]

@@ -65,3 +65,19 @@ def test_no_module_imports_another_modules_private_name():
                 private += [f"{path.stem}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_check_call_passes_a_witness():
+    # A failing check must name its inputs, so every `check(` call in the
+    # package passes a witness, by keyword or as its third argument.
+    calls, bare = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "check":
+                calls += 1
+                if len(node.args) < 3 and \
+                        not any(k.arg == "witness" for k in node.keywords):
+                    bare.append(f"{path.stem}:{node.lineno}")
+    assert calls == 112
+    assert bare == []

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -380,16 +381,6 @@ def _groups_of_order_at_most_8():
         direct_product(z2, cyclic(4))[0], direct_product(klein, z2)[0]]
 
 
-def _relabeled(g, rng):
-    label = list(g.elements())
-    rng.shuffle(label)
-    table = [[0] * g.order for _ in g.elements()]
-    for x in g.elements():
-        for y in g.elements():
-            table[label[x]][label[y]] = label[g.mul(x, y)]
-    return validate_group(table)
-
-
 def test_search_bound_counts_generating_set_candidates():
     # The benchmark's strata count |B|**|gens| candidates by
     # `generating_set`, so the search must extend over that many generators.
@@ -423,6 +414,113 @@ def test_search_leaves_no_reference_cycle():
     assert len(ring_antis) == 6
     assert reverse_morphism(m2).images in {m.images for m in ring_antis}
     assert iso is not None and iso.is_bijective()
+
+
+def _identity_last(g, rng, name=""):
+    """A seeded relabeling of g with its identity renamed |G| - 1, so it
+    equals no bundled group, whose identities are 0."""
+    p = list(g.elements())
+    rng.shuffle(p)
+    last = p.index(g.order - 1)
+    p[g.identity], p[last] = p[last], p[g.identity]
+    return replace(_relabeled_by(g, p), name=name)
+
+
+@pytest.fixture
+def counted_searches(monkeypatch):
+    """The (source, target) of every `_hom_tables` search from here on."""
+    calls = []
+    real = morphisms._hom_tables
+
+    def counting(a, b, *rest, **kwargs):
+        calls.append((a, b))
+        return real(a, b, *rest, **kwargs)
+
+    monkeypatch.setattr(morphisms, "_hom_tables", counting)
+    return calls
+
+
+def test_a_kept_search_is_reused_only_for_its_own_bound(counted_searches):
+    # A hit needs the same bound: a bound below |B|**|gens| searches again,
+    # and so still raises, right after a kept search under the default.
+    rng = random.Random(29)
+    a = _identity_last(group_corpus()["d4"], rng)
+    b = _identity_last(symmetric3(), rng)
+    first = morphisms.hom_and_an(a, b)
+    assert morphisms.hom_and_an(a, b) == first
+    assert enumerate_morphisms(a, b, ANTI) == first[1]
+    assert len(counted_searches) == 1
+    tight = b.order ** len(generating_set(a)) - 1
+    with pytest.raises(BoundExceeded):
+        morphisms.hom_and_an(a, b, bound=tight)
+    with pytest.raises(BoundExceeded):
+        enumerate_morphisms(a, b, STRAIGHT, bound=tight)
+    assert len(counted_searches) == 3
+    # a wider bound is a search of its own, with the same sets
+    assert morphisms.hom_and_an(a, b, bound=2 * morphisms.DEFAULT_BOUND) == first
+    assert len(counted_searches) == 4
+
+
+def test_kept_tables_die_with_their_groups():
+    # With the collector off, only reference counts free anything: the
+    # group is gone the moment its last reference goes, and its entry with it.
+    rng = random.Random(30)
+    gc.collect()
+    gc.disable()
+    try:
+        g = _identity_last(symmetric3(), rng)
+        h = _identity_last(group_corpus()["q8"], rng)
+        kept = len(morphisms._GROUP_TABLES)
+        homs, antis = morphisms.hom_and_an(g, h)
+        assert len(homs) == len(antis) == 2
+        morphisms.hom_and_an(h, g)
+        assert len(morphisms._GROUP_TABLES) == kept + 2
+        g_ref = weakref.ref(g)
+        del g, homs, antis
+        assert g_ref() is None
+        assert len(morphisms._GROUP_TABLES) == kept + 1
+        del h
+        assert len(morphisms._GROUP_TABLES) == kept
+    finally:
+        gc.enable()
+
+
+def test_content_equal_groups_share_one_search(counted_searches):
+    # Two validations of one table under different names are equal groups:
+    # the second reads the first one's tables, but its maps are its own.
+    rng = random.Random(31)
+    a = _identity_last(symmetric3(), rng, name="left")
+    b = _identity_last(group_corpus()["z2xz2"], rng, name="right")
+    twin_a, twin_b = replace(a, name="twin-left"), replace(b, name="twin-right")
+    assert (twin_a, twin_b) == (a, b) and twin_a is not a
+    sets = morphisms.hom_and_an(a, b)
+    twin_sets = morphisms.hom_and_an(twin_a, twin_b)
+    assert len(counted_searches) == 1
+    assert [[m.images for m in ms] for ms in twin_sets] == \
+        [[m.images for m in ms] for ms in sets]
+    for ms, twins in zip(sets, twin_sets):
+        assert all(m.source is a and m.target is b for m in ms)
+        assert all(m.source is twin_a and m.target is twin_b for m in twins)
+
+
+def test_group_sections_search_each_pair_once(counted_searches):
+    # One set of relabeled groups, as a benchmark round draws them: the
+    # five group sections search each of the 100 ordered pairs once, where
+    # searching per section made 319 searches.
+    rng = random.Random(32)
+    z2 = cyclic(2)
+    products = [direct_product(z2, cyclic(3))[0], direct_product(z2, symmetric3())[0]]
+    bases = [g for _, g in sorted(group_corpus().items())] + products
+    groups = {f"g{i}": _identity_last(g, rng, name=f"g{i}") for i, g in enumerate(bases)}
+    assert len(set(groups.values())) == len(groups) == 10
+    assert not any(g in morphisms._GROUP_TABLES for g in groups.values())
+    for builder in ("variance_table_reports", "correspondence_reports",
+                    "reconstruction_reports", "star_monoid_reports",
+                    "morphism_property_reports"):
+        reports = getattr(suite, builder)(groups)
+        assert reports and all(r.passed for r in reports), builder
+    assert len(counted_searches) == 100
+    assert len(set(counted_searches)) == 100
 
 
 def test_brute_force_agrees_with_enumeration():
@@ -773,6 +871,64 @@ def test_an_empty_pointwise_set_fails_naming_itself(monkeypatch, variance):
     found = _pointwise_checks(z4, z2xz2)
     assert found[f"{variance}-has-unit"].witness == (variance, ())
     assert found[f"{variance}-zero-map-present"].witness == (z2xz2.zero,) * z4.order
+
+
+def _audit_checks(monkeypatch, mutant):
+    """The checks of `suite.audit_reports` by name, with the nonunital sets
+    of the audited rings replaced by `mutant(a, v, tables)`."""
+    real = morphisms.nonunital_morphism_tables
+
+    def patched(a, b, v, bound=morphisms.DEFAULT_BOUND):
+        return mutant(a, v, real(a, b, v, bound))
+
+    monkeypatch.setattr(morphisms, "nonunital_morphism_tables", patched)
+    return {c.name: c for r in suite.audit_reports() for c in r.checks}
+
+
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_forms_unital_ring_names_the_first_broken_ring_law(monkeypatch, variance):
+    # Mutant enumerator: the variance's set of maps Z2 -> Z2 loses the zero
+    # map, so the set has no zero; the check names the missing zero map.
+    def dropped(a, v, tables):
+        return [t for t in tables if a.order != 2 or v != variance or t != (0, 0)]
+
+    found = _audit_checks(monkeypatch, dropped)
+    check = found[f"{variance}-set-forms-unital-ring"]
+    assert not check.passed and check.witness == (0, 0)
+    other = ANTI if variance == STRAIGHT else STRAIGHT
+    assert found[f"{other}-set-forms-unital-ring"].passed
+
+
+@pytest.mark.parametrize("mutant, witness", [
+    # the anti set loses the identity map, the σ-image of itself
+    (lambda tables: tables[:1], (0, 1)),
+    # the anti set gains the constant map onto 1, which no σ-image is
+    (lambda tables: tables + [(1, 1)], (2, 3)),
+])
+def test_correspondence_is_bijection_names_a_missed_table_or_the_sizes(
+        monkeypatch, mutant, witness):
+    def changed(a, v, tables):
+        return mutant(tables) if a.order == 2 and v == ANTI else tables
+
+    check = _audit_checks(monkeypatch, changed)["correspondence-is-bijection"]
+    assert not check.passed and check.witness == witness
+
+
+@pytest.mark.parametrize("variance", VARIANCES)
+def test_t2f2_closure_checks_name_the_closed_set_size(monkeypatch, variance):
+    # Mutant enumerator: the variance's set of maps T2 -> T2 keeps only the
+    # zero map, which is closed under the pointwise sum and product.
+    def zero_only(a, v, tables):
+        return tables[:1] if a.order == 8 and v == variance else tables
+
+    found = _audit_checks(monkeypatch, zero_only)
+    names = (("closure-failure-detected", "failure-carries-witness")
+             if variance == STRAIGHT else ("anti-closure-failure-detected",))
+    for name in ("closure-failure-detected", "failure-carries-witness",
+                 "anti-closure-failure-detected"):
+        assert found[name].passed == (name not in names), name
+        if name in names:
+            assert found[name].witness == (variance, 1)
 
 
 def test_natural_map_on_z4():
