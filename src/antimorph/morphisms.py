@@ -10,10 +10,12 @@ over a tuple of operation tables with some images fixed: a group's Cayley
 table with its identity fixed, or a ring's addition and multiplication with
 zero fixed, and the unit too for unital maps. Anti-morphisms of groups are
 the homomorphisms read through the inverses of the source; those of rings
-are the morphisms into the opposite ring. The tables of a group pair are
-kept while both groups live, so `enumerate_morphisms` and `hom_and_an`
-search each pair once.
-A composite that breaks its law is an engine bug and raises RuntimeError.
+are the morphisms into the opposite ring. `hom_an_tables` keeps the sorted
+tables of a group pair while both groups live, so it, `enumerate_morphisms`
+and `hom_and_an` search each pair once.
+A composite that breaks its law is an engine bug and raises RuntimeError
+(`checked_composite`); one found in a set of law-checked tables, such as
+the kept Hom/An tables, is taken on membership without a law scan.
 """
 
 from __future__ import annotations
@@ -127,11 +129,21 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         raise NotComposable(f"target of {f!r} differs from source of {g!r}")
     images = tuple(g.images[v] for v in f.images)
     variance = variance_xor(g.variance, f.variance)
-    w = law_witness(images, f.source, g.target, variance)
-    if w is not None:
-        raise RuntimeError(
-            f"composite broke its {variance} law at {w}; this is an engine bug")
+    checked_composite(images, (), f.source, g.target, variance)
     return Morphism(f.source, g.target, images, variance)
+
+
+def checked_composite(images, lawful, a, b, variance: str):
+    """A composite table A -> B that must keep the variance law, returned as
+    it is. A table in `lawful`, a set of tables that already passed that law,
+    is taken on membership; any other is scanned by `law_witness`, and one
+    that breaks the law raises the engine-bug RuntimeError."""
+    if images not in lawful:
+        w = law_witness(images, a, b, variance)
+        if w is not None:
+            raise RuntimeError(
+                f"composite broke its {variance} law at {w}; this is an engine bug")
+    return images
 
 
 def reverse_morphism(a) -> Morphism:
@@ -155,13 +167,6 @@ def corresponding_anti(f: Morphism) -> Morphism:
     if f.is_anti:
         raise NotComposable("expected a straight morphism")
     return compose(f, reverse_morphism(f.source))
-
-
-def corresponding_hom(fstar: Morphism) -> Morphism:
-    """fstar ↦ fstar∘rev; mutually inverse with corresponding_anti."""
-    if not fstar.is_anti:
-        raise NotComposable("expected an anti-morphism")
-    return compose(fstar, reverse_morphism(fstar.source))
 
 
 # -- kernels and images ------------------------------------------------------
@@ -192,12 +197,12 @@ def image(m: Morphism):
 def enumerate_morphisms(a, b, variance: str, bound: int = DEFAULT_BOUND):
     """Complete, duplicate-free, canonically sorted morphism set.
 
-    A group pair's tables are kept by `_group_tables`, which `hom_and_an`
+    A group pair's tables are kept by `hom_an_tables`, which `hom_and_an`
     reads too. Straight ring morphisms come from the generator-image
     extension search, anti ones as the morphisms into the opposite ring.
     """
     if is_group(a):
-        tables = _group_tables(a, b, bound)[VARIANCES.index(variance)]
+        tables = hom_an_tables(a, b, bound)[VARIANCES.index(variance)]
     else:
         tables = sorted(set(_hom_tables(a, b if variance == STRAIGHT else opposite(b),
                                         bound)))
@@ -208,22 +213,24 @@ def hom_and_an(a: FiniteGroup, b: FiniteGroup, bound: int = DEFAULT_BOUND):
     """(Hom(A, B), An(A, B)) for groups, each as `enumerate_morphisms` gives
     it, from one search; the morphisms are built afresh on `a` and `b`."""
     return tuple(tuple(Morphism(a, b, t, v) for t in tables)
-                 for v, tables in zip(VARIANCES, _group_tables(a, b, bound)))
+                 for v, tables in zip(VARIANCES, hom_an_tables(a, b, bound)))
 
 
 # source -> target -> {bound: (hom tables, anti tables)}, both sorted. The
 # values are tuples of ints and refer to neither group, so an entry lives
 # exactly as long as its two groups, and content-equal groups share it.
-_GROUP_TABLES = weakref.WeakKeyDictionary()
+_HOM_AN_TABLES = weakref.WeakKeyDictionary()
 
 
-def _group_tables(a, b, bound: int):
-    """The sorted hom and anti tables of two groups: one search, whose
-    tables are kept while both groups live and reused for the same bound.
-    The anti tables are the straight ones read through the inverses of A."""
-    by_target = _GROUP_TABLES.get(a)
+def hom_an_tables(a, b, bound: int = DEFAULT_BOUND):
+    """(Hom(A, B), An(A, B)) of two groups as sorted image tables: one
+    search, whose tables are kept while both groups live and reused for the
+    same bound. The anti tables are the straight ones read through the
+    inverses of A. Every table has passed its law, so a composite can be
+    law-checked by membership (`checked_composite`)."""
+    by_target = _HOM_AN_TABLES.get(a)
     if by_target is None:
-        by_target = _GROUP_TABLES[a] = weakref.WeakKeyDictionary()
+        by_target = _HOM_AN_TABLES[a] = weakref.WeakKeyDictionary()
     by_bound = by_target.setdefault(b, {})
     tables = by_bound.get(bound)
     if tables is None:
@@ -359,31 +366,28 @@ def _stage_rows(ops_a, ops_b, members, before):
 
 @dataclass(frozen=True)
 class FactorClass:
-    composite: Morphism
-    middle: object
+    composite: tuple                             # the table of g∘f
     pairs: tuple = field(default_factory=tuple)  # ((f: A->B, g: B->C), ...)
 
 
-def factor_pairs(a, b, c, an_ab, an_bc):
-    """The factorization classes of the pairs (f, g) in an_ab x an_bc.
+def factor_pairs(a, c, an_ab, an_bc, hom_ac):
+    """The factorization classes of the pairs (f, g) of anti tables in
+    an_ab x an_bc, one per composite g∘f, sorted by composite.
 
-    Every pair's composite g∘f is built and bucketed; each distinct composite
-    is validated once, in order of first appearance, so a composite that
-    breaks the straight law raises the RuntimeError that `compose` would
-    raise at its first pair. Both sets come sorted from `enumerate_morphisms`,
-    so each class lists its pairs in (f, g) order.
+    Every pair's composite is built and bucketed; each distinct composite
+    goes to `checked_composite` once, in order of first appearance, against
+    the straight tables `hom_ac` of A -> C. So a composite that breaks the
+    straight law raises the RuntimeError that `compose` would raise at its
+    first pair. With both sets sorted, each class lists its pairs in (f, g)
+    order.
     """
     buckets: dict[tuple, list] = {}
-    g_tables = [g.images for g in an_bc]
     for f in an_ab:
-        for g, comp in zip(an_bc, map(kernels.reader(f.images), g_tables)):
+        for g, comp in zip(an_bc, map(kernels.reader(f), an_bc)):
             buckets.setdefault(comp, []).append((f, g))
     for images in buckets:
-        w = law_witness(images, a, c, STRAIGHT)
-        if w is not None:
-            raise RuntimeError(
-                f"composite broke its {STRAIGHT} law at {w}; this is an engine bug")
-    return tuple(FactorClass(Morphism(a, c, images, STRAIGHT), b, tuple(buckets[images]))
+        checked_composite(images, hom_ac, a, c, STRAIGHT)
+    return tuple(FactorClass(images, tuple(buckets[images]))
                  for images in sorted(buckets))
 
 

@@ -55,13 +55,13 @@ from .morphisms import (
     DEFAULT_BOUND,
     automorphism_algebra,
     brute_force_tables,
+    checked_composite,
     classify,
-    compose,
     corresponding_anti,
-    corresponding_hom,
     enumerate_morphisms,
     factor_pairs,
     find_isomorphism,
+    hom_an_tables,
     hom_and_an,
     law_witness,
     natural_an_map,
@@ -225,8 +225,7 @@ def variance_table_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     """
     names = sorted(groups)
     flat = {a: kernels.flatten(groups[a].cayley) for a in names}
-    sets = {(a, b): tuple([m.images for m in ms]
-                          for ms in hom_and_an(groups[a], groups[b], bound))
+    sets = {(a, b): hom_an_tables(groups[a], groups[b], bound)
             for a in names for b in names}
     tagged = {pair: _tag_groups(blocks) for pair, blocks in sets.items()}
     memos = {}
@@ -286,26 +285,26 @@ def _first_xor_failure(shape, left, right, codes):
 
 
 def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
-    """Straight and anti sets are equinumerous; small pairs are cross-checked
-    against the map-space scan."""
+    """Straight and anti sets are equinumerous and f ↦ f∘rev is involutive;
+    small pairs are cross-checked against the map-space scan."""
     names = sorted(groups)
     out = []
     for a in names:
+        ga = groups[a]
+        via_rev = kernels.reader(reverse_morphism(ga).images)
         for b in names:
-            ga, gb = groups[a], groups[b]
-            homs, antis = hom_and_an(ga, gb, bound)
+            gb = groups[b]
+            homs, antis = hom_an_tables(ga, gb, bound)
             checks = [check("sets-equinumerous", len(homs) == len(antis),
                             witness=(len(homs), len(antis)))]
-            moved = next((f.images for f in homs
-                          if corresponding_hom(corresponding_anti(f)).images
-                          != f.images), None)
+            moved = _first_moved(homs, set(homs), set(antis), via_rev, ga, gb)
             checks.append(check("correspondence-involutive", moved is None,
                                 witness=moved))
             if ga.order <= BRUTE_FORCE_ORDER_LIMIT and \
                     gb.order <= BRUTE_FORCE_ORDER_LIMIT:
                 bh, ba = brute_force_tables(ga, gb)
                 stray = _first_stray(
-                    [(m.variance, m.images) for m in homs + antis],
+                    [(STRAIGHT, t) for t in homs] + [(ANTI, t) for t in antis],
                     [(STRAIGHT, t) for t in bh] + [(ANTI, t) for t in ba])
                 checks.append(check("matches-map-space-scan", stray is None,
                                     witness=stray))
@@ -315,6 +314,18 @@ def correspondence_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
                 checks=tuple(checks),
             ))
     return out
+
+
+def _first_moved(homs, hom_set, anti_set, via_rev, a, b):
+    """The first table f of `homs` that its round trip (f∘rev)∘rev does not
+    give back, or None. Each twin f∘rev must lie in An(A, B) and each round
+    trip in Hom(A, B): both are law-checked by membership in those sets, with
+    the law scan only on a miss (`checked_composite`)."""
+    for f in homs:
+        twin = checked_composite(via_rev(f), anti_set, a, b, ANTI)
+        if checked_composite(via_rev(twin), hom_set, a, b, STRAIGHT) != f:
+            return f
+    return None
 
 
 def _first_stray(enumerated, scanned):
@@ -357,7 +368,7 @@ def star_monoid_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
         g = groups[name]
         if g.order > STAR_MONOID_ORDER_LIMIT:
             continue
-        tables = [m.images for m in enumerate_morphisms(g, g, ANTI, bound)]
+        tables = hom_an_tables(g, g, bound)[1]
         closed_w, ident_w, assoc_w = _star_laws(tables, g.inverses)
         out.append(TheoremReport(
             theorem=f"star-monoid/{name}",
@@ -405,25 +416,21 @@ def reconstruction_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     out = []
     for a in names:
         ga = groups[a]
-        sets = {c: hom_and_an(ga, groups[c], bound) for c in names}
-        an_aa = sets[a][1]
-        rev = reverse_morphism(ga)
+        an_aa = hom_an_tables(ga, ga, bound)[1]
+        via_rev = kernels.reader(reverse_morphism(ga).images)
         for c in names:
             gc = groups[c]
-            homs, an_ac = sets[c]
-            not_rebuilt = next(
-                (f.images for f in homs
-                 if compose(corresponding_anti(f), rev).images != f.images),
-                None)
-            classes = factor_pairs(ga, ga, gc, an_aa, an_ac)
+            homs, an_ac = hom_an_tables(ga, gc, bound)
+            hom_set = set(homs)
+            not_rebuilt = _first_moved(homs, hom_set, set(an_ac), via_rev, ga, gc)
+            classes = factor_pairs(ga, gc, an_aa, an_ac, hom_set)
             n_anti_aa, n_anti_ac = len(an_aa), len(an_ac)
-            keys = [(f.images, g.images) for cl in classes for f, g in cl.pairs]
+            keys = [pair for cl in classes for pair in cl.pairs]
             total_pairs = len(keys)
             repeated = _first_repeat(keys)
-            composites = {cl.composite.images for cl in classes}
-            hom_tables = {f.images for f in homs}
-            stray = min(composites - hom_tables, default=None)
-            unfactored = min(hom_tables - composites, default=None)
+            composites = {cl.composite for cl in classes}
+            stray = min(composites - hom_set, default=None)
+            unfactored = min(hom_set - composites, default=None)
             out.append(TheoremReport(
                 theorem=f"reconstruction/{a}-{c}",
                 inputs=(("pair", f"{a},{c}"),),
@@ -459,24 +466,25 @@ def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     out = []
     for name in sorted(groups):
         g = groups[name]
-        antis = enumerate_morphisms(g, g, ANTI, bound)
-        e = g.identity
-        unit_w = next(((m.images, e) for m in antis if m.images[e] != e), None)
-        inv_w = next(((m.images, x) for m in antis for x in g.elements()
-                      if m.images[g.inv(x)] != g.inv(m.images[x])), None)
-        pow_w = next(((m.images, x, n) for m in antis for x in g.elements()
+        antis = hom_an_tables(g, g, bound)[1]
+        e, inv = g.identity, g.inverses
+        powers = [[g.power(x, n) for n in range(g.exponent + 1)] for x in g.elements()]
+        unit_w = next(((t, e) for t in antis if t[e] != e), None)
+        inv_w = next(((t, x) for t in antis for x in g.elements()
+                      if t[inv[x]] != inv[t[x]]), None)
+        pow_w = next(((t, x, n) for t in antis for x in g.elements()
                       for n in range(g.exponent + 1)
-                      if m.images[g.power(x, n)] != g.power(m.images[x], n)), None)
+                      if t[powers[x][n]] != powers[t[x]][n]), None)
         anti_inverse_w = None
-        for m in antis:
-            if not m.is_bijective():
+        for t in antis:
+            if len(set(t)) != g.order:
                 continue
             inverse = [0] * g.order
             for x in g.elements():
-                inverse[m.images[x]] = x
+                inverse[t[x]] = x
             w = law_witness(tuple(inverse), g, g, ANTI)
             if w is not None:
-                anti_inverse_w = (m.images, tuple(inverse), w)
+                anti_inverse_w = (t, tuple(inverse), w)
                 break
         out.append(TheoremReport(
             theorem=f"anti-map-properties/{name}",

@@ -1,8 +1,9 @@
 """Report values shared by every constructive verifier.
 
 A report PASSes iff all of its checks pass; failing checks always carry a
-concrete witness. Notes record observations that are informational rather
-than pass/fail (for example, instance-specific law defects).
+concrete witness, and `check` refuses one that does not. Notes record
+observations that are informational rather than pass/fail (for example,
+instance-specific law defects).
 """
 
 from __future__ import annotations
@@ -36,4 +37,9 @@ class TheoremReport:
 
 
 def check(name: str, passed: bool, witness=None) -> Check:
+    """The result of one check; a PASS keeps no witness. A FAIL without a
+    witness would name no input, so it is an engine bug: RuntimeError."""
+    if not passed and witness is None:
+        raise RuntimeError(f"check {name} failed without a witness; "
+                           "this is an engine bug")
     return Check(name, bool(passed), witness if not passed else None)

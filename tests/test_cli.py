@@ -2,15 +2,20 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from antimorph import cli, theorems
+from antimorph import cli, suite, theorems
 from antimorph.cli import main
-from antimorph.maps import STRAIGHT, Morphism
+from antimorph.maps import ANTI, STRAIGHT, Morphism
 from antimorph.reports import parse_records
 from antimorph.suite import RunConfig, run
+from antimorph.verdict import Check, check
+
+DATA = resources.files("antimorph").joinpath("data")
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +312,35 @@ def test_composite_breaking_its_law_is_an_engine_error(monkeypatch, capsys):
                              "--sub-b", "triv", "--sub-c", "triv")
     assert code == 3 and out == ""
     assert "RuntimeError" in err and "this is an engine bug" in err
+
+
+def test_twin_outside_the_anti_set_in_a_corpus_report_is_an_engine_error(
+        tmp_path, monkeypatch, capsys):
+    # the reverse map of every group is the identity, so the twin of a map
+    # with a non-abelian image, such as the corpus copy of S3 onto itself,
+    # breaks the anti law
+    (tmp_path / "d3.grp").write_text(
+        (DATA / "s3.grp").read_text().replace("group s3", "group d3"))
+    monkeypatch.setattr(suite, "reverse_morphism",
+                        lambda g: Morphism(g, g, tuple(g.elements()), ANTI))
+    code, out, err = run_cli(capsys, "--corpus", str(tmp_path), "report")
+    assert code == 3 and out == ""
+    assert "RuntimeError: composite broke its anti law" in err
+
+
+def test_a_fail_without_a_witness_is_an_engine_error(monkeypatch, capsys):
+    assert check("c", True) == Check("c", True, None)
+    assert check("c", False, witness=()) == Check("c", False, ())
+    with pytest.raises(RuntimeError, match="check c failed without a witness"):
+        check("c", False)
+    # a union that is no group and names no pair leaving it: the report's
+    # `union-is-group` FAILs without a witness, and the run exits 3
+    real = suite.automorphism_algebra
+    monkeypatch.setattr(suite, "automorphism_algebra", lambda g, bound: replace(
+        real(g, bound), union_group=None, union_witness=None))
+    code, _, err = run_cli(capsys, "--format", "records", "report")
+    assert code == 3
+    assert "RuntimeError: check union-is-group failed without a witness" in err
 
 
 # sha256 of `cat caf|anti|assoc --category NAME`, fixed when these texts were

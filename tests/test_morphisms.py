@@ -22,7 +22,6 @@ from antimorph.morphisms import (
     classify,
     compose,
     corresponding_anti,
-    corresponding_hom,
     enumerate_morphisms,
     find_isomorphism,
     image,
@@ -47,11 +46,16 @@ from antimorph.theorems import sign_morphism
 from corpus_builders import cyclic, symmetric3, zmod
 
 
-def _factorization_classes(a, b, c):
-    """All composable anti-pairs A -> B -> C, partitioned by their composite."""
-    return morphisms.factor_pairs(a, b, c,
-                                  morphisms.enumerate_morphisms(a, b, ANTI),
-                                  morphisms.enumerate_morphisms(b, c, ANTI))
+def _factorization_classes(a, b, c, lawful=None):
+    """All composable anti-pairs A -> B -> C, partitioned by their composite;
+    `lawful` defaults to the tables of Hom(A, C)."""
+    def tables(x, y, variance):
+        return [m.images for m in morphisms.enumerate_morphisms(x, y, variance)]
+
+    if lawful is None:
+        lawful = set(tables(a, c, STRAIGHT))
+    return morphisms.factor_pairs(a, c, tables(a, b, ANTI), tables(b, c, ANTI),
+                                  lawful)
 
 
 def test_identity_classifies_both_on_abelian():
@@ -148,8 +152,9 @@ def test_correspondence_is_involutive_bijection():
     homs = enumerate_morphisms(s3, s3, STRAIGHT)
     twins = {corresponding_anti(f).images for f in homs}
     assert len(twins) == len(homs)
+    rev = reverse_morphism(s3)
     for f in homs:
-        assert corresponding_hom(corresponding_anti(f)).images == f.images
+        assert compose(corresponding_anti(f), rev).images == f.images
     z2 = cyclic(2)
     ident = Morphism(z2, z2, (0, 1), STRAIGHT)
     twin = corresponding_anti(ident)
@@ -173,13 +178,13 @@ def _first_stray(enumerated, scanned):
                  if enumerated.count(p) != scanned.count(p)), None)
 
 
-@pytest.mark.parametrize("dropped", ["hom_and_an", "brute_force_tables"])
+@pytest.mark.parametrize("dropped", ["hom_an_tables", "brute_force_tables"])
 def test_map_space_scan_check_names_the_first_stray_table(monkeypatch, dropped):
-    # Mutant: the enumerator, or the oracle, loses its last straight map. The
-    # counts then differ, but the witness names the table itself.
+    # Mutant: the kept Hom/An tables, or the oracle, lose their last straight
+    # map. The counts then differ, but the witness names the table itself.
     groups = group_corpus()
     s3, z4 = groups["s3"], groups["z4"]
-    real_enum, real_scan = suite.hom_and_an, suite.brute_force_tables
+    real_enum, real_scan = suite.hom_an_tables, suite.brute_force_tables
 
     def dropping_enum(a, b, bound=suite.DEFAULT_BOUND):
         homs, antis = real_enum(a, b, bound)
@@ -189,10 +194,10 @@ def test_map_space_scan_check_names_the_first_stray_table(monkeypatch, dropped):
         homs, antis = real_scan(a, b)
         return homs[:-1], antis
 
-    mutant = dropping_enum if dropped == "hom_and_an" else dropping_scan
+    mutant = dropping_enum if dropped == "hom_an_tables" else dropping_scan
     monkeypatch.setattr(suite, dropped, mutant)
-    enumerated = [(v, m.images)
-                  for v, ms in zip(VARIANCES, suite.hom_and_an(s3, z4)) for m in ms]
+    enumerated = [(v, t)
+                  for v, ts in zip(VARIANCES, suite.hom_an_tables(s3, z4)) for t in ts]
     homs, antis = suite.brute_force_tables(s3, z4)
     scanned = [(STRAIGHT, t) for t in homs] + [(ANTI, t) for t in antis]
     naive = _first_stray(enumerated, scanned)
@@ -237,21 +242,26 @@ def _reconstruction_checks(names):
             for r in suite.reconstruction_reports(groups)}
 
 
+def _twin_round_trip_moves(a, c):
+    """Naive: the first f of Hom(A, C) that `compose` does not give back as
+    (f∘rev)∘rev, with rev the section's (maybe patched) reverse map."""
+    rev = suite.reverse_morphism(a)
+    return next((f.images for f in enumerate_morphisms(a, c, STRAIGHT)
+                 if compose(compose(f, rev), rev).images != f.images), None)
+
+
 def test_reconstruction_names_the_first_map_its_twin_does_not_rebuild(monkeypatch):
-    # Mutant: the reverse map is the identity, which is anti on abelian
-    # groups, so the rebuild of f is its twin f∘inv, which differs from f
-    # unless f sends every element and its inverse alike.
+    # Mutant: the reverse map is the constant map onto the identity, which
+    # is anti, so every twin and every rebuild is the trivial map, and each
+    # straight map but the trivial one is not rebuilt.
     names = ("z2", "z3", "z4")
     groups = group_corpus()
     monkeypatch.setattr(suite, "reverse_morphism",
-                        lambda g: Morphism(g, g, tuple(g.elements()), ANTI))
+                        lambda g: Morphism(g, g, (g.identity,) * g.order, ANTI))
     checks = _reconstruction_checks(names)
     failed = 0
     for a, c in itertools.product(names, repeat=2):
-        ga = groups[a]
-        naive = next((f.images for f in enumerate_morphisms(ga, groups[c], STRAIGHT)
-                      if tuple(f.images[ga.inv(x)] for x in ga.elements())
-                      != f.images), None)
+        naive = _twin_round_trip_moves(groups[a], groups[c])
         rebuilt = checks[f"{a}-{c}"]["straight-equals-twin-after-reverse"]
         assert rebuilt.passed == (naive is None) and rebuilt.witness == naive
         failed += naive is not None
@@ -266,13 +276,11 @@ def test_reconstruction_names_the_first_pair_listed_twice(monkeypatch):
     real = suite.factor_pairs
     firsts = {}
 
-    def repeating(a, b, c, an_ab, an_bc):
-        classes = real(a, b, c, an_ab, an_bc)
+    def repeating(a, c, an_ab, an_bc, hom_ac):
+        classes = real(a, c, an_ab, an_bc, hom_ac)
         *rest, last = classes
         extra = tuple(cl.pairs[0] for cl in reversed(classes))
-        f, g = last.pairs[0]
-        firsts[(a.name, c.name)] = (f.images, g.images), min(
-            (p.images, q.images) for p, q in extra)
+        firsts[(a.name, c.name)] = last.pairs[0], min(extra)
         return (*rest, replace(last, pairs=last.pairs + extra))
 
     monkeypatch.setattr(suite, "factor_pairs", repeating)
@@ -297,10 +305,9 @@ def test_reconstruction_names_the_least_stray_composite_and_unfactored_map(
         k = next(x for x in c.elements() if x != c.identity)
         return lambda t: tuple(c.mul(k, v) for v in t)
 
-    def translated(a, b, c, an_ab, an_bc):
-        return tuple(replace(cl, composite=Morphism(
-            a, c, shift(c)(cl.composite.images), STRAIGHT))
-            for cl in real(a, b, c, an_ab, an_bc))
+    def translated(a, c, an_ab, an_bc, hom_ac):
+        return tuple(replace(cl, composite=shift(c)(cl.composite))
+                     for cl in real(a, c, an_ab, an_bc, hom_ac))
 
     monkeypatch.setattr(suite, "factor_pairs", translated)
     checks = _reconstruction_checks(names)
@@ -317,28 +324,89 @@ def test_reconstruction_names_the_least_stray_composite_and_unfactored_map(
     assert moved_order
 
 
+def _twisted_reverse(g):
+    """x ↦ k x^-1 k^-1 with k the first element of order 3, else the
+    identity: an anti map whose square is conjugation by k^2."""
+    k = next((x for x in g.elements() if g.element_order(x) == 3), g.identity)
+    return Morphism(g, g, tuple(g.mul(g.mul(k, g.inv(x)), g.inv(k))
+                                for x in g.elements()), ANTI)
+
+
 def test_correspondence_involutive_names_the_first_moved_map(monkeypatch):
-    # Mutant: the round trip sends the last element to the identity, which
-    # moves every straight map whose last image is not the identity.
+    # Mutant: the reverse map is inversion twisted by conjugation with a
+    # 3-cycle. Every twin is still anti and every round trip straight, but
+    # the round trip of f is f after conjugation by k^2, which moves the
+    # straight maps out of S3 with a non-abelian image.
     groups = group_corpus()
-    real = suite.corresponding_hom
-
-    def breaking(f):
-        g = real(f)
-        images = g.images[:-1] + (g.target.identity,)
-        return Morphism(g.source, g.target, images, g.variance)
-
-    monkeypatch.setattr(suite, "corresponding_hom", breaking)
+    monkeypatch.setattr(suite, "reverse_morphism", _twisted_reverse)
     checks = _correspondence_checks()
     for a, b in itertools.product(CORRESPONDENCE_GROUPS, repeat=2):
-        naive = next((f.images
-                      for f in enumerate_morphisms(groups[a], groups[b], STRAIGHT)
-                      if breaking(corresponding_anti(f)).images != f.images), None)
+        naive = _twin_round_trip_moves(groups[a], groups[b])
         involutive = checks[f"{a}-{b}"]["correspondence-involutive"]
         assert involutive.passed == (naive is None)
         assert involutive.witness == naive
         assert checks[f"{a}-{b}"]["matches-map-space-scan"].passed
     assert not checks["s3-s3"]["correspondence-involutive"].passed
+
+
+def _identity_reverse(g):
+    """The identity map declared anti: no anti map of a non-abelian group."""
+    return Morphism(g, g, tuple(g.elements()), ANTI)
+
+
+@pytest.mark.parametrize("builder", ["correspondence_reports",
+                                     "reconstruction_reports"])
+def test_a_twin_that_breaks_the_anti_law_raises_the_engine_error(monkeypatch,
+                                                                 builder):
+    # Mutant: the reverse map is the identity, so the twin f∘rev of a map
+    # out of S3 with a non-abelian image is f itself, which breaks the anti
+    # law. It misses An(A, B), and the law scan on that miss raises the
+    # RuntimeError that composing the Morphisms raises at the first such f.
+    # The Morphism twins read `morphisms.reverse_morphism`, so it is patched
+    # there too.
+    groups = {name: group_corpus()[name] for name in ("s3", "z2")}
+    monkeypatch.setattr(suite, "reverse_morphism", _identity_reverse)
+    monkeypatch.setattr(morphisms, "reverse_morphism", _identity_reverse)
+    first = None
+    for a, b in itertools.product(sorted(groups), repeat=2):
+        rev = _identity_reverse(groups[a])
+        for i, f in enumerate(enumerate_morphisms(groups[a], groups[b], STRAIGHT)):
+            try:
+                compose(compose(f, rev), rev)
+            except RuntimeError as exc:
+                first = (a, b, i, f.images, str(exc))
+                break
+        if first:
+            break
+    a, b, i, f, message = first
+    assert (a, b) == ("s3", "s3") and i > 0 and "anti law" in message
+    with pytest.raises(RuntimeError) as raised:
+        getattr(suite, builder)(groups)
+    assert str(raised.value) == message
+
+
+def test_a_lawful_twin_missing_from_the_anti_set_raises_nothing(monkeypatch):
+    # Mutant: the kept An(S3, S3) loses its last table. The twin of the
+    # straight map that table belongs to misses the set, the law scan on the
+    # miss finds it lawful, and only the counts show the loss.
+    groups = {name: group_corpus()[name] for name in ("s3", "z2")}
+    s3 = groups["s3"]
+    real = suite.hom_an_tables
+
+    def dropping(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        return (homs, antis[:-1]) if a is s3 and b is s3 else (homs, antis)
+
+    monkeypatch.setattr(suite, "hom_an_tables", dropping)
+    reports = suite.correspondence_reports(groups)
+    suite.reconstruction_reports(groups)
+    checks = {r.theorem: r.check_map() for r in reports}
+    homs, antis = real(s3, s3)
+    equinumerous = checks["correspondence/s3-s3"]["sets-equinumerous"]
+    assert not equinumerous.passed
+    assert equinumerous.witness == (len(homs), len(antis) - 1)
+    assert checks["correspondence/s3-s3"]["correspondence-involutive"].passed
+    assert all(r.passed for r in reports if r.theorem != "correspondence/s3-s3")
 
 
 def test_kernel_image_cokernel():
@@ -470,17 +538,17 @@ def test_kept_tables_die_with_their_groups():
     try:
         g = _identity_last(symmetric3(), rng)
         h = _identity_last(group_corpus()["q8"], rng)
-        kept = len(morphisms._GROUP_TABLES)
+        kept = len(morphisms._HOM_AN_TABLES)
         homs, antis = morphisms.hom_and_an(g, h)
         assert len(homs) == len(antis) == 2
         morphisms.hom_and_an(h, g)
-        assert len(morphisms._GROUP_TABLES) == kept + 2
+        assert len(morphisms._HOM_AN_TABLES) == kept + 2
         g_ref = weakref.ref(g)
         del g, homs, antis
         assert g_ref() is None
-        assert len(morphisms._GROUP_TABLES) == kept + 1
+        assert len(morphisms._HOM_AN_TABLES) == kept + 1
         del h
-        assert len(morphisms._GROUP_TABLES) == kept
+        assert len(morphisms._HOM_AN_TABLES) == kept
     finally:
         gc.enable()
 
@@ -513,7 +581,7 @@ def test_group_sections_search_each_pair_once(counted_searches):
     bases = [g for _, g in sorted(group_corpus().items())] + products
     groups = {f"g{i}": _identity_last(g, rng, name=f"g{i}") for i, g in enumerate(bases)}
     assert len(set(groups.values())) == len(groups) == 10
-    assert not any(g in morphisms._GROUP_TABLES for g in groups.values())
+    assert not any(g in morphisms._HOM_AN_TABLES for g in groups.values())
     for builder in ("variance_table_reports", "correspondence_reports",
                     "reconstruction_reports", "star_monoid_reports",
                     "morphism_property_reports"):
@@ -546,7 +614,7 @@ def test_factorization_classes_on_z2():
     assert len(classes) == 2
     assert sum(len(c.pairs) for c in classes) == 4
     for cls in classes:
-        assert classify(cls.composite.images, z2, z2) in (HOM_ONLY, BOTH)
+        assert classify(cls.composite, z2, z2) in (HOM_ONLY, BOTH)
 
 
 def test_factorization_through_trivial_group():
@@ -554,18 +622,18 @@ def test_factorization_through_trivial_group():
     triv = cyclic(1)
     classes = _factorization_classes(z2, triv, z2)
     assert len(classes) == 1
-    assert classes[0].composite.images == (0, 0)
+    assert classes[0].composite == (0, 0)
 
 
 def test_law_of_factorization_assigns_nonempty_class():
     s3 = symmetric3()
-    classes = {cls.composite.images: cls
+    classes = {cls.composite: cls
                for cls in _factorization_classes(s3, s3, s3)}
     for f in enumerate_morphisms(s3, s3, STRAIGHT):
         cls = classes[f.images]
         assert cls.pairs
         for left, right in cls.pairs:
-            assert compose(right, left).images == f.images
+            assert tuple(right[v] for v in left) == f.images
 
 
 def test_automorphism_algebra_s3():
@@ -1163,13 +1231,16 @@ def test_factorization_classes_validates_each_distinct_composite_once(monkeypatc
     an_ss = enumerate_morphisms(s3, s3, ANTI)
     an_sd = enumerate_morphisms(s3, d4, ANTI)
     composites = [tuple(g.images[v] for v in f.images) for f in an_ss for g in an_sd]
+    # every composite lies in Hom(S3, D4), so membership passes them all
     classes = _factorization_classes(s3, s3, d4)
     assert sum(len(cl.pairs) for cl in classes) == len(composites)
-    # once each, in order of first appearance
+    assert seen == []
+    # against no lawful tables: once each, in order of first appearance
+    _factorization_classes(s3, s3, d4, lawful=())
     assert seen == list(dict.fromkeys(composites))
     assert len(seen) == len(classes) < len(composites)
     # a second call validates again: nothing is kept between calls
-    _factorization_classes(s3, s3, d4)
+    _factorization_classes(s3, s3, d4, lawful=())
     assert len(seen) == 2 * len(classes)
 
 
