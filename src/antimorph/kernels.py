@@ -231,18 +231,26 @@ def associativity_witness(rows):
     return None
 
 
-def compose_classify_pairs(n_a, n_c, cay_a, cay_c, left_tables, right_tables,
-                           codes):
+def composite_set(left_tables, right_tables):
     """The set of composites g∘f for f in left_tables (A->B) and g in
-    right_tables (B->C), each with its law bitmask in `codes`.
-
-    `codes` is the caller's memo from composite table to law bitmask: a
-    composite not yet in it is classified and added, so each distinct
-    composite is classified once for as long as the caller keeps the memo.
-    """
+    right_tables (B->C), each g read through f in C."""
     composites = set()
     for f in left_tables:
         composites.update(map(reader(f), right_tables))  # g∘f for every g
-    for comp in composites.difference(codes):
-        codes[comp] = _classify(comp, n_a, n_c, cay_a, cay_c)
+    return composites
+
+
+def classify_new(tables, n_a, n_c, cay_a, cay_c, codes):
+    """Adds to the memo `codes` the law bitmask of each table not in it."""
+    for t in tables.difference(codes):
+        codes[t] = _classify(t, n_a, n_c, cay_a, cay_c)
+
+
+def compose_classify_pairs(n_a, n_c, cay_a, cay_c, left_tables, right_tables,
+                           codes):
+    """`composite_set(left_tables, right_tables)`, each composite with its
+    law bitmask in `codes`, the caller's memo: a composite is classified
+    once for as long as the caller keeps the memo."""
+    composites = composite_set(left_tables, right_tables)
+    classify_new(composites, n_a, n_c, cay_a, cay_c, codes)
     return composites

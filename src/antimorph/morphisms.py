@@ -11,8 +11,8 @@ table with its identity fixed, or a ring's addition and multiplication with
 zero fixed, and the unit too for unital maps. Anti-morphisms of groups are
 the homomorphisms read through the inverses of the source; those of rings
 are the morphisms into the opposite ring. `hom_an_tables` keeps the sorted
-tables of a group pair while both groups live, so it, `enumerate_morphisms`
-and `hom_and_an` search each pair once.
+tables of a group pair while both groups live, so it and
+`enumerate_morphisms` search each pair once.
 A composite that breaks its law is an engine bug and raises RuntimeError
 (`checked_composite`); one found in a set of law-checked tables, such as
 the kept Hom/An tables, is taken on membership without a law scan.
@@ -197,9 +197,9 @@ def image(m: Morphism):
 def enumerate_morphisms(a, b, variance: str, bound: int = DEFAULT_BOUND):
     """Complete, duplicate-free, canonically sorted morphism set.
 
-    A group pair's tables are kept by `hom_an_tables`, which `hom_and_an`
-    reads too. Straight ring morphisms come from the generator-image
-    extension search, anti ones as the morphisms into the opposite ring.
+    A group pair's tables are kept by `hom_an_tables`. Straight ring
+    morphisms come from the generator-image extension search, anti ones as
+    the morphisms into the opposite ring.
     """
     if is_group(a):
         tables = hom_an_tables(a, b, bound)[VARIANCES.index(variance)]
@@ -207,13 +207,6 @@ def enumerate_morphisms(a, b, variance: str, bound: int = DEFAULT_BOUND):
         tables = sorted(set(_hom_tables(a, b if variance == STRAIGHT else opposite(b),
                                         bound)))
     return tuple(Morphism(a, b, t, variance) for t in tables)
-
-
-def hom_and_an(a: FiniteGroup, b: FiniteGroup, bound: int = DEFAULT_BOUND):
-    """(Hom(A, B), An(A, B)) for groups, each as `enumerate_morphisms` gives
-    it, from one search; the morphisms are built afresh on `a` and `b`."""
-    return tuple(tuple(Morphism(a, b, t, v) for t in tables)
-                 for v, tables in zip(VARIANCES, hom_an_tables(a, b, bound)))
 
 
 # source -> target -> {bound: (hom tables, anti tables)}, both sorted. The
@@ -396,8 +389,8 @@ def factor_pairs(a, c, an_ab, an_bc, hom_ac):
 
 @dataclass(frozen=True)
 class AutomorphismAlgebra:
-    autos: tuple
-    anti_autos: tuple
+    autos: tuple                     # bijective tables of Hom(G, G)
+    anti_autos: tuple                # bijective tables of An(G, G)
     straight_group: FiniteGroup | None  # (isomorphisms, usual composition)
     star_group: FiniteGroup | None      # (anti-isomorphisms, star composition)
     iso_images: tuple                # straight_group -> star_group index map
@@ -419,10 +412,8 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
     names the first pair whose product leaves it; an empty family gets no
     group and names itself.
     """
-    autos, antis = (tuple(m for m in ms if m.is_bijective())
-                    for ms in hom_and_an(g, g, bound))
-    auto_tables = [m.images for m in autos]
-    anti_tables = [m.images for m in antis]
+    auto_tables, anti_tables = (tuple(t for t in tables if len(set(t)) == g.order)
+                                for tables in hom_an_tables(g, g, bound))
     auto_set = set(auto_tables)
     union = sorted(auto_set.union(anti_tables))
     # f ★ h is f read through h∘rev, and f ↦ f∘rev is the twin map
@@ -441,8 +432,8 @@ def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> Automorp
         if normal_w is not None:
             normal_w = tuple(union[i] for i in normal_w)
     return AutomorphismAlgebra(
-        autos=autos,
-        anti_autos=antis,
+        autos=auto_tables,
+        anti_autos=anti_tables,
         straight_group=straight_group,
         star_group=star_group,
         iso_images=iso_images,

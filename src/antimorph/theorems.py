@@ -42,7 +42,7 @@ from .morphisms import (
     compose,
     enumerate_morphisms,
     find_isomorphism,
-    hom_and_an,
+    hom_an_tables,
     image,
     kernel,
     law_witness,
@@ -414,17 +414,17 @@ def verify_subring_and_transport(phi: Morphism) -> TheoremReport:
 
 def concrete_factorization(name: str, structures: dict,
                            sets: dict) -> FactorizationCategory:
-    """The factorization category of the maps sets[(a, b)] = (Hom(a, b),
-    An(a, b)) between `structures` (name -> group or ring): straight maps
-    as the base, anti maps as `an_morphisms`, identity tables as identities
-    and `reverse_morphism` as each object's reverse. g∘f is the composed
-    image table, its variance the XOR; a composite outside the sets is an
-    engine error. Objects come in name order, and the i-th map of the p-th
-    pair in that order is `hom:p:i` or `an:p:i`, whatever the names."""
+    """The factorization category of the tables sets[(a, b)] = (Hom(a, b),
+    An(a, b)) between `structures` (name -> group or ring): straight maps as
+    the base, anti maps as `an_morphisms`, identity tables as identities and
+    `reverse_morphism` as each object's reverse. g∘f is the composed image
+    table, its variance the XOR; a composite outside the sets is an engine
+    error. Objects come in name order, and the i-th map of the p-th pair in
+    that order is `hom:p:i` or `an:p:i`, whatever the names."""
     objects = tuple(sorted(structures))
     # (a, b) -> per variance, straight then anti, image table -> id
-    ids = {key: tuple({m.images: f"{tag}:{p}:{i}" for i, m in enumerate(maps)}
-                      for tag, maps in zip(("hom", "an"), sets[key]))
+    ids = {key: tuple({t: f"{tag}:{p}:{i}" for i, t in enumerate(tables)}
+                      for tag, tables in zip(("hom", "an"), sets[key]))
            for p, key in enumerate(itertools.product(objects, repeat=2))}
 
     def mid(v, a, b, images):
@@ -456,7 +456,7 @@ def verify_groups_vs_star_category(groups: dict,
     morphisms and anti-morphisms, then checks that sending f to f∘rev is an
     equivalence from its base to its anti category (star composition)."""
     fc = concrete_factorization("grp", groups, {
-        (a, b): hom_and_an(groups[a], groups[b], bound)
+        (a, b): hom_an_tables(groups[a], groups[b], bound)
         for a, b in itertools.product(sorted(groups), repeat=2)})
     rep = check_equivalence(anti_functor(fc), validate_category(fc.base),
                             validate_category(anti_category(fc)))

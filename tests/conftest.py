@@ -1,27 +1,21 @@
 import pytest
 
-from antimorph import morphisms
-from antimorph.maps import VARIANCES
+from antimorph.maps import VARIANCES, Morphism
 from antimorph.morphisms import DEFAULT_BOUND
 
 
 @pytest.fixture
 def install_enumerator(monkeypatch):
-    """install(module, mutant) puts a mutant `enumerate_morphisms(a, b,
-    variance, bound)` into `module`, and a `hom_and_an` and a `hom_an_tables`
-    built on it, so the module's callers of any of the three see the
-    mutant's sets. `morphisms` keeps its own `hom_an_tables`: its real
-    enumerators read that name, so a mutant built on one of them would
-    otherwise call itself."""
+    """install(module, mutant) puts a mutant `hom_an_tables(a, b, bound)` of
+    groups into `module`, and an `enumerate_morphisms` built on it, so the
+    module's callers of either see the mutant's sets. A mutant built on
+    `morphisms.hom_an_tables` as it was before the install serves
+    `morphisms` too, whose real `enumerate_morphisms` reads that name."""
     def install(module, mutant):
-        def both(a, b, bound=DEFAULT_BOUND):
-            return tuple(mutant(a, b, v, bound) for v in VARIANCES)
+        def enumerate_(a, b, variance, bound=DEFAULT_BOUND):
+            tables = mutant(a, b, bound)[VARIANCES.index(variance)]
+            return tuple(Morphism(a, b, t, variance) for t in tables)
 
-        def tables(a, b, bound=DEFAULT_BOUND):
-            return tuple(tuple(m.images for m in ms) for ms in both(a, b, bound))
-
-        monkeypatch.setattr(module, "enumerate_morphisms", mutant)
-        monkeypatch.setattr(module, "hom_and_an", both)
-        if module is not morphisms:
-            monkeypatch.setattr(module, "hom_an_tables", tables)
+        monkeypatch.setattr(module, "hom_an_tables", mutant)
+        monkeypatch.setattr(module, "enumerate_morphisms", enumerate_)
     return install

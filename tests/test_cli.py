@@ -286,8 +286,8 @@ def test_groups_vs_star_ids_are_unique_whatever_the_names(tmp_path, capsys):
 def test_groups_vs_star_map_outside_its_sets_is_an_engine_error(monkeypatch, capsys):
     # a Hom/An search that loses Z2's trivial endomorphism leaves the
     # trivial anti map composed with itself nowhere to go
-    real = theorems.hom_and_an
-    monkeypatch.setattr(theorems, "hom_and_an",
+    real = theorems.hom_an_tables
+    monkeypatch.setattr(theorems, "hom_an_tables",
                         lambda a, b, bound: (real(a, b, bound)[0][1:],
                                              real(a, b, bound)[1]))
     code, _, err = run_cli(capsys, "verify", "groups-vs-star", "--objects", "z2")

@@ -7,7 +7,7 @@ import pytest
 from antimorph import kernels, suite
 from antimorph.corpus import group_corpus, ring_corpus
 from antimorph.groups import subgroup_closure
-from antimorph.maps import ANTI, VARIANCES, Morphism
+from antimorph.maps import ANTI, VARIANCES
 from antimorph.morphisms import enumerate_morphisms
 from antimorph.rings import all_ideals, all_subrings
 from antimorph.suite import star_monoid_reports, variance_table_reports
@@ -239,12 +239,35 @@ def test_compose_classify_pairs_classifies_each_distinct_composite_once(monkeypa
     assert len(seen) == 3 * len(composites) - 1
 
 
+def _block_misses(sets, a, b, c):
+    """Naive: each composite g∘f of a pair (f, g) in a variance block
+    (vf, vg) of the triple (A, B, C) that is not in the kept set its block's
+    law names: Hom(A, C) when vf == vg, An(A, C) otherwise. `sets` maps a
+    pair of names to its (hom tables, anti tables)."""
+    return {comp
+            for (kf, vf), (kg, vg) in itertools.product(enumerate(VARIANCES),
+                                                        repeat=2)
+            for comp in _composites(sets[(a, b)][kf], sets[(b, c)][kg])
+            if comp not in sets[(a, c)][0 if vf == vg else 1]}
+
+
+def _losing_last_anti(real):
+    """A mutant `hom_an_tables` whose every An(A, C) loses its last table."""
+    def dropping(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        return homs, antis[:-1]
+    return dropping
+
+
 def test_variance_table_reports_classifies_each_composite_once_per_source_and_target(
         monkeypatch):
-    # One memo per (A, C) for one call: every composite A -> C of an
-    # enumerated pair through any B is classified exactly once, and a second
-    # call classifies each again. (A, C) is named by its two tables.
+    # Mutant kept tables: every An(A, C) loses its last table, so a
+    # composite on it in a block that needs the anti law misses the lawful
+    # sets. One call classifies each such miss exactly once per (A, C) and
+    # takes every member without a scan; a second call classifies each miss
+    # again. (A, C) is named by its two tables.
     groups = {k: group_corpus()[k] for k in ("z2", "z4", "z2xz2", "s3")}
+    dropping = _losing_last_anti(suite.hom_an_tables)
     seen = []
     real = kernels._classify
 
@@ -252,126 +275,152 @@ def test_variance_table_reports_classifies_each_composite_once_per_source_and_ta
         seen.append((tuple(cay_a), tuple(cay_c), tuple(images)))
         return real(images, n, m, cay_a, cay_c)
 
+    monkeypatch.setattr(suite, "hom_an_tables", dropping)
     monkeypatch.setattr(kernels, "_classify", counting)
-    sets = {(a, b): [m.images for v in VARIANCES
-                     for m in enumerate_morphisms(groups[a], groups[b], v)]
+    sets = {(a, b): dropping(groups[a], groups[b])
             for a, b in itertools.product(groups, repeat=2)}
     expected = {(tuple(flat(groups[a])), tuple(flat(groups[c])), gf)
                 for a, b, c in itertools.product(groups, repeat=3)
-                for gf in _composites(sets[(a, b)], sets[(b, c)])}
+                for gf in _block_misses(sets, a, b, c)}
+    assert expected
     assert all(r.passed for r in variance_table_reports(groups))
     assert len(seen) == len(set(seen)) and set(seen) == expected
     variance_table_reports(groups)
     assert sorted(seen) == sorted(2 * list(expected))
 
 
-def test_variance_xor_fails_when_one_composite_loses_its_anti_bit(monkeypatch):
-    # Mutant: the identity table of z3 is classified as not anti. Every
-    # mixed-variance pair composing to it must FAIL, memo or not.
-    target = (0, 1, 2)
-    real = kernels._classify
-
-    def mutant(images, *rest):
-        code = real(images, *rest)
-        return code & ~kernels.ANTI_BIT if tuple(images) == target else code
-
-    monkeypatch.setattr(kernels, "_classify", mutant)
+def _xor_failures_without(monkeypatch, bit):
+    """Mutants on the bundled corpus: the kept Hom(Z3, Z3) (for the hom
+    bit) or An(Z3, Z3) (for the anti bit) loses the identity table of Z3,
+    and the law scan of a map Z3 -> Z3 takes `bit` off that table's code.
+    A pair composing to it in a block that needs `bit` misses the lawful
+    sets, and its scan must FAIL the triple. Checks that exactly the triples
+    with such a pair FAIL, each with the first one of a naive (vf, vg, f, g)
+    block scan as witness and the mutant's code; returns the witnesses."""
     groups = group_corpus()
+    z3, target = groups["z3"], (0, 1, 2)
+    cay_z3 = flat(z3)
+    real, real_classify = suite.hom_an_tables, kernels._classify
+    k = 0 if bit == kernels.HOM_BIT else 1
+
+    def dropping(a, b, bound=suite.DEFAULT_BOUND):
+        sets = list(real(a, b, bound))
+        if a is z3 and b is z3:
+            sets[k] = tuple(t for t in sets[k] if t != target)
+        return tuple(sets)
+
+    def mutant(images, n, m, cay_a, cay_c):
+        code = real_classify(images, n, m, cay_a, cay_c)
+        if tuple(images) == target and cay_a == cay_c == cay_z3:
+            code &= ~bit
+        return code
+
+    monkeypatch.setattr(suite, "hom_an_tables", dropping)
+    monkeypatch.setattr(kernels, "_classify", mutant)
     reports = variance_table_reports(groups)
-    failed = [r for r in reports if not r.passed]
-    assert "variance-xor/z3-z3-z3" in {r.theorem for r in failed}
-    assert len(failed) < len(reports)
-    for rep in failed:
+    tables = {(a, b, v): dropping(groups[a], groups[b])[i]
+              for a, b in itertools.product(groups, repeat=2)
+              for i, v in enumerate(VARIANCES)}
+
+    def naive_first(a, b, c):
+        if a != "z3" or c != "z3":
+            return None
+        return next(((vf, vg, p, q)
+                     for vf, vg in itertools.product(VARIANCES, repeat=2)
+                     if (vf != vg) == (bit == kernels.ANTI_BIT)
+                     for p in tables[(a, b, vf)] for q in tables[(b, c, vg)]
+                     if tuple(q[x] for x in p) == target), None)
+
+    witnesses = {}
+    for rep in reports:
+        naive = naive_first(*dict(rep.inputs)["triple"].split(","))
         law = rep.check_map()["composites-obey-xor-law"]
-        assert law.witness is not None
-        vf, vg, f, g, code = law.witness
-        assert vf != vg
-        assert tuple(g[x] for x in f) == target
-        assert not code & kernels.ANTI_BIT
-        # the witness is the first failing pair in (vf, vg, f, g) order
-        a, b, c = dict(rep.inputs)["triple"].split(",")
-        first = next(
-            (wf, wg, p.images, q.images)
-            for wf, wg in itertools.product(VARIANCES, repeat=2) if wf != wg
-            for p in enumerate_morphisms(groups[a], groups[b], wf)
-            for q in enumerate_morphisms(groups[b], groups[c], wg)
-            if tuple(q.images[x] for x in p.images) == target)
-        assert (vf, vg, f, g) == first
+        assert law.passed == (naive is None), rep.theorem
+        if naive is not None:
+            *pair, code = law.witness
+            assert tuple(pair) == naive
+            assert code == real_classify(target, 3, 3, cay_z3, cay_z3) & ~bit
+            witnesses[rep.theorem] = law.witness
+    assert "variance-xor/z3-z3-z3" in witnesses and len(witnesses) < len(reports)
+    return witnesses
+
+
+def test_variance_xor_fails_when_one_composite_loses_its_anti_bit(monkeypatch):
+    # Only mixed-variance pairs need the anti bit; the identity of the
+    # abelian Z3 keeps its hom bit.
+    witnesses = _xor_failures_without(monkeypatch, kernels.ANTI_BIT)
+    for vf, vg, f, g, code in witnesses.values():
+        assert vf != vg and code == kernels.HOM_BIT
 
 
 def test_variance_table_reports_composes_each_distinct_pair_once_per_triple(
         monkeypatch):
-    # One kernel call per (left tag, right tag) group of a triple: on the
-    # bundled corpus the calls of triple (A, B, C) pass every pair of
+    # One `composite_set` call per (left tag, right tag) group of a triple:
+    # on the bundled corpus the calls of triple (A, B, C) pass every pair of
     # Hom(A, B) ∪ An(A, B) and Hom(B, C) ∪ An(B, C) exactly once, so their
-    # |left| * |right| sum to the product of the two union sizes.
+    # |left| * |right| sum to the product of the two union sizes. With every
+    # An(A, C) short of its last table, a triple classifies exactly its
+    # block misses that no earlier triple through (A, C) classified.
     groups = group_corpus()
     names = sorted(groups)
-    calls = []
-    real = kernels.compose_classify_pairs
+    dropping = _losing_last_anti(suite.hom_an_tables)
+    real_set, real_classify = kernels.composite_set, kernels._classify
+    real_report = suite.TheoremReport
+    events = []
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(left, right):
+        events.append(("compose", (left, right)))
+        return real_set(left, right)
 
-    monkeypatch.setattr(kernels, "compose_classify_pairs", recording)
+    def classifying(images, *rest):
+        events.append(("classify", tuple(images)))
+        return real_classify(images, *rest)
+
+    def reporting(**fields):
+        events.append(("report", fields["theorem"]))
+        return real_report(**fields)
+
+    monkeypatch.setattr(suite, "hom_an_tables", dropping)
+    monkeypatch.setattr(kernels, "composite_set", recording)
+    monkeypatch.setattr(kernels, "_classify", classifying)
+    monkeypatch.setattr(suite, "TheoremReport", reporting)
     assert all(r.passed for r in variance_table_reports(groups))
-    unions = {(a, b): {m.images for v in VARIANCES
-                       for m in enumerate_morphisms(groups[a], groups[b], v)}
-              for a, b in itertools.product(names, repeat=2)}
-    # consecutive triples differ in C, so a triple's calls are one run of
-    # equal (A, C) tables
-    runs = [list(run) for _, run in itertools.groupby(
-        calls, key=lambda args: (tuple(args[2]), tuple(args[3])))]
+    sets = {(a, b): dropping(groups[a], groups[b])
+            for a, b in itertools.product(names, repeat=2)}
+    unions = {pair: set().union(*tables) for pair, tables in sets.items()}
+    # a triple's events end at the building of its report
+    runs, run = [], []
+    for kind, value in events:
+        if kind == "report":
+            runs.append(run)
+            run = []
+        else:
+            run.append((kind, value))
     triples = list(itertools.product(names, repeat=3))
-    assert len(runs) == len(triples)
+    assert len(runs) == len(triples) and not run
+    classified = {}
     for (a, b, c), run in zip(triples, runs):
-        assert len(run) <= 9
-        assert sum(len(args[4]) * len(args[5]) for args in run) == \
+        calls = [value for kind, value in run if kind == "compose"]
+        assert len(calls) <= 9
+        assert sum(len(left) * len(right) for left, right in calls) == \
             len(unions[(a, b)]) * len(unions[(b, c)]), (a, b, c)
-        pairs = {(f, g) for args in run for f in args[4] for g in args[5]}
+        pairs = {(f, g) for left, right in calls for f in left for g in right}
         assert pairs == set(itertools.product(unions[(a, b)], unions[(b, c)]))
+        new = [value for kind, value in run if kind == "classify"]
+        before = classified.setdefault((a, c), set())
+        assert len(new) == len(set(new))
+        assert set(new) == _block_misses(sets, a, b, c) - before, (a, b, c)
+        before.update(new)
+    assert any(classified.values())
 
 
 def test_variance_xor_fails_when_one_composite_loses_its_hom_bit(monkeypatch):
-    # Mutant: the identity table of z3 is classified as not straight. Each
-    # map out of z3 has a cyclic image, so it lies in Hom and An and is
-    # composed in the group of tables that carry both variances. Exactly the
-    # triples with a same-variance pair composing to it FAIL, each with the
-    # first failing pair of a naive (vf, vg, f, g) block scan as witness.
-    target = (0, 1, 2)
-    real = kernels._classify
-
-    def mutant(images, *rest):
-        code = real(images, *rest)
-        return code & ~kernels.HOM_BIT if tuple(images) == target else code
-
-    monkeypatch.setattr(kernels, "_classify", mutant)
-    groups = group_corpus()
-    reports = variance_table_reports(groups)
-    tables = {(a, b, v): [m.images for m in enumerate_morphisms(
-        groups[a], groups[b], v)]
-        for a, b in itertools.product(groups, repeat=2) for v in VARIANCES}
-
-    def naive_first(a, b, c):
-        return next(
-            ((wf, wg, p, q)
-             for wf, wg in itertools.product(VARIANCES, repeat=2) if wf == wg
-             for p in tables[(a, b, wf)] for q in tables[(b, c, wg)]
-             if tuple(q[x] for x in p) == target), None)
-
-    failing = {rep.theorem for rep in reports
-               if naive_first(*dict(rep.inputs)["triple"].split(","))}
-    assert {rep.theorem for rep in reports if not rep.passed} == failing
-    assert "variance-xor/z3-z3-z3" in failing and len(failing) < len(reports)
-    for rep in reports:
-        if rep.passed:
-            continue
-        a, b, c = dict(rep.inputs)["triple"].split(",")
-        vf, vg, f, g, code = rep.check_map()["composites-obey-xor-law"].witness
-        assert (vf, vg, f, g) == naive_first(a, b, c)
-        assert not code & kernels.HOM_BIT and code & kernels.ANTI_BIT
-        assert all(f in tables[(a, b, v)] for v in VARIANCES)
+    # Each map out of Z3 has a cyclic image, so it lies in Hom and An, and
+    # same-variance pairs through any B can compose to the identity; only
+    # they need its hom bit.
+    witnesses = _xor_failures_without(monkeypatch, kernels.HOM_BIT)
+    for vf, vg, f, g, code in witnesses.values():
+        assert vf == vg and code == kernels.ANTI_BIT
 
 
 def _raw_star(g):
@@ -409,17 +458,17 @@ def _star_law_witnesses(report, tables, star, rev):
 @pytest.mark.parametrize("report", sorted(STAR_REPORTS))
 def test_star_monoid_names_the_first_pair_that_leaves_the_set(install_enumerator,
                                                              report):
-    # Mutant enumerator: An(S3, S3) loses its last map, so stars that land
+    # Mutant kept tables: An(S3, S3) loses its last map, so stars that land
     # on it leave the set. The witness is the first such (p, q).
     s3 = group_corpus()["s3"]
-    real = suite.enumerate_morphisms
+    real = suite.hom_an_tables
 
-    def dropping(a, b, variance, bound=suite.DEFAULT_BOUND):
-        out = real(a, b, variance, bound)
-        return out[:-1] if variance == ANTI else out
+    def dropping(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        return homs, antis[:-1]
 
     install_enumerator(suite, dropping)
-    tables = [m.images for m in dropping(s3, s3, ANTI)]
+    tables = list(dropping(s3, s3)[1])
     (closed, ident, assoc), naive = _star_law_witnesses(
         report, tables, _raw_star(s3), s3.inverses)
     assert not closed.passed and closed.witness == naive[0]
@@ -430,25 +479,22 @@ def test_star_monoid_names_the_first_pair_that_leaves_the_set(install_enumerator
 @pytest.mark.parametrize("report", sorted(STAR_REPORTS))
 def test_star_monoid_names_the_first_map_the_reverse_map_moves(install_enumerator,
                                                               report):
-    # Mutant enumerator: An(S3, S3) also lists two maps that rev ★ - moves,
+    # Mutant kept tables: An(S3, S3) also lists two maps that rev ★ - moves,
     # as they send the 3-cycle 4 = 3^-1 to 3: the identity map with 4 sent
     # to 3, and the constant map onto 3. The witness is the first of them.
     s3 = group_corpus()["s3"]
     assert s3.inv(3) == 4
-    bad = [Morphism(s3, s3, (0, 1, 2, 3, 3, 5), ANTI),
-           Morphism(s3, s3, (3,) * s3.order, ANTI)]
-    real = suite.enumerate_morphisms
+    bad = ((0, 1, 2, 3, 3, 5), (3,) * s3.order)
+    real = suite.hom_an_tables
 
-    def adding(a, b, variance, bound=suite.DEFAULT_BOUND):
-        out = real(a, b, variance, bound)
-        if variance == ANTI:
-            out = tuple(sorted(out + tuple(bad), key=lambda m: m.images))
-        return out
+    def adding(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        return homs, tuple(sorted(antis + bad))
 
     install_enumerator(suite, adding)
-    tables = [m.images for m in adding(s3, s3, ANTI)]
+    tables = list(adding(s3, s3)[1])
     checks, naive = _star_law_witnesses(report, tables, _raw_star(s3), s3.inverses)
-    assert naive[1] == bad[0].images
+    assert naive[1] == bad[0]
     # every law fails, each with its first counterexample
     assert None not in naive
     assert [c.witness for c in checks] == list(naive)

@@ -210,18 +210,19 @@ def test_map_space_scan_check_names_the_first_stray_table(monkeypatch, dropped):
 
 @pytest.mark.parametrize("variance", VARIANCES)
 def test_endomorphism_scan_checks_name_the_first_stray_table(monkeypatch, variance):
-    # Mutant: the enumerator lists its first map again in place of its last.
-    # The counts still agree, and only the witness shows which table differs.
+    # Mutant: the kept tables list their first map again in place of their
+    # last. The counts still agree, and only the witness shows which table
+    # differs.
     s3 = group_corpus()["s3"]
-    real = suite.hom_and_an
+    real = suite.hom_an_tables
 
     def repeating(a, b, bound=suite.DEFAULT_BOUND):
-        return tuple(ms[:-1] + ms[:1] if v == variance else ms
-                     for v, ms in zip(VARIANCES, real(a, b, bound)))
+        return tuple(ts[:-1] + ts[:1] if v == variance else ts
+                     for v, ts in zip(VARIANCES, real(a, b, bound)))
 
-    monkeypatch.setattr(suite, "hom_and_an", repeating)
+    monkeypatch.setattr(suite, "hom_an_tables", repeating)
     checks = suite.endomorphism_monoid_report(s3).check_map()
-    listed = [m.images for m in repeating(s3, s3)[VARIANCES.index(variance)]]
+    listed = list(repeating(s3, s3)[VARIANCES.index(variance)])
     homs, antis = brute_force_tables(s3, s3)
     scanned = homs if variance == STRAIGHT else antis
     assert len(listed) == len(scanned)
@@ -269,59 +270,90 @@ def test_reconstruction_names_the_first_map_its_twin_does_not_rebuild(monkeypatc
     assert checks["z3-z3"]["straight-equals-twin-after-reverse"].witness == (0, 1, 2)
 
 
+def _naive_classes(an_ab, an_bc):
+    """Naive: the pairs (f, g) of an_ab x an_bc bucketed by composite g∘f,
+    the buckets in composite order and each in (f, g) listing order."""
+    buckets = {}
+    for f in an_ab:
+        for g in an_bc:
+            buckets.setdefault(tuple(g[x] for x in f), []).append((f, g))
+    return [buckets[comp] for comp in sorted(buckets)]
+
+
 def test_reconstruction_names_the_first_pair_listed_twice(monkeypatch):
-    # Mutant: the last class also lists the first pair of every class, last
-    # class first, so the first pair seen twice is the last class's own
-    # first pair, which is not the least pair listed twice.
-    real = suite.factor_pairs
-    firsts = {}
+    # Mutant kept tables: An(A, C) lists its last table again before its
+    # first, so An(A, A) x An(A, C) lists each pair through that table twice.
+    # The witness is the first pair met twice when the classes are read in
+    # composite order, which is not always the least pair listed twice.
+    names = ("z2", "z3", "s3")
+    groups = group_corpus()
+    real = suite.hom_an_tables
 
-    def repeating(a, c, an_ab, an_bc, hom_ac):
-        classes = real(a, c, an_ab, an_bc, hom_ac)
-        *rest, last = classes
-        extra = tuple(cl.pairs[0] for cl in reversed(classes))
-        firsts[(a.name, c.name)] = last.pairs[0], min(extra)
-        return (*rest, replace(last, pairs=last.pairs + extra))
+    def repeating(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        return homs, antis[-1:] + antis
 
-    monkeypatch.setattr(suite, "factor_pairs", repeating)
-    checks = _reconstruction_checks(("z2", "z3", "s3"))
-    assert any(first != least for first, least in firsts.values())
-    for (a, c), (first, _) in firsts.items():
+    monkeypatch.setattr(suite, "hom_an_tables", repeating)
+    checks = _reconstruction_checks(names)
+    not_least = 0
+    for a, c in itertools.product(names, repeat=2):
+        an_aa = repeating(groups[a], groups[a])[1]
+        an_ac = repeating(groups[a], groups[c])[1]
+        keys = [pair for cl in _naive_classes(an_aa, an_ac) for pair in cl]
+        first = next(p for i, p in enumerate(keys) if p in keys[:i])
+        not_least += first != min(p for p in keys if keys.count(p) > 1)
         disjoint = checks[f"{a}-{c}"]["classes-disjoint"]
         assert not disjoint.passed and disjoint.witness == first
+        assert checks[f"{a}-{c}"]["classes-cover-all-pairs"].passed
+    assert not_least
 
 
 def test_reconstruction_names_the_least_stray_composite_and_unfactored_map(
         monkeypatch):
-    # Mutant: every class composite is translated by k, which does not fix
-    # the identity, so no composite is straight and no straight map is a
-    # composite. The witnesses are the least translated map and the least
-    # straight map.
+    # Mutant kept tables: Hom(A, C) loses its last table and An(A, C) its
+    # first, the trivial map. A composite on the dropped straight table
+    # misses Hom(A, C); the law scan on that miss finds it lawful, and the
+    # least such composite is named as a stray. The least straight map that
+    # no pair of the shortened anti sets reaches is named as unfactored.
+    # Each distinct composite off Hom(A, C) is law-scanned once, in order of
+    # first appearance.
     names = ("z2", "z3", "s3")
     groups = group_corpus()
-    real = suite.factor_pairs
+    real, real_witness = suite.hom_an_tables, morphisms.law_witness
+    scans = []
 
-    def shift(c):
-        k = next(x for x in c.elements() if x != c.identity)
-        return lambda t: tuple(c.mul(k, v) for v in t)
+    def shortened(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        return homs[:-1], antis[1:]
 
-    def translated(a, c, an_ab, an_bc, hom_ac):
-        return tuple(replace(cl, composite=shift(c)(cl.composite))
-                     for cl in real(a, c, an_ab, an_bc, hom_ac))
+    def scanning(images, a, b, variance):
+        if variance == STRAIGHT:
+            scans.append((a.name, b.name, images))
+        return real_witness(images, a, b, variance)
 
-    monkeypatch.setattr(suite, "factor_pairs", translated)
+    monkeypatch.setattr(suite, "hom_an_tables", shortened)
+    monkeypatch.setattr(morphisms, "law_witness", scanning)
     checks = _reconstruction_checks(names)
-    moved_order = False
-    for a, c in itertools.product(names, repeat=2):
-        homs = [f.images for f in enumerate_morphisms(groups[a], groups[c], STRAIGHT)]
-        shifted = [shift(groups[c])(t) for t in homs]
-        moved_order |= shifted != sorted(shifted)
+    expected_scans, strays, unfactored = [], 0, 0
+    for a, c in itertools.product(sorted(names), repeat=2):
+        homs = set(shortened(groups[a], groups[c])[0])
+        composites = [tuple(g[x] for x in f)
+                      for f in shortened(groups[a], groups[a])[1]
+                      for g in shortened(groups[a], groups[c])[1]]
+        off = [t for t in dict.fromkeys(composites) if t not in homs]
+        expected_scans += [(a, c, t) for t in off]
+        stray = min(off, default=None)
+        least = min(homs.difference(composites), default=None)
         pair = checks[f"{a}-{c}"]
-        assert not pair["composites-are-straight"].passed
-        assert pair["composites-are-straight"].witness == min(shifted)
-        assert not pair["every-straight-map-factors"].passed
-        assert pair["every-straight-map-factors"].witness == homs[0]
-    assert moved_order
+        assert pair["composites-are-straight"].passed == (stray is None)
+        assert pair["composites-are-straight"].witness == stray
+        assert pair["every-straight-map-factors"].passed == (least is None)
+        assert pair["every-straight-map-factors"].witness == least
+        assert pair["straight-equals-twin-after-reverse"].passed
+        strays += stray is not None
+        unfactored += least is not None
+    assert scans == expected_scans
+    assert strays and unfactored
 
 
 def _twisted_reverse(g):
@@ -468,15 +500,14 @@ def test_search_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        homs, antis = morphisms.hom_and_an(d4, s3)
+        homs, antis = morphisms.hom_an_tables(d4, s3)
         ring_antis = enumerate_morphisms(m2, m2, ANTI)
         # an isomorphism search stops reading the search at its first find
         iso = find_isomorphism(d4, d4)
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert ([m.images for m in homs], [m.images for m in antis]) == \
-        brute_force_tables(d4, s3)
+    assert (list(homs), list(antis)) == brute_force_tables(d4, s3)
     # M2(F2) is simple, so its anti endomorphisms are the transpose after
     # each of its six inner automorphisms
     assert len(ring_antis) == 6
@@ -514,18 +545,18 @@ def test_a_kept_search_is_reused_only_for_its_own_bound(counted_searches):
     rng = random.Random(29)
     a = _identity_last(group_corpus()["d4"], rng)
     b = _identity_last(symmetric3(), rng)
-    first = morphisms.hom_and_an(a, b)
-    assert morphisms.hom_and_an(a, b) == first
-    assert enumerate_morphisms(a, b, ANTI) == first[1]
+    first = morphisms.hom_an_tables(a, b)
+    assert morphisms.hom_an_tables(a, b) is first
+    assert [m.images for m in enumerate_morphisms(a, b, ANTI)] == list(first[1])
     assert len(counted_searches) == 1
     tight = b.order ** len(generating_set(a)) - 1
     with pytest.raises(BoundExceeded):
-        morphisms.hom_and_an(a, b, bound=tight)
+        morphisms.hom_an_tables(a, b, bound=tight)
     with pytest.raises(BoundExceeded):
         enumerate_morphisms(a, b, STRAIGHT, bound=tight)
     assert len(counted_searches) == 3
     # a wider bound is a search of its own, with the same sets
-    assert morphisms.hom_and_an(a, b, bound=2 * morphisms.DEFAULT_BOUND) == first
+    assert morphisms.hom_an_tables(a, b, bound=2 * morphisms.DEFAULT_BOUND) == first
     assert len(counted_searches) == 4
 
 
@@ -539,9 +570,9 @@ def test_kept_tables_die_with_their_groups():
         g = _identity_last(symmetric3(), rng)
         h = _identity_last(group_corpus()["q8"], rng)
         kept = len(morphisms._HOM_AN_TABLES)
-        homs, antis = morphisms.hom_and_an(g, h)
+        homs, antis = morphisms.hom_an_tables(g, h)
         assert len(homs) == len(antis) == 2
-        morphisms.hom_and_an(h, g)
+        morphisms.hom_an_tables(h, g)
         assert len(morphisms._HOM_AN_TABLES) == kept + 2
         g_ref = weakref.ref(g)
         del g, homs, antis
@@ -561,9 +592,10 @@ def test_content_equal_groups_share_one_search(counted_searches):
     b = _identity_last(group_corpus()["z2xz2"], rng, name="right")
     twin_a, twin_b = replace(a, name="twin-left"), replace(b, name="twin-right")
     assert (twin_a, twin_b) == (a, b) and twin_a is not a
-    sets = morphisms.hom_and_an(a, b)
-    twin_sets = morphisms.hom_and_an(twin_a, twin_b)
+    sets = [enumerate_morphisms(a, b, v) for v in VARIANCES]
+    twin_sets = [enumerate_morphisms(twin_a, twin_b, v) for v in VARIANCES]
     assert len(counted_searches) == 1
+    assert morphisms.hom_an_tables(twin_a, twin_b) is morphisms.hom_an_tables(a, b)
     assert [[m.images for m in ms] for ms in twin_sets] == \
         [[m.images for m in ms] for ms in sets]
     for ms, twins in zip(sets, twin_sets):
@@ -640,7 +672,7 @@ def test_automorphism_algebra_s3():
     alg = automorphism_algebra(symmetric3())
     assert len(alg.autos) == 6
     assert alg.union_group.order == 12
-    assert not {m.images for m in alg.autos} & {m.images for m in alg.anti_autos}
+    assert not set(alg.autos) & set(alg.anti_autos)
     assert alg.normal_witness is None
 
 
@@ -673,27 +705,28 @@ def test_union_is_group_fails_when_the_union_loses_a_member(monkeypatch):
 
 @pytest.mark.parametrize("variance", VARIANCES)
 def test_group_checks_fail_when_a_family_loses_a_member(install_enumerator, variance):
-    # Mutant enumerator: Aut(S3) (straight) or its anti-automorphisms lose
+    # Mutant kept tables: Aut(S3) (straight) or its anti-automorphisms lose
     # their last member, so that family is not closed under its product
     # (composition, or the star product p ★ q = p∘q∘rev). The checks that
     # need both groups FAIL with the first pair whose product leaves the
     # family, and the run completes.
     from antimorph.suite import RunConfig, run
 
-    real = morphisms.enumerate_morphisms
+    real = morphisms.hom_an_tables
+    k = VARIANCES.index(variance)
 
-    def dropping(a, b, v, bound=morphisms.DEFAULT_BOUND):
-        out = real(a, b, v, bound)
-        if a.name != "s3" or v != variance:
-            return out
-        last = max(i for i, m in enumerate(out) if m.is_bijective())
-        return out[:last] + out[last + 1:]
+    def dropping(a, b, bound=morphisms.DEFAULT_BOUND):
+        sets = list(real(a, b, bound))
+        if a.name == "s3":
+            last = max(i for i, t in enumerate(sets[k]) if _is_bijective(t))
+            sets[k] = sets[k][:last] + sets[k][last + 1:]
+        return tuple(sets)
 
     install_enumerator(morphisms, dropping)
     records = run(RunConfig(selection=("automorphism-algebra/s3/",))).records
     found = {r.check_id.rsplit("/", 1)[1]: r for r in records}
     s3 = group_corpus()["s3"]
-    family = [m.images for m in dropping(s3, s3, variance) if m.is_bijective()]
+    family = _bijective(dropping(s3, s3)[k])
     rev = s3.inverses if variance == ANTI else tuple(s3.elements())
     first = next((p, q) for p in family for q in family
                  if tuple(p[q[x]] for x in rev) not in family)
@@ -706,19 +739,19 @@ def test_group_checks_fail_when_a_family_loses_a_member(install_enumerator, vari
 
 
 def test_group_checks_fail_when_z2_loses_its_only_automorphism(install_enumerator):
-    # Mutant enumerator: Z2's straight family is empty. An empty family has no
-    # identity, so before it was guarded `validate_group` raised NoIdentity,
-    # which ends a CLI run with exit 2; now the checks that need the group
-    # FAIL with a witness naming the family, and the run completes.
+    # Mutant kept tables: Z2's straight family is empty. An empty family has
+    # no identity, so before it was guarded `validate_group` raised
+    # NoIdentity, which ends a CLI run with exit 2; now the checks that need
+    # the group FAIL with a witness naming the family, and the run completes.
     from antimorph.suite import RunConfig, run
 
-    real = morphisms.enumerate_morphisms
+    real = morphisms.hom_an_tables
 
-    def emptied(a, b, v, bound=morphisms.DEFAULT_BOUND):
-        out = real(a, b, v, bound)
-        if a.name != "z2" or v != STRAIGHT:
-            return out
-        return tuple(m for m in out if not m.is_bijective())
+    def emptied(a, b, bound=morphisms.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        if a.name != "z2":
+            return homs, antis
+        return tuple(t for t in homs if not _is_bijective(t)), antis
 
     install_enumerator(morphisms, emptied)
     records = run(RunConfig(selection=("automorphism-algebra/z2/",))).records
@@ -731,33 +764,38 @@ def test_group_checks_fail_when_z2_loses_its_only_automorphism(install_enumerato
     assert found["union-is-group"].passed
 
 
-def _bijective(maps):
-    return sorted(m.images for m in maps if m.is_bijective())
+def _is_bijective(table):
+    return len(set(table)) == len(table)
+
+
+def _bijective(tables):
+    """The bijective tables of an endomorphism list, sorted."""
+    return sorted(filter(_is_bijective, tables))
 
 
 def test_straight_family_normal_in_union_names_a_conjugate_outside_it(
         install_enumerator):
-    # Mutant enumerator: of Aut(Z2xZ2) = GL2(F2) only the identity and one
+    # Mutant kept tables: of Aut(Z2xZ2) = GL2(F2) only the identity and one
     # involution stay straight. They form a subgroup of the union, which the
     # full anti family keeps a group, but not a normal one: the check names
     # the first (x, h) in table order with x∘h∘x^-1 outside the family.
     g = group_corpus()["z2xz2"]
-    real = morphisms.enumerate_morphisms
+    real = morphisms.hom_an_tables
     identity = tuple(g.elements())
 
-    def keeping_two(a, b, v, bound=morphisms.DEFAULT_BOUND):
-        out = real(a, b, v, bound)
-        if a.name != "z2xz2" or b.name != "z2xz2" or v != STRAIGHT:
-            return out
-        flip = next(t for t in _bijective(out)
+    def keeping_two(a, b, bound=morphisms.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        if a.name != "z2xz2" or b.name != "z2xz2":
+            return homs, antis
+        flip = next(t for t in _bijective(homs)
                     if t != identity and all(t[y] == x for x, y in enumerate(t)))
-        return tuple(m for m in out
-                     if not m.is_bijective() or m.images in (identity, flip))
+        return tuple(t for t in homs
+                     if not _is_bijective(t) or t in (identity, flip)), antis
 
     install_enumerator(morphisms, keeping_two)
     checks = suite.automorphism_algebra_report(g).check_map()
-    autos = _bijective(keeping_two(g, g, STRAIGHT))
-    union = sorted(set(autos).union(_bijective(real(g, g, ANTI))))
+    autos = _bijective(keeping_two(g, g)[0])
+    union = sorted(set(autos).union(_bijective(real(g, g)[1])))
     assert len(autos) == 2 and len(union) == 6
 
     def inverse(x):
@@ -772,23 +810,23 @@ def test_straight_family_normal_in_union_names_a_conjugate_outside_it(
 
 def test_nonabelian_families_disjoint_names_the_least_shared_table(
         install_enumerator):
-    # Mutant enumerator: two automorphisms of S3, the larger one first, are
+    # Mutant kept tables: two automorphisms of S3, the larger one first, are
     # appended to its anti family. The check names the least table that
     # both families hold.
     s3 = group_corpus()["s3"]
-    real = morphisms.enumerate_morphisms
-    autos = _bijective(real(s3, s3, STRAIGHT))
+    real = morphisms.hom_an_tables
+    autos = _bijective(real(s3, s3)[0])
     added = (autos[-1], autos[1])
 
-    def adding(a, b, v, bound=morphisms.DEFAULT_BOUND):
-        out = real(a, b, v, bound)
-        if a.name == b.name == "s3" and v == ANTI:
-            out = out + tuple(Morphism(a, b, t, ANTI) for t in added)
-        return out
+    def adding(a, b, bound=morphisms.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        if a.name == b.name == "s3":
+            antis = antis + added
+        return homs, antis
 
     install_enumerator(morphisms, adding)
     checks = suite.automorphism_algebra_report(s3).check_map()
-    antis = _bijective(adding(s3, s3, ANTI))
+    antis = _bijective(adding(s3, s3)[1])
     shared = [t for t in autos if t in antis]
     assert shared == [autos[1], autos[-1]]
     assert not checks["nonabelian-families-disjoint"].passed
@@ -798,28 +836,29 @@ def test_nonabelian_families_disjoint_names_the_least_shared_table(
 @pytest.mark.parametrize("dropped", ["anti-loses-two", "both-lose-one"])
 def test_abelian_families_coincide_names_a_table_in_one_family_only(
         install_enumerator, dropped):
-    # Mutant enumerators on Aut(Z2xZ2), where both families are GL2(F2).
+    # Mutant kept tables on Aut(Z2xZ2), where both families are GL2(F2).
     # The anti family loses its two largest tables: the check names the
     # least table in one family only (the union is still Aut(Z2xZ2), so a
     # check of union order and overlap alone would PASS). Both families
     # lose their largest table: they coincide, but the five maps are not
     # closed, so the check names (union order, family size) = (None, 5).
     g = group_corpus()["z2xz2"]
-    real = morphisms.enumerate_morphisms
-    tables = _bijective(real(g, g, STRAIGHT))
+    real = morphisms.hom_an_tables
+    tables = _bijective(real(g, g)[0])
     drop = {"anti-loses-two": {ANTI: tables[-2:]},
             "both-lose-one": {STRAIGHT: tables[-1:], ANTI: tables[-1:]}}[dropped]
 
-    def dropping(a, b, v, bound=morphisms.DEFAULT_BOUND):
-        out = real(a, b, v, bound)
+    def dropping(a, b, bound=morphisms.DEFAULT_BOUND):
+        sets = real(a, b, bound)
         if a.name != "z2xz2" or b.name != "z2xz2":
-            return out
-        return tuple(m for m in out if m.images not in drop.get(v, ()))
+            return sets
+        return tuple(tuple(t for t in ts if t not in drop.get(v, ()))
+                     for v, ts in zip(VARIANCES, sets))
 
     install_enumerator(morphisms, dropping)
     check = suite.automorphism_algebra_report(g).check_map()[
         "abelian-families-coincide"]
-    autos, antis = (_bijective(dropping(g, g, v)) for v in VARIANCES)
+    autos, antis = map(_bijective, dropping(g, g))
     one_only = [t for t in sorted(set(autos + antis))
                 if (t in autos) != (t in antis)]
     assert not check.passed
@@ -1379,13 +1418,11 @@ _PROPERTY_BREAKERS = {
 def test_anti_map_property_names_its_first_failing_map(install_enumerator, name):
     s3 = group_corpus()["s3"]
     tables, expected = _PROPERTY_BREAKERS[name]
-    real = suite.enumerate_morphisms
+    real = suite.hom_an_tables
 
-    def adding(a, b, variance, bound=suite.DEFAULT_BOUND):
-        out = real(a, b, variance, bound)
-        if variance == ANTI:
-            out = out + tuple(Morphism(a, b, t, ANTI) for t in tables)
-        return out
+    def adding(a, b, bound=suite.DEFAULT_BOUND):
+        homs, antis = real(a, b, bound)
+        return homs, antis + tables
 
     install_enumerator(suite, adding)
     checks = suite.morphism_property_reports({"s3": s3})[0].check_map()

@@ -19,7 +19,7 @@ from antimorph.morphisms import (
     classify,
     corresponding_anti,
     enumerate_morphisms,
-    hom_and_an,
+    hom_an_tables,
     reverse_morphism,
 )
 from antimorph.rings import opposite, quotient_ring
@@ -239,7 +239,7 @@ def _concrete(structures, sets_of):
 
 def test_group_family_is_a_factorization_category():
     groups = {k: GROUPS[k] for k in ("z2", "z3", "z4", "z2xz2", "s3")}
-    fc = _concrete(groups, hom_and_an)
+    fc = _concrete(groups, hom_an_tables)
     assert (len(fc.base.morphisms), len(fc.an_morphisms)) == (91, 91)
     assert validate_factorization(fc) is fc
     assert category_violation(anti_category(fc)) is None
@@ -247,21 +247,17 @@ def test_group_family_is_a_factorization_category():
 
 
 def _ring_sets(a, b):
-    return (tuple(enumerate_morphisms(a, b, STRAIGHT)),
-            tuple(enumerate_morphisms(a, b, ANTI)))
-
-
-def _commutes_with_involutions(m):
-    a, b = m.source, m.target
-    return all(m.images[a.involution[x]] == b.involution[m.images[x]]
-               for x in a.elements())
+    return tuple(tuple(m.images for m in enumerate_morphisms(a, b, v))
+                 for v in (STRAIGHT, ANTI))
 
 
 def test_star_ring_family_is_a_factorization_category():
     # the *-maps, f∘inv = inv∘f, of the five bundled rings
     def star_sets(a, b):
-        return tuple(tuple(filter(_commutes_with_involutions, maps))
-                     for maps in _ring_sets(a, b))
+        return tuple(tuple(t for t in tables
+                           if all(t[a.involution[x]] == b.involution[t[x]]
+                                  for x in a.elements()))
+                     for tables in _ring_sets(a, b))
 
     fc = _concrete(RINGS, star_sets)
     assert (len(fc.base.morphisms), len(fc.an_morphisms)) == (23, 23)
