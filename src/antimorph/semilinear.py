@@ -85,13 +85,19 @@ class FieldFq2:
         return f
 
     def _self_check(self) -> None:
-        n = self.order
-        frob = self.frob
-        assert all(frob[frob[x]] == x for x in range(n)), "frobenius must square to id"
-        fixed = {x for x in range(n) if frob[x] == x}
-        assert fixed == set(range(self.p)), "frobenius must fix exactly the prime field"
-        assert all(self.mul[frob[x]][frob[y]] == frob[self.mul[x][y]]
-                   for x in range(n) for y in range(n))
+        """Raise the engine-bug RuntimeError when the tables break a law of
+        the Frobenius that the twisted maps rely on."""
+        n, frob, mul = self.order, self.frob, self.mul
+        laws = (
+            ("frobenius must square to id", all(frob[frob[x]] == x for x in range(n))),
+            ("frobenius must fix exactly the prime field",
+             {x for x in range(n) if frob[x] == x} == set(range(self.p))),
+            ("frobenius must be multiplicative",
+             all(mul[frob[x]][frob[y]] == frob[mul[x][y]] for x in range(n) for y in range(n))),
+        )
+        broken = next((law for law, holds in laws if not holds), None)
+        if broken is not None:
+            raise RuntimeError(f"{self!r}: {broken}; this is an engine bug")
 
     def add_(self, a, b):
         return self.add[a][b]
@@ -328,9 +334,13 @@ def zero_map(field, rows, cols, twist=STRAIGHT) -> SemilinearMap:
                          tuple(tuple(0 for _ in range(cols)) for _ in range(rows)), twist)
 
 
+def _identity(n: int) -> tuple:
+    """The n x n identity matrix; its rows are the unit vectors of F^n."""
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def identity_map(field, n, twist=STRAIGHT) -> SemilinearMap:
-    ent = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return SemilinearMap(field, n, n, ent, twist)
+    return SemilinearMap(field, n, n, _identity(n), twist)
 
 
 def reverse_map(field, n) -> SemilinearMap:
@@ -460,10 +470,6 @@ def kernel_basis(f: SemilinearMap):
     corresponding straight map)."""
     field = f.field
     n = f.cols
-    if n == 0:
-        return ()
-    if f.rows == 0:
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     red, pivots = rref(field, f.entries)
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -478,9 +484,7 @@ def kernel_basis(f: SemilinearMap):
 
 def image_basis(f: SemilinearMap):
     """Echelonized basis of the column space."""
-    field = f.field
-    cols = tuple(tuple(f.entries[i][j] for i in range(f.rows)) for j in range(f.cols))
-    return span_basis(field, cols)
+    return span_basis(f.field, zip(*f.entries))
 
 
 def span_basis(field, vectors):
@@ -493,22 +497,32 @@ def span_basis(field, vectors):
 
 
 def in_span(field, basis, v) -> bool:
-    if not basis:
-        return all(x == 0 for x in v)
     return len(span_basis(field, list(basis) + [v])) == len(basis)
 
 
-def invert_matrix(field, m):
-    n = len(m)
-    aug = [list(m[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    red, pivots = rref(field, aug)
-    if list(pivots) != list(range(n)):
+def solve(field, a, b, cols):
+    """One solution X of A X = B, or None when the system has none.
+
+    One `rref` of [A | B]. A pivot in the B block is a row 0 = nonzero, so
+    there is no solution. Otherwise row p of X is the B part of the pivot
+    row of column p, and the free unknowns are 0: when A has full column
+    rank this is the unique solution. `cols` is A's number of columns,
+    which an A with no rows cannot tell.
+    """
+    red, pivots = rref(field, [a_row + b_row for a_row, b_row in zip(a, b)])
+    if pivots and pivots[-1] >= cols:
         return None
-    return tuple(tuple(red[i][n + j] for j in range(n)) for i in range(n))
+    x = [(0,) * (len(b[0]) if b else 0)] * cols
+    for row, p in zip(red, pivots):
+        x[p] = row[cols:]
+    return tuple(x)
 
 
-def _conj_table(field, m):
-    return tuple(tuple(field.conj(v) for v in row) for row in m)
+def invert_matrix(field, m):
+    """The inverse of the square matrix m, or None when m is singular:
+    A X = I has a solution exactly when m is invertible, and a singular m
+    leaves a pivot in the identity block."""
+    return solve(field, m, _identity(len(m)), len(m))
 
 
 # -- quotients -------------------------------------------------------------------
@@ -530,23 +544,24 @@ class QuotientSpace:
 
 
 def quotient_space(field, n, subspace_basis) -> QuotientSpace:
-    """Quotient of F^n by a subspace, with explicit coordinates."""
+    """Quotient of F^n by a subspace, with explicit coordinates.
+
+    The complement is spanned by the unit vectors e_j, j going up, that lie
+    outside the span of the subspace and the e_i chosen before them. That
+    holds exactly when no subspace vector has its last nonzero entry at j,
+    so the chosen j are those outside the pivots of the basis read with its
+    columns reversed: one elimination. The section sends the quotient's
+    coordinates to the complement; the projection is the complement part
+    of the inverse basis change [complement | subspace basis].
+    """
     basis = span_basis(field, subspace_basis)
     k = len(basis)
-    complement = []
-    current = list(basis)
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        if not in_span(field, span_basis(field, current), e):
-            complement.append(e)
-            current.append(e)
-    full = [list(v) for v in complement + list(basis)]  # columns: complement first
-    cols = tuple(tuple(full[c][r] for c in range(n)) for r in range(n))
-    inv = invert_matrix(field, cols)
-    proj_entries = tuple(inv[i] for i in range(n - k))
-    sect_entries = tuple(tuple(complement[j][i] for j in range(n - k))
-                         for i in range(n))
-    proj = SemilinearMap(field, n - k, n, proj_entries, STRAIGHT)
+    ends = {n - 1 - c for c in rref(field, [v[::-1] for v in basis])[1]}
+    keep = [j for j in range(n) if j not in ends]
+    unit = _identity(n)
+    inv = invert_matrix(field, tuple(zip(*(unit[j] for j in keep), *basis)))
+    sect_entries = tuple(tuple(row[j] for j in keep) for row in unit)
+    proj = SemilinearMap(field, n - k, n, inv[:n - k], STRAIGHT)
     sect = SemilinearMap(field, n, n - k, sect_entries, STRAIGHT)
     return QuotientSpace(field, n, basis, proj, sect)
 
@@ -563,27 +578,16 @@ def factor_sequence(f: SemilinearMap):
     makes the composite equal f entry-for-entry.
     """
     field = f.field
-    red, pivots = rref(field, f.entries) if f.rows and f.cols else ((), ())
+    pivots = rref(field, f.entries)[1]
     r = len(pivots)
-    # coordinates along pivot preimages, modulo the matrix nullspace
-    u_cols = tuple(tuple(1 if j == p else 0 for p in pivots) for j in range(f.cols))
-    kern = kernel_basis(f)
-    full_cols = []
-    for i in range(f.cols):
-        row = list(u_cols[i]) + [kern[b][i] for b in range(len(kern))]
-        full_cols.append(row)
-    if f.cols:
-        inv = invert_matrix(field, tuple(map(tuple, full_cols)))
-        p0 = tuple(inv[i] for i in range(r))
-    else:
-        p0 = ()
-    j_entries = tuple(tuple(f.entries[i][p] for p in pivots) for i in range(f.rows))
+    # coordinates along the pivot columns, modulo the matrix nullspace: each
+    # nullspace vector ends at a free column, so the quotient's complement
+    # is spanned by the unit vectors at the pivots
+    proj = quotient_space(field, f.cols, kernel_basis(f)).projection
     if f.is_anti:
-        proj = SemilinearMap(field, r, f.cols, _conj_table(field, p0), STRAIGHT)
-        mid = identity_map(field, r, ANTI)
-    else:
-        proj = SemilinearMap(field, r, f.cols, p0, STRAIGHT)
-        mid = identity_map(field, r, STRAIGHT)
+        proj = SemilinearMap(field, r, f.cols, proj.conj_entries(), STRAIGHT)
+    mid = identity_map(field, r, f.twist)
+    j_entries = tuple(tuple(row[p] for p in pivots) for row in f.entries)
     incl = SemilinearMap(field, f.rows, r, j_entries, STRAIGHT)
     composite = compose_semilinear(incl, compose_semilinear(mid, proj))
     if composite != f:
@@ -601,9 +605,9 @@ def verify_quotient_image_iso(f: SemilinearMap) -> TheoremReport:
     composite = compose_semilinear(incl, compose_semilinear(mid, proj))
     proj_rank = rank_of(proj)
     incl_kernel = kernel_basis(incl)
+    nullity, rank = len(kernel_basis(f)), rank_of(f)
     checks = [
-        check("rank-nullity", f.cols == len(kernel_basis(f)) + rank_of(f),
-              witness=(f.cols, len(kernel_basis(f)), rank_of(f))),
+        check("rank-nullity", f.cols == nullity + rank, witness=(f.cols, nullity, rank)),
         check("middle-twist", mid.twist == f.twist, witness=(mid.twist, f.twist)),
         check("middle-invertible", invert_matrix(f.field, mid.entries) is not None
               if r else True, witness=mid.entries),
@@ -615,18 +619,19 @@ def verify_quotient_image_iso(f: SemilinearMap) -> TheoremReport:
     ]
     # uniqueness by coordinates: any middle map making the triangle commute is
     # forced to incl \ (f ∘ section) for every section of the projection;
-    # the witness is the first forced middle that differs from the actual one.
-    # Sections and the solve need a surjective projection and an injective
-    # inclusion, so the check is made only when both hold.
+    # the witness is the first forced middle that differs from the actual one,
+    # None when no middle makes the triangle commute. Sections and the solve
+    # need a surjective projection and an injective inclusion, so the check
+    # is made only when both hold.
     if proj_rank == r and not incl_kernel:
         moved = None
         if r:
             sect = _right_inverse(f.field, proj)
             shifted = _shift_section(f.field, sect, set_kernel_basis(f))
             for section in (sect,) if shifted is None else (sect, shifted):
-                forced = _solve_full_column_rank(
-                    f.field, incl.entries, compose_semilinear(f, section).entries, r)
-                if SemilinearMap(f.field, r, r, forced, f.twist) != mid:
+                forced = solve(f.field, incl.entries,
+                               compose_semilinear(f, section).entries, r)
+                if forced is None or SemilinearMap(f.field, r, r, forced, f.twist) != mid:
                     moved = ((forced, f.twist), (mid.entries, mid.twist))
                     break
         checks.append(check("middle-determined-by-coordinates", moved is None,
@@ -636,19 +641,6 @@ def verify_quotient_image_iso(f: SemilinearMap) -> TheoremReport:
         inputs=(("shape", f"{f.rows}x{f.cols}"), ("twist", f.twist)),
         checks=tuple(checks),
     )
-
-
-def _solve_full_column_rank(field, a, b, cols=None):
-    """Solve A X = B when A has full column rank."""
-    rows = len(a)
-    cols = (len(a[0]) if a else 0) if cols is None else cols
-    bc = len(b[0]) if b else 0
-    if cols == 0:
-        return ()
-    aug = [list(a[i]) + list(b[i]) for i in range(rows)]
-    red, pivots = rref(field, aug)
-    assert list(pivots[:cols]) == list(range(cols)), "matrix is not full column rank"
-    return tuple(tuple(red[i][cols + j] for j in range(bc)) for i in range(cols))
 
 
 def _shift_section(field, sect: SemilinearMap, kernel_vectors):
@@ -776,18 +768,17 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
 
 
 def _coords_in_basis(field, basis, v):
-    cols = tuple(tuple(basis[c][r] for c in range(len(basis)))
-                 for r in range(len(v)))
-    x = _solve_full_column_rank(field, cols, tuple((val,) for val in v))
+    """The coordinates of v, which lies in the span, in a basis."""
+    x = solve(field, tuple(zip(*basis)), tuple((val,) for val in v), len(basis))
     return tuple(row[0] for row in x)
 
 
 def _right_inverse(field, f: SemilinearMap) -> SemilinearMap:
     """A straight right inverse of a surjective straight map."""
-    n, m = f.rows, f.cols
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    sol = _solve_general(field, f.entries, identity, m)
-    return SemilinearMap(field, m, n, sol, STRAIGHT)
+    sol = solve(field, f.entries, _identity(f.rows), f.cols)
+    if sol is None:
+        raise AlgebraError("inconsistent linear system")
+    return SemilinearMap(field, f.cols, f.rows, sol, STRAIGHT)
 
 
 def _right_inverse_of_action(field, f: SemilinearMap) -> SemilinearMap:
@@ -796,23 +787,7 @@ def _right_inverse_of_action(field, f: SemilinearMap) -> SemilinearMap:
         return _right_inverse(field, f)
     straight = SemilinearMap(field, f.rows, f.cols, f.entries, STRAIGHT)
     s = _right_inverse(field, straight)
-    return SemilinearMap(field, s.rows, s.cols, _conj_table(field, s.entries), ANTI)
-
-
-def _solve_general(field, a, b, cols=None):
-    """One solution X of A X = B (assumes consistency)."""
-    rows = len(a)
-    cols = (len(a[0]) if rows else 0) if cols is None else cols
-    bc = len(b[0]) if b else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(rows)]
-    red, pivots = rref(field, aug) if rows else ((), ())
-    x = [[0] * bc for _ in range(cols)]
-    for r, p in enumerate(pivots):
-        if p >= cols:
-            raise AlgebraError("inconsistent linear system")
-        for j in range(bc):
-            x[p][j] = red[r][cols + j]
-    return tuple(tuple(row) for row in x)
+    return SemilinearMap(field, s.rows, s.cols, s.conj_entries(), ANTI)
 
 
 def verify_mono_epi(f: SemilinearMap, max_dim: int = 2) -> TheoremReport:

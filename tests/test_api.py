@@ -81,3 +81,12 @@ def test_every_check_call_passes_a_witness():
                     bare.append(f"{path.stem}:{node.lineno}")
     assert calls == 112
     assert bare == []
+
+
+def test_no_check_rests_on_assert():
+    # `python -O` strips assert statements, so a safety check in the package
+    # raises instead
+    asserts = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

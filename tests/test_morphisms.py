@@ -870,6 +870,21 @@ def test_abelian_families_coincide_names_a_table_in_one_family_only(
         assert check.witness == (None, 5)
 
 
+def test_no_bijective_both_map_names_every_bijective_anti_table(monkeypatch):
+    # Mutant law check: every map classifies as Both, so each bijective
+    # anti map of Q8 is a bijective Both map, and the witness lists the
+    # bijective tables of An(Q8, Q8) in table order
+    monkeypatch.setattr(suite, "classify", lambda images, a, b: BOTH)
+    report = next(r for r in suite.theorem_instance_reports()
+                  if r.theorem == "no-bijective-both-on-nonabelian")
+    check = report.check_map()["no-such-map-exists"]
+    q8 = group_corpus()["q8"]
+    antis = enumerate_morphisms(q8, q8, ANTI)
+    bijective = [m.images for m in antis if m.is_bijective()]
+    assert len(bijective) == 24 < len(antis)   # |Aut(Q8)| = 24
+    assert not check.passed and check.witness == bijective
+
+
 def test_pointwise_audit_contract():
     z4 = zmod(4)
     z2, _ = quotient_ring(z4, named_ideal("z4", "even"))

@@ -30,6 +30,7 @@ from antimorph.semilinear import (
     rank_of,
     reverse_map,
     set_kernel_basis,
+    solve,
     span_basis,
     star_compose_semilinear,
     verify_mono_epi,
@@ -55,6 +56,16 @@ def test_f9_field_structure():
     fixed = [x for x in range(9) if f9.frob[x] == x]
     assert fixed == [0, 1, 2]
     assert FieldFq2.of_order(9) is f9  # cached
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_field_self_check_raises_on_broken_tables(order):
+    # a Frobenius that fixes every element: the check is a raise, so it
+    # also runs under `python -O`
+    field = FieldFq2.of_order(order)
+    broken = dataclasses.replace(field, frob=tuple(range(order)))
+    with pytest.raises(RuntimeError, match="fix exactly the prime field"):
+        broken._self_check()
 
 
 def test_unsupported_field_order():
@@ -149,6 +160,83 @@ def test_quotient_space_projection_and_section():
     ps = compose_semilinear(qs.projection, qs.section)
     assert ps == identity_map(F4, 2)
     assert kernel_basis(qs.projection) == span_basis(F4, [(1, 0, 0)])
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_solve_matches_a_scan_of_every_solution(order):
+    # every A with rows, cols <= 2 over F4 and rows·cols <= 2 over F9, and
+    # every right-hand column b: solve finds an X exactly when the scan of
+    # every X does, and the X it returns solves the system
+    field = FieldFq2.of_order(order)
+    every = semilinear_module._all_matrices
+    shapes = [(r, c) for r in range(3) for c in range(3) if order == 4 or r * c <= 2]
+    for rows, cols in shapes:
+        every_x = list(every(field, cols, 1))
+        for a in every(field, rows, cols):
+            reached = {mat_mul(field, a, x, 1) for x in every_x}
+            for b in every(field, rows, 1):
+                x = solve(field, a, b, cols)
+                assert (x is not None) == (b in reached), (a, b)
+                if x is not None:
+                    assert len(x) == cols and mat_mul(field, a, x, 1) == b
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_invert_matrix_on_every_2x2_matrix(order):
+    field = FieldFq2.of_order(order)
+    one = identity_map(field, 2).entries
+    for m in semilinear_module._all_matrices(field, 2, 2):
+        (a, b), (c, d) = m
+        det = field.sub(field.mul_(a, d), field.mul_(b, c))
+        inv = invert_matrix(field, m)
+        assert (inv is None) == (det == 0), m
+        if inv is not None:
+            assert mat_mul(field, m, inv, 2) == mat_mul(field, inv, m, 2) == one
+
+
+def _subspaces(field, n):
+    """Every subspace of F^n once, as its reduced echelon basis: a pivot set,
+    and any entries right of each pivot outside the pivot columns."""
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(i, j) for i, p in enumerate(pivots)
+                    for j in range(p + 1, n) if j not in pivots]
+            for values in itertools.product(range(field.order), repeat=len(free)):
+                rows = [[int(j == p) for j in range(n)] for p in pivots]
+                for (i, j), x in zip(free, values):
+                    rows[i][j] = x
+                yield tuple(map(tuple, rows))
+
+
+def _greedy_quotient(field, n, basis):
+    """(projection, section) entries of F^n modulo span(basis) through the
+    greedy complement: e_j, j going up, when it lies outside the span of
+    the basis and the e_i chosen before it."""
+    complement, current = [], list(basis)
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        if not in_span(field, span_basis(field, current), e):
+            complement.append(e)
+            current.append(e)
+    full = complement + list(basis)   # the columns of the basis change
+    inv = invert_matrix(field, tuple(tuple(v[r] for v in full) for r in range(n)))
+    section = tuple(tuple(e[i] for e in complement) for i in range(n))
+    return inv[:len(complement)], section
+
+
+@pytest.mark.parametrize("order, max_n", [(4, 3), (9, 2)])
+def test_quotient_space_takes_the_greedy_complement(order, max_n):
+    field = FieldFq2.of_order(order)
+    # the number of subspaces of F^n, summed over their dimensions
+    counts = {4: (1, 2, 7, 44), 9: (1, 2, 12)}[order]
+    for n in range(max_n + 1):
+        subspaces = list(_subspaces(field, n))
+        assert len(set(subspaces)) == len(subspaces) == counts[n]
+        for basis in subspaces:
+            assert span_basis(field, basis) == basis
+            qs = quotient_space(field, n, basis)
+            assert (qs.projection.entries, qs.section.entries) == \
+                _greedy_quotient(field, n, basis), basis
 
 
 def test_coimage_cokernel_dims():
@@ -852,6 +940,24 @@ def test_middle_determined_names_the_forced_and_actual_middles(monkeypatch):
     assert not check.passed
     assert check.witness == ((real_mid.entries, ANTI), (_scaled(real_mid.entries, 2), ANTI)) \
         == ((((1, 0), (0, 1)), ANTI), (((2, 0), (0, 2)), ANTI))
+
+
+def test_middle_determined_names_no_middle_when_none_exists(monkeypatch):
+    # the inclusion swapped for an injective map onto another plane, which
+    # misses f's image: no middle makes the triangle commute, so the forced
+    # middle is None
+    f = matrix(F4, [(1, 0), (0, 1), (0, 0)], ANTI)
+    real = semilinear_module.factor_sequence
+
+    def moved_inclusion(g):
+        proj, mid, incl = real(g)
+        return proj, mid, _with_entries(incl, ((1, 0), (0, 0), (0, 1)))
+
+    monkeypatch.setattr(semilinear_module, "factor_sequence", moved_inclusion)
+    checks = verify_quotient_image_iso(f).check_map()
+    assert checks["inclusion-injective"].passed and checks["projection-surjective"].passed
+    check = checks["middle-determined-by-coordinates"]
+    assert not check.passed and check.witness == ((None, ANTI), (((1, 0), (0, 1)), ANTI))
 
 
 NESTED = ([(1, 0), (0, 1)], [(1, 0)], [], 2)   # C = 0 inside B = <e1> inside A = F^2
