@@ -775,7 +775,6 @@ def category_reports(cats: dict) -> list:
         checks=(check("exactly-three-endofunctors", len(arrow_endos) == 3,
                       witness=len(arrow_endos)),),
     ))
-    out.extend(adjunction_reports(cats))
     return out
 
 
@@ -897,9 +896,10 @@ SECTIONS = (
      lambda reg, config: semilinear_reports(config.seed)),
     (("category-roundtrip/", "anti-category-equivalence/", "products/",
       "anti-universal-properties/", "anti-product-uniqueness/",
-      "factorable-functor/", "anti-product-preservation/", "functor-count/",
-      "equip-forget-adjunctions/", "equip-forget-adjunctions-additive/"),
+      "factorable-functor/", "anti-product-preservation/", "functor-count/"),
      lambda reg, config: category_reports(reg.categories)),
+    (("equip-forget-adjunctions/", "equip-forget-adjunctions-additive/"),
+     lambda reg, config: adjunction_reports(reg.categories)),
 )
 
 

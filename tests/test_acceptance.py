@@ -29,6 +29,7 @@ from antimorph.suite import (
     SECTIONS,
     Registry,
     RunConfig,
+    adjunction_reports,
     audit_reports,
     automorphism_algebra_report,
     category_reports,
@@ -148,7 +149,8 @@ def test_criterion_8_semilinear_instance():
 
 def test_criterion_9_category_engine():
     t0 = time.time()
-    reports = category_reports(category_corpus())
+    cats = category_corpus()
+    reports = category_reports(cats) + adjunction_reports(cats)
     elapsed = time.time() - t0
     names = [r.theorem for r in reports]
     assert "functor-count/arrow" in names

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -372,6 +373,314 @@ def test_forget_naturality_fails_when_a_lift_changes_the_functor(monkeypatch):
                              (("o", "o"), ("e", "e"), ("s", "e")),
                              identity_lift, identity_lift)
 
+
+
+# -- the pair reduction against the triple scans -----------------------------
+# `adjunction_report` decides each naturality direction on pairs and runs the
+# triple scan only when a pair property fails. The scans are the oracle: on
+# the corpora both directions pass without them, and under each mutant below
+# the report says exactly what the scan says on the same sets.
+
+PREADDITIVE = {"pad1": preadditive_one_object(), "pad2": preadditive_two_object()}
+CORPORA = [(dict(CATS), False), (PREADDITIVE, True)]
+
+
+def _compose(g, f) -> tuple:
+    return tuple(g[i] for i in f)
+
+
+def _p1_failures(adj) -> list:
+    """Each (k, h), k a functor and h factorable, with L(k∘forget h) not
+    L(k)∘h."""
+    out = []
+    for nb2, nb, na2 in itertools.product(sorted(adj.cats), repeat=3):
+        for h in adj.factorable_sets[(nb2, nb)]:
+            plain_h = h[:adj.width[nb2]]
+            for k in adj.functor_sets[(nb, na2)]:
+                k_lift = adj.lifts[(nb, na2)][k]
+                if k_lift is None or adj.lifts[(nb2, na2)].get(
+                        _compose(k, plain_h)) != _compose(k_lift, h):
+                    out.append((k, h))
+    return out
+
+
+def _p2_failures(adj) -> list:
+    """Each composable (f, g) of functors whose g∘f is not an enumerated
+    functor or has a lift other than L(g)∘L(f)."""
+    out = []
+    for nb, na, na2 in itertools.product(sorted(adj.cats), repeat=3):
+        for f in adj.functor_sets[(nb, na)]:
+            for g in adj.functor_sets[(na, na2)]:
+                f_lift, g_lift = adj.lifts[(nb, na)][f], adj.lifts[(na, na2)][g]
+                if f_lift is None or g_lift is None or adj.lifts[(nb, na2)].get(
+                        _compose(g, f)) != _compose(g_lift, f_lift):
+                    out.append((f, g))
+    return out
+
+
+@pytest.mark.parametrize("cats, additive", CORPORA, ids=["bundled", "preadditive"])
+def test_both_naturality_directions_are_decided_by_pairs(monkeypatch, cats,
+                                                         additive):
+    adj = categories_module._adjunction(cats, additive)
+    assert _p1_failures(adj) == [] and _p2_failures(adj) == []
+    assert categories_module._equip_holds_by_pairs(adj)
+    assert categories_module._forget_holds_by_lifts(adj)
+    assert categories_module._equip_witness(adj) is None
+    assert categories_module._forget_witness(adj) is None
+
+    def scan(adj):
+        raise AssertionError("a triple scan ran")
+
+    monkeypatch.setattr(categories_module, "_equip_witness", scan)
+    monkeypatch.setattr(categories_module, "_forget_witness", scan)
+    rep = adjunction_report(cats, additive=additive)
+    assert rep.passed, rep.failures()
+
+
+def _naturality_as_scanned(cats) -> tuple:
+    """The sets the report builds under the active mutant, after asserting
+    that both naturality checks carry the verdict and witness of the triple
+    scans on them."""
+    adj = categories_module._adjunction(cats, False)
+    checks = adjunction_report(cats).check_map()
+    for name, scan in (("naturality-equip-direction", categories_module._equip_witness),
+                       ("naturality-forget-direction", categories_module._forget_witness)):
+        w = scan(adj)
+        assert checks[name].passed == (w is None)
+        assert checks[name].witness == w
+    return adj, checks
+
+
+def _lift_mutant(monkeypatch, src: str, functor: tuple, make):
+    """lift_functor hands out make(true lift) for one functor of `src`."""
+    real = categories_module.lift_functor
+
+    def mutant(f, fc_src, fc_dst):
+        ff = real(f, fc_src, fc_dst)
+        return make(ff) if fc_src.name == src and f == functor else ff
+
+    monkeypatch.setattr(categories_module, "lift_functor", mutant)
+
+
+TRIVIAL_MONOID = (0, 1, 1)  # o -> o, e -> e, s -> e
+
+
+def test_a_functor_without_a_lift_falls_back_to_both_scans(monkeypatch):
+    _lift_mutant(monkeypatch, "monoid", TRIVIAL_MONOID, lambda ff: None)
+    adj, checks = _naturality_as_scanned(MONOID_ONLY)
+    assert not categories_module._equip_holds_by_pairs(adj)
+    assert not categories_module._forget_holds_by_lifts(adj)
+    unliftable = ("unliftable", "monoid", "monoid",
+                  (("o", "o"), ("e", "e"), ("s", "e")))
+    assert checks["naturality-equip-direction"].witness == unliftable
+    assert checks["naturality-forget-direction"].witness == unliftable
+
+
+def test_a_composite_missing_from_the_functors_falls_back_to_the_scan(monkeypatch):
+    # arrow -> monoid loses its first functor, which is a composite through
+    # every other category; every other pair keeps its functors
+    real = categories_module.enumerate_functors
+    dropped = real(CATS["arrow"], CATS["monoid"])[0]
+
+    def drop(c, d, additive=False):
+        out = real(c, d, additive=additive)
+        return out[1:] if (c.name, d.name) == ("arrow", "monoid") else out
+
+    monkeypatch.setattr(categories_module, "enumerate_functors", drop)
+    cats = dict(CATS)
+    adj, checks = _naturality_as_scanned(cats)
+    missing = {_compose(g, f) for f, g in _p2_failures(adj)}
+    assert missing == {dropped}
+    assert not categories_module._equip_holds_by_pairs(adj)
+    assert not checks["naturality-equip-direction"].passed
+
+
+def test_p1_broken_for_one_pair_falls_back_to_the_scan(monkeypatch):
+    # the identity's lift with e* and s* swapped among the factorable
+    # functors; every lift stays as it is, so P2 holds
+    real = categories_module.enumerate_factorable_functors
+    identity = identity_functor(CATS["monoid"])
+
+    def swapped(fc_src, fc_dst, additive=False):
+        return [ff[:-2] + (ff[-1], ff[-2]) if ff[:3] == identity else ff
+                for ff in real(fc_src, fc_dst, additive=additive)]
+
+    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
+                        swapped)
+    adj, checks = _naturality_as_scanned(MONOID_ONLY)
+    assert _p2_failures(adj) == []
+    assert _p1_failures(adj) == [(identity, identity + (4, 3))]
+    assert not categories_module._equip_holds_by_pairs(adj)
+    assert not checks["naturality-equip-direction"].passed
+    assert checks["naturality-forget-direction"].passed
+
+
+def test_p2_broken_for_one_pair_falls_back_to_the_scan(monkeypatch):
+    # the trivial functor t's lift sends e* to s*, so L(t∘t) = L(t) is not
+    # L(t)∘L(t). With that lift also gone from the factorable functors, the
+    # identity's lift is the only h, and P1 holds: only P2 sees the square.
+    wrong_lift = (0, 1, 1, 4, 3)
+    _lift_mutant(monkeypatch, "monoid", TRIVIAL_MONOID, lambda ff: wrong_lift)
+    real = categories_module.enumerate_factorable_functors
+
+    def without_it(fc_src, fc_dst, additive=False):
+        return [ff for ff in real(fc_src, fc_dst, additive=additive)
+                if ff != wrong_lift]
+
+    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
+                        without_it)
+    adj, checks = _naturality_as_scanned(MONOID_ONLY)
+    assert _p1_failures(adj) == []
+    assert _p2_failures(adj) == [(TRIVIAL_MONOID, TRIVIAL_MONOID)]
+    assert not categories_module._equip_holds_by_pairs(adj)
+    assert not checks["naturality-equip-direction"].passed
+
+
+def test_p2_needs_the_composite_lift_to_exist(monkeypatch):
+    # On arrow and monoid, with only the arrow's identity factorable: the
+    # functor f: arrow -> monoid sending a_b to s, then the constant g:
+    # monoid -> arrow at b, which has no lift. Their composite, the constant
+    # endofunctor at b, is not enumerated, so its lookup is None too; P2 must
+    # still fail on the missing L(g)∘L(f), since the scan names g.
+    const_b, trivial = (1, 4, 4), TRIVIAL_MONOID
+    lost = {("arrow", "arrow", (0, 0, 2, 2, 2)), ("arrow", "arrow", (1, 1, 4, 4, 4)),
+            ("arrow", "monoid", (0, 0, 1, 1, 1)), ("monoid", "arrow", (0, 2, 2))}
+    real_functors = categories_module.enumerate_functors
+    real_lift = categories_module.lift_functor
+    real_factorable = categories_module.enumerate_factorable_functors
+
+    def functors(c, d, additive=False):
+        return [f for f in real_functors(c, d, additive=additive)
+                if (c.name, d.name, f) not in lost]
+
+    def lift(f, fc_src, fc_dst):
+        if fc_src.name == "monoid" and f in (const_b, trivial):
+            return None
+        return real_lift(f, fc_src, fc_dst)
+
+    def factorable(fc_src, fc_dst, additive=False):
+        if (fc_src.name, fc_dst.name) != ("arrow", "arrow"):
+            return []
+        return real_factorable(fc_src, fc_dst, additive=additive)
+
+    monkeypatch.setattr(categories_module, "enumerate_functors", functors)
+    monkeypatch.setattr(categories_module, "lift_functor", lift)
+    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
+                        factorable)
+    adj, checks = _naturality_as_scanned({"arrow": CATS["arrow"],
+                                          "monoid": CATS["monoid"]})
+    assert _p1_failures(adj) == []
+    assert not categories_module._equip_holds_by_pairs(adj)
+    assert checks["naturality-equip-direction"].witness == (
+        "unliftable", "monoid", "arrow", (("o", "b"), ("e", "b_b"), ("s", "b_b")))
+
+
+def test_a_pair_test_that_holds_leaves_its_scan_nothing_to_find(monkeypatch):
+    # Seeded mutants of the three primitives the sets are built from, on two
+    # categories: functors dropped, lifts lost or moved by one anti cell, and
+    # factorable functors dropped. Whenever a pair test holds, the triple
+    # scan of its direction finds nothing on the same sets.
+    rng = random.Random(33)
+    cats = {"arrow": CATS["arrow"], "monoid": CATS["monoid"]}
+    base = categories_module._adjunction(cats, False)
+    functors = [(key, f) for key, fs in sorted(base.functor_sets.items())
+                for f in fs]
+    factorable = [(key, ff) for key, ffs in sorted(base.factorable_sets.items())
+                  for ff in ffs]
+    real_functors = categories_module.enumerate_functors
+    real_lift = categories_module.lift_functor
+    real_factorable = categories_module.enumerate_factorable_functors
+    mutant = {}
+
+    def functors_of(c, d, additive=False):
+        return [f for f in real_functors(c, d, additive=additive)
+                if ((c.name, d.name), f) not in mutant["lost"]]
+
+    def lift_of(f, fc_src, fc_dst):
+        return mutant["lifts"].get(((fc_src.name, fc_dst.name), f),
+                                   real_lift(f, fc_src, fc_dst))
+
+    def factorable_of(fc_src, fc_dst, additive=False):
+        return [ff for ff in real_factorable(fc_src, fc_dst, additive=additive)
+                if ((fc_src.name, fc_dst.name), ff) not in mutant["unfactorable"]]
+
+    monkeypatch.setattr(categories_module, "enumerate_functors", functors_of)
+    monkeypatch.setattr(categories_module, "lift_functor", lift_of)
+    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
+                        factorable_of)
+    held = found = 0
+    for _ in range(200):
+        lifts = {}
+        for key, f in rng.sample(functors, rng.randint(0, 2)):
+            ff, width = base.lifts[key][f], base.width[key[0]]
+            pos = rng.randrange(width, len(ff))
+            anti = rng.randrange(base.width[key[1]], len(base.equipped[key[1]].cells))
+            lifts[(key, f)] = None if rng.random() < 0.3 \
+                else ff[:pos] + (anti,) + ff[pos + 1:]
+        mutant.update(lost=set(rng.sample(functors, rng.randint(0, 1))),
+                      lifts=lifts,
+                      unfactorable=set(rng.sample(factorable, rng.randint(0, 2))))
+        adj = categories_module._adjunction(cats, False)
+        for holds, scan in ((categories_module._equip_holds_by_pairs,
+                             categories_module._equip_witness),
+                            (categories_module._forget_holds_by_lifts,
+                             categories_module._forget_witness)):
+            w = scan(adj)
+            found += w is not None
+            if holds(adj):
+                held += 1
+                assert w is None, (mutant, w)
+    assert held and found
+
+
+def test_every_bijection_fails_when_a_lift_is_lost(monkeypatch):
+    real = categories_module.enumerate_factorable_functors
+
+    def drop_one(fc_src, fc_dst, additive=False):
+        return real(fc_src, fc_dst, additive=additive)[:-1]
+
+    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
+                        drop_one)
+    for (cats, additive), count in zip(CORPORA, (16, 4)):
+        found = [c for c in adjunction_report(cats, additive=additive).checks
+                 if c.name.startswith("bijection-")]
+        assert len(found) == count
+        for c in found:
+            n = c.witness[0]
+            assert not c.passed and c.witness == (n, n - 1), c
+
+
+def test_every_round_trip_identity_fails_under_a_backwards_forget(monkeypatch):
+    real = categories_module.fca
+
+    def backwards(fc):
+        cat = real(fc)
+        return FiniteCategory(cat.name, cat.objects, cat.morphisms[::-1],
+                              cat.identities, cat.compose, cat.additive)
+
+    monkeypatch.setattr(categories_module, "fca", backwards)
+    for cats, additive in CORPORA:
+        checks = adjunction_report(cats, additive=additive).check_map()
+        for name, c in cats.items():
+            for kind in ("forget-equip-identity", "equip-forget-identity"):
+                found = checks[f"{kind}-{name}"]
+                assert not found.passed
+                assert found.witness == ("morphisms", c.morphisms[::-1],
+                                         c.morphisms)
+
+
+def test_a_narrow_category_selection_runs_no_adjunction(monkeypatch):
+    def refuse(cats, additive=False):
+        raise AssertionError("the adjunction ran")
+
+    monkeypatch.setattr(categories_module, "adjunction_report", refuse)
+    monkeypatch.setattr(suite_module, "adjunction_report", refuse)
+    prefix = "anti-category-equivalence/meet/"
+    records = suite_module.run(suite_module.RunConfig(selection=(prefix,))).records
+    assert records and all(r.check_id.startswith(prefix) for r in records)
+    with pytest.raises(AssertionError, match="the adjunction ran"):
+        suite_module.run(suite_module.RunConfig(
+            selection=("equip-forget-adjunctions/",)))
 
 
 # -- each rewritten check names its first counterexample --------------------
