@@ -528,23 +528,10 @@ def invert_matrix(field, m):
 # -- quotients -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
-    """F^n modulo a subspace: a surjective coordinate map and one section."""
-
-    field: FieldFq2
-    ambient_dim: int
-    subspace: tuple            # echelonized basis of the quotiented subspace
-    projection: SemilinearMap  # straight surjection F^n -> F^(n-k)
-    section: SemilinearMap     # straight right inverse of the projection
-
-    @property
-    def dim(self) -> int:
-        return self.projection.rows
-
-
-def quotient_space(field, n, subspace_basis) -> QuotientSpace:
-    """Quotient of F^n by a subspace, with explicit coordinates.
+def quotient_space(field, n, subspace_basis):
+    """F^n modulo a subspace, with explicit coordinates: (projection,
+    section), a straight surjection F^n -> F^(n-k) and a straight right
+    inverse of it.
 
     The complement is spanned by the unit vectors e_j, j going up, that lie
     outside the span of the subspace and the e_i chosen before them. That
@@ -563,35 +550,34 @@ def quotient_space(field, n, subspace_basis) -> QuotientSpace:
     sect_entries = tuple(tuple(row[j] for j in keep) for row in unit)
     proj = SemilinearMap(field, n - k, n, inv[:n - k], STRAIGHT)
     sect = SemilinearMap(field, n, n - k, sect_entries, STRAIGHT)
-    return QuotientSpace(field, n, basis, proj, sect)
+    return proj, sect
 
 
 # -- canonical factorization -------------------------------------------------------
 
 
 def factor_sequence(f: SemilinearMap):
-    """Split f exactly as injection ∘ middle ∘ surjection.
+    """Split f as injection ∘ middle ∘ surjection, read off one echelon form.
 
-    The middle map carries f's twist and is invertible; the outer maps are
-    straight. For a twisted f the surjection's kernel is the set of vectors f
-    actually kills (the conjugate of the matrix nullspace), which is what
-    makes the composite equal f entry-for-entry.
+    This is the rank factorization f = C·R of the matrix (Piziak & Odell,
+    Math. Magazine 72(3), 1999): R, the nonzero rows of f's reduced echelon
+    form, is the surjection, and C, f's pivot columns, is the injection. The
+    middle is the rank-sized identity carrying f's twist; the outer maps are
+    straight. For a twisted f the surjection is conj(R), whose kernel is
+    the set of vectors f actually kills (the conjugate of the matrix
+    nullspace); the twisted middle conjugates it back, so the composite is
+    C·R with f's twist. Nothing here checks that product: a broken
+    factorization is the FAIL of `composite-equals-map`, with its witness.
     """
     field = f.field
-    pivots = rref(field, f.entries)[1]
+    red, pivots = rref(field, f.entries)
     r = len(pivots)
-    # coordinates along the pivot columns, modulo the matrix nullspace: each
-    # nullspace vector ends at a free column, so the quotient's complement
-    # is spanned by the unit vectors at the pivots
-    proj = quotient_space(field, f.cols, kernel_basis(f)).projection
+    proj = SemilinearMap(field, r, f.cols, red[:r], STRAIGHT)
     if f.is_anti:
         proj = SemilinearMap(field, r, f.cols, proj.conj_entries(), STRAIGHT)
     mid = identity_map(field, r, f.twist)
     j_entries = tuple(tuple(row[p] for p in pivots) for row in f.entries)
     incl = SemilinearMap(field, f.rows, r, j_entries, STRAIGHT)
-    composite = compose_semilinear(incl, compose_semilinear(mid, proj))
-    if composite != f:
-        raise AlgebraError("factor sequence failed to reproduce the map")
     return proj, mid, incl
 
 
@@ -653,11 +639,15 @@ def _shift_section(field, sect: SemilinearMap, kernel_vectors):
 
 
 def set_kernel_basis(f: SemilinearMap):
-    """Basis of {v : f(v) = 0} for the map's action (conjugated for twisted maps)."""
+    """Reduced echelon basis of {v : f(v) = 0} for the map's action: the
+    matrix nullspace, conjugated entrywise for a twisted map. Conjugation
+    fixes 0 and 1, so the conjugate of a reduced basis is the reduced basis
+    of the conjugated span."""
     kern = kernel_basis(f)
     if not f.is_anti:
         return kern
-    return span_basis(f.field, [tuple(f.field.conj(x) for x in v) for v in kern])
+    frob = f.field.frob
+    return tuple(tuple(frob[x] for x in v) for v in kern)
 
 
 def verify_twisted_factorization(f: SemilinearMap, mu: SemilinearMap) -> TheoremReport:
@@ -672,14 +662,14 @@ def verify_twisted_factorization(f: SemilinearMap, mu: SemilinearMap) -> Theorem
         raise PreconditionFailed("f does not kill the injected subspace",
                                  witness=comp.entries)
     sub = image_basis(mu)
-    qs = quotient_space(field, f.cols, sub)
-    pi, sect = qs.projection, qs.section
+    pi, sect = quotient_space(field, f.cols, sub)
     psi = compose_semilinear(f, sect)  # candidate through-map, twist = f.twist
     recomposed = compose_semilinear(psi, pi)
-    killed, injected = span_basis(field, qs.subspace), span_basis(field, sub)
-    # the first basis vector of either span that lies outside the other
-    outside = None if killed == injected else next(
-        v for basis, other in ((killed, injected), (injected, killed))
+    killed = kernel_basis(pi)
+    # both bases are reduced, so the spans are equal exactly when the bases
+    # are; else the first basis vector of either span outside the other
+    outside = None if killed == sub else next(
+        v for basis, other in ((killed, sub), (sub, killed))
         for v in basis if not in_span(field, other, v))
     checks = [
         check("through-map-twist", psi.twist == f.twist, witness=(psi.twist, f.twist)),
@@ -722,13 +712,10 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
     b_in_a = [_coords_in_basis(field, a_basis, v) for v in b_basis]
     c_in_a = [_coords_in_basis(field, a_basis, v) for v in c_basis]
 
-    q_c = quotient_space(field, dim_a, c_in_a)            # A -> A/C
-    pi_c = q_c.projection
+    pi_c = quotient_space(field, dim_a, c_in_a)[0]        # A -> A/C
     bc_basis = span_basis(field, [pi_c.apply(v) for v in b_in_a])
-    q_tau = quotient_space(field, q_c.dim, bc_basis)      # A/C -> (A/C)/(B/C)
-    tau = q_tau.projection
-    q_b = quotient_space(field, dim_a, b_in_a)            # A -> A/B
-    rho = q_b.projection
+    tau = quotient_space(field, pi_c.rows, bc_basis)[0]   # A/C -> (A/C)/(B/C)
+    rho = quotient_space(field, dim_a, b_in_a)[0]         # A -> A/B
 
     tp = compose_semilinear(tau, pi_c)                    # A -> (A/C)/(B/C)
     theta = compose_semilinear(rho, _right_inverse(field, tp))
@@ -737,8 +724,8 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
 
     checks = [
         check("intermediate-dims",
-              q_tau.dim == q_b.dim,
-              witness=(q_tau.dim, q_b.dim)),
+              tau.rows == rho.rows,
+              witness=(tau.rows, rho.rows)),
         check("straight-comparison-commutes", theta_tp == rho,
               witness=((theta_tp.entries, theta_tp.twist), (rho.entries, rho.twist))),
         check("straight-comparison-invertible", theta_inv_entries is not None,
@@ -748,10 +735,10 @@ def verify_nested_quotient_iso(field, a_basis, b_basis, c_basis,
         # twisted projection onto A/B (conjugation on the target side) and the
         # twisted comparison (conjugation on the source side): the two
         # conjugations cancel, so the square commutes exactly.
-        rho_star = compose_semilinear(reverse_map(field, q_b.dim), rho)
+        rho_star = compose_semilinear(reverse_map(field, rho.rows), rho)
         xi = compose_semilinear(
-            SemilinearMap(field, q_tau.dim, q_b.dim, theta_inv_entries, STRAIGHT),
-            reverse_map(field, q_b.dim))
+            SemilinearMap(field, tau.rows, rho.rows, theta_inv_entries, STRAIGHT),
+            reverse_map(field, rho.rows))
         square = compose_semilinear(xi, rho_star)
         checks.append(check("twisted-comparison-is-twisted", xi.is_anti, witness=xi.twist))
         checks.append(check("twisted-square-commutes", square == tp,

@@ -155,11 +155,11 @@ def test_set_kernel_is_the_action_kernel():
 
 
 def test_quotient_space_projection_and_section():
-    qs = quotient_space(F4, 3, [(1, 0, 0)])
-    assert qs.dim == 2
-    ps = compose_semilinear(qs.projection, qs.section)
+    proj, sect = quotient_space(F4, 3, [(1, 0, 0)])
+    assert proj.rows == 2
+    ps = compose_semilinear(proj, sect)
     assert ps == identity_map(F4, 2)
-    assert kernel_basis(qs.projection) == span_basis(F4, [(1, 0, 0)])
+    assert kernel_basis(proj) == span_basis(F4, [(1, 0, 0)])
 
 
 @pytest.mark.parametrize("order", [4, 9])
@@ -234,18 +234,63 @@ def test_quotient_space_takes_the_greedy_complement(order, max_n):
         assert len(set(subspaces)) == len(subspaces) == counts[n]
         for basis in subspaces:
             assert span_basis(field, basis) == basis
-            qs = quotient_space(field, n, basis)
-            assert (qs.projection.entries, qs.section.entries) == \
+            proj, sect = quotient_space(field, n, basis)
+            assert (proj.entries, sect.entries) == \
                 _greedy_quotient(field, n, basis), basis
 
 
 def test_coimage_cokernel_dims():
     rng = random.Random(9)
     f = random_map(F4, 3, 4, ANTI, rng)
-    coimage = quotient_space(F4, f.cols, kernel_basis(f))
-    cokernel = quotient_space(F4, f.rows, image_basis(f))
-    assert coimage.dim == rank_of(f)
-    assert cokernel.dim == 3 - rank_of(f)
+    coimage = quotient_space(F4, f.cols, kernel_basis(f))[0]
+    cokernel = quotient_space(F4, f.rows, image_basis(f))[0]
+    assert coimage.rows == rank_of(f)
+    assert cokernel.rows == 3 - rank_of(f)
+
+
+def _small_maps(field, dims, skip=()):
+    """Every map with rows and cols in `dims` over `field`, shapes in `skip`
+    left out, in both twists."""
+    for rows, cols in itertools.product(dims, repeat=2):
+        if (rows, cols) not in skip:
+            for e in semilinear_module._all_matrices(field, rows, cols):
+                for twist in (STRAIGHT, ANTI):
+                    yield SemilinearMap(field, rows, cols, e, twist)
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_factor_sequence_projection_is_the_quotient_by_the_nullspace(order):
+    # the oracle: F^cols modulo the matrix nullspace, through quotient_space,
+    # conjugated for a twisted map
+    field = FieldFq2.of_order(order)
+    for f in _small_maps(field, range(3)):
+        proj = quotient_space(field, f.cols, kernel_basis(f))[0]
+        if f.is_anti:
+            proj = SemilinearMap(field, proj.rows, proj.cols, proj.conj_entries(), STRAIGHT)
+        assert factor_sequence(f)[0] == proj, (f.entries, f.twist)
+
+
+@pytest.mark.parametrize("order", [4, 9])
+def test_set_kernel_basis_is_the_reduced_basis_of_the_conjugated_nullspace(order):
+    field = FieldFq2.of_order(order)
+    for f in _small_maps(field, range(3)):
+        kern = kernel_basis(f)
+        if f.is_anti:
+            kern = span_basis(field, [tuple(field.conj(x) for x in v) for v in kern])
+        assert set_kernel_basis(f) == kern, (f.entries, f.twist)
+
+
+def test_quotient_image_iso_on_every_map_of_at_most_two_rows_and_columns():
+    # all of F4 and F9 without its 2x2 maps, both twists
+    instances = [*_small_maps(F4, (1, 2)),
+                 *_small_maps(FieldFq2.of_order(9), (1, 2), skip={(2, 2)})]
+    assert len(instances) == 926
+    failed = []
+    for f in instances:
+        rep = verify_quotient_image_iso(f)
+        if not rep.passed:
+            failed.append((f.entries, f.twist, rep.failures()))
+    assert not failed
 
 
 def test_quotient_image_iso_verifier():
@@ -830,15 +875,13 @@ def test_through_map_twist_names_both_twists(monkeypatch):
 @pytest.mark.parametrize("reported, outside", [(((1, 0),), (1, 0)), ((), (0, 1))])
 def test_projection_kernel_names_a_vector_outside_the_other_span(
         monkeypatch, reported, outside):
-    # Mutant: the quotient reports the wrong killed subspace. The witness is
-    # the first basis vector of the reported span outside the injected one,
-    # else the first injected basis vector outside the reported span.
+    # Mutant: the quotient builds its projection and section for a misreported
+    # span, so the projection kills that span. The witness is the first basis
+    # vector of the killed span outside the injected one, else the first
+    # injected basis vector outside the killed span.
     real = semilinear_module.quotient_space
-
-    def misreported(field, n, basis):
-        return dataclasses.replace(real(field, n, basis), subspace=reported)
-
-    monkeypatch.setattr(semilinear_module, "quotient_space", misreported)
+    monkeypatch.setattr(semilinear_module, "quotient_space",
+                        lambda field, n, basis: real(field, n, reported))
     check = _factorization_checks()["projection-kernel-is-subspace"]
     assert not check.passed and check.witness == outside
 
@@ -854,7 +897,7 @@ def test_uniqueness_via_section_names_both_composites(monkeypatch):
     monkeypatch.setattr(semilinear_module, "_shift_section", off_kernel)
     check = _factorization_checks()["uniqueness-via-section"]
     f = matrix(F4, [(1, 0)], STRAIGHT)
-    section = quotient_space(F4, 2, [(0, 1)]).section
+    section = quotient_space(F4, 2, [(0, 1)])[1]
     naive = (compose_semilinear(f, off_kernel(F4, section, ())).entries,
              compose_semilinear(f, section).entries)
     assert not check.passed and check.witness == naive == (((0,),), ((1,),))
@@ -909,6 +952,44 @@ def test_composite_names_both_maps(monkeypatch):
     assert not check.passed
     assert check.witness == ((_scaled(f.entries, 2), ANTI), (f.entries, ANTI)) \
         == ((((2, 3), (0, 2)), ANTI), (((1, 2), (0, 1)), ANTI))
+
+
+def test_a_broken_factor_sequence_fails_the_composite_check(monkeypatch):
+    # Mutant: the identity is w times itself, so the middle of the factor
+    # sequence is too and the composite is w times the map. That is a FAIL
+    # of composite-equals-map with both maps, not an error.
+    real = semilinear_module.identity_map
+    monkeypatch.setattr(semilinear_module, "identity_map",
+                        lambda field, n, twist=STRAIGHT: SemilinearMap(
+                            field, n, n, _scaled(real(field, n).entries, 2), twist))
+    check = verify_quotient_image_iso(TWISTED_2X2).check_map()["composite-equals-map"]
+    assert not check.passed
+    assert check.witness == ((((2, 3), (0, 2)), "anti"), (((1, 2), (0, 1)), "anti"))
+
+
+def _f4_dim(vectors, n):
+    """The dimension of the span of `vectors` in F4^n, by counting its
+    elements: the naive twin of an elimination."""
+    span = {(0,) * n}
+    for v in vectors:
+        span = {tuple(F4.add_(x, F4.mul_(a, y)) for x, y in zip(s, v))
+                for s in span for a in range(4)}
+    return (len(span).bit_length() - 1) // 2
+
+
+def test_rank_nullity_names_the_columns_and_both_counts(monkeypatch):
+    # Mutant: kernel_basis drops its last vector, so the nullity reads one
+    # low. The naive twin counts the nullspace and the image of the matrix.
+    f = matrix(F4, [(1, 2)], ANTI)
+    real = semilinear_module.kernel_basis
+    monkeypatch.setattr(semilinear_module, "kernel_basis", lambda g: real(g)[:-1])
+    check = verify_quotient_image_iso(f).check_map()["rank-nullity"]
+    straight = SemilinearMap(F4, f.rows, f.cols, f.entries, STRAIGHT)
+    every_v = list(itertools.product(range(4), repeat=f.cols))
+    nullity = _f4_dim([v for v in every_v if not any(straight.apply(v))], f.cols)
+    rank = _f4_dim([straight.apply(v) for v in every_v], f.rows)
+    assert not check.passed
+    assert check.witness == (f.cols, nullity - 1, rank) == (2, 0, 1)
 
 
 def test_projection_surjective_names_its_rank_and_the_middle_rank(monkeypatch):
@@ -973,12 +1054,24 @@ def test_nested_quotient_iso_passes_with_null_witnesses():
     assert all(c.passed and c.witness is None for c in checks.values())
 
 
+def test_intermediate_dims_names_both_quotient_dims(monkeypatch):
+    # Mutant: `apply` sends every vector to 0, so B/C is read as 0 in A/C
+    # and (A/C)/(B/C) is all of A/C. The naive twin counts the spans.
+    monkeypatch.setattr(SemilinearMap, "apply", lambda m, v: (0,) * m.rows)
+    check = verify_nested_quotient_iso(F4, *NESTED).check_map()["intermediate-dims"]
+    a, b, c, n = NESTED
+    quotient_a_c = _f4_dim(a, n) - _f4_dim(c, n)
+    b_over_c = _f4_dim([(0,) * quotient_a_c for _ in b], quotient_a_c)
+    assert not check.passed
+    assert check.witness == (quotient_a_c - b_over_c, _f4_dim(a, n) - _f4_dim(b, n)) == (2, 1)
+
+
 def test_straight_comparison_commutes_names_both_maps(monkeypatch):
     # every right inverse scaled by w: the comparison becomes w times itself
     real = semilinear_module._right_inverse
     checks = _nested_checks(monkeypatch, "_right_inverse", lambda field, f: _with_entries(
         real(field, f), _scaled(real(field, f).entries, 2)))
-    rho = quotient_space(F4, 2, [(1, 0)]).projection
+    rho = quotient_space(F4, 2, [(1, 0)])[0]
     check = checks["straight-comparison-commutes"]
     assert not check.passed
     assert check.witness == ((_scaled(rho.entries, 2), STRAIGHT), (rho.entries, STRAIGHT)) \
