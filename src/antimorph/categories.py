@@ -571,19 +571,6 @@ def lift_functor(f: tuple, fc_src: FactorizationCategory,
     return ff if factorable_witness(ff, fc_src, fc_dst) is None else None
 
 
-def enumerate_factorable_functors(fc_src: FactorizationCategory,
-                                  fc_dst: FactorizationCategory,
-                                  additive: bool = False) -> list:
-    """The lifts of the functors between the underlying categories, in their
-    order; a functor without a lawful lift contributes nothing."""
-    out = []
-    for f in enumerate_functors(fc_src.base, fc_dst.base, additive=additive):
-        ff = lift_functor(f, fc_src, fc_dst)
-        if ff is not None:
-            out.append(ff)
-    return out
-
-
 def check_factorable(ff: tuple, fc_src: FactorizationCategory,
                      fc_dst: FactorizationCategory, name: str) -> TheoremReport:
     """Verify the declared anti images are the induced ones and preserve all
@@ -769,18 +756,20 @@ def check_antiproduct_preservation(ff: tuple, fc_src: FactorizationCategory,
 class _Adjunction:
     """What `adjunction_report` builds once per corpus: the canonical
     structure and cell count of each category; per pair of categories the
-    functors, the factorable functors and each functor's lift from
-    `lift_functor` (None when it has none); and per (nb, na, na2) the
+    lift table, each functor in `enumerate_functors` order mapped to its
+    `lift_functor` lift (None when it has none); and per (nb, na, na2) the
     composable (f, g, g∘f, L(g)∘L(f)), the last None when f or g has no lift.
     """
 
     cats: dict
     equipped: dict
     width: dict
-    functor_sets: dict
-    factorable_sets: dict
     lifts: dict
     composites: dict
+
+    def factorable(self, key) -> list:
+        """The factorable functors of a pair: the lifts that exist."""
+        return [ff for ff in self.lifts[key].values() if ff is not None]
 
     # witnesses write a functor, or a lift, as its (id, image id) pairs
     def plain(self, f, n1, n2):
@@ -797,32 +786,23 @@ class _Adjunction:
 
 def _adjunction(cats: dict, additive: bool) -> _Adjunction:
     equipped = {name: caf(c) for name, c in cats.items()}
-    functor_sets = {}
-    factorable_sets = {}
-    lifts = {}
-    for (n1, c1), (n2, c2) in itertools.product(cats.items(), repeat=2):
-        functor_sets[(n1, n2)] = enumerate_functors(c1, c2, additive=additive)
-        factorable_sets[(n1, n2)] = enumerate_factorable_functors(
-            equipped[n1], equipped[n2], additive=additive)
-        lifts[(n1, n2)] = {f: lift_functor(f, equipped[n1], equipped[n2])
-                           for f in functor_sets[(n1, n2)]}
+    lifts = {(n1, n2): {f: lift_functor(f, equipped[n1], equipped[n2])
+                        for f in enumerate_functors(c1, c2, additive=additive)}
+             for (n1, c1), (n2, c2) in itertools.product(cats.items(), repeat=2)}
     # g∘f and its lift depend on (nb, na, na2) only, so they are built once
     composites = {}
     for nb, na, na2 in itertools.product(sorted(cats), repeat=3):
-        f_lifts, g_lifts = lifts[(nb, na)], lifts[(na, na2)]
-        pairs = []
-        for f in functor_sets[(nb, na)]:
-            f_lift, through_f = f_lifts[f], reader(f)
+        composites[(nb, na, na2)] = pairs = []
+        for f, f_lift in lifts[(nb, na)].items():
+            through_f = reader(f)
             through_f_lift = None if f_lift is None else reader(f_lift)
-            for g in functor_sets[(na, na2)]:
-                g_lift = g_lifts[g]
+            for g, g_lift in lifts[(na, na2)].items():
                 pairs.append((f, g, through_f(g),
                               None if through_f_lift is None or g_lift is None
                               else through_f_lift(g_lift)))
-        composites[(nb, na, na2)] = pairs
     return _Adjunction(cats, equipped,
                        {name: len(c.cells) for name, c in cats.items()},
-                       functor_sets, factorable_sets, lifts, composites)
+                       lifts, composites)
 
 
 def _equip_witness(adj: _Adjunction):
@@ -832,7 +812,7 @@ def _equip_witness(adj: _Adjunction):
     for nb2, nb, na, na2 in itertools.product(names, repeat=4):
         outer_lifts = lifts[(nb2, na2)]
         pairs = adj.composites[(nb, na, na2)]
-        for h in adj.factorable_sets[(nb2, nb)]:
+        for h in adj.factorable((nb2, nb)):
             through_h, through_h_plain = reader(h), reader(h[:width[nb2]])
             for f, g, gf, gf_lift in pairs:
                 if gf_lift is None:
@@ -850,13 +830,11 @@ def _forget_witness(adj: _Adjunction):
     left side reads g∘f through the plain cells of equip(h)."""
     names, lifts, width = sorted(adj.cats), adj.lifts, adj.width
     for nb2, nb, na, na2 in itertools.product(names, repeat=4):
-        hs = []
-        for h in adj.functor_sets[(nb2, nb)]:
-            h_lift = lifts[(nb2, nb)][h]
-            hs.append((h, reader(h), None if h_lift is None
-                       else reader(h_lift[:width[nb2]])))
-        for f in adj.factorable_sets[(nb, na)]:
-            for g in adj.factorable_sets[(na, na2)]:
+        hs = [(h, reader(h), None if h_lift is None else reader(h_lift[:width[nb2]]))
+              for h, h_lift in lifts[(nb2, nb)].items()]
+        gs = adj.factorable((na, na2))
+        for f in adj.factorable((nb, na)):
+            for g in gs:
                 gf = reader(f)(g)
                 for h, through_h, through_h_lift in hs:
                     if through_h_lift is None:
@@ -868,28 +846,17 @@ def _forget_witness(adj: _Adjunction):
 
 
 def _equip_holds_by_pairs(adj: _Adjunction) -> bool:
-    """Whether P2 and P1 hold, which puts every equip square in place.
+    """Whether P2 holds: for each composable (f, g), g∘f is a functor and
+    L(g∘f) = L(g)∘L(f).
 
-    P2: for each composable (f, g), g∘f is a functor and L(g∘f) = L(g)∘L(f).
-    P1: for each factorable h and functor k with k∘forget h defined, L(k)
-    exists and L(k∘forget h) = L(k)∘h. The square of (h, f, g) is then P1 at
-    k = g∘f followed by P2 (the README gives the argument).
+    With `_forget_holds_by_lifts` this puts every equip square in place.
+    Each factorable h is then L(forget h), so L(k∘forget h) = L(k)∘h is P2
+    at (forget h, k), and the square of (h, f, g) is that at k = g∘f
+    followed by P2 at (f, g) (the README gives the argument).
     """
-    lifts, width = adj.lifts, adj.width
-    for (nb, _, na2), pairs in adj.composites.items():
-        gf_lifts = lifts[(nb, na2)]
-        if any(gf_lift is None or gf_lifts.get(gf) != gf_lift
-               for _, _, gf, gf_lift in pairs):
-            return False
-    for nb2, nb, na2 in itertools.product(sorted(adj.cats), repeat=3):
-        outer_lifts, k_lifts = lifts[(nb2, na2)], lifts[(nb, na2)]
-        for h in adj.factorable_sets[(nb2, nb)]:
-            through_h, through_h_plain = reader(h), reader(h[:width[nb2]])
-            if any(k_lift is None
-                   or outer_lifts.get(through_h_plain(k)) != through_h(k_lift)
-                   for k, k_lift in k_lifts.items()):
-                return False
-    return True
+    return all(gf_lift is not None and adj.lifts[(nb, na2)].get(gf) == gf_lift
+               for (nb, _, na2), pairs in adj.composites.items()
+               for _, _, gf, gf_lift in pairs)
 
 
 def _forget_holds_by_lifts(adj: _Adjunction) -> bool:
@@ -910,14 +877,16 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
     composable triple drawn from the corpus functor sets (and its mirror for
     the forgetful direction).
 
-    Each functor's lift comes from `lift_functor` once and is kept under the
-    functor it was made from (None when it has none), so a lift whose plain
-    cells are not its functor breaks the forget square; the other side of
-    each bijection is `enumerate_factorable_functors`.
+    Each functor is enumerated and lifted once, with `lift_functor`, into one
+    table that keeps the lift under the functor it was made from (None when
+    it has none). The factorable functors of a pair are the lifts that
+    exist, so each bijection compares a pair's functors with their lifts,
+    and a lift whose plain cells are not its functor breaks the forget
+    square.
 
     Each naturality direction is first decided without triples: when the
-    pair properties of `_equip_holds_by_pairs` (or, for forget, the lift
-    property of `_forget_holds_by_lifts`) hold, every triple square holds,
+    lift property of `_forget_holds_by_lifts` holds (and, for equip, the
+    pair property of `_equip_holds_by_pairs`), every triple square holds,
     so the check passes. This is an exact reduction, not a bounded-down
     check. Otherwise the triple scan `_equip_witness` (or `_forget_witness`)
     runs and decides the check: a failing one names its first counterexample
@@ -935,15 +904,16 @@ def adjunction_report(cats: dict, additive: bool = False) -> TheoremReport:
         checks.append(check(f"equip-forget-identity-{name}", equip_w is None,
                             witness=equip_w))
     # bijections: every functor lifts to exactly one factorable functor
-    for key in sorted(adj.functor_sets):
-        functors, factorable = adj.functor_sets[key], adj.factorable_sets[key]
+    for key in sorted(adj.lifts):
+        functors, factorable = adj.lifts[key], adj.factorable(key)
         underlying = {ff[:adj.width[key[0]]] for ff in factorable}
         checks.append(check(f"bijection-{key[0]}-to-{key[1]}",
-                            underlying == set(functors)
+                            underlying == functors.keys()
                             and len(factorable) == len(functors),
                             witness=(len(functors), len(factorable))))
-    equip_w = None if _equip_holds_by_pairs(adj) else _equip_witness(adj)
-    forget_w = None if _forget_holds_by_lifts(adj) else _forget_witness(adj)
+    lifts_hold = _forget_holds_by_lifts(adj)
+    equip_w = None if lifts_hold and _equip_holds_by_pairs(adj) else _equip_witness(adj)
+    forget_w = None if lifts_hold else _forget_witness(adj)
     checks.append(check("naturality-equip-direction", equip_w is None,
                         witness=equip_w))
     checks.append(check("naturality-forget-direction", forget_w is None,

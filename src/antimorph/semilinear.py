@@ -806,6 +806,34 @@ def verify_mono_epi(f: SemilinearMap, max_dim: int = 2) -> TheoremReport:
     )
 
 
+def verify_twist_xor(field, count: int, seed: int) -> TheoremReport:
+    """For `count` seeded pairs of twisted maps f, g, g∘f is straight with
+    matrix G·conj(F) and acts as g after f on every vector. A failure names
+    its first instance: (g, f) entries for a wrong twist or matrix, which is
+    checked first, then (g, f, v) for a vector v acted on wrongly."""
+    rng, w = random.Random(seed), None
+    for _ in range(count):
+        rows, mid, cols = (rng.randrange(0, 4) for _ in range(3))
+        f = random_map(field, mid, cols, ANTI, rng)
+        g = random_map(field, rows, mid, ANTI, rng)
+        comp = compose_semilinear(g, f)
+        if comp.twist != STRAIGHT \
+                or comp.entries != mat_mul(field, g.entries, f.conj_entries(), cols):
+            w = (g.entries, f.entries)
+        else:
+            w = next(((g.entries, f.entries, v)
+                      for v in itertools.product(range(field.order), repeat=cols)
+                      if comp.apply(v) != g.apply(f.apply(v))), None)
+        if w is not None:
+            break
+    return TheoremReport(
+        theorem="twist-xor-matrix-law",
+        inputs=(("instances", str(count)), ("seed", str(seed))),
+        checks=(check("composites-match-conjugated-product", w is None,
+                      witness=w),),
+    )
+
+
 def _first_collision(dz, matrices, product):
     """The first (dz, v1, v2), v1 before v2 in the order of `matrices`, with
     product(v1) == product(v2); None when the products are pairwise distinct.

@@ -76,6 +76,7 @@ from .semilinear import (
     generalized_suite,
     random_map,
     verify_mono_epi,
+    verify_twist_xor,
 )
 from .theorems import (
     sign_morphism,
@@ -671,38 +672,13 @@ def natural_map_report(r, name: str, ideal, bound=DEFAULT_BOUND) -> TheoremRepor
 def semilinear_reports(seed: int = 2024, count: int = 50) -> list:
     import random
 
-    from .semilinear import compose_semilinear, mat_mul
-
     field = FieldFq2.of_order(4)
-    out = list(generalized_suite(field, count=count, seed=seed))
-    out.append(bifunctor_grid_report(field, dims=(1, 2)))
-    rng = random.Random(seed + 1)
-    twist_ok, twist_w = True, None
-    for _ in range(count):
-        rows = rng.randrange(0, 4)
-        mid = rng.randrange(0, 4)
-        cols = rng.randrange(0, 4)
-        f = random_map(field, mid, cols, ANTI, rng)
-        g = random_map(field, rows, mid, ANTI, rng)
-        comp = compose_semilinear(g, f)
-        expect = mat_mul(field, g.entries, f.conj_entries(), cols)
-        if comp.twist != STRAIGHT or comp.entries != expect:
-            twist_ok, twist_w = False, (g.entries, f.entries)
-        for v in itertools.product(range(field.order), repeat=cols):
-            if comp.apply(v) != g.apply(f.apply(v)):
-                twist_ok, twist_w = False, (g.entries, f.entries, v)
-                break
-    out.append(TheoremReport(
-        theorem="twist-xor-matrix-law",
-        inputs=(("instances", str(count)), ("seed", str(seed + 1))),
-        checks=(check("composites-match-conjugated-product", twist_ok,
-                      witness=twist_w),),
-    ))
-    rng2 = random.Random(seed + 2)
-    for shape in ((2, 2), (1, 2), (2, 1)):
-        f = random_map(field, shape[0], shape[1], ANTI, rng2)
-        out.append(verify_mono_epi(f))
-    return out
+    rng = random.Random(seed + 2)
+    return [*generalized_suite(field, count=count, seed=seed),
+            bifunctor_grid_report(field, dims=(1, 2)),
+            verify_twist_xor(field, count, seed + 1),
+            *(verify_mono_epi(random_map(field, rows, cols, ANTI, rng))
+              for rows, cols in ((2, 2), (1, 2), (2, 1)))]
 
 
 # -- category reports ----------------------------------------------------------------

@@ -20,7 +20,6 @@ from antimorph.categories import (
     check_antiproduct_preservation,
     check_equivalence,
     check_factorable,
-    enumerate_factorable_functors,
     enumerate_functors,
     factorable_witness,
     fca,
@@ -45,6 +44,12 @@ from antimorph.errors import (
 from corpus_builders import poset_category
 
 CATS = category_corpus()
+
+
+def _factorable(cats, n1, n2, additive=False) -> list:
+    """The factorable functors n1 -> n2 the adjunction reads: the lifts
+    that exist."""
+    return categories_module._adjunction(cats, additive).factorable((n1, n2))
 
 
 def _functor(c, d, images: dict) -> tuple:
@@ -184,7 +189,7 @@ def test_factorable_lift_counts_match_plain_functors():
     arrow = CATS["arrow"]
     fc = caf(arrow)
     plain = enumerate_functors(arrow, arrow)
-    lifted = enumerate_factorable_functors(fc, fc)
+    lifted = _factorable({"arrow": arrow}, "arrow", "arrow")
     assert len(plain) == len(lifted)
     for ff in lifted:
         rep = check_factorable(ff, fc, fc, "lift")
@@ -287,7 +292,7 @@ def test_factorable_composition_associates_with_underlying():
     arrow = CATS["arrow"]
     fc = caf(arrow)
     width = len(arrow.cells)
-    lifted = enumerate_factorable_functors(fc, fc)
+    lifted = _factorable({"arrow": arrow}, "arrow", "arrow")
     for f in lifted:
         for g in lifted:
             comp = tuple(g[i] for i in f)
@@ -306,14 +311,22 @@ def _check(rep, name):
     return rep.check_map()[name]
 
 
+def _lose_the_last_lift(monkeypatch, cats, additive=False):
+    """lift_functor has no lift for the last functor of each pair of `cats`."""
+    last = {(c1.name, c2.name): enumerate_functors(c1, c2, additive=additive)[-1]
+            for c1, c2 in itertools.product(cats.values(), repeat=2)}
+    real = categories_module.lift_functor
+
+    def lose(f, fc_src, fc_dst):
+        if last[(fc_src.name, fc_dst.name)] == f:
+            return None
+        return real(f, fc_src, fc_dst)
+
+    monkeypatch.setattr(categories_module, "lift_functor", lose)
+
+
 def test_bijection_fails_when_a_lift_is_lost(monkeypatch):
-    real = categories_module.enumerate_factorable_functors
-
-    def drop_one(fc_src, fc_dst, additive=False):
-        return real(fc_src, fc_dst, additive=additive)[:-1]
-
-    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
-                        drop_one)
+    _lose_the_last_lift(monkeypatch, MONOID_ONLY)
     found = _check(adjunction_report(MONOID_ONLY), "bijection-monoid-to-monoid")
     assert not found.passed
     assert found.witness == (2, 1)
@@ -391,13 +404,13 @@ def _compose(g, f) -> tuple:
 
 def _p1_failures(adj) -> list:
     """Each (k, h), k a functor and h factorable, with L(k∘forget h) not
-    L(k)∘h."""
+    L(k)∘h. The report does not read this P1: once every lift keeps its
+    functor, it is P2 at (forget h, k)."""
     out = []
     for nb2, nb, na2 in itertools.product(sorted(adj.cats), repeat=3):
-        for h in adj.factorable_sets[(nb2, nb)]:
+        for h in adj.factorable((nb2, nb)):
             plain_h = h[:adj.width[nb2]]
-            for k in adj.functor_sets[(nb, na2)]:
-                k_lift = adj.lifts[(nb, na2)][k]
+            for k, k_lift in adj.lifts[(nb, na2)].items():
                 if k_lift is None or adj.lifts[(nb2, na2)].get(
                         _compose(k, plain_h)) != _compose(k_lift, h):
                     out.append((k, h))
@@ -409,9 +422,8 @@ def _p2_failures(adj) -> list:
     functor or has a lift other than L(g)∘L(f)."""
     out = []
     for nb, na, na2 in itertools.product(sorted(adj.cats), repeat=3):
-        for f in adj.functor_sets[(nb, na)]:
-            for g in adj.functor_sets[(na, na2)]:
-                f_lift, g_lift = adj.lifts[(nb, na)][f], adj.lifts[(na, na2)][g]
+        for f, f_lift in adj.lifts[(nb, na)].items():
+            for g, g_lift in adj.lifts[(na, na2)].items():
                 if f_lift is None or g_lift is None or adj.lifts[(nb, na2)].get(
                         _compose(g, f)) != _compose(g_lift, f_lift):
                     out.append((f, g))
@@ -495,59 +507,55 @@ def test_a_composite_missing_from_the_functors_falls_back_to_the_scan(monkeypatc
     assert not checks["naturality-equip-direction"].passed
 
 
-def test_p1_broken_for_one_pair_falls_back_to_the_scan(monkeypatch):
-    # the identity's lift with e* and s* swapped among the factorable
-    # functors; every lift stays as it is, so P2 holds
-    real = categories_module.enumerate_factorable_functors
-    identity = identity_functor(CATS["monoid"])
+def _equip_holds(adj) -> bool:
+    """The report's equip test: every lift keeps its functor, and P2."""
+    return categories_module._forget_holds_by_lifts(adj) and \
+        categories_module._equip_holds_by_pairs(adj)
 
-    def swapped(fc_src, fc_dst, additive=False):
-        return [ff[:-2] + (ff[-1], ff[-2]) if ff[:3] == identity else ff
-                for ff in real(fc_src, fc_dst, additive=additive)]
 
-    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
-                        swapped)
+def test_p2_broken_for_one_pair_falls_back_to_the_scan(monkeypatch):
+    # the trivial functor t's lift sends e* to s*, so L(t∘t) = L(t) is not
+    # L(t)∘L(t). The lift keeps t as its plain cells, so the forget test
+    # holds and only P2 sees the square; P1 at (t, L(t)) is the same square.
+    wrong_lift = (0, 1, 1, 4, 3)
+    _lift_mutant(monkeypatch, "monoid", TRIVIAL_MONOID, lambda ff: wrong_lift)
     adj, checks = _naturality_as_scanned(MONOID_ONLY)
-    assert _p2_failures(adj) == []
-    assert _p1_failures(adj) == [(identity, identity + (4, 3))]
+    assert categories_module._forget_holds_by_lifts(adj)
+    assert _p2_failures(adj) == [(TRIVIAL_MONOID, TRIVIAL_MONOID)]
+    assert _p1_failures(adj) == [(TRIVIAL_MONOID, wrong_lift)]
     assert not categories_module._equip_holds_by_pairs(adj)
     assert not checks["naturality-equip-direction"].passed
     assert checks["naturality-forget-direction"].passed
 
 
-def test_p2_broken_for_one_pair_falls_back_to_the_scan(monkeypatch):
-    # the trivial functor t's lift sends e* to s*, so L(t∘t) = L(t) is not
-    # L(t)∘L(t). With that lift also gone from the factorable functors, the
-    # identity's lift is the only h, and P1 holds: only P2 sees the square.
-    wrong_lift = (0, 1, 1, 4, 3)
-    _lift_mutant(monkeypatch, "monoid", TRIVIAL_MONOID, lambda ff: wrong_lift)
-    real = categories_module.enumerate_factorable_functors
-
-    def without_it(fc_src, fc_dst, additive=False):
-        return [ff for ff in real(fc_src, fc_dst, additive=additive)
-                if ff != wrong_lift]
-
-    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
-                        without_it)
+def test_p2_alone_does_not_decide_equip_when_a_lift_changes_its_functor(
+        monkeypatch):
+    # The trivial functor t lifts to (o, e, s, e*, e*): idempotent, so every
+    # lift still composes like its functor and P2 holds. But its plain cells
+    # are the identity's, so P1 fails at (identity, L(t)): L(identity) is not
+    # L(identity)∘L(t). The report must not take P2 alone for a pass.
+    odd_lift = (0, 1, 2, 3, 3)
+    _lift_mutant(monkeypatch, "monoid", TRIVIAL_MONOID, lambda ff: odd_lift)
     adj, checks = _naturality_as_scanned(MONOID_ONLY)
-    assert _p1_failures(adj) == []
-    assert _p2_failures(adj) == [(TRIVIAL_MONOID, TRIVIAL_MONOID)]
-    assert not categories_module._equip_holds_by_pairs(adj)
+    assert _p2_failures(adj) == []
+    assert categories_module._equip_holds_by_pairs(adj)
+    assert not categories_module._forget_holds_by_lifts(adj)
+    assert (identity_functor(CATS["monoid"]), odd_lift) in _p1_failures(adj)
     assert not checks["naturality-equip-direction"].passed
+    assert not checks["naturality-forget-direction"].passed
 
 
 def test_p2_needs_the_composite_lift_to_exist(monkeypatch):
-    # On arrow and monoid, with only the arrow's identity factorable: the
-    # functor f: arrow -> monoid sending a_b to s, then the constant g:
-    # monoid -> arrow at b, which has no lift. Their composite, the constant
-    # endofunctor at b, is not enumerated, so its lookup is None too; P2 must
-    # still fail on the missing L(g)∘L(f), since the scan names g.
+    # On arrow and monoid: the functor f: arrow -> monoid sending a_b to s,
+    # then the constant g: monoid -> arrow at b, which has no lift. Their
+    # composite, the constant endofunctor at b, is not enumerated, so its
+    # lookup is None too; P2 must still fail on the missing L(g)∘L(f), since
+    # the scan names g.
     const_b, trivial = (1, 4, 4), TRIVIAL_MONOID
     lost = {("arrow", "arrow", (0, 0, 2, 2, 2)), ("arrow", "arrow", (1, 1, 4, 4, 4)),
             ("arrow", "monoid", (0, 0, 1, 1, 1)), ("monoid", "arrow", (0, 2, 2))}
     real_functors = categories_module.enumerate_functors
     real_lift = categories_module.lift_functor
-    real_factorable = categories_module.enumerate_factorable_functors
 
     def functors(c, d, additive=False):
         return [f for f in real_functors(c, d, additive=additive)
@@ -558,38 +566,26 @@ def test_p2_needs_the_composite_lift_to_exist(monkeypatch):
             return None
         return real_lift(f, fc_src, fc_dst)
 
-    def factorable(fc_src, fc_dst, additive=False):
-        if (fc_src.name, fc_dst.name) != ("arrow", "arrow"):
-            return []
-        return real_factorable(fc_src, fc_dst, additive=additive)
-
     monkeypatch.setattr(categories_module, "enumerate_functors", functors)
     monkeypatch.setattr(categories_module, "lift_functor", lift)
-    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
-                        factorable)
     adj, checks = _naturality_as_scanned({"arrow": CATS["arrow"],
                                           "monoid": CATS["monoid"]})
-    assert _p1_failures(adj) == []
     assert not categories_module._equip_holds_by_pairs(adj)
     assert checks["naturality-equip-direction"].witness == (
         "unliftable", "monoid", "arrow", (("o", "b"), ("e", "b_b"), ("s", "b_b")))
 
 
 def test_a_pair_test_that_holds_leaves_its_scan_nothing_to_find(monkeypatch):
-    # Seeded mutants of the three primitives the sets are built from, on two
-    # categories: functors dropped, lifts lost or moved by one anti cell, and
-    # factorable functors dropped. Whenever a pair test holds, the triple
-    # scan of its direction finds nothing on the same sets.
+    # Seeded mutants of the two primitives the lift table is built from, on
+    # two categories: functors dropped, and lifts lost or moved by one anti
+    # cell. Whenever a direction's test holds, its triple scan finds nothing
+    # on the same table, and when both hold so does P1.
     rng = random.Random(33)
     cats = {"arrow": CATS["arrow"], "monoid": CATS["monoid"]}
     base = categories_module._adjunction(cats, False)
-    functors = [(key, f) for key, fs in sorted(base.functor_sets.items())
-                for f in fs]
-    factorable = [(key, ff) for key, ffs in sorted(base.factorable_sets.items())
-                  for ff in ffs]
+    functors = [(key, f) for key, fs in sorted(base.lifts.items()) for f in fs]
     real_functors = categories_module.enumerate_functors
     real_lift = categories_module.lift_functor
-    real_factorable = categories_module.enumerate_factorable_functors
     mutant = {}
 
     def functors_of(c, d, additive=False):
@@ -600,16 +596,10 @@ def test_a_pair_test_that_holds_leaves_its_scan_nothing_to_find(monkeypatch):
         return mutant["lifts"].get(((fc_src.name, fc_dst.name), f),
                                    real_lift(f, fc_src, fc_dst))
 
-    def factorable_of(fc_src, fc_dst, additive=False):
-        return [ff for ff in real_factorable(fc_src, fc_dst, additive=additive)
-                if ((fc_src.name, fc_dst.name), ff) not in mutant["unfactorable"]]
-
     monkeypatch.setattr(categories_module, "enumerate_functors", functors_of)
     monkeypatch.setattr(categories_module, "lift_functor", lift_of)
-    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
-                        factorable_of)
     held = found = 0
-    for _ in range(200):
+    for _ in range(400):
         lifts = {}
         for key, f in rng.sample(functors, rng.randint(0, 2)):
             ff, width = base.lifts[key][f], base.width[key[0]]
@@ -618,32 +608,27 @@ def test_a_pair_test_that_holds_leaves_its_scan_nothing_to_find(monkeypatch):
             lifts[(key, f)] = None if rng.random() < 0.3 \
                 else ff[:pos] + (anti,) + ff[pos + 1:]
         mutant.update(lost=set(rng.sample(functors, rng.randint(0, 1))),
-                      lifts=lifts,
-                      unfactorable=set(rng.sample(factorable, rng.randint(0, 2))))
+                      lifts=lifts)
         adj = categories_module._adjunction(cats, False)
-        for holds, scan in ((categories_module._equip_holds_by_pairs,
-                             categories_module._equip_witness),
+        for holds, scan in ((_equip_holds, categories_module._equip_witness),
                             (categories_module._forget_holds_by_lifts,
                              categories_module._forget_witness)):
             w = scan(adj)
             found += w is not None
             if holds(adj):
-                held += 1
                 assert w is None, (mutant, w)
-    assert held and found
+        if _equip_holds(adj):
+            held += 1
+            assert _p1_failures(adj) == [], mutant
+    assert held == 122 and found
 
 
 def test_every_bijection_fails_when_a_lift_is_lost(monkeypatch):
-    real = categories_module.enumerate_factorable_functors
-
-    def drop_one(fc_src, fc_dst, additive=False):
-        return real(fc_src, fc_dst, additive=additive)[:-1]
-
-    monkeypatch.setattr(categories_module, "enumerate_factorable_functors",
-                        drop_one)
     for (cats, additive), count in zip(CORPORA, (16, 4)):
-        found = [c for c in adjunction_report(cats, additive=additive).checks
-                 if c.name.startswith("bijection-")]
+        with monkeypatch.context() as patch:
+            _lose_the_last_lift(patch, cats, additive)
+            found = [c for c in adjunction_report(cats, additive=additive).checks
+                     if c.name.startswith("bijection-")]
         assert len(found) == count
         for c in found:
             n = c.witness[0]
@@ -816,6 +801,43 @@ def test_round_trip_identities_name_the_first_differing_table(monkeypatch,
                              monoid.morphisms)
 
 
+
+def _category_check(theorem: str, name: str):
+    """The check `name` of the category section's report `theorem`."""
+    reps = suite_module.category_reports(dict(CATS))
+    return next(r for r in reps if r.theorem == theorem).check_map()[name]
+
+
+def test_exactly_three_endofunctors_fails_when_a_functor_is_lost(monkeypatch):
+    real = suite_module.enumerate_functors
+    monkeypatch.setattr(suite_module, "enumerate_functors",
+                        lambda c, d, additive=False: real(c, d, additive)[:-1])
+    found = _category_check("functor-count/arrow", "exactly-three-endofunctors")
+    assert not found.passed and found.witness == 2
+
+
+def test_meet_is_the_product_fails_when_no_product_is_found(monkeypatch):
+    monkeypatch.setattr(suite_module, "find_products", lambda cat, family: [])
+    found = _category_check("products/meet", "meet-is-the-product")
+    assert not found.passed and found.witness == []
+
+
+def test_hom_union_size_fails_when_the_associated_category_loses_a_morphism(
+        monkeypatch):
+    real = suite_module.associated_category
+
+    def short(fc):
+        cat = real(fc)
+        return FiniteCategory(cat.name, cat.objects, cat.morphisms[:-1],
+                              cat.identities, cat.compose, cat.additive)
+
+    monkeypatch.setattr(suite_module, "associated_category", short)
+    for name, sizes in (("arrow", (5, 6)), ("chain3", (11, 12)),
+                        ("meet", (9, 10)), ("monoid", (3, 4))):
+        found = _roundtrip(CATS[name]).check_map()["hom-union-size"]
+        assert not found.passed and found.witness == sizes, name
+
+
 # -- brute-force oracles for both enumerators ----------------------------------
 
 RAW_SPACE_LIMIT = 10 ** 4
@@ -869,9 +891,10 @@ def _every_lift(fc_src, fc_dst) -> set:
     return out
 
 
-def test_enumerate_factorable_functors_matches_a_direct_search():
-    equipped = [caf(c) for c in CATS.values()]
-    for fc_src, fc_dst in itertools.product(equipped, repeat=2):
-        found = enumerate_factorable_functors(fc_src, fc_dst)
+def test_the_factorable_functors_match_a_direct_search():
+    adj = categories_module._adjunction(CATS, False)
+    assert len(adj.lifts) == 16
+    for (n1, n2) in adj.lifts:
+        found = adj.factorable((n1, n2))
         assert len(set(found)) == len(found)
-        assert set(found) == _every_lift(fc_src, fc_dst), (fc_src.name, fc_dst.name)
+        assert set(found) == _every_lift(adj.equipped[n1], adj.equipped[n2]), (n1, n2)

@@ -116,6 +116,7 @@ def test_config_line_takes_the_options_given_and_defaults_for_the_rest(capsys):
     (("audit", "natural-an-map", "--ring", "z4", "--ideal", "even"),
      "natural-map/z4-even/"),
     (("cat", "equiv", "--category", "meet"), "anti-category-equivalence/meet/"),
+    (("cat", "adjunction"), "equip-forget-adjunctions"),
 ])
 def test_cli_query_is_a_slice_of_the_report(capsys, argv, selection):
     """A CLI query prints exactly the report's records for its instance.

@@ -36,6 +36,7 @@ from antimorph.semilinear import (
     verify_mono_epi,
     verify_nested_quotient_iso,
     verify_quotient_image_iso,
+    verify_twist_xor,
     verify_twisted_factorization,
     zero_map,
 )
@@ -435,6 +436,35 @@ def test_twist_xor_matrix_rule_property(a, b, c, pyrandom):
     # `apply` never calls mat_mul, so this holds mat_mul to an outside oracle
     for v in itertools.product(range(F4.order), repeat=c):
         assert comp.apply(v) == g.apply(f.apply(v))
+
+
+def test_twist_xor_names_its_first_failing_instance(monkeypatch):
+    # Mutant: a twisted left factor reads f's plain image table, so g∘f
+    # skips the conjugation of f. Replaying the seeded instances, 15 of the
+    # 50 fail, instance 5 first and instance 48 last; the check must name
+    # instance 5.
+    real = semilinear_module._product_table
+
+    def unconjugated(g_twist, f):
+        table, twist = real(g_twist, f)
+        return (real(STRAIGHT, f)[0] if g_twist == ANTI else table), twist
+
+    monkeypatch.setattr(semilinear_module, "_product_table", unconjugated)
+    rng = random.Random(2025)
+    failing = []
+    for i in range(50):
+        rows, mid, cols = (rng.randrange(0, 4) for _ in range(3))
+        f = random_map(F4, mid, cols, ANTI, rng)
+        g = random_map(F4, rows, mid, ANTI, rng)
+        if compose_semilinear(g, f).entries != mat_mul(F4, g.entries,
+                                                       f.conj_entries(), cols):
+            failing.append((i, (g.entries, f.entries)))
+    assert len(failing) == 15 and failing[0][0] == 5 and failing[-1][0] == 48
+    check = verify_twist_xor(F4, 50, 2025).check_map()[
+        "composites-match-conjugated-product"]
+    assert not check.passed
+    assert check.witness == failing[0][1] == (
+        ((2, 2, 0), (1, 2, 2), (1, 0, 2)), ((3, 0, 2), (1, 2, 1), (2, 1, 2)))
 
 
 def _triple_sum(field, a, b, rows, inner, cols):
