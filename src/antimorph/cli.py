@@ -158,7 +158,8 @@ def cmd_cat(args, config: RunConfig) -> int:
             derive(caf(reg.category(args.category))))))
         return 0
     if op == "equiv":
-        rep = equivalence_report(args.category, reg.category(args.category))
+        fcat = caf(reg.category(args.category))
+        rep = equivalence_report(args.category, fcat, anti_category(fcat))
         return _emit(bundle(config, [rep]), args.format)
     if op == "products":
         family = tuple((args.family or "x,y").split(","))

@@ -876,12 +876,14 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
     identities differ by a Frobenius twist; that defect is recorded as a note
     with a witness instead of being asserted away.
 
-    Every (f, h) and (a, b) pair is compared. The products and sums come
-    from the rules that `compose_semilinear` and `add_semilinear` use, a
-    whole hom set at a time: for each right factor f, the products with
-    every left factor of a shape are a Cartesian power of one table. The
-    first mismatch's index names the witness, the first failing pair in
-    enumeration order.
+    Every (f, h) and (a, b) pair is decided exactly, none sampled. Row i of
+    h∘f is row i of h read through `_product_table`'s table, row i of a + b
+    is `_sum_rule`'s sum of the rows i, and `_all_matrices` lists a shape in
+    the lexicographic order of its row codes. So the results for every h, or
+    every b, are the Cartesian product of one list per row, whose first
+    mismatch `_first_mismatch` reads off the lists: that index names
+    the witness. `dims` are positive at every caller; an h of zero rows
+    would hide any difference.
     """
     checks = []
     notes = []
@@ -898,14 +900,6 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
             n_expected = q2 ** (dx * dy)
             checks.append(check(f"count-{dx}x{dy}", n_homs == n_expected,
                                 witness=(n_homs, n_expected)))
-    # Row i of h∘f is row i of h read through `_product_table`'s table, and
-    # row i of a + b is `_sum_rule`'s sum of the two rows i. `_all_matrices`
-    # runs through the flattened entries in lexicographic order, which is
-    # that of the row codes (a code's first entry is its most significant
-    # digit). So the results for every h of a shape, or every b, in that
-    # order, are the Cartesian product of one list per row. Each check
-    # compares two such lists and their twists; the first mismatch's index
-    # names the counterexample.
     # additive iso of the correspondence on the largest square, all pairs
     d = max(dims)
     every_row = range(q2 ** d)
@@ -913,41 +907,35 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
     plus_twisted, twisted = _sum_rule(field, ANTI)
     add_w = None
     for a, _ in shapes[(d, d)]:
-        i = _first_mismatch(
-            list(itertools.product(*[[plus(x, c) for c in every_row] for x in a.codes])),
-            ANTI,
-            list(itertools.product(*[[plus_twisted(x, c) for c in every_row]
-                                     for x in a.codes])),
-            twisted)
+        i = _first_mismatch([[plus(x, c) for c in every_row] for x in a.codes], ANTI,
+                            [[plus_twisted(x, c) for c in every_row] for x in a.codes], twisted)
         if i is not None:
             add_w = (a.entries, _nth_matrix(field, d, d, i))
             break
     checks.append(check("correspondence-additive", add_w is None, witness=add_w))
     # naturality on all grid squares: post-composition against the
     # source-side correspondence f ↦ f∘conj, pre-composition against the
-    # target-side one h ↦ conj∘h, whose matrix is the conjugate of h's
+    # target-side one h ↦ conj∘h, whose matrix is the conjugate of h's. All
+    # rows of h share one list, so the first failing h has dims[0] rows, zero
+    # but the last, which holds the list's first mismatch j: index j.
     post_w = pre_w = None
     for dx in dims:
         conj = _row_tables(q2, dx)[1]
         for dy in dims:
             conj_rows = _row_tables(q2, dy)[1]
-            for dz in dims:
-                for f, f_twisted in shapes[(dy, dx)]:
-                    table = _product_table(STRAIGHT, f)[0]
-                    if post_w is None:
-                        post, twist = _product_table(STRAIGHT, f_twisted)
-                        i = _first_mismatch(list(itertools.product(table, repeat=dz)), ANTI,
-                                            list(itertools.product(post, repeat=dz)), twist)
-                        if i is not None:
-                            post_w = (f.entries, _nth_matrix(field, dz, dy, i))
-                    if pre_w is None:
-                        pre, twist = _product_table(ANTI, f)
-                        i = _first_mismatch(
-                            list(itertools.product([conj[c] for c in table], repeat=dz)), ANTI,
-                            list(itertools.product([pre[c] for c in conj_rows], repeat=dz)),
-                            twist)
-                        if i is not None:
-                            pre_w = (f.entries, _nth_matrix(field, dz, dy, i))
+            for f, f_twisted in shapes[(dy, dx)]:
+                table = _product_table(STRAIGHT, f)[0]
+                if post_w is None:
+                    post, twist = _product_table(STRAIGHT, f_twisted)
+                    j = _first_mismatch([table], ANTI, [post], twist)
+                    if j is not None:
+                        post_w = (f.entries, _nth_matrix(field, dims[0], dy, j))
+                if pre_w is None:
+                    pre, twist = _product_table(ANTI, f)
+                    j = _first_mismatch([[conj[c] for c in table]], ANTI,
+                                        [[pre[c] for c in conj_rows]], twist)
+                    if j is not None:
+                        pre_w = (f.entries, _nth_matrix(field, dims[0], dy, j))
     checks.append(check("naturality-postcompose", post_w is None, witness=post_w))
     checks.append(check("naturality-precompose", pre_w is None, witness=pre_w))
     # right identity of the source-side star composition is exact
@@ -966,15 +954,22 @@ def bifunctor_grid_report(field, dims=(1, 2)) -> TheoremReport:
     )
 
 
-def _first_mismatch(left, left_twist, right, right_twist):
-    """The index of the first pair whose results differ, given each side's
-    results for every pair as a list of row codes and one twist; None when
-    every pair agrees. A twist mismatch fails every pair, the first included."""
+def _first_mismatch(lefts, left_twist, rights, right_twist):
+    """The index of the first tuple, in lexicographic order, at which the
+    Cartesian products of `lefts` and `rights`, d lists of row codes of
+    length B a side, differ, each side with one twist; None when they agree.
+
+    A twist mismatch fails the first tuple. Otherwise zeroing the other rows
+    of a differing tuple gives one no later that still differs. So the first
+    is zero but for one row i, which holds that row's first mismatch j_i,
+    and its index is the least j_i·B^(d−1−i).
+    """
     if left_twist != right_twist:
         return 0
-    if left == right:
-        return None
-    return next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
+    base, d = len(lefts[0]), len(lefts)
+    firsts = [next(j for j, (x, y) in enumerate(zip(xs, ys)) if x != y) * base ** (d - 1 - i)
+              for i, (xs, ys) in enumerate(zip(lefts, rights)) if xs != ys]
+    return min(firsts, default=None)
 
 
 def _nth_matrix(field, rows, cols, i):

@@ -724,7 +724,7 @@ def category_reports(cats: dict) -> list:
                 check("iso-iff-anti-iso", iso_w is None, witness=iso_w),
             ),
         ))
-        out.append(equivalence_report(name, c))
+        out.append(equivalence_report(name, fc, ac))
     bundled = category_corpus()
     meet = bundled["meet"]
     fc_meet = caf(meet)
@@ -754,10 +754,10 @@ def category_reports(cats: dict) -> list:
     return out
 
 
-def equivalence_report(name: str, c) -> TheoremReport:
-    """The anti functor of C is an equivalence from C to its anti-category."""
-    fc = caf(c)
-    equiv = check_equivalence(anti_functor(fc), c, anti_category(fc))
+def equivalence_report(name: str, fc, ac) -> TheoremReport:
+    """The anti functor of the equipped category `fc` is an equivalence from
+    its base to its anti-category `ac`."""
+    equiv = check_equivalence(anti_functor(fc), fc.base, ac)
     return TheoremReport(
         theorem=f"anti-category-equivalence/{name}",
         inputs=(("category", name),),

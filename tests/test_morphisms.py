@@ -280,13 +280,9 @@ def _naive_classes(an_ab, an_bc):
     return [buckets[comp] for comp in sorted(buckets)]
 
 
-def test_reconstruction_names_the_first_pair_listed_twice(monkeypatch):
-    # Mutant kept tables: An(A, C) lists its last table again before its
-    # first, so An(A, A) x An(A, C) lists each pair through that table twice.
-    # The witness is the first pair met twice when the classes are read in
-    # composite order, which is not always the least pair listed twice.
-    names = ("z2", "z3", "s3")
-    groups = group_corpus()
+def _repeat_each_last_anti_table(monkeypatch):
+    """Patch the kept tables so that An(A, C) lists its last table again
+    before its first; returns the patched function."""
     real = suite.hom_an_tables
 
     def repeating(a, b, bound=suite.DEFAULT_BOUND):
@@ -294,6 +290,17 @@ def test_reconstruction_names_the_first_pair_listed_twice(monkeypatch):
         return homs, antis[-1:] + antis
 
     monkeypatch.setattr(suite, "hom_an_tables", repeating)
+    return repeating
+
+
+def test_reconstruction_names_the_first_pair_listed_twice(monkeypatch):
+    # Mutant kept tables: An(A, C) lists its last table again before its
+    # first, so An(A, A) x An(A, C) lists each pair through that table twice.
+    # The witness is the first pair met twice when the classes are read in
+    # composite order, which is not always the least pair listed twice.
+    names = ("z2", "z3", "s3")
+    groups = group_corpus()
+    repeating = _repeat_each_last_anti_table(monkeypatch)
     checks = _reconstruction_checks(names)
     not_least = 0
     for a, c in itertools.product(names, repeat=2):
@@ -306,6 +313,28 @@ def test_reconstruction_names_the_first_pair_listed_twice(monkeypatch):
         assert not disjoint.passed and disjoint.witness == first
         assert checks[f"{a}-{c}"]["classes-cover-all-pairs"].passed
     assert not_least
+
+
+def test_reconstruction_counts_the_pairs_its_classes_lose(monkeypatch):
+    # The repeated table above sends every pair to the `factor_pairs`
+    # fallback, and the mutant fallback drops its first class's first pair,
+    # so the classes cover one pair fewer than An(A, A) x An(A, C) lists.
+    names = ("z2", "z3", "s3")
+    groups = group_corpus()
+    repeating = _repeat_each_last_anti_table(monkeypatch)
+    real = suite.factor_pairs
+
+    def dropping(a, c, an_ab, an_bc, hom_ac):
+        first, *rest = real(a, c, an_ab, an_bc, hom_ac)
+        return (replace(first, pairs=first.pairs[1:]), *rest)
+
+    monkeypatch.setattr(suite, "factor_pairs", dropping)
+    checks = _reconstruction_checks(names)
+    for a, c in itertools.product(names, repeat=2):
+        n = len(repeating(groups[a], groups[a])[1]) * len(repeating(groups[a], groups[c])[1])
+        cover = checks[f"{a}-{c}"]["classes-cover-all-pairs"]
+        assert not cover.passed and cover.witness == (n - 1, n)
+    assert checks["s3-s3"]["classes-cover-all-pairs"].witness == (120, 121)
 
 
 def test_reconstruction_names_the_least_stray_composite_and_unfactored_map(

@@ -592,8 +592,9 @@ def _grid_shapes(order):
 
 @pytest.mark.parametrize("order", [4, 9])
 def test_cartesian_powers_match_the_per_pair_products(order):
-    # The grid evaluates h∘f for every h of dz rows as the Cartesian power
-    # of one table; its witness index is the position in _all_matrices
+    # The row rule behind the grid: the products of f with every h of dz
+    # rows, in _all_matrices order, are the Cartesian power of one table.
+    # The grid compares the table alone and reads its witness index in that
     # order, so the power must list the products in exactly that order.
     field = FieldFq2.of_order(order)
     dims, shapes = _grid_shapes(order)
@@ -800,12 +801,10 @@ def test_precompose_naturality_fails_without_the_conjugation(monkeypatch):
     assert checks["naturality-postcompose"].passed
 
 
-def test_naturality_witness_fails_late_in_a_two_row_left_factor(monkeypatch):
-    # Only products through a twisted 2x2 right factor break, and only in
-    # rows of code 13, (w2, 1). The first failing h has a zero first row and
-    # that row second: index 13 of the Cartesian power, whose mismatch lies
-    # in the second row. Reading the index with the rows swapped would name
-    # ((w2, 1), (0, 0)) instead.
+def _break_row_13_of_twisted_2x2_factors(monkeypatch):
+    """Patch the product rule so that only products through a twisted 2x2
+    right factor break, and only in rows of code 13, (w2, 1); returns the
+    naive naturality predicate for post-composition."""
     real = semilinear_module._product_table
 
     def broken(g_twist, f):
@@ -820,11 +819,63 @@ def test_naturality_witness_fails_late_in_a_two_row_left_factor(monkeypatch):
             compose_semilinear(h, SemilinearMap(F4, f.rows, f.cols, f.entries, ANTI))
 
     monkeypatch.setattr(semilinear_module, "_product_table", broken)
+    return holds
+
+
+def test_naturality_witness_fails_late_in_a_two_row_left_factor(monkeypatch):
+    # The first failing h has a zero first row and code 13 second: index 13
+    # of the two-row product, whose mismatch lies in the second row. Reading
+    # the index with the rows swapped would name ((w2, 1), (0, 0)) instead.
+    holds = _break_row_13_of_twisted_2x2_factors(monkeypatch)
     checks = _grid_checks(dims=(2,))
     assert not checks["naturality-postcompose"].passed
     assert checks["naturality-postcompose"].witness == \
         _first_naturality_failure((2,), holds) == (((0, 0), (0, 0)), ((0, 0), (3, 1)))
     assert checks["naturality-precompose"].passed
+
+
+def test_naturality_witness_takes_the_fewest_left_factor_rows(monkeypatch):
+    # The same mutant on the report's grid: every h of 1 or 2 rows through a
+    # broken f fails, and the grid's order meets the one-row h first.
+    holds = _break_row_13_of_twisted_2x2_factors(monkeypatch)
+    checks = _grid_checks(dims=(1, 2))
+    assert not checks["naturality-postcompose"].passed
+    assert checks["naturality-postcompose"].witness == \
+        _first_naturality_failure((1, 2), holds) == (((0, 0), (0, 0)), ((3, 1),))
+    assert checks["naturality-precompose"].passed
+
+
+def _first_product_scan(lefts, left_twist, rights, right_twist):
+    """Naive: the index of the first tuple of the Cartesian products of the
+    row lists on which the two sides differ, twist included."""
+    pairs = zip(itertools.product(*lefts), itertools.product(*rights))
+    return next((i for i, (x, y) in enumerate(pairs)
+                 if x != y or left_twist != right_twist), None)
+
+
+def test_first_mismatch_reads_the_products_first_difference_off_the_rows():
+    # Seeded row lists of 1 to 3 rows; some rows changed at a few positions,
+    # and some twists flipped. The grid reads its witness indices this way.
+    rng = random.Random(36)
+    seen = {"agree": 0, "twist": 0, "later-row-first": 0}
+    for _ in range(600):
+        rows, base = rng.randrange(1, 4), rng.randrange(1, 6)
+        lefts = [[rng.randrange(4) for _ in range(base)] for _ in range(rows)]
+        rights = [list(xs) for xs in lefts]
+        for i in rng.sample(range(rows), rng.randrange(rows + 1)):
+            for j in rng.sample(range(base), rng.randrange(1, base + 1)):
+                rights[i][j] ^= rng.randrange(1, 4)
+        twists = (ANTI, rng.choice((ANTI, ANTI, ANTI, STRAIGHT)))
+        got = semilinear_module._first_mismatch(lefts, twists[0], rights, twists[1])
+        assert got == _first_product_scan(lefts, twists[0], rights, twists[1])
+        # the first differing row's own first difference, as an index
+        first_row = next(((i, j) for i in range(rows) for j in range(base)
+                          if lefts[i][j] != rights[i][j]), None)
+        seen["agree"] += got is None
+        seen["twist"] += twists[0] != twists[1]
+        seen["later-row-first"] += twists[0] == twists[1] and first_row is not None \
+            and got < first_row[1] * base ** (rows - 1 - first_row[0])
+    assert all(seen.values()), seen
 
 
 def test_correspondence_additivity_is_checked_on_every_pair(monkeypatch):
@@ -850,6 +901,22 @@ def test_correspondence_additivity_is_checked_on_every_pair(monkeypatch):
                  if map2(add_semilinear(map2(a), map2(b)).entries, ANTI)
                  != add_semilinear(map2(a, ANTI), map2(b, ANTI)))
     assert check.witness == first == (((0, 0), (3, 0)), ((0, 0), (3, 0)))
+
+
+def test_counts_fail_when_each_shape_loses_its_last_matrix(monkeypatch):
+    # Only a miscounting enumeration can break a count; the other checks
+    # still run over the shortened hom sets and pass.
+    real = semilinear_module._all_matrices
+    monkeypatch.setattr(semilinear_module, "_all_matrices",
+                        lambda field, rows, cols: list(real(field, rows, cols))[:-1])
+    checks = _grid_checks()
+    counts = {name: (c.passed, c.witness) for name, c in checks.items()
+              if name.startswith("count-")}
+    assert counts == {"count-1x1": (False, (3, 4)), "count-1x2": (False, (15, 16)),
+                      "count-2x1": (False, (15, 16)), "count-2x2": (False, (255, 256))}
+    assert [name for name, c in checks.items() if c.passed] == [
+        "correspondence-additive", "naturality-postcompose", "naturality-precompose",
+        "star-right-identity"]
 
 
 def test_star_right_identity_names_its_first_counterexample(monkeypatch):
