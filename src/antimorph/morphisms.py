@@ -2,8 +2,9 @@
 
 Classification, variance-tracked composition, *-composition, reverse
 morphisms, kernels and images, enumeration, isomorphism search,
-factorization classes, the straight/anti correspondences, and the
-automorphism-group algebra.
+factorization classes, the straight/anti correspondences, the
+automorphism-algebra report, and the pointwise and natural-map ring audits,
+which return their witnesses for `suite` to pair with check names.
 
 Every enumeration goes through one staged generator-image extension search
 over a tuple of operation tables with some images fixed: a group's Cayley
@@ -22,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
 
 from . import kernels
 from .errors import BoundExceeded, LawViolation, NoInvolution, NotComposable
 from .groups import FiniteGroup, Subgroup, normality_witness, validate_group
 from .maps import ANTI, STRAIGHT, VARIANCES, Morphism, variance_xor
 from .rings import TWO_SIDED, FiniteRing, RingIdeal, opposite, quotient_ring
+from .verdict import TheoremReport, check
 
 HOM_ONLY = "HomOnly"
 ANTI_ONLY = "AntiOnly"
@@ -357,15 +358,10 @@ def _stage_rows(ops_a, ops_b, members, before):
 # -- factorization classes -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorClass:
-    composite: tuple                             # the table of g∘f
-    pairs: tuple = field(default_factory=tuple)  # ((f: A->B, g: B->C), ...)
-
-
 def factor_pairs(a, c, an_ab, an_bc, hom_ac):
     """The factorization classes of the pairs (f, g) of anti tables in
-    an_ab x an_bc, one per composite g∘f, sorted by composite.
+    an_ab x an_bc, one (composite, pairs) per composite g∘f, sorted by
+    composite.
 
     Every pair's composite is built and bucketed; each distinct composite
     goes to `checked_composite` once, in order of first appearance, against
@@ -380,68 +376,74 @@ def factor_pairs(a, c, an_ab, an_bc, hom_ac):
             buckets.setdefault(comp, []).append((f, g))
     for images in buckets:
         checked_composite(images, hom_ac, a, c, STRAIGHT)
-    return tuple(FactorClass(images, tuple(buckets[images]))
-                 for images in sorted(buckets))
+    return tuple((images, tuple(buckets[images])) for images in sorted(buckets))
 
 
 # -- automorphism algebra --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AutomorphismAlgebra:
-    autos: tuple                     # bijective tables of Hom(G, G)
-    anti_autos: tuple                # bijective tables of An(G, G)
-    straight_group: FiniteGroup | None  # (isomorphisms, usual composition)
-    star_group: FiniteGroup | None      # (anti-isomorphisms, star composition)
-    iso_images: tuple                # straight_group -> star_group index map
-    union_group: FiniteGroup | None  # both families under usual composition
-    straight_witness: tuple | None   # first pair (images) leaving Hom.Is
-    star_witness: tuple | None       # first pair (images) leaving An.Is under *
-    union_witness: tuple | None      # first pair (images) leaving the union
-    normal_witness: tuple | None     # (x, h) images with x∘h∘x^-1 outside
-                                     # Hom.Is, or union_witness
-
-
-def automorphism_algebra(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> AutomorphismAlgebra:
+def automorphism_algebra_report(g: FiniteGroup, bound: int = DEFAULT_BOUND) -> TheoremReport:
     """Build (Hom.Is, ∘) and (An.Is, *) with the connecting isomorphism,
-    plus the union group under usual composition.
+    plus the union group under usual composition, and check them.
 
     Each group is the closure-checked product table of its family, so a
     composite is checked by membership in the enumerated set, which holds
     exactly the lawful maps. A family that is not closed gets no group and
     names the first pair whose product leaves it; an empty family gets no
-    group and names itself.
+    group and names itself. The checks that need both groups then FAIL
+    with that witness.
     """
-    auto_tables, anti_tables = (tuple(t for t in tables if len(set(t)) == g.order)
-                                for tables in hom_an_tables(g, g, bound))
-    auto_set = set(auto_tables)
-    union = sorted(auto_set.union(anti_tables))
+    autos, antis = (tuple(t for t in tables if len(set(t)) == g.order)
+                    for tables in hom_an_tables(g, g, bound))
+    auto_set, anti_set = set(autos), set(antis)
+    union = sorted(auto_set | anti_set)
     # f ★ h is f read through h∘rev, and f ↦ f∘rev is the twin map
     after_rev = kernels.reader(g.inverses)
-    straight_group, straight_w = _closed_group(auto_tables, auto_tables, "homis")
-    star_group, star_w = _closed_group(
-        anti_tables, [after_rev(t) for t in anti_tables], "anis")
+    straight, straight_w = _closed_group(autos, autos, "homis")
+    star, star_w = _closed_group(antis, [after_rev(t) for t in antis], "anis")
     union_group, union_w = _closed_group(union, union, "unionis")
+    union_order = union_group.order if union_group else None
 
-    anti_index = {t: i for i, t in enumerate(anti_tables)}
-    iso_images = tuple(anti_index.get(after_rev(t)) for t in auto_tables)
+    twin_w = iso_w = straight_w or star_w
+    if twin_w is None:
+        anti_index = {t: i for i, t in enumerate(antis)}
+        twin = tuple(anti_index.get(after_rev(t)) for t in autos)
+        twin_w = _twin_witness(autos, twin, straight, star)
+        if find_isomorphism(straight, star) is None:
+            iso_w = (straight.order, star.order)
+    # (x, h) images with x∘h∘x^-1 outside Hom.Is, or the union's witness
     normal_w = union_w
     if union_group is not None:
         normal_w = normality_witness(union_group, Subgroup(union_group, tuple(
             i for i, t in enumerate(union) if t in auto_set)))
         if normal_w is not None:
             normal_w = tuple(union[i] for i in normal_w)
-    return AutomorphismAlgebra(
-        autos=auto_tables,
-        anti_autos=anti_tables,
-        straight_group=straight_group,
-        star_group=star_group,
-        iso_images=iso_images,
-        union_group=union_group,
-        straight_witness=straight_w,
-        star_witness=star_w,
-        union_witness=union_w,
-        normal_witness=normal_w,
+    checks = [
+        check("families-equinumerous", len(autos) == len(antis),
+              witness=(len(autos), len(antis))),
+        check("twin-map-is-group-iso", twin_w is None, witness=twin_w),
+        check("groups-abstractly-isomorphic", iso_w is None, witness=iso_w),
+        check("union-is-group", union_group is not None, witness=union_w),
+        check("straight-family-normal-in-union", normal_w is None,
+              witness=normal_w),
+    ]
+    if g.abelian:
+        # the least table in one family only, else the orders that differ
+        apart = min(auto_set ^ anti_set, default=None)
+        if apart is None and union_order != len(auto_set):
+            apart = (union_order, len(auto_set))
+        checks.append(check("abelian-families-coincide", apart is None,
+                            witness=apart))
+    else:
+        shared = min(auto_set & anti_set, default=None)
+        checks.append(check("nonabelian-families-disjoint", shared is None,
+                            witness=shared))
+        checks.append(check("union-has-index-two", union_order == 2 * len(autos),
+                            witness=(union_order, 2 * len(autos))))
+    return TheoremReport(
+        theorem=f"automorphism-algebra/{g.name}",
+        inputs=(("group", g.name),),
+        checks=tuple(checks),
     )
 
 
@@ -458,49 +460,37 @@ def _closed_group(tables, through, name: str):
     return validate_group(rows, name=name), None
 
 
+def _twin_witness(autos, twin, straight, star):
+    """The first pair of automorphisms (images) on which f ↦ f∘rev, the star
+    group index `twin[i]` of autos[i] (None outside it), is not a
+    homomorphism into the star group, else its index table if it is not
+    injective; None when it is a group isomorphism."""
+    for i, j in itertools.product(range(straight.order), repeat=2):
+        if None in (twin[i], twin[j]) or \
+                star.mul(twin[i], twin[j]) != twin[straight.mul(i, j)]:
+            return (autos[i], autos[j])
+    return None if len(set(twin)) == straight.order else twin
+
+
 # -- pointwise ring audit ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureAudit:
-    variance: str
-    size: int
-    has_zero_map: bool
-    zero_witness: object    # the zero map, when the set lacks it
-    add_closed: bool
-    add_witness: object
-    mul_closed: bool
-    mul_witness: object
-    has_mul_identity: bool
-    unit_witness: object    # ((e, first table e fails to fix), ...) or (variance, ())
-    forms_unital_ring: bool
+def pointwise_ring_audit(a: FiniteRing, b: FiniteRing, bound: int = DEFAULT_BOUND):
+    """Audit whether pointwise + and * close on the morphism sets A -> B:
+    ((straight side, anti side), correspondence witness).
 
-
-@dataclass(frozen=True)
-class PointwiseAudit:
-    source: str
-    target: str
-    straight: ClosureAudit
-    anti: ClosureAudit
-    correspondence_is_ring_iso: bool | None
-    # the first straight table whose σ-image is not an anti table, else
-    # (straight size, anti size) when σ misses some, or ("no-involution",
-    # source) when there is no σ; None when σ is a bijection between the sets
-    correspondence_witness: object
-
-
-def pointwise_ring_audit(a: FiniteRing, b: FiniteRing,
-                         bound: int = DEFAULT_BOUND) -> PointwiseAudit:
-    """Audit whether pointwise + and * close on the morphism sets.
-
-    Each variance's nonunital set is enumerated once and serves both its
-    closure audit and the correspondence check. The claim under audit is
-    reported, never asserted: non-commutative (and most commutative)
-    targets fail with explicit witnesses.
+    Each side is `_closure_audit`'s (variance, size, witnesses). The
+    correspondence witness is the first straight table whose σ-image is not
+    an anti table, else (straight size, anti size) when σ misses some, or
+    ("no-involution", source) when A has no involution σ; None when σ is a
+    bijection between the sets. Each variance's nonunital set is enumerated
+    once and serves both its side and the correspondence. The claim under
+    audit is reported, never asserted: non-commutative (and most
+    commutative) targets fail with explicit witnesses.
     """
     hom_tables = nonunital_morphism_tables(a, b, STRAIGHT, bound)
     anti_tables = nonunital_morphism_tables(a, b, ANTI, bound)
-    corr, corr_witness = None, ("no-involution", a.name)
+    corr_witness = ("no-involution", a.name)
     if a.involution is not None:
         # σ is a bijection of A, so it maps distinct tables to distinct tables
         sigma = kernels.reader(a.involution)
@@ -508,13 +498,19 @@ def pointwise_ring_audit(a: FiniteRing, b: FiniteRing,
         corr_witness = next((t for t in hom_tables if sigma(t) not in anti_set), None)
         if corr_witness is None and len(hom_tables) != len(anti_tables):
             corr_witness = (len(hom_tables), len(anti_tables))
-        corr = corr_witness is None
-    return PointwiseAudit(a.name, b.name,
-                          _closure_audit(a, b, STRAIGHT, hom_tables),
-                          _closure_audit(a, b, ANTI, anti_tables), corr, corr_witness)
+    return ((_closure_audit(a, b, STRAIGHT, hom_tables),
+             _closure_audit(a, b, ANTI, anti_tables)), corr_witness)
 
 
-def _closure_audit(a, b, variance, tables) -> ClosureAudit:
+def _closure_audit(a, b, variance, tables):
+    """(variance, size, (zero, sum, product, unit witnesses)) of one set of
+    tables; each witness is None when its law holds.
+
+    The zero witness is the zero map when the set lacks it; the sum and
+    product witnesses are the first (t1, t2, t1 op t2) leaving the set; the
+    unit witness is ((e, first table e fails to fix), ...) over every
+    candidate e, or (variance, ()) for an empty set.
+    """
     in_set = set(tables)
     zero_map = (b.zero,) * a.order
     add_witness = None
@@ -539,46 +535,24 @@ def _closure_audit(a, b, variance, tables) -> ClosureAudit:
                      or pointwise(b.mul, t, e) != t), None)
 
     unfixed = [(e, first_unfixed(e)) for e in tables]
-    has_identity = any(t is None for _, t in unfixed)
     unit_witness = None
     if not tables:
         unit_witness = (variance, ())
-    elif not has_identity:
+    elif all(t is not None for _, t in unfixed):
         unit_witness = tuple(unfixed)
-    has_zero = zero_map in in_set
-    return ClosureAudit(
-        variance=variance,
-        size=len(tables),
-        has_zero_map=has_zero,
-        zero_witness=None if has_zero else zero_map,
-        add_closed=add_witness is None,
-        add_witness=add_witness,
-        mul_closed=mul_witness is None,
-        mul_witness=mul_witness,
-        has_mul_identity=has_identity,
-        unit_witness=unit_witness,
-        forms_unital_ring=(add_witness is None and mul_witness is None
-                           and has_zero and has_identity),
-    )
+    zero_witness = None if zero_map in in_set else zero_map
+    return variance, len(tables), (zero_witness, add_witness, mul_witness, unit_witness)
 
 
-@dataclass(frozen=True)
-class NaturalMapReport:
-    """The audit of f ↦ π∘f; each law field is its first counterexample,
-    named by images, or None when the law holds."""
-    ring: str
-    ideal: tuple
-    domain_size: int
-    undefined: object       # f whose π∘f is not a total map R -> R/I
-    outside: object         # (f, π∘f) with π∘f not in An(R, R/I)
-    sum_breaks: object      # (f1, f2) with π∘(f1+f2) != π∘f1 + π∘f2
-    product_breaks: object  # (f1, f2) with π∘(f1·f2) != π∘f1 · π∘f2
-
-
-def natural_an_map(r: FiniteRing, ideal: RingIdeal,
-                   bound: int = DEFAULT_BOUND) -> NaturalMapReport:
+def natural_an_map(r: FiniteRing, ideal: RingIdeal, bound: int = DEFAULT_BOUND):
     """Audit f ↦ π∘f from An(R,R) to An(R,R/I), π the projection onto R/I;
-    the pointwise sum and product are checked on the maps it is defined on."""
+    the pointwise sum and product are checked on the maps it is defined on.
+
+    Returns its four first counterexamples, named by images, each None when
+    its law holds: f whose π∘f is not a total map R -> R/I; (f, π∘f) with
+    π∘f not in An(R, R/I); (f1, f2) with π∘(f1+f2) != π∘f1 + π∘f2; and
+    (f1, f2) with π∘(f1·f2) != π∘f1 · π∘f2.
+    """
     q, proj = quotient_ring(r, ideal)
     pi = proj.images
     domain = [f.images for f in enumerate_morphisms(r, r, ANTI, bound)]
@@ -593,10 +567,7 @@ def natural_an_map(r: FiniteRing, ideal: RingIdeal,
                      if tuple(pi[op_r(u, v)] for u, v in zip(f1, f2))
                      != tuple(map(op_q, phi1, phi2))), None)
 
-    return NaturalMapReport(
-        r.name, ideal.members, len(domain),
-        undefined=next((f for f, phi in pairs if (f, phi) not in defined), None),
-        outside=next((pair for pair in pairs if pair[1] not in target_tables),
-                     None),
-        sum_breaks=first_break(r.add_, q.add_),
-        product_breaks=first_break(r.mul_, q.mul_))
+    return (next((f for f, phi in pairs if (f, phi) not in defined), None),
+            next((pair for pair in pairs if pair[1] not in target_tables), None),
+            first_break(r.add_, q.add_),
+            first_break(r.mul_, q.mul_))

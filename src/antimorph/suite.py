@@ -54,14 +54,13 @@ from .maps import ANTI, STRAIGHT, VARIANCES, Morphism
 from .morphisms import (
     BOTH,
     DEFAULT_BOUND,
-    automorphism_algebra,
+    automorphism_algebra_report,
     brute_force_tables,
     checked_composite,
     classify,
     corresponding_anti,
     enumerate_morphisms,
     factor_pairs,
-    find_isomorphism,
     hom_an_tables,
     law_witness,
     natural_an_map,
@@ -441,7 +440,7 @@ def reconstruction_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
             if not composites <= hom_set or len(set(an_aa)) < len(an_aa) or \
                     len(set(an_ac)) < len(an_ac):
                 classes = factor_pairs(ga, gc, an_aa, an_ac, hom_set)
-                keys = [pair for cl in classes for pair in cl.pairs]
+                keys = [pair for _, pairs in classes for pair in pairs]
                 total_pairs, repeated = len(keys), _first_repeat(keys)
             stray = min(composites - hom_set, default=None)
             unfactored = min(hom_set - composites, default=None)
@@ -513,60 +512,6 @@ def morphism_property_reports(groups: dict, bound: int = DEFAULT_BOUND) -> list:
     return out
 
 
-def automorphism_algebra_report(g, bound: int = DEFAULT_BOUND) -> TheoremReport:
-    alg = automorphism_algebra(g, bound)
-    union_order = alg.union_group.order if alg.union_group else None
-    # a family that is not closed has no group: the checks that need both
-    # groups FAIL with the first pair leaving one of them
-    twin_w = iso_w = alg.straight_witness or alg.star_witness
-    if twin_w is None:
-        twin_w = _twin_witness(alg)
-        if find_isomorphism(alg.straight_group, alg.star_group) is None:
-            iso_w = (alg.straight_group.order, alg.star_group.order)
-    checks = [
-        check("families-equinumerous", len(alg.autos) == len(alg.anti_autos),
-              witness=(len(alg.autos), len(alg.anti_autos))),
-        check("twin-map-is-group-iso", twin_w is None, witness=twin_w),
-        check("groups-abstractly-isomorphic", iso_w is None, witness=iso_w),
-        check("union-is-group", alg.union_group is not None,
-              witness=alg.union_witness),
-        check("straight-family-normal-in-union", alg.normal_witness is None,
-              witness=alg.normal_witness),
-    ]
-    autos, antis = set(alg.autos), set(alg.anti_autos)
-    if g.abelian:
-        # the least table in one family only, else the orders that differ
-        apart = min(autos ^ antis, default=None)
-        if apart is None and union_order != len(autos):
-            apart = (union_order, len(autos))
-        checks.append(check("abelian-families-coincide", apart is None,
-                            witness=apart))
-    else:
-        shared = min(autos & antis, default=None)
-        checks.append(check("nonabelian-families-disjoint", shared is None,
-                            witness=shared))
-        checks.append(check("union-has-index-two",
-                            union_order == 2 * len(alg.autos),
-                            witness=(union_order, 2 * len(alg.autos))))
-    return TheoremReport(
-        theorem=f"automorphism-algebra/{g.name}",
-        inputs=(("group", g.name),),
-        checks=tuple(checks),
-    )
-
-
-def _twin_witness(alg):
-    """The first pair of automorphisms (images) on which f ↦ f∘rev is not a
-    homomorphism into the star group, else its index table if it is not
-    injective; None when it is a group isomorphism."""
-    twin, straight, star = alg.iso_images, alg.straight_group, alg.star_group
-    for i, j in itertools.product(range(straight.order), repeat=2):
-        if None in (twin[i], twin[j]) or \
-                star.mul(twin[i], twin[j]) != twin[straight.mul(i, j)]:
-            return (alg.autos[i], alg.autos[j])
-    return None if len(set(twin)) == straight.order else twin
-
-
 # -- audits ----------------------------------------------------------------------
 
 
@@ -576,37 +521,36 @@ def audit_reports(bound: int = DEFAULT_BOUND) -> list:
     z2, _ = quotient_ring(z4, named_ideal("z4", "even"))
     t2 = rings["t2f2"]
     out = []
-    passing = pointwise_ring_audit(z2, z2, bound)
+    sides, corr_w = pointwise_ring_audit(z2, z2, bound)
+    # a set forms a unital ring exactly when its zero, sum, product and unit
+    # witnesses are all None; the first one set is the check's witness
+    straight_w, anti_w = (next((w for w in ws if w is not None), None)
+                          for _, _, ws in sides)
     out.append(TheoremReport(
         theorem="pointwise-audit/z2",
         inputs=(("ring", "z4/even"),),
         checks=(
-            check("straight-set-forms-unital-ring",
-                  passing.straight.forms_unital_ring,
-                  witness=_unital_ring_witness(passing.straight)),
-            check("anti-set-forms-unital-ring", passing.anti.forms_unital_ring,
-                  witness=_unital_ring_witness(passing.anti)),
-            check("correspondence-is-bijection",
-                  passing.correspondence_is_ring_iso is True,
-                  witness=passing.correspondence_witness),
+            check("straight-set-forms-unital-ring", straight_w is None,
+                  witness=straight_w),
+            check("anti-set-forms-unital-ring", anti_w is None, witness=anti_w),
+            check("correspondence-is-bijection", corr_w is None, witness=corr_w),
         ),
     ))
-    failing = pointwise_ring_audit(t2, t2, bound)
-    straight_size = (STRAIGHT, failing.straight.size)
+    sides, _ = pointwise_ring_audit(t2, t2, bound)
+    # a set is not closed when its sum or its product witness is set
+    (straight_open, straight_size), (anti_open, anti_size) = (
+        ((add_w, mul_w) != (None, None), size)
+        for _, size, (_, add_w, mul_w, _) in sides)
     out.append(TheoremReport(
         theorem="pointwise-audit/t2f2",
         inputs=(("ring", "t2f2"),),
         checks=(
-            check("closure-failure-detected",
-                  not (failing.straight.add_closed and failing.straight.mul_closed),
-                  witness=straight_size),
-            check("failure-carries-witness",
-                  failing.straight.add_witness is not None
-                  or failing.straight.mul_witness is not None,
-                  witness=straight_size),
-            check("anti-closure-failure-detected",
-                  not (failing.anti.add_closed and failing.anti.mul_closed),
-                  witness=(ANTI, failing.anti.size)),
+            check("closure-failure-detected", straight_open,
+                  witness=(STRAIGHT, straight_size)),
+            check("failure-carries-witness", straight_open,
+                  witness=(STRAIGHT, straight_size)),
+            check("anti-closure-failure-detected", anti_open,
+                  witness=(ANTI, anti_size)),
         ),
         notes=("the pointwise closure claim fails here; the audit records "
                "witnesses instead of asserting it",),
@@ -615,34 +559,18 @@ def audit_reports(bound: int = DEFAULT_BOUND) -> list:
     return out
 
 
-def _unital_ring_witness(side):
-    """The first of a closure audit's zero, sum, product and unit witnesses:
-    None exactly when its set forms a unital ring."""
-    return next((w for w in (side.zero_witness, side.add_witness,
-                             side.mul_witness, side.unit_witness) if w is not None),
-                None)
-
-
 def pointwise_audit_report(a, b, bound: int = DEFAULT_BOUND) -> TheoremReport:
     """Whether pointwise + and * close on the morphism sets A -> B, per variance."""
-    audit = pointwise_ring_audit(a, b, bound)
-    checks = []
-    for side in (audit.straight, audit.anti):
-        tag = side.variance
-        checks.append(check(f"{tag}-zero-map-present", side.has_zero_map,
-                            witness=side.zero_witness))
-        checks.append(check(f"{tag}-sum-closed", side.add_closed,
-                            witness=side.add_witness))
-        checks.append(check(f"{tag}-product-closed", side.mul_closed,
-                            witness=side.mul_witness))
-        checks.append(check(f"{tag}-has-unit", side.has_mul_identity,
-                            witness=side.unit_witness))
+    sides, _ = pointwise_ring_audit(a, b, bound)
     return TheoremReport(
         theorem=f"pointwise-audit/{a.name}-{b.name}",
         inputs=(("source", a.name), ("target", b.name),
-                ("straight-size", str(audit.straight.size)),
-                ("anti-size", str(audit.anti.size))),
-        checks=tuple(checks),
+                *((f"{variance}-size", str(size)) for variance, size, _ in sides)),
+        checks=tuple(
+            check(f"{variance}-{name}", w is None, witness=w)
+            for variance, _, witnesses in sides
+            for name, w in zip(("zero-map-present", "sum-closed",
+                                "product-closed", "has-unit"), witnesses)),
         notes=("FAIL lines report that the pointwise ring claim does not "
                "hold for this instance; the witnesses reproduce it",),
     )
@@ -650,19 +578,15 @@ def pointwise_audit_report(a, b, bound: int = DEFAULT_BOUND) -> TheoremReport:
 
 def natural_map_report(r, name: str, ideal, bound=DEFAULT_BOUND) -> TheoremReport:
     """The natural map into An(R, R/I) for the ideal I of R named `name`."""
-    nat = natural_an_map(r, ideal, bound)
     return TheoremReport(
         theorem=f"natural-map/{r.name}-{name}",
         inputs=(("ring", r.name), ("ideal", ",".join(map(str, ideal.members)))),
-        checks=(
-            check("defined-on-whole-domain", nat.undefined is None,
-                  witness=nat.undefined),
-            check("lands-in-anti-set", nat.outside is None, witness=nat.outside),
-            check("respects-pointwise-sum", nat.sum_breaks is None,
-                  witness=nat.sum_breaks),
-            check("respects-pointwise-product", nat.product_breaks is None,
-                  witness=nat.product_breaks),
-        ),
+        checks=tuple(
+            check(check_name, w is None, witness=w)
+            for check_name, w in zip(
+                ("defined-on-whole-domain", "lands-in-anti-set",
+                 "respects-pointwise-sum", "respects-pointwise-product"),
+                natural_an_map(r, ideal, bound))),
     )
 
 

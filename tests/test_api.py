@@ -79,7 +79,7 @@ def test_every_check_call_passes_a_witness():
                 if len(node.args) < 3 and \
                         not any(k.arg == "witness" for k in node.keywords):
                     bare.append(f"{path.stem}:{node.lineno}")
-    assert calls == 112
+    assert calls == 106
     assert bare == []
 
 

@@ -2,17 +2,16 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import replace
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
-from antimorph import cli, suite, theorems
+from antimorph import cli, morphisms, suite, theorems
 from antimorph.cli import main
+from antimorph.corpus import IDEAL_MEMBERS, group_corpus, ring_corpus
 from antimorph.maps import ANTI, STRAIGHT, Morphism
-from antimorph.reports import parse_records
-from antimorph.suite import RunConfig, run
+from antimorph.reports import emit_records, parse_records
+from antimorph.suite import RunConfig, bundle, run
 from antimorph.verdict import Check, check
 
 DATA = resources.files("antimorph").joinpath("data")
@@ -162,6 +161,32 @@ def test_audit_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "audit", "pointwise-ring", "--ring", "t2f2")
     assert code == 1  # the pointwise claim fails here, and the audit says so
     assert "witness" in out
+
+
+def test_audit_outputs_the_golden_report_does_not_cover_are_pinned(capsys):
+    # Every ordered pair of bundled rings through `audit pointwise-ring` and
+    # every named ideal through `audit natural-an-map`, stdout and exit codes;
+    # then the automorphism algebra of every bundled group except q8, whose
+    # 24 automorphisms are over the isomorphism search limit.
+    rings = ring_corpus()
+    calls = [("audit", "pointwise-ring", "--ring", a, "--target", b)
+             for a in rings for b in rings]
+    calls += [("audit", "natural-an-map", "--ring", r, "--ideal", i)
+              for r, i in sorted(IDEAL_MEMBERS)]
+    codes, outs = [], []
+    for argv in calls:
+        code, out, _ = run_cli(capsys, "--format", "records", *argv)
+        codes.append(str(code))
+        outs.append(out)
+    assert "".join(codes) == "10011010010111101111000010000"
+    assert _sha256("".join(outs)) == \
+        "8b9086fea85796968d3b3d522159d5b6aab22e1e16569dc93a48f0a42b844f0c"
+    algebra = bundle(RunConfig(), [suite.automorphism_algebra_report(g)
+                                   for name, g in group_corpus().items()
+                                   if name != "q8"])
+    assert sum(r.passed for r in algebra.records) == len(algebra.records) == 44
+    assert _sha256(emit_records(algebra)) == \
+        "d0181361f2a2a3a176f6a228e82a68320c7356e736d0bdbdbca34e4167fc2864"
 
 
 def test_unknown_name_is_a_usage_error(capsys):
@@ -336,9 +361,9 @@ def test_a_fail_without_a_witness_is_an_engine_error(monkeypatch, capsys):
         check("c", False)
     # a union that is no group and names no pair leaving it: the report's
     # `union-is-group` FAILs without a witness, and the run exits 3
-    real = suite.automorphism_algebra
-    monkeypatch.setattr(suite, "automorphism_algebra", lambda g, bound: replace(
-        real(g, bound), union_group=None, union_witness=None))
+    real = morphisms._closed_group
+    monkeypatch.setattr(morphisms, "_closed_group", lambda tables, through, name: (
+        (None, None) if name == "unionis" else real(tables, through, name)))
     code, _, err = run_cli(capsys, "--format", "records", "report")
     assert code == 3
     assert "RuntimeError: check union-is-group failed without a witness" in err
